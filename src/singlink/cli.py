@@ -9,18 +9,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 from . import diagram as dg
 from . import invariant as iv
-from .coloring import count_colorings, enumerate_colorings
+from .coloring import enumerate_colorings
 from .errors import SinglinkError
-from .pairs import (IsoClass, SingularPair, builtin_pair,
-                    check_singular_pair, classify_isomorphism,
-                    enumerate_left_right_invertible, enumerate_taus,
-                    tau_phi_iso_count)
+from .pairs import (SingularPair, builtin_pair, check_singular_pair,
+                    classify_isomorphism, enumerate_left_right_invertible,
+                    enumerate_taus, tau_phi_iso_count)
 from .pairtable import (Biquandle, PairTable, Quandle, dihedral_switch,
                         flip_switch, i2_switch, make_bialexander,
                         make_quandle_switch)
@@ -34,55 +33,58 @@ class Config:
     """Runtime knobs shared by the subcommands."""
 
     max_n: int = 4                 # general enumeration bound
-    max_n_tau_phi: int = 12        # bialexander tau_phi family bound
-    threads: int = 1
     fmt: str = "text"              # "text" | "json"
-    seed: int = 0
     slow: bool = False
 
     def __post_init__(self):
-        if self.max_n < 1 or self.max_n_tau_phi < 1 or self.threads < 1:
-            raise SinglinkError("bounds and thread count must be positive")
+        if self.max_n < 1:
+            raise SinglinkError("the enumeration bound must be positive")
         if self.fmt not in ("text", "json"):
             raise SinglinkError(f"unknown output format {self.fmt!r}")
 
     @classmethod
     def from_args(cls, args) -> "Config":
-        threads = os.environ.get("SINGLINK_THREADS", "1")
-        try:
-            threads = int(threads)
-        except ValueError:
-            raise SinglinkError(f"SINGLINK_THREADS={threads!r} is not an integer")
-        return cls(max_n=args.max_n, threads=threads,
-                   fmt="json" if args.json else "text",
+        return cls(max_n=args.max_n, fmt="json" if args.json else "text",
                    slow=getattr(args, "slow", False))
 
 
+@contextmanager
+def _malformed(what: str):
+    """Report a parse or validation failure of user input as a domain error."""
+    try:
+        yield
+    except KeyError as exc:
+        raise SinglinkError(f"malformed {what}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise SinglinkError(f"malformed {what}: {exc}") from None
+
+
 def _load_switch(spec: str) -> Biquandle:
-    if spec.startswith("flip"):
-        n = int(spec.split(":", 1)[1]) if ":" in spec else 2
-        return flip_switch(n)
-    if spec == "i2":
-        return i2_switch()
-    if spec.startswith("d") and spec[1:].isdigit():
-        return dihedral_switch(int(spec[1:]))
-    if spec.startswith("bialexander:"):
-        m, s, t = (int(v) for v in spec.split(":", 1)[1].split(","))
-        return make_bialexander(m, s, t)
-    with open(spec) as fh:
-        data = json.load(fh)
-    if "op" in data:
-        return make_quandle_switch(Quandle.from_dict(data))
-    return Biquandle.from_table(PairTable.from_dict(data))
+    with _malformed(f"switch {spec!r}"):
+        if spec.startswith("flip"):
+            n = int(spec.split(":", 1)[1]) if ":" in spec else 2
+            return flip_switch(n)
+        if spec == "i2":
+            return i2_switch()
+        if spec.startswith("d") and spec[1:].isdigit():
+            return dihedral_switch(int(spec[1:]))
+        if spec.startswith("bialexander:"):
+            m, s, t = (int(v) for v in spec.split(":", 1)[1].split(","))
+            return make_bialexander(m, s, t)
+        with open(spec) as fh:
+            data = json.load(fh)
+        if "op" in data:
+            return make_quandle_switch(Quandle.from_dict(data))
+        return Biquandle.from_table(PairTable.from_dict(data))
 
 
 def _load_pair(spec: str) -> SingularPair:
     if spec.startswith("builtin:"):
         return builtin_pair(spec.split(":", 1)[1])
-    with open(spec) as fh:
+    with open(spec) as fh, _malformed(f"pair file {spec!r}"):
         data = json.load(fh)
-    S = Biquandle.from_table(PairTable.from_dict(data["biquandle"]))
-    tau = PairTable.from_dict(data["tau"])
+        S = Biquandle.from_table(PairTable.from_dict(data["biquandle"]))
+        tau = PairTable.from_dict(data["tau"])
     return SingularPair(S, tau)
 
 
@@ -121,7 +123,7 @@ def _cmd_pairs(args) -> int:
             else:
                 raise SinglinkError(
                     f"--n {args.n} disagrees with switch on {S.n} elements")
-        taus = enumerate_taus(S, max_n=max(cfg.max_n, args.n or 0))
+        taus = enumerate_taus(S, max_n=cfg.max_n)
         lines = [f"pairs: {len(taus)}"]
         obj = {"count": len(taus),
                "taus": [json.loads(t.to_json()) for t in taus]}
@@ -242,23 +244,23 @@ def _load_cocycle(spec: str, target_spec, p: SingularPair, kind: str):
             return iv.builtin_cocycle(name, kind)
         return (iv.universal_nc_cocycle(p) if kind == iv.NC
                 else iv.universal_ab_cocycle(p))
-    with open(spec) as fh:
+    with open(spec) as fh, _malformed(f"cocycle file {spec!r}"):
         data = json.load(fh)
-    if data.get("kind", kind) != kind:
-        raise SinglinkError(f"cocycle file is of kind {data.get('kind')!r}")
-    if target_spec is not None:
-        with open(target_spec) as fh:
-            target = FiniteGroup.from_dict(json.load(fh))
-        f = tuple(tuple(int(v) for v in row) for row in data["f"])
-        h = tuple(tuple(int(v) for v in row) for row in data["h"])
-    elif "target" in data:
-        target = AbelianizedGroup.from_dict(data["target"])
-        mk = lambda e: (tuple(e[0]), tuple(e[1]))
-        f = tuple(tuple(mk(v) for v in row) for row in data["f"])
-        h = tuple(tuple(mk(v) for v in row) for row in data["h"])
-    else:
-        raise SinglinkError("cocycle file needs --target or an embedded target")
-    return iv.CocyclePair(target, f, h, kind)
+        if data.get("kind", kind) != kind:
+            raise SinglinkError(f"cocycle file is of kind {data.get('kind')!r}")
+        if target_spec is not None:
+            with open(target_spec) as gh, _malformed(f"group file {target_spec!r}"):
+                target = FiniteGroup.from_dict(json.load(gh))
+            f = tuple(tuple(int(v) for v in row) for row in data["f"])
+            h = tuple(tuple(int(v) for v in row) for row in data["h"])
+        elif "target" in data:
+            target = AbelianizedGroup.from_dict(data["target"])
+            mk = lambda e: (tuple(e[0]), tuple(e[1]))
+            f = tuple(tuple(mk(v) for v in row) for row in data["f"])
+            h = tuple(tuple(mk(v) for v in row) for row in data["h"])
+        else:
+            raise SinglinkError("cocycle file needs --target or an embedded target")
+        return iv.CocyclePair(target, f, h, kind)
 
 
 def _cmd_invariant(args) -> int:

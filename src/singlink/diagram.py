@@ -24,7 +24,7 @@ Components are indexed by their lexicographically smallest edge token.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import (BadBasepointError, DanglingEdgeError, DiagramSyntaxError,
                      PatternMismatchError, SlotReuseError, UnknownNameError)
@@ -85,20 +85,6 @@ class SingularDiagram:
             if c.in2 == edge:
                 return i, 1
         return None
-
-    def producer(self, edge: str):
-        for i, c in enumerate(self.crossings):
-            if c.out1 == edge:
-                return i, 0
-            if c.out2 == edge:
-                return i, 1
-        return None
-
-    def component_of(self, edge: str) -> int:
-        for i, comp in enumerate(self.components):
-            if edge in comp:
-                return i
-        raise KeyError(edge)
 
     def counts(self):
         kinds = {POS: 0, NEG: 0, SING: 0}

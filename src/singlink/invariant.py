@@ -11,6 +11,10 @@ A component's value is the ordered product from its basepoint, reduced
 to a conjugacy class representative; the state sum multiplies the
 weights of all crossings once each, with no order, and sums over
 colorings in the integral group ring.
+
+The cocycle conditions are not written out here: the checkers evaluate
+both sides of every instance of the relation table in
+`presentation.relation_families` in the target group.
 """
 
 from __future__ import annotations
@@ -20,12 +24,12 @@ from typing import Union
 
 from .coloring import enumerate_colorings
 from .diagram import NEG, POS, SING, SingularDiagram
-from .errors import (CocycleInvalidError, DimensionMismatchError,
-                     UnknownNameError)
+from .errors import CocycleInvalidError, DimensionMismatchError
 from .pairs import SingularPair, builtin_pair
 from .presentation import (AbelianizedGroup, FiniteGroup, GroupRingElement,
-                           Presentation, abelianize, build_ab_presentation,
-                           build_unc_presentation, f_gen, h_gen)
+                           abelianize, build_ab_presentation,
+                           build_unc_presentation, f_gen, h_gen,
+                           relation_families, relation_instances)
 
 Target = Union[FiniteGroup, AbelianizedGroup]
 
@@ -67,55 +71,43 @@ class CocycleCheck:
     violations: tuple[tuple[str, tuple], ...]
 
 
+def _check_cocycle(p: SingularPair, c: CocyclePair) -> CocycleCheck:
+    """Evaluate both sides of every relation instance in the target and
+    keep the first failing point of each family."""
+    ident, mul, _, _ = _ops(c.target)
+    # generator index -> table value: all f(x,y), then all h(x,y)
+    value = [v for row in c.f for v in row] + [v for row in c.h for v in row]
+
+    def product(side):
+        if not side:
+            return ident
+        out = value[side[0]]
+        for g in side[1:]:
+            out = mul(out, value[g])
+        return out
+
+    families = relation_families(p, c.kind)
+    bad = {}
+    for name, point, lhs, rhs in relation_instances(families, p.n):
+        # identical sides hold in every group and need no evaluation
+        if name not in bad and lhs != rhs and product(lhs) != product(rhs):
+            bad[name] = point
+    viols = tuple((name, bad[name]) for name, _ in families if name in bad)
+    return CocycleCheck(not viols, viols)
+
+
 def check_nc_cocycle(p: SingularPair, c: CocyclePair) -> CocycleCheck:
-    """The nine noncommutative conditions (f1)-(f4), (h1), (c1)-(c4)."""
+    """The seven noncommutative conditions (f1), (f4), (h1), (c1)-(c4).
+
+    (f2) and (f3) are consequences of these ((f3) is (c3) at a fixed point
+    of S, (f2) follows from (c3), (h1) and Yang-Baxter); they are checked
+    in derived_cocycle_identities.
+    """
     if c.kind != NC:
         raise CocycleInvalidError("cocycle pair is not of noncommutative kind")
     if c.n != p.n:
         raise DimensionMismatchError("cocycle tables do not match the pair")
-    n = p.n
-    ident, mul, inv, _ = _ops(c.target)
-    st = p.biquandle.table
-    s1, s2 = st.t1, st.t2
-    t1, t2 = p.tau.t1, p.tau.t2
-    smap = p.biquandle.s_map
-    f, h = c.f, c.h
-    bad = {}
-
-    def record(name, wit):
-        if name not in bad:
-            bad[name] = wit
-
-    for x in range(n):
-        if f[x][smap[x]] != ident:
-            record("f3", (x,))
-        for y in range(n):
-            sx, sy = s1[x][y], s2[x][y]
-            tx, ty = t1[x][y], t2[x][y]
-            if h[x][y] != mul(f[x][y], h[sx][sy]):
-                record("c3", (x, y))
-            if h[sx][sy] != mul(h[x][y], f[tx][ty]):
-                record("c4", (x, y))
-            for z in range(n):
-                if mul(f[x][y], f[s2[x][y]][z]) != \
-                        mul(f[x][s1[y][z]], f[s2[x][s1[y][z]]][s2[y][z]]):
-                    record("f1", (x, y, z))
-                if f[s1[x][y]][s1[s2[x][y]][z]] != f[y][z]:
-                    record("f2", (x, y, z))
-                if mul(f[x][y], f[s2[x][y]][z]) != \
-                        mul(f[x][t1[y][z]], f[s2[x][t1[y][z]]][t2[y][z]]):
-                    record("f4", (x, y, z))
-                if h[s1[x][y]][s1[s2[x][y]][z]] != h[y][z]:
-                    record("h1", (x, y, z))
-                if mul(f[x][s1[y][z]], h[s2[x][s1[y][z]]][s2[y][z]]) != \
-                        mul(h[x][y], f[t2[x][y]][z]):
-                    record("c1", (x, y, z))
-                if mul(f[y][z], h[s2[x][s1[y][z]]][s2[y][z]]) != \
-                        mul(h[x][y], f[t1[x][y]][s1[t2[x][y]][z]]):
-                    record("c2", (x, y, z))
-    order = ("f1", "f2", "f3", "f4", "h1", "c1", "c2", "c3", "c4")
-    viols = tuple((k, bad[k]) for k in order if k in bad)
-    return CocycleCheck(not viols, viols)
+    return _check_cocycle(p, c)
 
 
 def check_ab_cocycle(p: SingularPair, c: CocyclePair) -> CocycleCheck:
@@ -126,49 +118,7 @@ def check_ab_cocycle(p: SingularPair, c: CocyclePair) -> CocycleCheck:
         raise CocycleInvalidError("abelian cocycle pair needs an abelian target")
     if c.n != p.n:
         raise DimensionMismatchError("cocycle tables do not match the pair")
-    n = p.n
-    ident, mul, inv, _ = _ops(c.target)
-    st = p.biquandle.table
-    s1, s2 = st.t1, st.t2
-    t1, t2 = p.tau.t1, p.tau.t2
-    smap = p.biquandle.s_map
-    f, h = c.f, c.h
-    bad = {}
-
-    def record(name, wit):
-        if name not in bad:
-            bad[name] = wit
-
-    def prod(*els):
-        out = ident
-        for e in els:
-            out = mul(out, e)
-        return out
-
-    for x in range(n):
-        if f[x][smap[x]] != ident:
-            record("f2'", (x,))
-        for y in range(n):
-            sx, sy = s1[x][y], s2[x][y]
-            tx, ty = t1[x][y], t2[x][y]
-            if mul(f[x][y], h[sx][sy]) != mul(h[x][y], f[tx][ty]):
-                record("c3'", (x, y))
-            for z in range(n):
-                lhs = prod(f[x][y], f[s2[x][y]][z], f[s1[x][y]][s1[s2[x][y]][z]])
-                rhs = prod(f[x][s1[y][z]], f[s2[x][s1[y][z]]][s2[y][z]], f[y][z])
-                if lhs != rhs:
-                    record("f1'", (x, y, z))
-                lhs = prod(h[y][z], f[x][t1[y][z]], f[s2[x][t1[y][z]]][t2[y][z]])
-                rhs = prod(f[x][y], f[s2[x][y]][z], h[s1[x][y]][s1[s2[x][y]][z]])
-                if lhs != rhs:
-                    record("c1'", (x, y, z))
-                lhs = prod(f[y][z], f[x][s1[y][z]], h[s2[x][s1[y][z]]][s2[y][z]])
-                rhs = prod(h[x][y], f[t2[x][y]][z], f[t1[x][y]][s1[t2[x][y]][z]])
-                if lhs != rhs:
-                    record("c2'", (x, y, z))
-    order = ("f1'", "f2'", "c1'", "c2'", "c3'")
-    viols = tuple((k, bad[k]) for k in order if k in bad)
-    return CocycleCheck(not viols, viols)
+    return _check_cocycle(p, c)
 
 
 def derived_cocycle_identities(p: SingularPair, c: CocyclePair) -> dict[str, bool]:
@@ -232,18 +182,6 @@ def universal_ab_cocycle(p: SingularPair) -> CocyclePair:
     group = abelianize(build_ab_presentation(p))
     f, h = _tables_from_group(p.n, group)
     return CocyclePair(group, f, h, AB)
-
-
-def _labeled_free_abelian(labels, torsion=(), torsion_labels=()):
-    rank = len(labels)
-
-    def free(i):
-        return tuple(int(j == i) for j in range(rank)), (0,) * len(torsion)
-
-    def tors(i):
-        return (0,) * rank, tuple(int(j == i) for j in range(len(torsion)))
-
-    return rank, free, tors
 
 
 def builtin_cocycle(pair_name: str, kind: str) -> CocyclePair:

@@ -17,15 +17,15 @@ exist.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import factorial, gcd
 
 import numpy as np
 
 from .errors import (DimensionMismatchError, HomogeneityViolationError,
                      NonUnitError, SearchBoundExceededError, UnknownNameError)
-from .pairtable import (Biquandle, PairTable, check_biquandle, dihedral_switch,
-                        flip_switch, i2_switch, is_flip, make_bialexander)
+from .pairtable import (Biquandle, PairTable, dihedral_switch, flip_switch,
+                        i2_switch, is_flip)
 
 
 @dataclass(frozen=True)
@@ -648,7 +648,6 @@ def enumerate_left_right_invertible(n: int, max_n: int = 4) -> LrCounts:
 class IsoClass:
     canonical: SingularPair
     size: int
-    witness_maps: tuple[tuple[int, ...], ...] | None = None
 
 
 def automorphism_group(t: PairTable) -> list[tuple[int, ...]]:
@@ -716,7 +715,7 @@ def canonical_key(pair: SingularPair, relabelings=None) -> bytes:
     return best
 
 
-def classify_isomorphism(pairs, with_witnesses: bool = False) -> list[IsoClass]:
+def classify_isomorphism(pairs) -> list[IsoClass]:
     """Partition pairs into isomorphism classes (simultaneous relabeling).
 
     When every input shares the same switch S the relabelings are cut to
@@ -764,10 +763,7 @@ def classify_isomorphism(pairs, with_witnesses: bool = False) -> list[IsoClass]:
     for key in sorted(groups):
         members = groups[key]
         rep = pairs[members[0]].relabel(list(keys_g[key]))
-        witnesses = None
-        if with_witnesses:
-            witnesses = tuple(keys_g[key] for _ in members)
-        classes.append(IsoClass(rep, len(members), witnesses))
+        classes.append(IsoClass(rep, len(members)))
     return classes
 
 

@@ -207,9 +207,6 @@ class Biquandle:
             raise ValueError("table is not a biquandle")
         return cls(t, s)
 
-    def inverse_table(self) -> PairTable:
-        return self.table.inverse()
-
 
 @dataclass(frozen=True)
 class Quandle:

@@ -5,14 +5,19 @@ Generators are indexed 0..2n^2-1: first all f_{xy} in row-major order,
 then all h_{xy}.  A relation is a word of (generator, exponent) letters;
 only exponent sums matter after abelianizing, but the words keep their
 order so they can be evaluated in noncommutative targets.
+
+The relation table (`relation_families`) is the single definition of the
+cocycle conditions: a cocycle pair into G is a homomorphism from the
+universal group that sends f(x,y), h(x,y) to their table values, so the
+same families present U_nc^{fh} and Ab^{fh} here and are evaluated in the
+target by the cocycle checkers in `invariant`.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
-from .errors import DimensionMismatchError, NotInvolutiveError
+from .errors import NotInvolutiveError
 from .pairs import SingularPair
 from .pairtable import PairTable
 
@@ -46,14 +51,6 @@ def _word(*letters) -> Word:
     return tuple((g, e) for g, e in out)
 
 
-def _inv_word(w: Word) -> Word:
-    return tuple((g, -e) for g, e in reversed(w))
-
-
-def _relation(lhs: Word, rhs: Word) -> Word:
-    return _word(*lhs, *_inv_word(rhs))
-
-
 @dataclass(frozen=True)
 class Presentation:
     n: int
@@ -74,99 +71,115 @@ class Presentation:
         return rows
 
 
+# ---------------------------------------------------------------------------
+# the relation table: the single definition of the cocycle conditions
+# ---------------------------------------------------------------------------
+
+def relation_families(p: SingularPair, kind: str):
+    """The relation families of U_nc^{fh} (kind "nc") or Ab^{fh} ("ab").
+
+    Each entry is (name, relation), listed in reporting order.  relation
+    takes a point (x), (x, y) or (x, y, z) and returns the generator
+    indices of the two sides of lhs = rhs; every letter has exponent +1.
+    """
+    n = p.n
+    s1, s2 = p.biquandle.table.t1, p.biquandle.table.t2
+    t1, t2 = p.tau.t1, p.tau.t2
+    s = p.biquandle.s_map
+
+    F = [[f_gen(n, x, y) for y in range(n)] for x in range(n)]
+    H = [[h_gen(n, x, y) for y in range(n)] for x in range(n)]
+
+    if kind == "nc":
+        return (
+            # (f1)  f(x,y) f(S2(x,y),z) = f(x,S1(y,z)) f(S2(x,S1(y,z)),S2(y,z))
+            ("f1", lambda x, y, z: (
+                [F[x][y], F[s2[x][y]][z]],
+                [F[x][s1[y][z]], F[s2[x][s1[y][z]]][s2[y][z]]])),
+            # (f4)  f(x,y) f(S2(x,y),z) = f(x,tau1(y,z)) f(S2(x,tau1(y,z)),tau2(y,z))
+            ("f4", lambda x, y, z: (
+                [F[x][y], F[s2[x][y]][z]],
+                [F[x][t1[y][z]], F[s2[x][t1[y][z]]][t2[y][z]]])),
+            # (h1)  h(S1(x,y),S1(S2(x,y),z)) = h(y,z)
+            ("h1", lambda x, y, z: (
+                [H[s1[x][y]][s1[s2[x][y]][z]]], [H[y][z]])),
+            # (c1)  f(x,S1(y,z)) h(S2(x,S1(y,z)),S2(y,z)) = h(x,y) f(tau2(x,y),z)
+            ("c1", lambda x, y, z: (
+                [F[x][s1[y][z]], H[s2[x][s1[y][z]]][s2[y][z]]],
+                [H[x][y], F[t2[x][y]][z]])),
+            # (c2)  f(y,z) h(S2(x,S1(y,z)),S2(y,z)) = h(x,y) f(tau1(x,y),S1(tau2(x,y),z))
+            ("c2", lambda x, y, z: (
+                [F[y][z], H[s2[x][s1[y][z]]][s2[y][z]]],
+                [H[x][y], F[t1[x][y]][s1[t2[x][y]][z]]])),
+            # (c3)  h(x,y) = f(x,y) h(S(x,y))
+            ("c3", lambda x, y: (
+                [H[x][y]], [F[x][y], H[s1[x][y]][s2[x][y]]])),
+            # (c4)  h(S(x,y)) = h(x,y) f(tau(x,y))
+            ("c4", lambda x, y: (
+                [H[s1[x][y]][s2[x][y]]], [H[x][y], F[t1[x][y]][t2[x][y]]])),
+        )
+    return (
+        # (f1')  f(x,y) f(S2(x,y),z) f(S1(x,y),S1(S2(x,y),z))
+        #          = f(x,S1(y,z)) f(S2(x,S1(y,z)),S2(y,z)) f(y,z)
+        ("f1'", lambda x, y, z: (
+            [F[x][y], F[s2[x][y]][z], F[s1[x][y]][s1[s2[x][y]][z]]],
+            [F[x][s1[y][z]], F[s2[x][s1[y][z]]][s2[y][z]], F[y][z]])),
+        # (f2')  f(x, s(x)) = 1
+        ("f2'", lambda x: ([F[x][s[x]]], [])),
+        # (c1')  h(y,z) f(x,tau1(y,z)) f(S2(x,tau1(y,z)),tau2(y,z))
+        #          = f(x,y) f(S2(x,y),z) h(S1(x,y),S1(S2(x,y),z))
+        ("c1'", lambda x, y, z: (
+            [H[y][z], F[x][t1[y][z]], F[s2[x][t1[y][z]]][t2[y][z]]],
+            [F[x][y], F[s2[x][y]][z], H[s1[x][y]][s1[s2[x][y]][z]]])),
+        # (c2')  f(y,z) f(x,S1(y,z)) h(S2(x,S1(y,z)),S2(y,z))
+        #          = h(x,y) f(tau2(x,y),z) f(tau1(x,y),S1(tau2(x,y),z))
+        ("c2'", lambda x, y, z: (
+            [F[y][z], F[x][s1[y][z]], H[s2[x][s1[y][z]]][s2[y][z]]],
+            [H[x][y], F[t2[x][y]][z], F[t1[x][y]][s1[t2[x][y]][z]]])),
+        # (c3')  f(x,y) h(S(x,y)) = h(x,y) f(tau(x,y))
+        ("c3'", lambda x, y: (
+            [F[x][y], H[s1[x][y]][s2[x][y]]], [H[x][y], F[t1[x][y]][t2[x][y]]])),
+    )
+
+
+def relation_instances(families, n: int):
+    """Yield (name, point, lhs, rhs) for every instance of every family.
+
+    x walks the unary families, y the binary ones and z the ternary ones,
+    each in table order, so relations come out grouped by point.
+    """
+    by_arity = {1: [], 2: [], 3: []}
+    for name, rel in families:
+        by_arity[rel.__code__.co_argcount].append((name, rel))
+    for x in range(n):
+        for name, rel in by_arity[1]:
+            yield (name, (x,), *rel(x))
+        for y in range(n):
+            for name, rel in by_arity[2]:
+                yield (name, (x, y), *rel(x, y))
+            for z in range(n):
+                for name, rel in by_arity[3]:
+                    yield (name, (x, y, z), *rel(x, y, z))
+
+
+def _build_presentation(p: SingularPair, kind: str) -> Presentation:
+    words = {}                     # insertion-ordered set of nonempty words
+    for _, _, lhs, rhs in relation_instances(relation_families(p, kind), p.n):
+        # the relator lhs rhs^-1, freely reduced
+        w = _word(*((g, 1) for g in lhs), *((g, -1) for g in reversed(rhs)))
+        if w:
+            words.setdefault(w, None)
+    return Presentation(p.n, kind, tuple(words))
+
+
 def build_unc_presentation(p: SingularPair) -> Presentation:
     """The seven relation families presenting U_nc^{fh}(X, S, tau)."""
-    n = p.n
-    st = p.biquandle.table
-    tau = p.tau
-    s1, s2 = st.t1, st.t2
-    t1, t2 = tau.t1, tau.t2
-    F = lambda x, y: (f_gen(n, x, y), 1)
-    H = lambda x, y: (h_gen(n, x, y), 1)
-    rels = []
-    for x in range(n):
-        for y in range(n):
-            sx, sy = st.apply(x, y)
-            tx, ty = tau.apply(x, y)
-            # (c3)  h(x,y) = f(x,y) h(S(x,y))
-            rels.append(_relation(_word(H(x, y)), _word(F(x, y), H(sx, sy))))
-            # (c4)  h(S(x,y)) = h(x,y) f(tau(x,y))
-            rels.append(_relation(_word(H(sx, sy)), _word(H(x, y), F(tx, ty))))
-            for z in range(n):
-                # (f1)  f(x,y) f(S2(x,y),z) = f(x,S1(y,z)) f(S2(x,S1(y,z)),S2(y,z))
-                rels.append(_relation(
-                    _word(F(x, y), F(s2[x][y], z)),
-                    _word(F(x, s1[y][z]), F(s2[x][s1[y][z]], s2[y][z]))))
-                # (f4)  f(x,y) f(S2(x,y),z) = f(x,tau1(y,z)) f(S2(x,tau1(y,z)),tau2(y,z))
-                rels.append(_relation(
-                    _word(F(x, y), F(s2[x][y], z)),
-                    _word(F(x, t1[y][z]), F(s2[x][t1[y][z]], t2[y][z]))))
-                # (h1)  h(S1(x,y),S1(S2(x,y),z)) = h(y,z)
-                rels.append(_relation(
-                    _word(H(s1[x][y], s1[s2[x][y]][z])), _word(H(y, z))))
-                # (c1)  f(x,S1(y,z)) h(S2(x,S1(y,z)),S2(y,z)) = h(x,y) f(tau2(x,y),z)
-                rels.append(_relation(
-                    _word(F(x, s1[y][z]), H(s2[x][s1[y][z]], s2[y][z])),
-                    _word(H(x, y), F(t2[x][y], z))))
-                # (c2)  f(y,z) h(S2(x,S1(y,z)),S2(y,z)) = h(x,y) f(tau1(x,y),S1(tau2(x,y),z))
-                rels.append(_relation(
-                    _word(F(y, z), H(s2[x][s1[y][z]], s2[y][z])),
-                    _word(H(x, y), F(t1[x][y], s1[t2[x][y]][z]))))
-    rels = [w for w in rels if w]
-    seen, out = set(), []
-    for w in rels:
-        if w not in seen:
-            seen.add(w)
-            out.append(w)
-    return Presentation(n, "nc", tuple(out))
+    return _build_presentation(p, "nc")
 
 
 def build_ab_presentation(p: SingularPair) -> Presentation:
     """The abelian presentation of Ab^{fh}: (f1'),(f2'),(c1'),(c2'),(c3')."""
-    n = p.n
-    st = p.biquandle.table
-    tau = p.tau
-    s1, s2 = st.t1, st.t2
-    t1, t2 = tau.t1, tau.t2
-    s = p.biquandle.s_map
-    F = lambda x, y: (f_gen(n, x, y), 1)
-    H = lambda x, y: (h_gen(n, x, y), 1)
-    rels = []
-    for x in range(n):
-        # (f2')  f(x, s(x)) = 1
-        rels.append(_word(F(x, s[x])))
-        for y in range(n):
-            sx, sy = st.apply(x, y)
-            tx, ty = tau.apply(x, y)
-            # (c3')  f(x,y) h(S(x,y)) = h(x,y) f(tau(x,y))
-            rels.append(_relation(_word(F(x, y), H(sx, sy)),
-                                  _word(H(x, y), F(tx, ty))))
-            for z in range(n):
-                # (f1')
-                rels.append(_relation(
-                    _word(F(x, y), F(s2[x][y], z),
-                          F(s1[x][y], s1[s2[x][y]][z])),
-                    _word(F(x, s1[y][z]), F(s2[x][s1[y][z]], s2[y][z]),
-                          F(y, z))))
-                # (c1')
-                rels.append(_relation(
-                    _word(H(y, z), F(x, t1[y][z]),
-                          F(s2[x][t1[y][z]], t2[y][z])),
-                    _word(F(x, y), F(s2[x][y], z),
-                          H(s1[x][y], s1[s2[x][y]][z]))))
-                # (c2')
-                rels.append(_relation(
-                    _word(F(y, z), F(x, s1[y][z]),
-                          H(s2[x][s1[y][z]], s2[y][z])),
-                    _word(H(x, y), F(t2[x][y], z),
-                          F(t1[x][y], s1[t2[x][y]][z]))))
-    rels = [w for w in rels if w]
-    seen, out = set(), []
-    for w in rels:
-        if w not in seen:
-            seen.add(w)
-            out.append(w)
-    return Presentation(n, "ab", tuple(out))
+    return _build_presentation(p, "ab")
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +381,6 @@ class AbelianizedGroup:
         for g, e in word:
             out = self.mul(out, self.power(self.coord_map[g], e))
         return out
-
-    def is_identity(self, a: Element) -> bool:
-        return a == self.identity()
 
     def invariant_factors(self) -> tuple[int, ...]:
         return self.torsion + (0,) * self.rank

@@ -4,6 +4,7 @@ import pytest
 
 from singlink.cli import main
 from singlink.diagram import builtin_diagram
+from singlink.pairs import builtin_pair
 
 
 def run(capsys, *argv):
@@ -172,18 +173,39 @@ class TestErrorsAndDeterminism:
         d = SingularDiagram.from_dict(json.loads(out))
         assert isomorphic(d, builtin_diagram("four_sing_left"))
 
-    def test_threads_env_validated(self, capsys, monkeypatch):
-        monkeypatch.setenv("SINGLINK_THREADS", "zebra")
-        code, _, err = run(capsys, "tables", "--which", "flip-counts")
-        assert code == 1
-        assert "SINGLINK_THREADS" in err
-
     def test_enumeration_bound_enforced(self, capsys):
         code, _, err = run(capsys, "pairs", "enumerate", "--switch", "flip:6")
         assert code == 1 and "bound" in err
         code, out, _ = run(capsys, "pairs", "enumerate", "--switch", "flip:2",
                            "--max-n", "5")
         assert code == 0
+
+    def test_n_does_not_lift_the_bound(self, capsys):
+        code, _, err = run(capsys, "pairs", "enumerate", "--switch", "flip",
+                           "--n", "5")
+        assert code == 1 and "bound" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("pairs", "enumerate", "--switch", "flip:x"),
+        ("pairs", "enumerate", "--switch", "flip:0"),
+        ("pairs", "check", "{no_biquandle}"),
+        ("pairs", "check", "{not_biquandle}"),
+        ("invariant", "statesum", "@unknot", "--pair", "builtin:flip-i2",
+         "--cocycle", "{bad_json}"),
+    ], ids=["flip-x", "flip-0", "no-biquandle", "not-biquandle", "bad-json"])
+    def test_malformed_input_is_one_line_error(self, tmp_path, capsys, argv):
+        flip = json.loads(builtin_pair("flip-i2").biquandle.table.to_json())
+        zero = {"n": 2, "t1": [[0, 0], [0, 0]], "t2": [[0, 0], [0, 0]]}
+        files = {"no_biquandle": {"tau": flip},
+                 "not_biquandle": {"biquandle": zero, "tau": flip},
+                 "bad_json": None}
+        paths = {}
+        for name, obj in files.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text('{"kind": ' if obj is None else json.dumps(obj))
+        code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestCocycleFiles:

@@ -53,6 +53,21 @@ class TestCheckers:
         assert not res.ok
         assert any(v[0] == "c1" for v in res.violations)
 
+    def test_f3_violation_reported_as_c3(self):
+        # (f3) f(x, s(x)) = 1 is (c3) at the fixed point (x, s(x)) of S, so
+        # breaking it at one point is reported under (c3) at that point
+        p = builtin_pair("d3-ss")
+        tgt = FiniteGroup.cyclic(3)
+        x = 1
+        sx = p.biquandle.s_map[x]
+        f = [[0] * 3 for _ in range(3)]
+        f[x][sx] = 1
+        h = ((0,) * 3,) * 3
+        res = check_nc_cocycle(p, CocyclePair(tgt, f, h, NC))
+        assert not res.ok
+        assert ("c3", (x, sx)) in res.violations
+        assert all(v[0] not in ("f2", "f3") for v in res.violations)
+
     def test_ff_pair_on_SS_is_abelian_cocycle(self):
         # a type-I biquandle 2-cocycle f gives the abelian pair (f, f) on
         # (X, S, S); realize f as the f-part of the universal abelian pair

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -326,3 +327,86 @@ class TestFiniteGroup:
     def test_bad_table_rejected(self):
         with pytest.raises(ValueError):
             FiniteGroup(2, ((0, 1), (1, 1)))
+
+
+# SHA-256 of repr(Presentation.relations), recorded from the hand-written
+# per-family builders that the relation table replaced
+RELATION_DIGESTS = {
+    "nc flip-flip":
+        "9bb9d9bc6d44522df3a69b4d00e3003423f634054b496e27f43e2b12295a7c24",
+    "ab flip-flip":
+        "1c7b20671d99737f4341c7433bd466bc926fecda66eb94e657fde622b420db3b",
+    "nc flip-i2":
+        "07d8c64735d7946637fed476c245020ae4fe569cb95fce683b7e4721fd4662e6",
+    "ab flip-i2":
+        "59b35d3c73093ad598fabdd7e1836997f2e7f1d4285a6bf618c4c8da21db2d8e",
+    "nc flip-s2":
+        "07d8c64735d7946637fed476c245020ae4fe569cb95fce683b7e4721fd4662e6",
+    "ab flip-s2":
+        "59b35d3c73093ad598fabdd7e1836997f2e7f1d4285a6bf618c4c8da21db2d8e",
+    "nc flip-flip-3":
+        "37f1bbc5efa32a692d9f969ad6043159a09fd5ea00a22ed52e52f955b6a93354",
+    "ab flip-flip-3":
+        "1ac267ae061250c9cdb2b66e694e953150640a0be70b37b809a492efeefa8d41",
+    "nc d3-ss":
+        "6ab9978ba52feec6721479e2fa5fc1ad7c2a92fb84cb3e69fb8f1411e6f75a47",
+    "ab d3-ss":
+        "ffe3079de79e3832db3607c2b1e2085a4ed2b16589d4f84390f55b0aa8d61e96",
+    "nc d3-sinv":
+        "63381f6bba9d321c66bdade92f4efdd07abf32e077a16a5b9a1dcd8e42f12a0b",
+    "ab d3-sinv":
+        "12ecaa10e5c0751243bf1e04a7b32dc1aef5519852ddb1da1df5caf642f130d3",
+    "nc i2-ss":
+        "877838235c548eafe6b4205f757c98e22dd57a1d2814dfb303c3026e94428b50",
+    "ab i2-ss":
+        "7e770b65c0a0f71f552fd6f5fcb01f1a96ccae8809426ddf478b91b032f7963b",
+    "nc trivial-1":
+        "17c55ca98069009fedee6b52c3a39426f0d09030248906d2831d00cf3d093dae",
+    "ab trivial-1":
+        "f2c78235f0e06bb0168c38d7c3996bef4a99098d84f9b5006e9065de13603396",
+    "nc D3 tau=S":
+        "6ab9978ba52feec6721479e2fa5fc1ad7c2a92fb84cb3e69fb8f1411e6f75a47",
+    "ab D3 tau=S":
+        "ffe3079de79e3832db3607c2b1e2085a4ed2b16589d4f84390f55b0aa8d61e96",
+    "nc D3 tau=S^-1":
+        "63381f6bba9d321c66bdade92f4efdd07abf32e077a16a5b9a1dcd8e42f12a0b",
+    "ab D3 tau=S^-1":
+        "12ecaa10e5c0751243bf1e04a7b32dc1aef5519852ddb1da1df5caf642f130d3",
+    "nc D4 tau=S":
+        "66c71b0268d09fbf2910915ba0baf936ff12dccb40c1aa13325d5e3a13a5fb77",
+    "ab D4 tau=S":
+        "c3f21046d7c0447ed6176a26e712d567ac6b8ca326ffc0871b41e49ae1ca8b4a",
+    "nc D4 tau=S^-1":
+        "8ff993cd4d04e169bfece833930161d240ae4ec22bd8bc68fc055bf4f4e1345a",
+    "ab D4 tau=S^-1":
+        "6b39f9760638eda416685786bc26c2201a5bd600b725f04e43abde0968c349a0",
+    "nc D5 tau=S":
+        "fd7de7f5cb4c2691b164fff8e112ba852e3c6a252a8380fedf68897dae900702",
+    "ab D5 tau=S":
+        "877936cd15a5e8cf2c5def79e0723a08e7834e71c1ec6efaf6d37f7f965ce3be",
+    "nc D5 tau=S^-1":
+        "332d34f52291ff2188d5b168e44a49a0ac3b92d7e1e0f1c6314f9f52d0a27a63",
+    "ab D5 tau=S^-1":
+        "cfbdb0099db1ffde80821a228a23632b9f1524eb857761cbe8f65d4d6cb65bbc",
+}
+
+
+def _digest_pairs():
+    out = {name: builtin_pair(name) for name in (
+        "flip-flip", "flip-i2", "flip-s2", "flip-flip-3", "d3-ss", "d3-sinv",
+        "i2-ss", "trivial-1")}
+    for n in (3, 4, 5):
+        S = dihedral_switch(n)
+        out[f"D{n} tau=S"] = SingularPair(S, S.table)
+        out[f"D{n} tau=S^-1"] = SingularPair(S, S.table.inverse())
+    return out
+
+
+def test_relations_match_recorded_digests():
+    got = {}
+    for name, p in _digest_pairs().items():
+        for kind, build in (("nc", build_unc_presentation),
+                            ("ab", build_ab_presentation)):
+            rels = repr(build(p).relations).encode()
+            got[f"{kind} {name}"] = hashlib.sha256(rels).hexdigest()
+    assert got == RELATION_DIGESTS
