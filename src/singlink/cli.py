@@ -78,7 +78,8 @@ def _load_switch(spec: str) -> Biquandle:
         return Biquandle.from_table(PairTable.from_dict(data))
 
 
-def _load_pair(spec: str) -> SingularPair:
+def _read_pair(spec: str) -> SingularPair:
+    """A pair argument as given; only `pairs check` reads it unchecked."""
     if spec.startswith("builtin:"):
         return builtin_pair(spec.split(":", 1)[1])
     with open(spec) as fh, _malformed(f"pair file {spec!r}"):
@@ -86,6 +87,13 @@ def _load_pair(spec: str) -> SingularPair:
         S = Biquandle.from_table(PairTable.from_dict(data["biquandle"]))
         tau = PairTable.from_dict(data["tau"])
     return SingularPair(S, tau)
+
+
+def _load_pair(spec: str) -> SingularPair:
+    """A pair argument that must satisfy the singular-pair axioms."""
+    p = _read_pair(spec)
+    with _malformed(f"pair {spec!r}"):
+        return SingularPair.checked(p.biquandle, p.tau)
 
 
 def _load_diagram(spec: str) -> dg.SingularDiagram:
@@ -135,7 +143,7 @@ def _cmd_pairs(args) -> int:
         _emit(cfg, lines, obj)
         return 0
     if args.pairs_cmd == "check":
-        p = _load_pair(args.pair)
+        p = _read_pair(args.pair)
         res = check_singular_pair(p.biquandle, p.tau)
         lines = ["singular pair" if res.ok else "NOT a singular pair"]
         for v in res.violations:
@@ -246,6 +254,8 @@ def _load_cocycle(spec: str, target_spec, p: SingularPair, kind: str):
                 else iv.universal_ab_cocycle(p))
     with open(spec) as fh, _malformed(f"cocycle file {spec!r}"):
         data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("the top level must be a JSON object")
         if data.get("kind", kind) != kind:
             raise SinglinkError(f"cocycle file is of kind {data.get('kind')!r}")
         if target_spec is not None:

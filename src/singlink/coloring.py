@@ -23,9 +23,11 @@ def enumerate_colorings(d: SingularDiagram, p: SingularPair) -> list[Coloring]:
     sorted edges.
 
     Colors are propagated through crossings both forward (ins determine
-    outs) and backward (outs determine ins, through the inverse map);
-    seed edges are introduced only when propagation stalls, so the number
-    of branched assignments is the cut size, not the edge count.
+    outs) and backward (outs determine ins, through the inverse map).
+    When propagation stalls, the search branches on all n colors of the
+    first uncoloured edge in sorted-name order, so the number of branched
+    edges depends on the edge names (up to the edge count), not on the
+    cut size.
     """
     n = p.n
     maps = _crossing_maps(p)

@@ -418,14 +418,7 @@ def _remove_and_splice(d: SingularDiagram, dead: set[int]) -> SingularDiagram:
     new_cs = tuple(Crossing(c.kind, tuple(rename.get(x, x) for x in c.slots))
                    for c in keep)
     new_loops = tuple(sorted(set(rename.get(x, x) for x in loops)))
-    d2 = SingularDiagram(new_cs, new_loops)
-    # keep declared basepoints where they still name a surviving edge
-    old_bases = [rename.get(b, b) for b in d.basepoints]
-    aligned = []
-    for comp in d2.components:
-        cands = [b for b in old_bases if b in comp]
-        aligned.append(cands[0] if cands else comp[0])
-    return SingularDiagram(d2.crossings, d2.loops, tuple(aligned))
+    return _rebuild(new_cs, new_loops, [rename.get(b, b) for b in d.basepoints])
 
 
 # -- RI ---------------------------------------------------------------------

@@ -48,6 +48,12 @@ class CocyclePair:
         object.__setattr__(self, "h", tuple(tuple(r) for r in self.h))
         if self.kind not in (NC, AB):
             raise ValueError(f"kind must be nc or ab, got {self.kind!r}")
+        n = len(self.f)
+        if len(self.h) != n or any(len(r) != n for r in self.f + self.h):
+            raise ValueError(f"f and h must both be {n}x{n} tables")
+        if isinstance(self.target, FiniteGroup) and not all(
+                0 <= v < self.target.order for r in self.f + self.h for v in r):
+            raise ValueError(f"values must lie in 0..{self.target.order - 1}")
 
     @property
     def n(self) -> int:

@@ -1,17 +1,19 @@
 """Singular pairs: axioms, exhaustive enumeration, bialexander families.
 
 A singular pair is a biquandle S together with a bijective, left- and
-right-invertible tau: X x X -> X x X satisfying
+right-invertible tau: X x X -> X x X satisfying the three identities of
+SINGULAR_PAIR_AXIOMS:
 
     (1) tau o S = S o tau                                     (RV)
     (2) (Sx1)(1xS)(tau x 1) = (1 x tau)(Sx1)(1xS)             (RIVb)
     (3) (1xS)(Sx1)(1 x tau) = (tau x 1)(1xS)(Sx1)             (RIVa)
 
-Written out in elements these are eight component equations; the search
-below builds tau1 row by row (left invertibility makes each row a
+That table, two words of elementary maps per identity, is their only
+definition.  check_singular_pair evaluates both words at every point.
+The search builds tau1 row by row (left invertibility makes each row a
 permutation), derives tau2 pointwise from the first component of (1),
-and checks every component equation as soon as the rows it mentions
-exist.
+and checks every other component of every identity, derived from the
+same words, as soon as the rows it reads exist.
 """
 
 from __future__ import annotations
@@ -24,8 +26,17 @@ import numpy as np
 
 from .errors import (DimensionMismatchError, HomogeneityViolationError,
                      NonUnitError, SearchBoundExceededError, UnknownNameError)
-from .pairtable import (Biquandle, PairTable, dihedral_switch, flip_switch,
-                        i2_switch, is_flip)
+from .pairtable import (Biquandle, PairTable, apply_word, dihedral_switch,
+                        first_failure, flip_switch, i2_switch, is_flip,
+                        word_arity, word_map)
+
+# (name, lhs, rhs): words of letters (map, i) in application order, S the
+# switch and T the companion tau, listed in reporting order
+SINGULAR_PAIR_AXIOMS = (
+    ("rv", (("S", 0), ("T", 0)), (("T", 0), ("S", 0))),
+    ("rivb", (("T", 0), ("S", 1), ("S", 0)), (("S", 1), ("S", 0), ("T", 1))),
+    ("riva", (("T", 1), ("S", 0), ("S", 1)), (("S", 0), ("S", 1), ("T", 0))),
+)
 
 
 @dataclass(frozen=True)
@@ -53,7 +64,8 @@ class SingularPair:
     def checked(cls, biquandle: Biquandle, tau: PairTable) -> "SingularPair":
         res = check_singular_pair(biquandle, tau)
         if not res.ok:
-            raise ValueError(f"not a singular pair: {res.violations[0]}")
+            v = res.violations[0]
+            raise ValueError(f"not a singular pair: violated {v.axiom} at {v.witness}")
         return cls(biquandle, tau)
 
 
@@ -77,12 +89,12 @@ class PairCheck:
 
 
 def check_singular_pair(S: Biquandle, tau: PairTable) -> PairCheck:
-    """Check Def-of-singular-pair axioms; report first witness per category."""
+    """Check invertibility, bijectivity and SINGULAR_PAIR_AXIOMS; report the
+    first witness per category (row-major first failing point per axiom)."""
     if S.n != tau.n:
         raise DimensionMismatchError(
             f"switch on {S.n} elements, tau on {tau.n}")
     n = S.n
-    st = S.table
     bad: list[Violation] = []
 
     if not tau.is_left_invertible():
@@ -103,51 +115,11 @@ def check_singular_pair(S: Biquandle, tau: PairTable) -> PairCheck:
                 seen[img] = (x, y)
         bad.append(Violation("bijective", wit))
 
-    # eq (1), both components
-    done = False
-    for x in range(n):
-        for y in range(n):
-            if tau.apply(*st.apply(x, y)) != st.apply(*tau.apply(x, y)):
-                bad.append(Violation("rv", (x, y)))
-                done = True
-                break
-        if done:
-            break
-
-    def triple_map_eq(first, second, axiom):
-        for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    if first(x, y, z) != second(x, y, z):
-                        bad.append(Violation(axiom, (x, y, z)))
-                        return
-
-    def rivb_lhs(x, y, z):  # (Sx1)(1xS)(tau x 1)
-        a, b = tau.apply(x, y)
-        b2, c2 = st.apply(b, z)
-        a3, b3 = st.apply(a, b2)
-        return a3, b3, c2
-
-    def rivb_rhs(x, y, z):  # (1 x tau)(Sx1)(1xS)
-        b, c = st.apply(y, z)
-        a2, b2 = st.apply(x, b)
-        b3, c3 = tau.apply(b2, c)
-        return a2, b3, c3
-
-    def riva_lhs(x, y, z):  # (1xS)(Sx1)(1 x tau)
-        b, c = tau.apply(y, z)
-        a2, b2 = st.apply(x, b)
-        b3, c3 = st.apply(b2, c)
-        return a2, b3, c3
-
-    def riva_rhs(x, y, z):  # (tau x 1)(1xS)(Sx1)
-        a, b = st.apply(x, y)
-        b2, c2 = st.apply(b, z)
-        a3, b3 = tau.apply(a, b2)
-        return a3, b3, c2
-
-    triple_map_eq(rivb_lhs, rivb_rhs, "rivb")
-    triple_map_eq(riva_lhs, riva_rhs, "riva")
+    maps = {"S": S.table, "T": tau}
+    for name, lhs, rhs in SINGULAR_PAIR_AXIOMS:
+        point = first_failure(lhs, rhs, maps, n)
+        if point is not None:
+            bad.append(Violation(name, point))
 
     return PairCheck(not bad, tuple(bad))
 
@@ -297,25 +269,10 @@ def tau_phi_family(m: int, s: int, t: int) -> list[PairTable]:
                     orbit_of[v] = orbit_of[x]
                     stack.append(v)
     reps = sorted({orbit_of[x] for x in range(m)})
-    rep_index = {r: i for i, r in enumerate(reps)}
     # phi is determined by its values on orbit representatives; the value on
     # rep r must sit in an orbit with compatible stabilizer, which we test
     # directly by propagating and checking consistency.
     results = []
-
-    def orbit_elements(r):
-        seen = {r}
-        stack = [r]
-        while stack:
-            u = stack.pop()
-            for lam in lams:
-                v = (lam * u) % m
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return seen
-
-    orbits = {r: sorted(orbit_elements(r)) for r in reps}
 
     def build(i, phi, used):
         if i == len(reps):
@@ -359,62 +316,83 @@ def tau_phi_family(m: int, s: int, t: int) -> list[PairTable]:
 # ---------------------------------------------------------------------------
 
 def _derive_tau2(st: PairTable, t1_rows, a, b, linv):
-    """Solve eq (1), first component, for tau2(a,b)."""
+    """Solve the first component of rv (eq (1)) for tau2(a,b)."""
     u = t1_rows[a][b]
     sa, sb = st.apply(a, b)
     w = t1_rows[sa][sb]
     return linv[u][w]
 
 
-def _instance_buckets(st: PairTable):
-    """Group component-equation instances by the last tau1 row they need.
+def _side_folder(word, k: int, st: PairTable):
+    """point of X^k -> [(last tau1 row read, side) per coordinate] of a word.
 
-    Returns buckets[k] = list of (eq_id, x, y, z); evaluating an instance
-    requires tau1 rows <= k only, so it can run as soon as row k is placed.
+    The word reads tau at most once, at a point its S-only prefix fixes,
+    so the prefix folds to the constants (a, b) and what follows tau(a,b)
+    folds to a table indexed by the tau values the coordinate depends on.
+    A side is (table, need, a, b) with need a sorted tuple of c in {0, 1}:
+    its value is table[tau_c(a,b)]... for c in need.  tau1(a,b) needs row
+    a and tau2(a,b) rows a and S1(a,b), from which it is derived.
     """
     n = st.n
-    s1, s2 = st.t1, st.t2
+    S = {"S": st}
+    letters = [m for m, _ in word]
+    assert set(letters) <= {"S", "T"} and letters.count("T") <= 1, word
+    if "T" not in letters:
+        run = word_map(word, S)
+        return lambda point: [(0, (v, (), 0, 0)) for v in run(point)]
+    t = letters.index("T")
+    i, prefix, suffix = word[t][1], word_map(word[:t], S), word[t + 1:]
+    # which of tau1, tau2 (coordinates i, i+1 after tau) reach each output
+    deps = [set() for _ in range(k)]
+    deps[i], deps[i + 1] = {0}, {1}
+    for _, c in suffix:
+        deps[c] = deps[c + 1] = deps[c] | deps[c + 1]
+    needs = [tuple(sorted(d)) for d in deps]
+    # index into (0, a, max(a, S1(a,b))), the last row each need reads
+    last = [max(d, default=-1) + 1 for d in deps]
+    tables = {}     # the other coordinates -> one table per output
 
-    def rows_tau2(a, b):
-        return (a, s1[a][b])
+    def table(q, j, need):
+        # output j of the suffix at q, indexed by coordinates i + c, c in need
+        if not need:
+            return apply_word(suffix, S, q)[j]
+        c = i + need[0]
+        return tuple(table(q[:c] + (x,) + q[c + 1:], j, need[1:])
+                     for x in range(n))
 
-    buckets = [[] for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            sxy1 = s1[x][y]
-            # eq (1) second component; (x,y) only, evaluate with z = 0
-            need = {x, *rows_tau2(x, y), *rows_tau2(sxy1, s2[x][y])}
-            buckets[max(need)].append((0, x, y, 0))
-            for z in range(n):
-                a, b = sxy1, s1[s2[x][y]][z]
-                buckets[max({a, y})].append((6, x, y, z))
-                buckets[max({*rows_tau2(a, b), y, *rows_tau2(y, z)})].append((7, x, y, z))
-                buckets[max({y, *rows_tau2(y, z)})].append((8, x, y, z))
-                buckets[max({x, *rows_tau2(x, y)})].append((9, x, y, z))
-                c = s2[x][s1[y][z]]
-                buckets[max({c, x, *rows_tau2(x, y)})].append((10, x, y, z))
-                buckets[max({*rows_tau2(c, s2[y][z]), x, *rows_tau2(x, y)})].append((11, x, y, z))
+    def fold(point):
+        q = tuple(prefix(point))
+        a, b = q[i], q[i + 1]
+        rest = q[:i] + q[i + 2:]
+        if rest not in tables:
+            tables[rest] = [table(q, j, need) for j, need in enumerate(needs)]
+        rows = (0, a, max(a, st.t1[a][b]))
+        return [(rows[r], (tab, need, a, b))
+                for tab, need, r in zip(tables[rest], needs, last)]
+    return fold
+
+
+def _component_checks(st: PairTable):
+    """Every component equation of SINGULAR_PAIR_AXIOMS as (lhs, rhs) sides
+    (see _side_folder); buckets[k] holds those whose last tau1 row is k, in
+    row-major point order, which meets a failing check early.  The first
+    component of (1) is skipped: _derive_tau2 solves it.
+    """
+    entries = []
+    for idx, (name, lhs, rhs) in enumerate(SINGULAR_PAIR_AXIOMS):
+        k = word_arity(lhs, rhs)
+        left, right = _side_folder(lhs, k, st), _side_folder(rhs, k, st)
+        for point in itertools.product(range(st.n), repeat=k):
+            for j, ((lrow, lside), (rrow, rside)) in enumerate(
+                    zip(left(point), right(point))):
+                if name == "rv" and j == 0:
+                    continue
+                entries.append((point, idx, j, max(lrow, rrow), (lside, rside)))
+    entries.sort()      # (point, idx, j) is unique
+    buckets = [[] for _ in range(st.n)]
+    for *_, row, check in entries:
+        buckets[row].append(check)
     return buckets
-
-
-def _eval_instance(eq, x, y, z, st: PairTable, t1, t2):
-    s1, s2 = st.t1, st.t2
-    if eq == 0:    # tau2(S(x,y)) = S2(tau(x,y))
-        a, b = s1[x][y], s2[x][y]
-        return t2[a][b] == s2[t1[x][y]][t2[x][y]]
-    if eq == 6:    # tau1(S1(x,y), S1(S2(x,y),z)) = S1(x, tau1(y,z))
-        return t1[s1[x][y]][s1[s2[x][y]][z]] == s1[x][t1[y][z]]
-    if eq == 7:    # tau2(same args) = S1(S2(x,tau1(y,z)), tau2(y,z))
-        return t2[s1[x][y]][s1[s2[x][y]][z]] == s1[s2[x][t1[y][z]]][t2[y][z]]
-    if eq == 8:    # S2(S2(x,y),z) = S2(S2(x,tau1(y,z)), tau2(y,z))
-        return s2[s2[x][y]][z] == s2[s2[x][t1[y][z]]][t2[y][z]]
-    if eq == 9:    # S1(x,S1(y,z)) = S1(tau1(x,y), S1(tau2(x,y),z))
-        return s1[x][s1[y][z]] == s1[t1[x][y]][s1[t2[x][y]][z]]
-    if eq == 10:   # tau1(S2(x,S1(y,z)), S2(y,z)) = S2(tau1(x,y), S1(tau2(x,y),z))
-        return t1[s2[x][s1[y][z]]][s2[y][z]] == s2[t1[x][y]][s1[t2[x][y]][z]]
-    if eq == 11:   # tau2(S2(x,S1(y,z)), S2(y,z)) = S2(tau2(x,y), z)
-        return t2[s2[x][s1[y][z]]][s2[y][z]] == s2[t2[x][y]][z]
-    raise AssertionError(eq)
 
 
 def _enumerate_flip_taus(n: int, require_bijective: bool):
@@ -495,7 +473,7 @@ def _search_taus(st: PairTable, require_bijective: bool):
     for u in range(n):
         for y in range(n):
             linv[u][st.t1[u][y]] = y
-    buckets = _instance_buckets(st)
+    checks = _component_checks(st)
     # tau2(a,b) becomes derivable once rows a and S1(a,b) both exist
     derive_at = [[] for _ in range(n)]
     for a in range(n):
@@ -504,6 +482,7 @@ def _search_taus(st: PairTable, require_bijective: bool):
 
     t1 = [None] * n
     t2 = [[None] * n for _ in range(n)]
+    taus = (t1, t2)
     col_seen = [set() for _ in range(n)]
     results = []
 
@@ -534,8 +513,12 @@ def _search_taus(st: PairTable, require_bijective: bool):
                         break
                     seen.add(pair)
             if ok:
-                for (eq, x, y, z) in buckets[k]:
-                    if not _eval_instance(eq, x, y, z, st, t1, t2):
+                for (lv, lneed, la, lb), (rv, rneed, ra, rb) in checks[k]:
+                    for c in lneed:
+                        lv = lv[taus[c][la][lb]]
+                    for c in rneed:
+                        rv = rv[taus[c][ra][rb]]
+                    if lv != rv:
                         ok = False
                         break
             if ok:
@@ -685,14 +668,32 @@ def automorphism_group(t: PairTable) -> list[tuple[int, ...]]:
     return [g for g in out if t.relabel(g) == t]
 
 
-def _np_tables(pair: SingularPair):
-    n = pair.n
-    arr = np.empty((4, n, n), dtype=np.int16)
-    arr[0] = pair.biquandle.table.t1
-    arr[1] = pair.biquandle.table.t2
-    arr[2] = pair.tau.t1
-    arr[3] = pair.tau.t2
-    return arr
+def canonical_form(tables: np.ndarray, relabelings) -> tuple[bytes, int]:
+    """The least key of a (k, n, n) int16 table stack over relabelings.
+
+    Relabeling by g sends every table T to (g x g) o T o (g x g)^-1, whose
+    key is the bytes of the relabeled int16 stack; all relabelings are
+    applied at once.  Returns the least key and the index of the first
+    relabeling that reaches it: among relabelings giving the same key,
+    the first one wins.
+    """
+    g = np.asarray(relabelings, dtype=np.int16)
+    m, n = g.shape
+    ginv = np.argsort(g, axis=1)
+    # cells[r, t, x, y]: flat index of T_t(ginv_r(x), ginv_r(y)) in `tables`
+    cells = (np.arange(len(tables))[:, None, None] * n * n
+             + ginv[:, None, :, None] * n + ginv[:, None, None, :])
+    keys = g.take(tables.take(cells) + n * np.arange(m)[:, None, None, None])
+    keys = keys.reshape(m, -1)
+    # equal-width "S" strings order as their bytes do, like the keys
+    as_bytes = keys.view(np.uint8).view(f"S{2 * keys.shape[1]}")
+    best = int(as_bytes.argmin())
+    return keys[best].tobytes(), best
+
+
+def _pair_tables(pair: SingularPair) -> np.ndarray:
+    st = pair.biquandle.table
+    return np.array([st.t1, st.t2, pair.tau.t1, pair.tau.t2], dtype=np.int16)
 
 
 def canonical_key(pair: SingularPair, relabelings=None) -> bytes:
@@ -703,16 +704,7 @@ def canonical_key(pair: SingularPair, relabelings=None) -> bytes:
             raise SearchBoundExceededError(
                 f"canonical form over all {n}! relabelings refused for n={n}")
         relabelings = itertools.permutations(range(n))
-    arr = _np_tables(pair)
-    best = None
-    for g in relabelings:
-        gv = np.asarray(g, dtype=np.int16)
-        ginv = np.empty(n, dtype=np.intp)
-        ginv[gv] = np.arange(n)
-        key = gv[arr[:, ginv][:, :, ginv]].tobytes()
-        if best is None or key < best:
-            best = key
-    return best
+    return canonical_form(_pair_tables(pair), list(relabelings))[0]
 
 
 def classify_isomorphism(pairs) -> list[IsoClass]:
@@ -738,58 +730,23 @@ def classify_isomorphism(pairs) -> list[IsoClass]:
                 f"general classification needs n <= 8, got {n}")
         relabelings = list(itertools.permutations(range(n)))
 
+    rel = np.array(relabelings, dtype=np.int16)
     groups: dict[bytes, list[int]] = {}
-    keys_g: dict[bytes, tuple] = {}
-    rel = [np.asarray(g, dtype=np.int16) for g in relabelings]
-    relinv = []
-    for g in rel:
-        gi = np.empty(n, dtype=np.intp)
-        gi[g] = np.arange(n)
-        relinv.append(gi)
-    canon_of = []
+    witness: dict[bytes, tuple] = {}
     for idx, p in enumerate(pairs):
-        arr = _np_tables(p)
-        best = None
-        best_g = None
-        for g, gi in zip(rel, relinv):
-            sub = arr[:, gi][:, :, gi]
-            key = g[sub].tobytes()
-            if best is None or key < best:
-                best, best_g = key, g
-        canon_of.append(best)
-        groups.setdefault(best, []).append(idx)
-        keys_g.setdefault(best, tuple(int(v) for v in best_g))
-    classes = []
-    for key in sorted(groups):
-        members = groups[key]
-        rep = pairs[members[0]].relabel(list(keys_g[key]))
-        classes.append(IsoClass(rep, len(members)))
-    return classes
+        key, g = canonical_form(_pair_tables(p), rel)
+        groups.setdefault(key, []).append(idx)
+        witness.setdefault(key, relabelings[g])
+    return [IsoClass(pairs[groups[key][0]].relabel(list(witness[key])),
+                     len(groups[key]))
+            for key in sorted(groups)]
 
 
 def tau_phi_iso_count(n: int) -> int:
     """I_n: isomorphism classes of tau_phi singular pairs for D_n."""
-    S = dihedral_switch(n)
-    taus = tau_phi_family(n, 1, n - 1)
-    aut = automorphism_group(S.table)
-    seen = set()
-    rel = [np.asarray(g, dtype=np.int16) for g in aut]
-    relinv = []
-    for g in rel:
-        gi = np.empty(n, dtype=np.intp)
-        gi[g] = np.arange(n)
-        relinv.append(gi)
-    for tab in taus:
-        arr = np.empty((2, n, n), dtype=np.int16)
-        arr[0] = tab.t1
-        arr[1] = tab.t2
-        best = None
-        for g, gi in zip(rel, relinv):
-            key = g[arr[:, gi][:, :, gi]].tobytes()
-            if best is None or key < best:
-                best = key
-        seen.add(best)
-    return len(seen)
+    aut = np.array(automorphism_group(dihedral_switch(n).table), dtype=np.int16)
+    return len({canonical_form(np.array([tab.t1, tab.t2], dtype=np.int16), aut)[0]
+                for tab in tau_phi_family(n, 1, n - 1)})
 
 
 # ---------------------------------------------------------------------------

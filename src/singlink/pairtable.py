@@ -7,6 +7,8 @@ component tables t1[x][y] = S1(x,y), t2[x][y] = S2(x,y).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 from dataclasses import dataclass
 from math import gcd
@@ -142,28 +144,52 @@ class PairTable:
         return cls(n, t1, t2)
 
 
-def check_yang_baxter(t: PairTable) -> bool:
-    """Braid-form set-theoretic Yang-Baxter identity over all triples.
+# A word is a tuple of letters (map, i) in application order; the letter
+# replaces coordinates i, i+1 of a point of X^k by maps[map] applied to them.
+# An identity is a pair of words that must agree at every point.
 
-    (Id x S)(S x Id)(Id x S) = (S x Id)(Id x S)(S x Id) on X^3.
-    """
-    n = t.n
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                # left side
-                b1, c1 = t.apply(y, z)
-                a2, b2 = t.apply(x, b1)
-                b3, c3 = t.apply(b2, c1)
-                lhs = (a2, b3, c3)
-                # right side
-                a4, b4 = t.apply(x, y)
-                b5, c5 = t.apply(b4, z)
-                a6, b6 = t.apply(a4, b5)
-                rhs = (a6, b6, c5)
-                if lhs != rhs:
-                    return False
-    return True
+YANG_BAXTER = ((("S", 1), ("S", 0), ("S", 1)),    # (1xS)(Sx1)(1xS)
+               (("S", 0), ("S", 1), ("S", 0)))    # (Sx1)(1xS)(Sx1)
+
+
+def word_map(word, maps):
+    """The map X^k -> X^k of `word` (images as lists), each letter read
+    from `maps`."""
+    bound = [(maps[m].t1, maps[m].t2, i) for m, i in word]
+
+    def run(point) -> list[int]:
+        p = list(point)
+        for t1, t2, i in bound:
+            a, b = p[i], p[i + 1]
+            p[i], p[i + 1] = t1[a][b], t2[a][b]
+        return p
+    return run
+
+
+def apply_word(word, maps, point) -> tuple[int, ...]:
+    """The image of `point` under `word`, each letter read from `maps`."""
+    return tuple(word_map(word, maps)(point))
+
+
+@functools.cache
+def word_arity(*words) -> int:
+    """The k of X^k the words act on."""
+    return max(i for w in words for _, i in w) + 2
+
+
+def first_failure(lhs, rhs, maps, n: int):
+    """The first point of X^k, in row-major order, where the two words
+    disagree, or None when they agree everywhere."""
+    left, right = word_map(lhs, maps), word_map(rhs, maps)
+    for point in itertools.product(range(n), repeat=word_arity(lhs, rhs)):
+        if left(point) != right(point):
+            return point
+    return None
+
+
+def check_yang_baxter(t: PairTable) -> bool:
+    """The braid-form Yang-Baxter identity YANG_BAXTER at every triple."""
+    return first_failure(*YANG_BAXTER, {"S": t}, t.n) is None
 
 
 def check_biquandle(t: PairTable):

@@ -82,6 +82,27 @@ class TestPairsCommands:
         assert "NOT a singular pair" in out
         assert "rv" in out
 
+    @pytest.mark.parametrize("argv", [
+        ("color", "@sing_trefoil", "--count-only"),
+        ("group", "--kind", "nc"),
+        ("invariant", "nc", "@sing_trefoil"),
+    ], ids=["color", "group", "invariant"])
+    def test_non_pair_is_refused_but_checkable(self, tmp_path, capsys, argv):
+        from singlink.pairtable import dihedral_switch, flip_switch
+        f = tmp_path / "pair.json"
+        f.write_text(json.dumps({
+            "biquandle": json.loads(dihedral_switch(3).table.to_json()),
+            "tau": json.loads(flip_switch(3).table.to_json())}))
+        code, out, err = run(capsys, *argv, "--pair", str(f))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not a singular pair: violated rv at (0, 1)" in err
+        code, out, _ = run(capsys, "pairs", "check", str(f))
+        assert code == 1
+        assert out.splitlines() == ["NOT a singular pair",
+                                    "  violated rv at (0, 1)",
+                                    "  violated riva at (0, 0, 1)"]
+
 
 class TestDiagramCommands:
     def test_show_builtin(self, capsys):
@@ -192,13 +213,26 @@ class TestErrorsAndDeterminism:
         ("pairs", "check", "{not_biquandle}"),
         ("invariant", "statesum", "@unknot", "--pair", "builtin:flip-i2",
          "--cocycle", "{bad_json}"),
-    ], ids=["flip-x", "flip-0", "no-biquandle", "not-biquandle", "bad-json"])
+        ("invariant", "statesum", "@unknot", "--pair", "builtin:flip-i2",
+         "--cocycle", "{ragged}", "--target", "{z2}"),
+        ("invariant", "statesum", "@unknot", "--pair", "builtin:flip-i2",
+         "--cocycle", "{top_list}", "--target", "{z2}"),
+        ("invariant", "statesum", "@unknot", "--pair", "builtin:flip-i2",
+         "--cocycle", "{out_of_range}", "--target", "{z2}"),
+    ], ids=["flip-x", "flip-0", "no-biquandle", "not-biquandle", "bad-json",
+            "ragged-cocycle", "cocycle-list", "cocycle-out-of-range"])
     def test_malformed_input_is_one_line_error(self, tmp_path, capsys, argv):
         flip = json.loads(builtin_pair("flip-i2").biquandle.table.to_json())
         zero = {"n": 2, "t1": [[0, 0], [0, 0]], "t2": [[0, 0], [0, 0]]}
         files = {"no_biquandle": {"tau": flip},
                  "not_biquandle": {"biquandle": zero, "tau": flip},
-                 "bad_json": None}
+                 "bad_json": None,
+                 "z2": {"order": 2, "mul": [[0, 1], [1, 0]]},
+                 "ragged": {"kind": "ab", "f": [[0, 0], [0]],
+                            "h": [[0, 1], [1, 0]]},
+                 "top_list": [[0, 0], [0, 0]],
+                 "out_of_range": {"kind": "ab", "f": [[0, 0], [0, 0]],
+                                  "h": [[0, 2], [1, 0]]}}
         paths = {}
         for name, obj in files.items():
             paths[name] = tmp_path / f"{name}.json"

@@ -1,13 +1,17 @@
+import hashlib
 import itertools
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singlink.errors import (HomogeneityViolationError, NonUnitError,
                              SearchBoundExceededError)
-from singlink.pairs import (SingularPair, brute_force_taus, builtin_pair,
-                            canonical_key, check_bialexander_characterization,
+from singlink.pairs import (SingularPair, _component_checks, brute_force_taus,
+                            builtin_pair, canonical_form, canonical_key,
+                            check_bialexander_characterization,
                             check_flip_s_condition, check_flip_tau_condition,
                             check_singular_pair, classify_isomorphism,
                             automorphism_group,
@@ -336,3 +340,99 @@ class TestClassification:
         with pytest.raises(SearchBoundExceededError):
             classify_isomorphism([p1, p2])
         assert len(classify_isomorphism([p1, p1])) == 1
+
+
+# ---------------------------------------------------------------------------
+# pins: the axiom table, the search derived from it and the canonical form
+# give exactly the results the hand-written versions they replaced gave
+# ---------------------------------------------------------------------------
+
+PIN_SWITCHES = {"flip3": flip_switch(3), "D3": dihedral_switch(3),
+                "D4": dihedral_switch(4), "i2": i2_switch(),
+                "D5": dihedral_switch(5),
+                "bialexander(5,2,3)": make_bialexander(5, 2, 3)}
+
+
+def _pin_candidates(S, rng, count):
+    """S, S^-1 and seeded candidates: random left/right-invertible maps,
+    and S or S^-1 with two entries of a tau1 row swapped or one entry
+    of a table changed (these fail late or not at all)."""
+    n = S.n
+    base = [S.table, S.table.inverse()]
+    out = list(base)
+    perms = list(itertools.permutations(range(n)))
+    for _ in range(count):
+        kind = rng.randrange(3)
+        if kind == 0:
+            rows = [rng.choice(perms) for _ in range(n)]
+            cols = [rng.choice(perms) for _ in range(n)]
+            t1, t2 = rows, [[cols[y][x] for y in range(n)] for x in range(n)]
+        else:
+            b = rng.choice(base)
+            t1 = [list(r) for r in b.t1]
+            t2 = [list(r) for r in b.t2]
+            x, y, z = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+            if kind == 1:
+                t1[x][y], t1[x][z] = t1[x][z], t1[x][y]
+            else:
+                rng.choice((t1, t2))[x][y] = rng.randrange(n)
+        out.append(PairTable(n, t1, t2))
+    return out
+
+
+def test_check_singular_pair_matches_recorded_digest():
+    h = hashlib.sha256()
+    for name, S in PIN_SWITCHES.items():
+        for tab in _pin_candidates(S, random.Random(f"check {name}"), 80):
+            h.update(repr(check_singular_pair(S, tab)).encode())
+    assert h.hexdigest() == \
+        "09125f59a43e759e30a4e820917259c178917c92857ab22f06da0b36b11bf189"
+
+
+@pytest.mark.parametrize("name,sizes", [
+    ("D4", [33, 61, 125, 181]),
+    ("D5", [43, 83, 135, 207, 307]),
+    ("bialexander(5,2,3)", [51, 38, 130, 182, 374]),
+])
+def test_search_checks_run_at_the_earliest_row(name, sizes):
+    # a looser derivation would stay correct but check later and prune less
+    buckets = _component_checks(PIN_SWITCHES[name].table)
+    assert [len(b) for b in buckets] == sizes
+
+
+def test_canonical_keys_match_recorded_digest():
+    h = hashlib.sha256()
+    for S in (flip_switch(3), dihedral_switch(4)):
+        for t in enumerate_taus(S):
+            h.update(canonical_key(SingularPair(S, t)))
+    assert h.hexdigest() == \
+        "3ab8c1cc6b8146c4c914b280477673b26c7335b96e17539d8ba8da2f275f57ea"
+
+
+def _canonical_form_loop(tables, relabelings):
+    """Reference: relabel one g at a time, keep the first least key."""
+    best = None
+    for idx, g in enumerate(relabelings):
+        ginv = np.argsort(g)
+        key = np.asarray(g, dtype=np.int16)[tables[:, ginv][:, :, ginv]].tobytes()
+        if best is None or key < best[0]:
+            best = key, idx
+    return best
+
+
+def test_canonical_form_matches_loop_and_first_minimal_wins():
+    rng = random.Random(5)
+    S = dihedral_switch(4)
+    for tau in enumerate_taus(S):
+        tables = np.array([S.table.t1, S.table.t2, tau.t1, tau.t2],
+                          dtype=np.int16)
+        # a shuffled set with repeats: equal keys must resolve to the first
+        rel = [tuple(rng.sample(range(4), 4)) for _ in range(30)]
+        rel += automorphism_group(S.table)
+        assert canonical_form(tables, rel) == _canonical_form_loop(tables, rel)
+    # flip-flip is fixed by both relabelings: the one listed first wins
+    p = builtin_pair("flip-flip")
+    tables = np.array([p.biquandle.table.t1, p.biquandle.table.t2,
+                       p.tau.t1, p.tau.t2], dtype=np.int16)
+    for rel in ([(0, 1), (1, 0)], [(1, 0), (0, 1)]):
+        assert canonical_form(tables, rel) == (tables.tobytes(), 0)

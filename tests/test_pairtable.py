@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singlink.errors import NonUnitError
-from singlink.pairtable import (Biquandle, PairTable, Quandle,
+from singlink.pairtable import (Biquandle, PairTable, Quandle, apply_word,
                                 check_biquandle, check_yang_baxter,
+                                first_failure,
                                 dihedral_quandle, dihedral_switch,
                                 flip_switch, i2_switch, make_bialexander,
                                 make_quandle_switch, trivial_quandle)
@@ -78,6 +79,21 @@ class TestYangBaxter:
         t = PairTable(n, tuple(map(tuple, rows1)),
                       tuple(zip(*map(tuple, rows2))))
         assert check_yang_baxter(t) == yang_baxter_oracle(t)
+
+
+class TestWords:
+    def test_letters_apply_in_order(self):
+        # (1 x S) first, then (S x 1), with S the flip:
+        # (0, 1, 2) -> (0, 2, 1) -> (2, 0, 1)
+        maps = {"S": flip_switch(3).table}
+        assert apply_word((("S", 1), ("S", 0)), maps, (0, 1, 2)) == (2, 0, 1)
+
+    def test_first_failure_is_row_major_first(self):
+        # S o tau = tau o S fails first at (0, 1) for D3 with the flip
+        maps = {"S": dihedral_switch(3).table, "T": flip_switch(3).table}
+        lhs, rhs = (("S", 0), ("T", 0)), (("T", 0), ("S", 0))
+        assert first_failure(lhs, rhs, maps, 3) == (0, 1)
+        assert first_failure(lhs, lhs, maps, 3) is None
 
 
 class TestBiquandle:
