@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import diagram as dg
 from . import invariant as iv
-from .coloring import enumerate_colorings
+from .coloring import count_colorings, enumerate_colorings
 from .errors import SinglinkError
 from .pairs import (SingularPair, builtin_pair, check_singular_pair,
                     classify_isomorphism, enumerate_left_right_invertible,
@@ -189,10 +189,11 @@ def _cmd_color(args) -> int:
     cfg = Config.from_args(args)
     d = _load_diagram(args.diagram)
     p = _load_pair(args.pair)
-    cols = enumerate_colorings(d, p)
     if args.count_only:
-        _emit(cfg, [str(len(cols))], {"count": len(cols)})
+        count = count_colorings(d, p)
+        _emit(cfg, [str(count)], {"count": count})
         return 0
+    cols = enumerate_colorings(d, p)
     edges = d.edges
     lines = [f"colorings: {len(cols)}"]
     for col in cols:

@@ -18,70 +18,115 @@ def _crossing_maps(p: SingularPair):
     return {POS: S, NEG: S.inverse(), SING: p.tau}
 
 
+def _flat(t) -> tuple[list[int], ...]:
+    """Forward and backward tables of a bijective map, indexed x*n + y."""
+    inv = t.inverse()
+    return tuple([v for row in tab for v in row] for tab in (t.t1, t.t2, inv.t1, inv.t2))
+
+
+def _search(d: SingularDiagram, p: SingularPair, found: list | None) -> int:
+    """Count the colorings of d, appending each as a value tuple on
+    d.edges to `found` unless it is None."""
+    n = p.n
+    edges = d.edges
+    index = {e: i for i, e in enumerate(edges)}
+    tables = {kind: _flat(m) for kind, m in _crossing_maps(p).items()}
+    touching: list[list[int]] = [[] for _ in edges]
+    for ci, c in enumerate(d.crossings):
+        for e in dict.fromkeys(c.slots):
+            touching[index[e]].append(ci)
+    quads = [tuple(index[e] for e in c.slots) for c in d.crossings]
+    # crossing ci: in1, in2, out1, out2, forward and backward tables, and
+    # for each slot the other crossings its edge touches: once ci forces
+    # colors, all four of its slots agree and it needs no second look
+    cross = []
+    for ci, (c, slots) in enumerate(zip(d.crossings, quads)):
+        others = tuple([cj for cj in touching[e] if cj != ci] for e in slots)
+        cross.append(slots + tables[c.kind] + others)
+    col = [-1] * len(edges)
+    trail: list[int] = []     # edges in the order they were coloured
+
+    def propagate(work: list[int]) -> bool:
+        while work:
+            i1, i2, o1, o2, f1, f2, b1, b2, n1, n2, n3, n4 = cross[work.pop()]
+            x, y = col[i1], col[i2]
+            if x >= 0 and y >= 0:
+                k = x * n + y
+                forced = ((o1, f1[k], n3), (o2, f2[k], n4))
+            else:
+                x, y = col[o1], col[o2]
+                if x < 0 or y < 0:
+                    continue
+                k = x * n + y
+                forced = ((i1, b1[k], n1), (i2, b2[k], n2))
+            for e, v, nbrs in forced:
+                have = col[e]
+                if have < 0:
+                    col[e] = v
+                    trail.append(e)
+                    work.extend(nbrs)
+                elif have != v:
+                    return False
+        return True
+
+    def seed() -> int:
+        for i1, i2, o1, o2 in quads:
+            if (col[i1] < 0) != (col[i2] < 0):
+                return i1 if col[i1] < 0 else i2
+            if (col[o1] < 0) != (col[o2] < 0):
+                return o1 if col[o1] < 0 else o2
+        for e, v in enumerate(col):
+            if v < 0:
+                return e
+        return -1
+
+    def search(work: list[int]) -> int:
+        if not propagate(work):
+            return 0
+        e = seed()
+        if e < 0:
+            if found is not None:
+                found.append(tuple(col))
+            return 1
+        leaves = 0
+        mark = len(trail)
+        for v in range(n):
+            col[e] = v
+            trail.append(e)
+            leaves += search(list(touching[e]))
+            while len(trail) > mark:
+                col[trail.pop()] = -1
+        return leaves
+
+    return search([])
+
+
 def enumerate_colorings(d: SingularDiagram, p: SingularPair) -> list[Coloring]:
     """All colorings, deterministically ordered by the value tuple on
     sorted edges.
 
-    Colors are propagated through crossings both forward (ins determine
-    outs) and backward (outs determine ins, through the inverse map).
-    When propagation stalls, the search branches on all n colors of the
-    first uncoloured edge in sorted-name order, so the number of branched
-    edges depends on the edge names (up to the edge count), not on the
-    cut size.
+    The diagram is compiled into integer edge ids (in sorted-name order)
+    and flat forward/backward tables of S, S^-1 and tau.  Colors are
+    propagated incrementally: assigning an edge re-examines only the
+    crossings touching it, forward (ins determine outs) and backward
+    (outs determine ins), and a trail undoes the assignments on
+    backtrack.  When propagation stalls, the search branches on all n
+    colors of the missing slot of the first half-known in-pair or
+    out-pair in crossing order, where a single choice determines a whole
+    crossing; only when no pair is half-known does it fall back to the
+    first uncoloured edge in sorted-name order.
     """
-    n = p.n
-    maps = _crossing_maps(p)
-    inv_maps = {k: m.inverse() for k, m in maps.items()}
+    found: list[tuple[int, ...]] = []
+    _search(d, p, found)
+    found.sort()
     edges = d.edges
-    crossings = d.crossings
-    results: list[Coloring] = []
-
-    def propagate(col: Coloring) -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for c in crossings:
-                i1, i2, o1, o2 = c.slots
-                know_in = col.get(i1) is not None and col.get(i2) is not None
-                know_out = col.get(o1) is not None and col.get(o2) is not None
-                if know_in:
-                    a, b = maps[c.kind].apply(col[i1], col[i2])
-                    for e, v in ((o1, a), (o2, b)):
-                        if col.get(e) is None:
-                            col[e] = v
-                            changed = True
-                        elif col[e] != v:
-                            return False
-                elif know_out:
-                    x, y = inv_maps[c.kind].apply(col[o1], col[o2])
-                    for e, v in ((i1, x), (i2, y)):
-                        if col.get(e) is None:
-                            col[e] = v
-                            changed = True
-                        elif col[e] != v:
-                            return False
-        return True
-
-    def search(col: Coloring):
-        if not propagate(col):
-            return
-        free = [e for e in edges if col.get(e) is None]
-        if not free:
-            results.append(dict(col))
-            return
-        seed = free[0]
-        for v in range(n):
-            trial = dict(col)
-            trial[seed] = v
-            search(trial)
-
-    search({})
-    results.sort(key=lambda col: tuple(col[e] for e in edges))
-    return results
+    return [dict(zip(edges, values)) for values in found]
 
 
 def count_colorings(d: SingularDiagram, p: SingularPair) -> int:
-    return len(enumerate_colorings(d, p))
+    """Number of colorings; the search of `enumerate_colorings` without
+    building or sorting them."""
+    return _search(d, p, None)
 
 
 def brute_force_colorings(d: SingularDiagram, p: SingularPair) -> list[Coloring]:

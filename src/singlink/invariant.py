@@ -19,7 +19,7 @@ both sides of every instance of the relation table in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 from .coloring import enumerate_colorings
@@ -43,7 +43,11 @@ class CocyclePair:
     h: tuple
     kind: str                      # "nc" | "ab"
 
+    # CocycleCheck per singular pair, filled by the checkers
+    checks: dict = field(default=None, init=False, compare=False, repr=False)
+
     def __post_init__(self):
+        object.__setattr__(self, "checks", {})
         object.__setattr__(self, "f", tuple(tuple(r) for r in self.f))
         object.__setattr__(self, "h", tuple(tuple(r) for r in self.h))
         if self.kind not in (NC, AB):
@@ -75,6 +79,14 @@ def _target_abelian(target: Target) -> bool:
 class CocycleCheck:
     ok: bool
     violations: tuple[tuple[str, tuple], ...]
+
+
+def _memo_check(p: SingularPair, c: CocyclePair) -> CocycleCheck:
+    """_check_cocycle, once per (cocycle pair, singular pair)."""
+    res = c.checks.get(p)
+    if res is None:
+        res = c.checks[p] = _check_cocycle(p, c)
+    return res
 
 
 def _check_cocycle(p: SingularPair, c: CocyclePair) -> CocycleCheck:
@@ -113,7 +125,7 @@ def check_nc_cocycle(p: SingularPair, c: CocyclePair) -> CocycleCheck:
         raise CocycleInvalidError("cocycle pair is not of noncommutative kind")
     if c.n != p.n:
         raise DimensionMismatchError("cocycle tables do not match the pair")
-    return _check_cocycle(p, c)
+    return _memo_check(p, c)
 
 
 def check_ab_cocycle(p: SingularPair, c: CocyclePair) -> CocycleCheck:
@@ -124,7 +136,7 @@ def check_ab_cocycle(p: SingularPair, c: CocyclePair) -> CocycleCheck:
         raise CocycleInvalidError("abelian cocycle pair needs an abelian target")
     if c.n != p.n:
         raise DimensionMismatchError("cocycle tables do not match the pair")
-    return _check_cocycle(p, c)
+    return _memo_check(p, c)
 
 
 def derived_cocycle_identities(p: SingularPair, c: CocyclePair) -> dict[str, bool]:
@@ -319,19 +331,28 @@ def nc_invariant(d: SingularDiagram, p: SingularPair,
     ident, mul, inv, conj_rep = _ops(c.target)
     sinv = p.biquandle.table.inverse()
     colorings = enumerate_colorings(d, p)
+    consumer = {}
+    for cr in d.crossings:
+        consumer[cr.in1] = (cr, 0)
+        consumer[cr.in2] = (cr, 1)
+    # each component's passages from its basepoint: (crossing, 0 for in1 / 1 for in2)
+    walks = []
+    for base in d.basepoints:
+        walk = []
+        edge = base
+        while edge in consumer:       # a crossing-free loop has an empty walk
+            cr, slot = consumer[edge]
+            walk.append((cr, slot))
+            edge = cr.out2 if slot == 0 else cr.out1
+            if edge == base:
+                break
+        walks.append(walk)
     values = []
     for col in colorings:
         comp_vals = []
-        for comp_idx, comp in enumerate(d.components):
-            base = d.basepoints[comp_idx]
-            if d.consumer(base) is None:      # crossing-free loop
-                comp_vals.append(conj_rep(ident))
-                continue
+        for walk in walks:
             val = ident
-            edge = base
-            while True:
-                ci, slot = d.consumer(edge)
-                cr = d.crossings[ci]
+            for cr, slot in walk:
                 x, y = col[cr.in1], col[cr.in2]
                 if cr.kind == SING:
                     val = mul(val, c.h[x][y])
@@ -340,9 +361,6 @@ def nc_invariant(d: SingularDiagram, p: SingularPair,
                 elif cr.kind == NEG and slot == 1:
                     a, b = sinv.apply(x, y)
                     val = mul(val, inv(c.f[a][b]))
-                edge = cr.out2 if slot == 0 else cr.out1
-                if edge == base:
-                    break
             comp_vals.append(conj_rep(val))
         values.append(tuple(comp_vals))
     return NcInvariantValue(tuple(values))

@@ -137,6 +137,15 @@ class TestColorCommand:
         assert code == 0
         assert out.strip() == "0"
 
+    def test_count_only_does_not_list_colorings(self, capsys, monkeypatch):
+        def refuse(d, p):
+            raise AssertionError("--count-only listed the colorings")
+        monkeypatch.setattr("singlink.cli.enumerate_colorings", refuse)
+        code, out, _ = run(capsys, "color", "@sing_trefoil", "--pair",
+                           "builtin:d3-ss", "--count-only")
+        assert code == 0
+        assert out.strip() == "9"
+
     def test_full_listing(self, capsys):
         code, out, _ = run(capsys, "color", "@unknot", "--pair",
                            "builtin:flip-i2")

@@ -1,11 +1,17 @@
+import hashlib
+import itertools
+import random
+import signal
+from contextlib import contextmanager
+
 import pytest
 
 from singlink.coloring import (brute_force_colorings, count_colorings,
                                enumerate_colorings)
 from singlink.diagram import (MOVES, Crossing, SingularDiagram, apply_move,
                               builtin_diagram, find_move_sites)
-from singlink.pairs import SingularPair, builtin_pair
-from singlink.pairtable import dihedral_switch, flip_switch
+from singlink.pairs import SingularPair, builtin_pair, make_tau_a, make_tau_phi
+from singlink.pairtable import dihedral_switch, flip_switch, make_bialexander
 
 
 def replace_sing_by_pos(d: SingularDiagram) -> SingularDiagram:
@@ -101,3 +107,124 @@ class TestSingToPosReplacement:
                 d = builtin_diagram(name)
                 assert count_colorings(d, pair) == \
                     count_colorings(replace_sing_by_pos(d), pair), (name,)
+
+
+# ---------------------------------------------------------------------------
+# differential tests on random singular braid closures
+# ---------------------------------------------------------------------------
+
+def random_word(rng: random.Random, strands: int, length: int):
+    """Letters (position, kind) acting on strand positions (pos, pos+1);
+    every position occurs, so the closure has no crossing-free strand."""
+    positions = list(range(strands - 1))
+    positions += [rng.randrange(strands - 1) for _ in range(length - strands + 1)]
+    rng.shuffle(positions)
+    return [(pos, rng.choice("+-s")) for pos in positions]
+
+
+def braid_closure(word, strands: int, rng: random.Random) -> SingularDiagram:
+    """Closure of `word` whose edge names sort in a random order.
+
+    A letter at pos consumes the edges at positions pos and pos+1 and puts
+    its out1 at pos and out2 at pos+1, so the strand entering at in1
+    leaves at out2; the bottom edge at each position is the top one."""
+    at = list(range(strands))
+    letters = []
+    fresh = strands
+    for pos, kind in word:
+        letters.append((kind, [at[pos], at[pos + 1], fresh, fresh + 1]))
+        at[pos], at[pos + 1] = fresh, fresh + 1
+        fresh += 2
+    bottom = {e: pos for pos, e in enumerate(at)}
+    ids = sorted({bottom.get(e, e) for _, slots in letters for e in slots})
+    names = dict(zip(ids, (f"e{v}" for v in rng.sample(range(10 * len(ids)), len(ids)))))
+    return SingularDiagram(tuple(
+        Crossing(kind, tuple(names[bottom.get(e, e)] for e in slots))
+        for kind, slots in letters))
+
+
+def fixed_point_count(word, strands: int, p: SingularPair) -> int:
+    """Colorings of the closure = top colors that the composed map of X^k
+    along the word (S, S^-1 or tau per letter) sends to themselves."""
+    S = p.biquandle.table
+    maps = {"+": S, "-": S.inverse(), "s": p.tau}
+    count = 0
+    for top in itertools.product(range(p.n), repeat=strands):
+        state = list(top)
+        for pos, kind in word:
+            state[pos], state[pos + 1] = maps[kind].apply(state[pos], state[pos + 1])
+        count += tuple(state) == top
+    return count
+
+
+def sorted_by_edges(d, cols):
+    return sorted(cols, key=lambda col: tuple(col[e] for e in d.edges))
+
+
+class TestRandomClosures:
+    def test_enumerate_matches_brute_force(self, test_pairs):
+        rng = random.Random("brute force")
+        small = [p for p in test_pairs.values() if p.n <= 3]
+        for _ in range(20):
+            strands = rng.randint(2, 4)
+            length = rng.randint(strands - 1, 5)          # at most 10 edges
+            word = random_word(rng, strands, length)
+            d = braid_closure(word, strands, rng)
+            for p in small:
+                assert enumerate_colorings(d, p) == \
+                    sorted_by_edges(d, brute_force_colorings(d, p)), (word, d)
+
+    def test_count_matches_fixed_points(self):
+        D5, B = dihedral_switch(5), make_bialexander(5, 2, 3)
+        prs = (SingularPair(D5, make_tau_phi(5, 1, 4, [0, 2, 4, 1, 3])),
+               SingularPair(B, make_tau_a(5, 2, 3, 2)))
+        rng = random.Random("fixed points")
+        with time_limit(60):            # a name-dependent search takes minutes
+            for _ in range(60):
+                strands = rng.randint(2, 4)
+                word = random_word(rng, strands, rng.randint(strands - 1, 12))
+                d = braid_closure(word, strands, rng)
+                for p in prs:
+                    assert count_colorings(d, p) == fixed_point_count(word, strands, p), word
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Fail with TimeoutError instead of hanging past `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"took longer than {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def ladder(k: int) -> SingularDiagram:
+    """2-strand closure alternating +/s whose level-i crossing eats
+    (l_i, r_i): named so that sorted-name seeding branches on every l_i."""
+    return SingularDiagram(tuple(
+        Crossing("+" if i % 2 == 0 else "s",
+                 (f"l{i}", f"r{i}", f"l{(i + 1) % k}", f"r{(i + 1) % k}"))
+        for i in range(k)))
+
+
+@pytest.mark.parametrize("k", [16, 64])
+def test_ladder_search_does_not_depend_on_names(k):
+    with time_limit(10):
+        assert count_colorings(ladder(k), builtin_pair("d3-ss")) == 3
+
+
+def test_output_matches_recorded_digest(all_diagrams, test_pairs):
+    # recorded with the sorted-name search this engine replaced; dict key
+    # order is not part of the output, so each coloring is hashed as its
+    # sorted items
+    h = hashlib.sha256()
+    for dname in sorted(all_diagrams):
+        for pname in sorted(test_pairs):
+            cols = enumerate_colorings(all_diagrams[dname], test_pairs[pname])
+            h.update(repr((dname, pname, [sorted(c.items()) for c in cols])).encode())
+    assert h.hexdigest() == \
+        "da1844aa3bd91c6bd884677f814b31565554ae8f9eab4fe8aa28635bbec0592a"

@@ -1,5 +1,6 @@
 import pytest
 
+from singlink import invariant
 from singlink.coloring import count_colorings
 from singlink.diagram import (MOVES, Crossing, SingularDiagram, apply_move,
                               builtin_diagram, find_move_sites)
@@ -298,6 +299,27 @@ class TestNcInvariant:
         with pytest.raises(CocycleInvalidError):
             nc_invariant(builtin_diagram("unknot"), p,
                          CocyclePair(tgt, f, h, NC))
+
+    def test_cocycle_checked_once_per_pair(self, monkeypatch):
+        p = builtin_pair("flip-i2")
+        d = builtin_diagram("sing_trefoil")
+        # fresh copies of the (already checked) builtins
+        nc, ab = (CocyclePair(c.target, c.f, c.h, c.kind) for c in
+                  (builtin_cocycle("flip-i2", NC), builtin_cocycle("flip-s2", AB)))
+        calls = []
+        real = invariant._check_cocycle
+        monkeypatch.setattr(invariant, "_check_cocycle",
+                            lambda p, c: calls.append(c.kind) or real(p, c))
+        for _ in range(5):
+            nc_invariant(d, p, nc)
+            state_sum(d, p, ab)
+        assert calls == [NC, AB]
+        bad = CocyclePair(FiniteGroup.cyclic(3), ((0, 0), (0, 0)),
+                          ((0, 1), (2, 0)), NC)
+        for _ in range(3):
+            with pytest.raises(CocycleInvalidError):
+                nc_invariant(d, p, bad)
+        assert calls == [NC, AB, NC]
 
 
 class TestStateSum:
