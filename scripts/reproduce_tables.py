@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Reproduce the three enumeration tables and the worked invariant values
 end to end.  Runs everything the library computes from scratch; pass
---slow to include the I_10..I_12 rows (a few extra seconds).
+--slow to include the I_10..I_12 rows.
 """
 
 import argparse

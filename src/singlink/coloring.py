@@ -80,25 +80,33 @@ def _search(d: SingularDiagram, p: SingularPair, found: list | None) -> int:
                 return e
         return -1
 
-    def search(work: list[int]) -> int:
-        if not propagate(work):
-            return 0
-        e = seed()
-        if e < 0:
-            if found is not None:
-                found.append(tuple(col))
-            return 1
-        leaves = 0
-        mark = len(trail)
-        for v in range(n):
-            col[e] = v
-            trail.append(e)
-            leaves += search(list(touching[e]))
+    leaves = 0
+    # one frame per open branch point: [seeded edge, trail mark, next color]
+    stack: list[list[int]] = []
+    work: list[int] = []
+    while True:
+        if propagate(work):
+            e = seed()
+            if e < 0:
+                leaves += 1
+                if found is not None:
+                    found.append(tuple(col))
+            else:
+                stack.append([e, len(trail), 0])
+        while stack:
+            frame = stack[-1]
+            e, mark, v = frame
             while len(trail) > mark:
                 col[trail.pop()] = -1
-        return leaves
-
-    return search([])
+            if v < n:
+                frame[2] = v + 1
+                col[e] = v
+                trail.append(e)
+                work = list(touching[e])
+                break
+            stack.pop()
+        else:
+            return leaves
 
 
 def enumerate_colorings(d: SingularDiagram, p: SingularPair) -> list[Coloring]:
@@ -114,7 +122,9 @@ def enumerate_colorings(d: SingularDiagram, p: SingularPair) -> list[Coloring]:
     colors of the missing slot of the first half-known in-pair or
     out-pair in crossing order, where a single choice determines a whole
     crossing; only when no pair is half-known does it fall back to the
-    first uncoloured edge in sorted-name order.
+    first uncoloured edge in sorted-name order.  Open branch points live
+    on an explicit stack, so Python's recursion limit does not bound the
+    number of seeds.
     """
     found: list[tuple[int, ...]] = []
     _search(d, p, found)

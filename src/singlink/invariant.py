@@ -374,23 +374,22 @@ def state_sum(d: SingularDiagram, p: SingularPair,
         raise CocycleInvalidError("state_sum needs an abelian pair")
     _validate_cocycle(p, c)
     ident, mul, inv, _ = _ops(c.target)
+    n = p.n
     sinv = p.biquandle.table.inverse()
-    colorings = enumerate_colorings(d, p)
-    total = GroupRingElement()
-    for col in colorings:
+    # weight at incoming colors (x, y), flat at x*n + y, per crossing kind
+    weights = {SING: [w for row in c.h for w in row],
+               POS: [w for row in c.f for w in row],
+               NEG: [inv(c.f[a][b]) for a, b in
+                     (sinv.apply(x, y) for x in range(n) for y in range(n))]}
+    crossings = [(cr.in1, cr.in2, weights[cr.kind]) for cr in d.crossings]
+    # coefficient per value, in order of first appearance over colorings
+    tally: dict = {}
+    for col in enumerate_colorings(d, p):
         val = ident
-        for cr in d.crossings:
-            x, y = col[cr.in1], col[cr.in2]
-            if cr.kind == SING:
-                w = c.h[x][y]
-            elif cr.kind == POS:
-                w = c.f[x][y]
-            else:
-                a, b = sinv.apply(x, y)
-                w = inv(c.f[a][b])
-            val = mul(val, w)
-        total = total + GroupRingElement.of(val)
-    return total
+        for e1, e2, w in crossings:
+            val = mul(val, w[col[e1] * n + col[e2]])
+        tally[val] = tally.get(val, 0) + 1
+    return GroupRingElement(tally)
 
 
 def render_laurent(group: AbelianizedGroup, v: GroupRingElement) -> str:

@@ -549,10 +549,6 @@ class GroupRingElement:
     def coefficient_sum(self) -> int:
         return sum(self.terms.values())
 
-    @classmethod
-    def of(cls, elem, coeff: int = 1):
-        return cls([(elem, coeff)])
-
     def to_dict(self):
         return {"terms": [{"elem": [list(e[0]), list(e[1])]
                            if isinstance(e, tuple) else e, "coeff": c}

@@ -1,7 +1,6 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-Run with `pytest tests/test_acceptance.py -v -s`; the I_10..I_12 rows of
-criterion 3 live behind the `slow` marker.
+Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
 import itertools
@@ -70,7 +69,6 @@ def test_criterion_3_tau_phi_isoclass_counts_default():
     ok("criterion 3: I_3..I_9 = 2,4,6,16,20,56,136")
 
 
-@pytest.mark.slow
 def test_criterion_3_tau_phi_isoclass_counts_slow():
     expected = {10: 416, 11: 776, 12: 3904}
     for n, e in expected.items():

@@ -217,6 +217,15 @@ def test_ladder_search_does_not_depend_on_names(k):
         assert count_colorings(ladder(k), builtin_pair("d3-ss")) == 3
 
 
+def test_seeds_beyond_the_recursion_limit():
+    # every crossing-free loop is its own seed: 1,200 of them
+    d = SingularDiagram((), tuple(f"e{i}" for i in range(1200)))
+    p = builtin_pair("trivial-1")
+    with time_limit(10):
+        assert count_colorings(d, p) == 1
+        assert enumerate_colorings(d, p) == [dict.fromkeys(d.edges, 0)]
+
+
 def test_output_matches_recorded_digest(all_diagrams, test_pairs):
     # recorded with the sorted-name search this engine replaced; dict key
     # order is not part of the output, so each coloring is hashed as its

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from singlink import invariant
@@ -363,6 +365,18 @@ class TestStateSum:
                 v = state_sum(d, p, ab_cocycles[pname])
                 assert v.coefficient_sum() == count_colorings(d, p), \
                     (dname, pname)
+
+    def test_output_matches_recorded_digest(self, all_diagrams, test_pairs,
+                                            ab_cocycles):
+        # terms are hashed in their order of first appearance over colorings
+        h = hashlib.sha256()
+        for dname in sorted(all_diagrams):
+            for pname in sorted(test_pairs):
+                v = state_sum(all_diagrams[dname], test_pairs[pname],
+                              ab_cocycles[pname])
+                h.update(repr((dname, pname, list(v.terms.items()))).encode())
+        assert h.hexdigest() == \
+            "529e9d7e9e0c560c4a0893c387c5d0ba54f75a418350445099fc9dd886d7db87"
 
     def test_sing_to_pos_replacement_with_ff_cocycle(self):
         # on (X, S, S) with the abelian pair (f, f), the singular state sum

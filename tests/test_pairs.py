@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from math import gcd
 
 import numpy as np
 import pytest
@@ -220,10 +221,64 @@ class TestTauPhi:
     def test_In_default(self, n, expected):
         assert tau_phi_iso_count(n) == expected
 
-    @pytest.mark.slow
-    @pytest.mark.parametrize("n,expected", [(10, 416), (11, 776), (12, 3904)])
+    # I_13 lies beyond the paper's table
+    @pytest.mark.parametrize("n,expected", [(10, 416), (11, 776), (12, 3904),
+                                            (13, 7772)])
     def test_In_slow(self, n, expected):
         assert tau_phi_iso_count(n) == expected
+
+    @pytest.mark.parametrize("n", [
+        *range(3, 10),
+        *(pytest.param(n, marks=pytest.mark.slow) for n in (10, 11, 12))])
+    def test_In_matches_table_level_oracle(self, n):
+        # every tau_phi table, classified under Aut(D_n)
+        aut = np.array(automorphism_group(dihedral_switch(n).table), dtype=np.int16)
+        classes = {canonical_form(np.array([t.t1, t.t2], dtype=np.int16), aut)[0]
+                   for t in tau_phi_family(n, 1, n - 1)}
+        assert tau_phi_iso_count(n) == len(classes)
+
+    @staticmethod
+    def phi_orbit_count(n):
+        """Orbits of the units a acting by phi -> a*phi(a^-1 .) on the
+        permutations phi of Z/n that commute with -1, listed one by one."""
+        reps = [x for x in range(n) if x <= -x % n]
+
+        def phis(i, phi, used):
+            if i == len(reps):
+                yield tuple(phi)
+                return
+            x = reps[i]
+            for v in range(n):
+                if v in used or (v == -v % n) != (x == -x % n):
+                    continue
+                phi[x], phi[-x % n] = v, -v % n
+                yield from phis(i + 1, phi, used | {v, -v % n})
+
+        units = [a for a in range(n) if gcd(a, n) == 1]
+        seen, orbits = set(), 0
+        for phi in phis(0, [0] * n, frozenset()):
+            if phi not in seen:
+                orbits += 1
+                seen.update(tuple(a * phi[pow(a, -1, n) * d % n] % n
+                                  for d in range(n)) for a in units)
+        return orbits
+
+    @pytest.mark.parametrize("n", range(3, 14))
+    def test_In_matches_phi_orbit_enumeration(self, n):
+        assert tau_phi_iso_count(n) == self.phi_orbit_count(n)
+
+    @pytest.mark.parametrize("n", range(3, 17))
+    def test_dihedral_automorphisms_are_affine(self, n):
+        affine = sorted(tuple((a * x + b) % n for x in range(n))
+                        for a in range(n) if gcd(a, n) == 1 for b in range(n))
+        assert sorted(automorphism_group(dihedral_switch(n).table)) == affine
+
+    def test_count_refused_when_automorphisms_are_not_affine(self, monkeypatch):
+        # Sym(Z/4) strictly contains Aff(Z/4)
+        monkeypatch.setattr("singlink.pairs.automorphism_group",
+                            lambda t: list(itertools.permutations(range(t.n))))
+        with pytest.raises(RuntimeError, match="not Aff"):
+            tau_phi_iso_count(4)
 
 
 class TestTauA:

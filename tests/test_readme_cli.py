@@ -3,7 +3,8 @@ exactly what it printed when its digest was recorded.
 
 Commands are read from the README's CLI block; an optional `[--flag]` is
 run both without and with the flag.  Commands that name a file are not
-run.  The `--slow` rows take ~12 s and run with `pytest -m slow`.
+run.  The `--slow` row (I_10..I_12) is counted in milliseconds and runs
+in the default suite.
 """
 
 import hashlib
@@ -72,9 +73,7 @@ def test_every_builtin_readme_command_has_a_digest():
     assert sorted(readme_commands()) == sorted(STDOUT_DIGESTS)
 
 
-@pytest.mark.parametrize("command", [
-    pytest.param(c, marks=pytest.mark.slow) if "--slow" in c else c
-    for c in readme_commands()])
+@pytest.mark.parametrize("command", readme_commands())
 def test_readme_command_output_is_unchanged(command, capsys):
     code = main(shlex.split(command))
     out = capsys.readouterr().out
