@@ -24,6 +24,7 @@ Components are indexed by their lexicographically smallest edge token.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import (BadBasepointError, DanglingEdgeError, DiagramSyntaxError,
@@ -135,10 +136,11 @@ def _validate(crossings, loops, declared_bases):
             if e in out_seen:
                 raise SlotReuseError(f"edge {e!r} used twice as an out-slot")
             out_seen[e] = 1
+    declared = Counter(loops)
     for e in loops:
         if e in in_seen or e in out_seen:
             raise SlotReuseError(f"loop edge {e!r} also used at a crossing")
-        if loops.count(e) > 1:
+        if declared[e] > 1:
             raise SlotReuseError(f"loop edge {e!r} declared twice")
     for e in in_seen:
         if e not in out_seen:

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import NotInvolutiveError
 from .pairs import SingularPair
 from .pairtable import PairTable
@@ -183,150 +185,133 @@ def build_ab_presentation(p: SingularPair) -> Presentation:
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form over Z (exact, arbitrary precision)
+# Smith normal form over Z (exact: int64 while entries are small, then
+# Python integers)
 # ---------------------------------------------------------------------------
 
-def _identity(k):
-    return [[int(i == j) for j in range(k)] for i in range(k)]
+# A row or column update replaces a by a - q*b; with |a|, |b|, |q| at most
+# this the result stays below 2^61, so int64 arithmetic is exact.
+_INT64_SAFE = 1 << 30
+
+
+def _exceeds(block) -> bool:
+    return block.size > 0 and (block.max() > _INT64_SAFE
+                               or block.min() < -_INT64_SAFE)
+
+
+def _int_matrix(M):
+    """M as an int64 array, or as an object array of Python ints when an
+    entry is too large for exact int64 elimination."""
+    try:
+        A = np.array(M, dtype=np.int64)
+        if not _exceeds(A):
+            return A
+    except OverflowError:
+        pass
+    return np.array([[int(x) for x in row] for row in M], dtype=object)
+
+
+def _smith_reduce(W, r: int, c: int):
+    """Bring W[:r, :c] to Smith normal form; return (W, number of pivots).
+
+    Row operations act on whole rows of W[:r] and column operations on
+    whole columns of W[:, :c]; pivot searches see W[:r, :c] only.  With
+    identities in W[:r, c:] and W[r:, :c] these record U and V.  W comes
+    back as an object array of Python ints when it is one, or when an
+    updated row or column has an entry beyond 2^30; int64 is exact until
+    then.
+    """
+
+    def widen(block):
+        nonlocal W
+        if W.dtype != object and _exceeds(block):
+            W = W.astype(object)
+
+    def pivot(k, R, C):
+        """First nonzero entry of least absolute value in W[k:R, k:C], in
+        row-major order, or None when the block is zero."""
+        B = np.abs(W[k:R, k:C])
+        zero = B == 0
+        if zero.all():
+            return None
+        B[zero] = B.max() + 1
+        i, j = divmod(int(B.argmin()), C - k)
+        return k + i, k + j
+
+    def reduce_at(k, R, C):
+        """Pivot at (k, k) and clear the rest of row k and column k inside
+        W[:R, :C]; False when W[k:R, k:C] is zero."""
+        piv = pivot(k, R, C)
+        if piv is None:
+            return False
+        while True:
+            i, j = piv
+            if i != k:
+                W[[k, i]] = W[[i, k]]
+            if j != k:
+                W[:, [k, j]] = W[:, [j, k]]
+            # row k and column k stay fixed while the other rows (columns)
+            # are reduced by them, so each sweep is one rank-1 update
+            rows = k + 1 + np.flatnonzero(W[k + 1:R, k])
+            if rows.size:
+                q = W[rows, k] // W[k, k]
+                W[rows] = new = W[rows] - np.outer(q, W[k])
+                widen(new)
+            cols = k + 1 + np.flatnonzero(W[k, k + 1:C])
+            if cols.size:
+                q = W[k, cols] // W[k, k]
+                W[:, cols] = new = W[:, cols] - np.outer(W[:, k], q)
+                widen(new)
+            if not (W[rows, k].any() or W[k, cols].any()):
+                return True
+            piv = pivot(k, R, C)
+
+    k = 0
+    while k < min(r, c) and reduce_at(k, r, c):
+        if W[k, k] < 0:
+            W[k] = -W[k]
+        k += 1
+
+    # enforce the divisibility chain d1 | d2 | ...
+    changed = True
+    while changed:
+        changed = False
+        for i in range(k - 1):
+            if W[i + 1, i + 1] % W[i, i]:
+                # col i += col i+1 puts d_{i+1} under d_i; rediagonalizing
+                # the 2x2 block replaces (d_i, d_{i+1}) with (gcd, lcm)
+                W[:, i] = new = W[:, i] + W[:, i + 1]
+                widen(new)
+                reduce_at(i, i + 2, i + 2)
+                for j in (i, i + 1):
+                    if W[j, j] < 0:
+                        W[j] = -W[j]
+                changed = True
+    return W, k
 
 
 def smith_normal_form(M):
     """Return (U, D, V) with U*M*V = D diagonal, d1 | d2 | ..., U,V unimodular.
 
     Pivoting always picks the nonzero entry of least absolute value in the
-    remaining submatrix, which keeps coefficients small on the relation
-    matrices this package produces.  Plain Python integers, so no overflow.
+    remaining submatrix (the first one in row-major order), which keeps
+    coefficients small on the relation matrices this package produces.
+    Each pivot clears its column and row by one rank-1 numpy update each.
+    The arithmetic is int64 while every entry of M, U and V stays within
+    2^30, where it is exact; the first entry beyond that moves the rest of
+    the run to Python integers, so the result is exact for any input.
+    U, D and V are nested lists of Python ints.
     """
-    A = [list(map(int, row)) for row in M]
-    r = len(A)
-    c = len(A[0]) if r else 0
-    U = _identity(r)
-    V = _identity(c)
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):      # row dst += q * row src
-        A[dst] = [a + q * b for a, b in zip(A[dst], A[src])]
-        U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
-
-    def add_col(dst, src, q):
-        for row in A:
-            row[dst] += q * row[src]
-        for row in V:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        A[i] = [-a for a in A[i]]
-        U[i] = [-a for a in U[i]]
-
-    k = 0
-    while k < min(r, c):
-        # locate minimal-abs nonzero pivot in A[k:, k:]
-        piv = None
-        for i in range(k, r):
-            for j in range(k, c):
-                if A[i][j] and (piv is None or abs(A[i][j]) < abs(A[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        while True:
-            i, j = piv
-            swap_rows(k, i)
-            swap_cols(k, j)
-            # clear column k
-            dirty = False
-            for i in range(k + 1, r):
-                if A[i][k]:
-                    q = A[i][k] // A[k][k]
-                    add_row(i, k, -q)
-                    if A[i][k]:
-                        dirty = True
-            for j in range(k + 1, c):
-                if A[k][j]:
-                    q = A[k][j] // A[k][k]
-                    add_col(j, k, -q)
-                    if A[k][j]:
-                        dirty = True
-            if not dirty:
-                break
-            piv = None
-            for i in range(k, r):
-                for j in range(k, c):
-                    if A[i][j] and (piv is None or abs(A[i][j]) < abs(A[piv[0]][piv[1]])):
-                        piv = (i, j)
-        if A[k][k] < 0:
-            negate_row(k)
-        k += 1
-
-    # enforce the divisibility chain d1 | d2 | ...
-    m = k
-    changed = True
-    while changed:
-        changed = False
-        for i in range(m - 1):
-            a, b = A[i][i], A[i + 1][i + 1]
-            if a and b % a:
-                # col i += col i+1 puts b under a; rediagonalizing the 2x2
-                # block replaces (a, b) with (gcd, lcm)
-                add_col(i, i + 1, 1)
-                _block_reduce(A, U, V, i)
-                if A[i][i] < 0:
-                    negate_row(i)
-                if A[i + 1][i + 1] < 0:
-                    negate_row(i + 1)
-                changed = True
-    return U, [row[:] for row in A], V
-
-
-def _block_reduce(A, U, V, i):
-    """Rediagonalize the 2x2 block at (i,i) after a column merge."""
-    rows = (i, i + 1)
-    cols = (i, i + 1)
-    while True:
-        piv = None
-        for x in rows:
-            for y in cols:
-                if A[x][y] and (piv is None or abs(A[x][y]) < abs(A[piv[0]][piv[1]])):
-                    piv = (x, y)
-        if piv is None:
-            return
-        px, py = piv
-        if (px, py) != (i, i):
-            if px != i:
-                A[i], A[px] = A[px], A[i]
-                U[i], U[px] = U[px], U[i]
-            if py != i:
-                for row in A:
-                    row[i], row[py] = row[py], row[i]
-                for row in V:
-                    row[i], row[py] = row[py], row[i]
-        done = True
-        for x in (i + 1,):
-            if A[x][i]:
-                q = A[x][i] // A[i][i]
-                A[x] = [a - q * b for a, b in zip(A[x], A[i])]
-                U[x] = [a - q * b for a, b in zip(U[x], U[i])]
-                if A[x][i]:
-                    done = False
-        for y in (i + 1,):
-            if A[i][y]:
-                q = A[i][y] // A[i][i]
-                for row in A:
-                    row[y] -= q * row[i]
-                for row in V:
-                    row[y] -= q * row[i]
-                if A[i][y]:
-                    done = False
-        if done:
-            return
+    A = _int_matrix(M)
+    if A.ndim < 2:
+        return [], [], []
+    r, c = A.shape
+    W = np.zeros((r + c, c + r), dtype=A.dtype)
+    W[:r, :c] = A
+    W[np.arange(r), c + np.arange(r)] = 1
+    W[r + np.arange(c), np.arange(c)] = 1
+    W, _ = _smith_reduce(W, r, c)
+    return W[:r, c:].tolist(), W[:r, :c].tolist(), W[r:, :c].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -415,16 +400,25 @@ class AbelianizedGroup:
 
 
 def abelianize(pres: Presentation) -> AbelianizedGroup:
-    """Quotient Z^{2n^2} by the rows of the relation exponent matrix."""
+    """Quotient Z^{2n^2} by the rows of the relation exponent matrix.
+
+    Runs the elimination of `smith_normal_form` with only the column
+    transform V carried along; the row transform U is never formed.
+    """
     g = pres.num_generators
     M = pres.exponent_matrix()
     if not M:
         coord = tuple(
             (tuple(int(i == j) for i in range(g)), ()) for j in range(g))
         return AbelianizedGroup(g, (), coord)
-    U, D, V = smith_normal_form(M)
-    diag = [D[i][i] for i in range(min(len(D), g)) if D[i][i] != 0]
-    r0 = len(diag)
+    A = _int_matrix(M)
+    r = len(M)
+    W = np.zeros((r + g, g), dtype=A.dtype)
+    W[:r] = A
+    W[r + np.arange(g), np.arange(g)] = 1
+    W, r0 = _smith_reduce(W, r, g)
+    diag = [int(W[i, i]) for i in range(r0)]
+    V = W[r:].tolist()
     torsion_idx = [i for i in range(r0) if diag[i] > 1]
     torsion = tuple(diag[i] for i in torsion_idx)
     free_idx = list(range(r0, g))

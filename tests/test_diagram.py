@@ -59,6 +59,12 @@ class TestParsing:
         with pytest.raises(SlotReuseError):
             parse_diagram("loop a\nloop a\n")
 
+    def test_loop_reuse_among_many_loops(self):
+        # 4,000 loop lines; only the last repeats an earlier edge
+        text = "".join(f"loop e{i}\n" for i in range(3999)) + "loop e1234\n"
+        with pytest.raises(SlotReuseError, match="'e1234' declared twice"):
+            parse_diagram(text)
+
     def test_comments_and_blank_lines(self):
         d = parse_diagram("# nothing\n\nloop a # trailing\n")
         assert d.loops == ("a",)

@@ -410,3 +410,174 @@ def test_relations_match_recorded_digests():
             rels = repr(build(p).relations).encode()
             got[f"{kind} {name}"] = hashlib.sha256(rels).hexdigest()
     assert got == RELATION_DIGESTS
+
+
+# SHA-256 of repr((rank, torsion, coord_map)) of `abelianize`, recorded from
+# the list-based Smith normal form that the numpy one replaced: the
+# coordinates are in the SNF basis, so these pin its pivot sequence
+ABELIANIZE_DIGESTS = {
+    "nc flip-flip":
+        "4159fdf30789e68a1b564884105e1be0a480031bc649a8aca83262479a91b34b",
+    "ab flip-flip":
+        "febc3e1dcd78aefd6e23096805e37f5ee0138a557d8e050b3fb246c32dcec47d",
+    "nc flip-i2":
+        "7eb267f06461cc8204984d5cb43c035457e5e5125bf377f4f73a8929f3ad1f5b",
+    "ab flip-i2":
+        "e7b4b3e25e77d1c982da7e9c536eb09cd3a4f58cdf21abe0bdfb657bab4f0396",
+    "nc flip-s2":
+        "7eb267f06461cc8204984d5cb43c035457e5e5125bf377f4f73a8929f3ad1f5b",
+    "ab flip-s2":
+        "e7b4b3e25e77d1c982da7e9c536eb09cd3a4f58cdf21abe0bdfb657bab4f0396",
+    "nc flip-flip-3":
+        "75dfa31672197e66f4bb3e4104dcc8eef5db1b6effde5efc7507d80a07762b7e",
+    "ab flip-flip-3":
+        "5dbe0452021a8bd1092da49a27d94d958185190b35d34234702d0c7ede8bc382",
+    "nc d3-ss":
+        "4845127bf8f5107380831c2dc701ff07569923786ddabd6249e874fe541b0bb8",
+    "ab d3-ss":
+        "083d447470db2221470c4bf9b60c97bc026947f4c4c47968371e1bff6250ae06",
+    "nc d3-sinv":
+        "4845127bf8f5107380831c2dc701ff07569923786ddabd6249e874fe541b0bb8",
+    "ab d3-sinv":
+        "bf1c465ffd777a8c22b34be77ffac0e5adaeb0a818eaf64aef3da5abeb984262",
+    "nc i2-ss":
+        "29e5ad6e63fe72719ebab2422995c9447fa3c2abb34ac41e5046269f3b9d3f83",
+    "ab i2-ss":
+        "a38b10d32255b1e0584c86fa2cb49e108331c168d4a583a8bde7c0c2dafd78ed",
+    "nc trivial-1":
+        "2cce65eea8ae34ad54cde0d72a6961afee50b74a4645e322ef7540e9e3486735",
+    "ab trivial-1":
+        "2cce65eea8ae34ad54cde0d72a6961afee50b74a4645e322ef7540e9e3486735",
+    "nc D3 tau=S":
+        "4845127bf8f5107380831c2dc701ff07569923786ddabd6249e874fe541b0bb8",
+    "ab D3 tau=S":
+        "083d447470db2221470c4bf9b60c97bc026947f4c4c47968371e1bff6250ae06",
+    "nc D3 tau=S^-1":
+        "4845127bf8f5107380831c2dc701ff07569923786ddabd6249e874fe541b0bb8",
+    "ab D3 tau=S^-1":
+        "bf1c465ffd777a8c22b34be77ffac0e5adaeb0a818eaf64aef3da5abeb984262",
+    "nc D4 tau=S":
+        "35207e1ab6f5ce45846f1864757c07fec2ffc6175ec3a567097040dce68b3788",
+    "ab D4 tau=S":
+        "6cbcb767c28649cc2de11e443219445571e09eae81f84231556707b0b98596b9",
+    "nc D4 tau=S^-1":
+        "35207e1ab6f5ce45846f1864757c07fec2ffc6175ec3a567097040dce68b3788",
+    "ab D4 tau=S^-1":
+        "d405cdcf85db39aefa8fbffaf25478ba0318ba75980a9c2a84f5729a483c8609",
+    "nc D5 tau=S":
+        "98a6ef2be24f8a9ee06aafa8807b6c4b1e5cc9d2c8db6f4feeadfa111dc034a2",
+    "ab D5 tau=S":
+        "63531f1c96496823377105744519ece15bdbc002e3ae10a11af58c9b117aef28",
+    "nc D5 tau=S^-1":
+        "98a6ef2be24f8a9ee06aafa8807b6c4b1e5cc9d2c8db6f4feeadfa111dc034a2",
+    "ab D5 tau=S^-1":
+        "c066c0dc66aeeda3128d098cfaa5f750bdf191a368d4f39d882ada1e43b41e59",
+    "nc D6 tau=S":
+        "c7c4148942f47e27993ad33db4d882eaac4f886c50fd83c5a1b5ad0e2fe8fa1b",
+    "ab D6 tau=S":
+        "0e966f894ecd84618a0dea320da2bc8e7cc8340935a0f7ad8ee7f67607873b15",
+    "nc D6 tau=S^-1":
+        "7756e60ecdfd2beac31eb613a07b2cbdd61cb6c9f3f9cd550165d164bc9cb755",
+    "ab D6 tau=S^-1":
+        "03bf5b2335a0de8efcc9cb89d56faa8d104deddd129fd3109eece3fe7f7890de",
+    "nc flip4 tau=S":
+        "a53d6d19d3471de2b982d9767ec5228ff0870db5b45e14283c32219f50368016",
+    "ab flip4 tau=S":
+        "e75d9c0fb0942a4d61ea0efd0e09982394667b81f880527c10ab8920ef622605",
+    "nc flip5 tau=S":
+        "7cd71a192f7c739f7885130b59b87b9f7f5c53277ae27571f05cf4e2cf2f4d4d",
+    "ab flip5 tau=S":
+        "ab5ccf0f3d0a060a7dd65ebcaa56314968b9a6c44221049e0c4ba1c3e2acbd64",
+}
+
+
+# SHA-256 of repr(smith_normal_form(M)) on the D4 tau=S^-1 nc relation matrix
+SNF_DIGEST_D4 = (
+    "ffb1ab8b1d1f9d09616b1bcddda4f283fd107e22ae0c77b28b8c45df81371fc7")
+
+
+def _abelianize_pairs():
+    out = _digest_pairs()
+    S = dihedral_switch(6)
+    out["D6 tau=S"] = SingularPair(S, S.table)
+    out["D6 tau=S^-1"] = SingularPair(S, S.table.inverse())
+    for n in (4, 5):
+        F = flip_switch(n)
+        out[f"flip{n} tau=S"] = SingularPair(F, F.table)
+    return out
+
+
+def test_abelianize_matches_recorded_digests():
+    got = {}
+    for name, p in _abelianize_pairs().items():
+        for kind, build in (("nc", build_unc_presentation),
+                            ("ab", build_ab_presentation)):
+            g = abelianize(build(p))
+            text = repr((g.rank, g.torsion, g.coord_map)).encode()
+            got[f"{kind} {name}"] = hashlib.sha256(text).hexdigest()
+    assert got == ABELIANIZE_DIGESTS
+
+
+def test_smith_normal_form_matches_recorded_digest():
+    S = dihedral_switch(4)
+    M = build_unc_presentation(
+        SingularPair(S, S.table.inverse())).exponent_matrix()
+    text = repr(smith_normal_form(M)).encode()
+    assert hashlib.sha256(text).hexdigest() == SNF_DIGEST_D4
+
+
+# Exact diagonals and SHA-256 of repr((U, D, V)), recorded from the list-based
+# Smith normal form on Python ints
+OVERFLOW_CASES = {
+    # an input entry of 2^70
+    "input 2^70": (
+        [[3, 2**70, 5], [7, 11, 2**70 + 1], [2, 4, 6]],
+        [1, 1, 2787593149816327892630574019803739800469720],
+        "19b4de03a90c6bd9dac7252d2325d12adec27caa4793509fb56fe1fa5dfc6ef0"),
+    # entries near 2^40: beyond int64's exact range from the start
+    "entries near 2^40": (
+        [
+            [-1099511512724, -1099511195948, 1099511594864,
+             1099511390185, 1099510737405, 1099511188993],
+            [1099511222913, 1099511045758, 1099511267380,
+             1099511153312, 1099510649273, -1099511056931],
+            [-1099511483917, 1099511601090, 1099510800405,
+             -1099510654421, 1099511270558, 1099510625028],
+            [-1099510601515, 1099511497156, 1099511355879,
+             1099511352831, -1099511308599, -1099510735561],
+            [1099510724620, -1099511051975, 1099511534819,
+             -1099510667720, -1099511029205, 1099511294191],
+            [-1099511197301, -1099510833619, -1099510860228,
+             1099510853707, 1099511223811, 1099511613989],
+        ],
+        [1, 1, 1, 1, 1,
+         56539026198373991770246598707678093082624307179229557598710156222545062148],
+        "155f9f15539b1aa79d90d6e13c1c684577356bfedea1276c414531787f23ae4b"),
+    # entries near 2^29 fit int64, but elimination passes 2^63
+    "entries near 2^29": (
+        [
+            [-535981962, 536427568, -536543366,
+             536693689, 535890166, 536754946],
+            [536555430, -536866486, 536702336,
+             536760198, -536282550, 536678100],
+            [-536708237, 536405921, -536683750,
+             -536123654, -536450027, 536655506],
+            [536592488, 536376159, 536536785,
+             536656709, -536692839, -536800841],
+            [-536148852, -536252709, 535854244,
+             -536658103, -536107340, -536138532],
+            [535842230, -535905089, 536075078,
+             535945085, 535839870, -536187993],
+        ],
+        [1, 1, 1, 1, 1, 482782805522190705109843022781612038962493314404152],
+        "8fd320f12985f63cb5710046a4c3a7d3034bcc2b2d76bb08c2b3ea141e9c7a05"),
+}
+
+
+@pytest.mark.parametrize("case", OVERFLOW_CASES)
+def test_smith_normal_form_is_exact_beyond_int64(case):
+    M, diagonal, digest = OVERFLOW_CASES[case]
+    assert_snf_postconditions(M)
+    U, D, V = smith_normal_form(M)
+    assert [D[i][i] for i in range(len(D))] == diagonal
+    assert hashlib.sha256(repr((U, D, V)).encode()).hexdigest() == digest
