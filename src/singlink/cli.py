@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 from . import diagram as dg
 from . import invariant as iv
@@ -26,26 +25,6 @@ from .pairtable import (Biquandle, PairTable, Quandle, dihedral_switch,
 from .presentation import (AbelianizedGroup, FiniteGroup, abelianize,
                            build_ab_presentation, build_unc_presentation,
                            generator_name)
-
-
-@dataclass
-class Config:
-    """Runtime knobs shared by the subcommands."""
-
-    max_n: int = 4                 # general enumeration bound
-    fmt: str = "text"              # "text" | "json"
-    slow: bool = False
-
-    def __post_init__(self):
-        if self.max_n < 1:
-            raise SinglinkError("the enumeration bound must be positive")
-        if self.fmt not in ("text", "json"):
-            raise SinglinkError(f"unknown output format {self.fmt!r}")
-
-    @classmethod
-    def from_args(cls, args) -> "Config":
-        return cls(max_n=args.max_n, fmt="json" if args.json else "text",
-                   slow=getattr(args, "slow", False))
 
 
 @contextmanager
@@ -101,9 +80,19 @@ def _load_diagram(spec: str) -> dg.SingularDiagram:
         return dg.builtin_diagram(spec[1:])
     with open(spec) as fh:
         text = fh.read()
-    if spec.endswith(".json"):
-        return dg.SingularDiagram.from_dict(json.loads(text))
-    return dg.parse_diagram(text)
+    with _malformed(f"diagram file {spec!r}"):
+        if not spec.endswith(".json"):
+            return dg.parse_diagram(text)
+        data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("the top level must be a JSON object")
+        return dg.SingularDiagram.from_dict(data)
+
+
+def _check_at_least_1(flag: str, value):
+    """Refuse an optional integer flag below 1."""
+    if value is not None and value < 1:
+        raise SinglinkError(f"{flag} must be at least 1, got {value}")
 
 
 def _pair_dict(p: SingularPair):
@@ -111,8 +100,8 @@ def _pair_dict(p: SingularPair):
             "tau": json.loads(p.tau.to_json())}
 
 
-def _emit(cfg: Config, text_lines, json_obj):
-    if cfg.fmt == "json":
+def _emit(as_json: bool, text_lines, json_obj):
+    if as_json:
         print(json.dumps(json_obj, sort_keys=True))
     else:
         for line in text_lines:
@@ -122,8 +111,9 @@ def _emit(cfg: Config, text_lines, json_obj):
 # -- subcommands -------------------------------------------------------------
 
 def _cmd_pairs(args) -> int:
-    cfg = Config.from_args(args)
     if args.pairs_cmd == "enumerate":
+        _check_at_least_1("--max-n", args.max_n)
+        _check_at_least_1("--n", args.n)
         S = _load_switch(args.switch)
         if args.n is not None and S.n != args.n:
             if args.switch.startswith("flip"):
@@ -131,7 +121,7 @@ def _cmd_pairs(args) -> int:
             else:
                 raise SinglinkError(
                     f"--n {args.n} disagrees with switch on {S.n} elements")
-        taus = enumerate_taus(S, max_n=cfg.max_n)
+        taus = enumerate_taus(S, max_n=args.max_n)
         lines = [f"pairs: {len(taus)}"]
         obj = {"count": len(taus),
                "taus": [json.loads(t.to_json()) for t in taus]}
@@ -140,7 +130,7 @@ def _cmd_pairs(args) -> int:
             lines.append(f"isoclasses: {len(classes)}")
             obj["isoclasses"] = len(classes)
             obj["canonical"] = [_pair_dict(c.canonical) for c in classes]
-        _emit(cfg, lines, obj)
+        _emit(args.json, lines, obj)
         return 0
     if args.pairs_cmd == "check":
         p = _read_pair(args.pair)
@@ -148,22 +138,21 @@ def _cmd_pairs(args) -> int:
         lines = ["singular pair" if res.ok else "NOT a singular pair"]
         for v in res.violations:
             lines.append(f"  violated {v.axiom} at {v.witness}")
-        _emit(cfg, lines, {"ok": res.ok,
-                           "violations": [[v.axiom, list(v.witness)]
-                                          for v in res.violations]})
+        _emit(args.json, lines, {"ok": res.ok,
+                                 "violations": [[v.axiom, list(v.witness)]
+                                                for v in res.violations]})
         return 0 if res.ok else 1
     raise SinglinkError(f"unknown pairs subcommand {args.pairs_cmd!r}")
 
 
 def _cmd_diagram(args) -> int:
-    cfg = Config.from_args(args)
     d = _load_diagram(args.diagram)
     if args.diagram_cmd == "show":
         counts = d.counts()
         lines = [d.render().rstrip("\n"),
                  f"# components: {len(d.components)}  crossings: "
                  f"+{counts['+']} -{counts['-']} s{counts['s']}"]
-        _emit(cfg, lines, d.to_dict())
+        _emit(args.json, lines, d.to_dict())
         return 0
     if args.diagram_cmd == "move":
         sites = dg.find_move_sites(d, args.move)
@@ -171,35 +160,34 @@ def _cmd_diagram(args) -> int:
             lines = [f"{i}: crossings={s.crossings} {dict(s.params)}"
                      for i, s in enumerate(sites)]
             lines.insert(0, f"{len(sites)} sites for {args.move}")
-            _emit(cfg, lines, {"move": args.move,
-                               "sites": [{"crossings": list(s.crossings),
-                                          "params": dict(s.params)}
-                                         for s in sites]})
+            _emit(args.json, lines, {"move": args.move,
+                                     "sites": [{"crossings": list(s.crossings),
+                                                "params": dict(s.params)}
+                                               for s in sites]})
             return 0
         if not (0 <= args.site < len(sites)):
             raise SinglinkError(
                 f"site {args.site} out of range ({len(sites)} sites)")
         d2 = dg.apply_move(d, sites[args.site])
-        _emit(cfg, [d2.render().rstrip("\n")], d2.to_dict())
+        _emit(args.json, [d2.render().rstrip("\n")], d2.to_dict())
         return 0
     raise SinglinkError(f"unknown diagram subcommand {args.diagram_cmd!r}")
 
 
 def _cmd_color(args) -> int:
-    cfg = Config.from_args(args)
     d = _load_diagram(args.diagram)
     p = _load_pair(args.pair)
     if args.count_only:
         count = count_colorings(d, p)
-        _emit(cfg, [str(count)], {"count": count})
+        _emit(args.json, [str(count)], {"count": count})
         return 0
     cols = enumerate_colorings(d, p)
     edges = d.edges
     lines = [f"colorings: {len(cols)}"]
     for col in cols:
         lines.append("  " + " ".join(f"{e}={col[e]}" for e in edges))
-    _emit(cfg, lines, {"count": len(cols),
-                       "colorings": [{e: col[e] for e in edges} for col in cols]})
+    _emit(args.json, lines, {"count": len(cols),
+                             "colorings": [{e: col[e] for e in edges} for col in cols]})
     return 0
 
 
@@ -216,7 +204,6 @@ def _render_group(g: AbelianizedGroup, coord_map: bool, n: int):
 
 
 def _cmd_group(args) -> int:
-    cfg = Config.from_args(args)
     p = _load_pair(args.pair)
     if args.kind == "both":
         gn = abelianize(build_unc_presentation(p))
@@ -227,13 +214,13 @@ def _cmd_group(args) -> int:
             sub, _ = _render_group(g, args.coord_map, p.n)
             lines.append(f"{tag}: {sub[0]}")
         lines.append(f"same invariant factors: {same}")
-        _emit(cfg, lines, {"nc": gn.to_dict(), "ab": ga.to_dict(),
-                           "same_invariant_factors": same})
+        _emit(args.json, lines, {"nc": gn.to_dict(), "ab": ga.to_dict(),
+                                 "same_invariant_factors": same})
         return 0
     pres = build_unc_presentation(p) if args.kind == "nc" else build_ab_presentation(p)
     g = abelianize(pres)
     lines, obj = _render_group(g, args.coord_map, p.n)
-    _emit(cfg, lines, obj)
+    _emit(args.json, lines, obj)
     return 0
 
 
@@ -275,7 +262,6 @@ def _load_cocycle(spec: str, target_spec, p: SingularPair, kind: str):
 
 
 def _cmd_invariant(args) -> int:
-    cfg = Config.from_args(args)
     d = _load_diagram(args.diagram)
     p = _load_pair(args.pair)
     kind = iv.NC if args.invariant_cmd == "nc" else iv.AB
@@ -291,19 +277,18 @@ def _cmd_invariant(args) -> int:
                 shown = tuple(map(str, tup))
             lines.append(f"{cnt} x {{{', '.join(shown)}}}")
             shown_items.append({"count": cnt, "value": list(shown)})
-        _emit(cfg, lines, {"multiset": shown_items})
+        _emit(args.json, lines, {"multiset": shown_items})
         return 0
     val = iv.state_sum(d, p, c)
     if isinstance(c.target, AbelianizedGroup):
         text = iv.render_laurent(c.target, val)
     else:
         text = str(sorted(val.terms.items()))
-    _emit(cfg, [text], {"state_sum": text})
+    _emit(args.json, [text], {"state_sum": text})
     return 0
 
 
 def _cmd_tables(args) -> int:
-    cfg = Config.from_args(args)
     if args.which == "flip-counts":
         rows = []
         for n in (2, 3, 4):
@@ -314,29 +299,30 @@ def _cmd_tables(args) -> int:
         lines = ["n  pairs  isoclasses"]
         for n, a, b in rows:
             lines.append(f"{n}  {a:5d}  {b:10d}")
-        _emit(cfg, lines, {"rows": rows})
+        _emit(args.json, lines, {"rows": rows})
         return 0
     if args.which == "lr-invertible":
-        ns = [args.n] if args.n else [2, 3, 4]
+        _check_at_least_1("--n", args.n)
+        ns = [2, 3, 4] if args.n is None else [args.n]
         rows = []
         for n in ns:
             c = enumerate_left_right_invertible(n)
             rows.append((n, c.total, c.iso, c.bijective, c.bijective_iso))
-        if args.n:
+        if args.n is not None:
             n, *vals = rows[0]
-            _emit(cfg, [" ".join(str(v) for v in vals)],
+            _emit(args.json, [" ".join(str(v) for v in vals)],
                   {"n": n, "counts": vals})
         else:
             lines = ["n  total  isoclasses  bijective  bijective-isoclasses"]
             for n, *vals in rows:
                 lines.append(f"{n}  {vals[0]}  {vals[1]}  {vals[2]}  {vals[3]}")
-            _emit(cfg, lines, {"rows": rows})
+            _emit(args.json, lines, {"rows": rows})
         return 0
     if args.which == "tau-phi":
-        top = 12 if cfg.slow else 9
+        top = 12 if args.slow else 9
         rows = [(n, tau_phi_iso_count(n)) for n in range(3, top + 1)]
         lines = ["n  I_n"] + [f"{n}  {c}" for n, c in rows]
-        _emit(cfg, lines, {"rows": rows})
+        _emit(args.json, lines, {"rows": rows})
         return 0
     raise SinglinkError(f"unknown table {args.which!r}")
 
@@ -344,10 +330,6 @@ def _cmd_tables(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine output")
-    common.add_argument("--max-n", type=int, default=4,
-                        help="bound for exhaustive enumerations")
-    common.add_argument("--slow", action="store_true",
-                        help="enable the n >= 10 tau_phi rows")
 
     ap = argparse.ArgumentParser(prog="singlink")
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -358,6 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--switch", required=True)
     pe.add_argument("--n", type=int)
     pe.add_argument("--iso", action="store_true")
+    pe.add_argument("--max-n", type=int, default=4,
+                    help="bound for exhaustive enumerations")
     pc = pp.add_parser("check", parents=[common])
     pc.add_argument("pair")
 
@@ -391,6 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--which", required=True,
                        choices=("flip-counts", "lr-invertible", "tau-phi"))
     p_tab.add_argument("--n", type=int)
+    p_tab.add_argument("--slow", action="store_true",
+                       help="enable the n >= 10 tau_phi rows")
     return ap
 
 

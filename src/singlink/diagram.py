@@ -19,6 +19,12 @@ Text format, one item per line, `#` starts a comment:
     base 2 e        basepoint of component 2 is edge e
 
 Components are indexed by their lexicographically smallest edge token.
+
+Moves: RI, RII and RV are crossing patterns written here.  RIII, RIVa
+and RIVb are read off the identities whose words define the algebra:
+YANG_BAXTER and the riva and rivb words of SINGULAR_PAIR_AXIOMS.  A site
+is one side's word traced along the diagram, and the rewrite runs the
+other side's word on the same top edges.
 """
 
 from __future__ import annotations
@@ -29,6 +35,8 @@ from dataclasses import dataclass, field
 
 from .errors import (BadBasepointError, DanglingEdgeError, DiagramSyntaxError,
                      PatternMismatchError, SlotReuseError, UnknownNameError)
+from .pairs import SINGULAR_PAIR_AXIOMS
+from .pairtable import YANG_BAXTER
 
 POS, NEG, SING = "+", "-", "s"
 KINDS = (POS, NEG, SING)
@@ -126,6 +134,9 @@ def _validate(crossings, loops, declared_bases):
     in_seen: dict[str, int] = {}
     out_seen: dict[str, int] = {}
     for c in crossings:
+        if len(c.slots) != 4 or not all(isinstance(e, str) for e in c.slots):
+            raise DiagramSyntaxError(
+                f"a crossing needs 4 edge names, got {list(c.slots)!r}", 0)
         if c.kind not in KINDS:
             raise DiagramSyntaxError(f"bad crossing kind {c.kind!r}", 0)
         for e in (c.in1, c.in2):
@@ -173,19 +184,13 @@ def _validate(crossings, loops, declared_bases):
     comps = tuple(comps)
 
     bases = [comp[0] for comp in comps]
-    if declared_bases:
-        if len(declared_bases) != len(comps):
-            # allow partial declaration via parse path only; here require full
-            if len(declared_bases) > len(comps):
-                raise BadBasepointError(
-                    f"{len(declared_bases)} basepoints for {len(comps)} components")
-        for i, b in enumerate(declared_bases):
-            if i >= len(comps):
-                raise BadBasepointError(f"component {i} does not exist")
-            if b not in comps[i]:
-                raise BadBasepointError(
-                    f"edge {b!r} is not on component {i}")
-            bases[i] = b
+    if len(declared_bases) > len(comps):
+        raise BadBasepointError(
+            f"{len(declared_bases)} basepoints for {len(comps)} components")
+    for i, b in enumerate(declared_bases):
+        if b not in comps[i]:
+            raise BadBasepointError(f"edge {b!r} is not on component {i}")
+        bases[i] = b
     return comps, tuple(bases)
 
 
@@ -515,175 +520,95 @@ def _rii_remove(d: SingularDiagram, site: MoveSite) -> SingularDiagram:
     return _remove_and_splice(d, {i, j})
 
 
-# -- RIII --------------------------------------------------------------------
+# -- RIII / RIVa / RIVb: read off the axiom words ----------------------------
 
-def _riii_sites(d: SingularDiagram):
-    """Braid-relation sites: same-sign classical triples chained like
-    (23)(12)(23), rewritten to (12)(23)(12) and back."""
+_RIV_KINDS = {"S": POS, "T": SING}
+_AXIOM_WORDS = {name: (lhs, rhs) for name, lhs, rhs in SINGULAR_PAIR_AXIOMS}
+
+# move -> ({form: word}, the crossing kinds its map letters may stand for).
+# A site reads one form's word along the diagram and is rewritten to the
+# other form's word.  RIII is Yang-Baxter with S one sign at all three
+# crossings; RIVa and RIVb are their singular-pair axioms.
+_WORD_MOVES = {
+    "RIII": (dict(zip(("left", "right"), YANG_BAXTER)), ({"S": POS}, {"S": NEG})),
+    "RIVa": (dict(zip(("right", "left"), _AXIOM_WORDS["riva"])), (_RIV_KINDS,)),
+    "RIVb": (dict(zip(("right", "left"), _AXIOM_WORDS["rivb"])), (_RIV_KINDS,)),
+}
+
+
+def _consumers(d: SingularDiagram) -> dict[str, int]:
+    out = {}
+    for k, c in enumerate(d.crossings):
+        out[c.in1] = out[c.in2] = k
+    return out
+
+
+def _trace(d: SingularDiagram, consumer, word, kinds, first: int):
+    """Read `word` along d from crossing `first`: a letter (m, i) eats the
+    edges at positions i, i+1 and puts out1 at i, out2 at i+1; each later
+    letter is the consumer of an edge already at its positions.  Returns
+    (crossing per letter, top edge per position, bottom edge per position)
+    or None when the crossings are not distinct or a kind or slot differs."""
+    top: dict[int, str] = {}
+    at: dict[int, str] = {}
+    used: list[int] = []
+    for m, i in word:
+        k = consumer[next(at[p] for p in (i, i + 1) if p in at)] if used else first
+        c = d.crossings[k]
+        if k in used or c.kind != kinds[m]:
+            return None
+        for p, e in ((i, c.in1), (i + 1, c.in2)):
+            if at.setdefault(p, e) != e:
+                return None
+            top.setdefault(p, e)
+        at[i], at[i + 1] = c.out1, c.out2
+        used.append(k)
+    return tuple(used), top, at
+
+
+def _word_sites(d: SingularDiagram, move: str):
+    words, kind_maps = _WORD_MOVES[move]
+    consumer = _consumers(d)
     sites = []
-    n = len(d.crossings)
-    for ia in range(n):
-        A = d.crossings[ia]
-        if A.kind == SING:
-            continue
-        for ib in range(n):
-            if ib == ia:
-                continue
-            B = d.crossings[ib]
-            if B.kind != A.kind:
-                continue
-            if A.out1 != B.in2:
-                continue
-            for ic in range(n):
-                if ic in (ia, ib):
-                    continue
-                C = d.crossings[ic]
-                if C.kind != A.kind:
-                    continue
-                if B.out2 == C.in1 and A.out2 == C.in2:
-                    sites.append(MoveSite.make("RIII", (ia, ib, ic), form="left"))
-    # right form: A' on (1,2), B' on (2,3), C' on (1,2):
-    # A'.out2 -> B'.in1, B'.out1 -> C'.in2, A'.out1 -> C'.in1
-    for ia in range(n):
-        A = d.crossings[ia]
-        if A.kind == SING:
-            continue
-        for ib in range(n):
-            if ib == ia:
-                continue
-            B = d.crossings[ib]
-            if B.kind != A.kind or A.out2 != B.in1:
-                continue
-            for ic in range(n):
-                if ic in (ia, ib):
-                    continue
-                C = d.crossings[ic]
-                if C.kind != A.kind:
-                    continue
-                if B.out1 == C.in2 and A.out1 == C.in1:
-                    sites.append(MoveSite.make("RIII", (ia, ib, ic), form="right"))
+    for form, word in words.items():
+        for kinds in kind_maps:
+            for k in range(len(d.crossings)):
+                hit = _trace(d, consumer, word, kinds, k)
+                if hit:
+                    sites.append(MoveSite.make(move, hit[0], form=form))
     return sites
 
 
-def _riii_apply(d: SingularDiagram, site: MoveSite) -> SingularDiagram:
-    ia, ib, ic = site.crossings
+def _word_apply(d: SingularDiagram, site: MoveSite) -> SingularDiagram:
+    """Run the other form's word on the matched top edges.  The new
+    crossings take the old indices in letter order; the last letter to
+    write a position takes the old bottom edge there, and every other new
+    edge takes the next of the sorted old interior names."""
+    words, kind_maps = _WORD_MOVES[site.move]
     form = site.param("form")
-    found = any(s.crossings == site.crossings and s.param("form") == form
-                for s in _riii_sites(d))
-    if not found:
-        raise PatternMismatchError("no RIII pattern at the given crossings")
-    A, B, C = (d.crossings[k] for k in (ia, ib, ic))
-    kind = A.kind
-    if form == "left":
-        # outer edges: p1 = B.in1, p2 = A.in1, p3 = A.in2,
-        #              q1 = B.out1, q2 = C.out1, q3 = C.out2
-        p1, p2, p3 = B.in1, A.in1, A.in2
-        q1, q2, q3 = B.out1, C.out1, C.out2
-        m1, m2, m3 = sorted((A.out1, A.out2, B.out2))
-        A2 = Crossing(kind, (p1, p2, m1, m2))      # on (1,2)
-        B2 = Crossing(kind, (m2, p3, m3, q3))      # on (2,3)
-        C2 = Crossing(kind, (m1, m3, q1, q2))      # on (1,2)
-    else:
-        # inverse rewrite
-        p1, p2, p3 = A.in1, A.in2, B.in2
-        q1, q2, q3 = C.out1, C.out2, B.out2
-        m1, m2, m3 = sorted((A.out1, A.out2, B.out1))
-        A2 = Crossing(kind, (p2, p3, m1, m2))      # on (2,3)
-        B2 = Crossing(kind, (p1, m1, q1, m3))      # on (1,2)
-        C2 = Crossing(kind, (m3, m2, q2, q3))      # on (2,3)
+    hit = None
+    if form in words and site.crossings and 0 <= site.crossings[0] < len(d.crossings):
+        consumer = _consumers(d)
+        for kinds in kind_maps:
+            if hit := _trace(d, consumer, words[form], kinds, site.crossings[0]):
+                break
+    if not hit or hit[0] != site.crossings:
+        raise PatternMismatchError(f"no {site.move} pattern at the given crossings")
+    crossings, top, bottom = hit
+    at = dict(top)
+    other = next(w for f, w in words.items() if f != form)
+    last = {p: j for j, (_, i) in enumerate(other) for p in (i, i + 1)}
+    interior = iter(sorted({e for k in crossings for e in d.crossings[k].slots[2:]}
+                           - set(bottom.values())))
     cs = list(d.crossings)
-    for k, newc in zip((ia, ib, ic), (A2, B2, C2)):
-        cs[k] = newc
+    for j, ((m, i), k) in enumerate(zip(other, crossings)):
+        outs = [bottom[p] if last[p] == j else next(interior) for p in (i, i + 1)]
+        cs[k] = Crossing(kinds[m], (at[i], at[i + 1], *outs))
+        at[i], at[i + 1] = outs
     return _rebuild(cs, d.loops, d.basepoints)
 
 
-# -- RIVa / RIVb / RV ---------------------------------------------------------
-
-def _riv_sites(d: SingularDiagram, which: str):
-    sites = []
-    n = len(d.crossings)
-    for i1 in range(n):
-        C1 = d.crossings[i1]
-        for i2 in range(n):
-            if i2 == i1:
-                continue
-            C2 = d.crossings[i2]
-            for i3 in range(n):
-                if i3 in (i1, i2):
-                    continue
-                C3 = d.crossings[i3]
-                if which == "RIVa":
-                    # left form: C1,C2 positive, C3 singular,
-                    # C1.out2 -> C2.in1, C1.out1 -> C3.in1, C2.out1 -> C3.in2
-                    if (C1.kind == POS and C2.kind == POS and C3.kind == SING
-                            and C1.out2 == C2.in1 and C1.out1 == C3.in1
-                            and C2.out1 == C3.in2):
-                        sites.append(MoveSite.make("RIVa", (i1, i2, i3), form="left"))
-                    # right form: C1 singular, C2,C3 positive,
-                    # C1.out1 -> C2.in2, C2.out2 -> C3.in1, C1.out2 -> C3.in2
-                    if (C1.kind == SING and C2.kind == POS and C3.kind == POS
-                            and C1.out1 == C2.in2 and C2.out2 == C3.in1
-                            and C1.out2 == C3.in2):
-                        sites.append(MoveSite.make("RIVa", (i1, i2, i3), form="right"))
-                else:
-                    # RIVb left form: C1,C2 positive, C3 singular,
-                    # C1.out1 -> C2.in2, C2.out2 -> C3.in1, C1.out2 -> C3.in2
-                    if (C1.kind == POS and C2.kind == POS and C3.kind == SING
-                            and C1.out1 == C2.in2 and C2.out2 == C3.in1
-                            and C1.out2 == C3.in2):
-                        sites.append(MoveSite.make("RIVb", (i1, i2, i3), form="left"))
-                    # right form: C1 singular, C2,C3 positive,
-                    # C1.out2 -> C2.in1, C2.out1 -> C3.in2, C1.out1 -> C3.in1
-                    if (C1.kind == SING and C2.kind == POS and C3.kind == POS
-                            and C1.out2 == C2.in1 and C2.out1 == C3.in2
-                            and C1.out1 == C3.in1):
-                        sites.append(MoveSite.make("RIVb", (i1, i2, i3), form="right"))
-    return sites
-
-
-def _riv_apply(d: SingularDiagram, site: MoveSite) -> SingularDiagram:
-    which = site.move
-    i1, i2, i3 = site.crossings
-    form = site.param("form")
-    if not any(s.crossings == site.crossings and s.param("form") == form
-               for s in _riv_sites(d, which)):
-        raise PatternMismatchError(f"no {which} pattern at the given crossings")
-    C1, C2, C3 = (d.crossings[k] for k in (i1, i2, i3))
-    if which == "RIVa":
-        if form == "left":
-            x_in, y_in, z_in = C1.in1, C1.in2, C2.in2
-            x_out, z_out, y_out = C2.out2, C3.out1, C3.out2
-            i1e, i2e, i3e = sorted((C1.out1, C1.out2, C2.out1))
-            N1 = Crossing(SING, (y_in, z_in, i1e, i2e))
-            N2 = Crossing(POS, (x_in, i1e, z_out, i3e))
-            N3 = Crossing(POS, (i3e, i2e, y_out, x_out))
-        else:
-            y_in, z_in, x_in = C1.in1, C1.in2, C2.in1
-            z_out, y_out, x_out = C2.out1, C3.out1, C3.out2
-            i1e, i2e, i3e = sorted((C1.out1, C1.out2, C2.out2))
-            N1 = Crossing(POS, (x_in, y_in, i1e, i2e))
-            N2 = Crossing(POS, (i2e, z_in, i3e, x_out))
-            N3 = Crossing(SING, (i1e, i3e, z_out, y_out))
-    else:
-        if form == "left":
-            y_in, z_in, x_in = C1.in1, C1.in2, C2.in1
-            z_out, y_out, x_out = C2.out1, C3.out1, C3.out2
-            i1e, i2e, i3e = sorted((C1.out1, C1.out2, C2.out2))
-            N1 = Crossing(SING, (x_in, y_in, i1e, i2e))
-            N2 = Crossing(POS, (i2e, z_in, i3e, x_out))
-            N3 = Crossing(POS, (i1e, i3e, z_out, y_out))
-        else:
-            x_in, y_in, z_in = C1.in1, C1.in2, C2.in2
-            x_out, z_out, y_out = C2.out2, C3.out1, C3.out2
-            i1e, i2e, i3e = sorted((C1.out1, C1.out2, C2.out1))
-            N1 = Crossing(POS, (y_in, z_in, i1e, i2e))
-            N2 = Crossing(POS, (x_in, i1e, z_out, i3e))
-            N3 = Crossing(SING, (i3e, i2e, y_out, x_out))
-    cs = list(d.crossings)
-    for k, newc in zip((i1, i2, i3), (N1, N2, N3)):
-        cs[k] = newc
-    return _rebuild(cs, d.loops, d.basepoints)
-
+# -- RV ------------------------------------------------------------------------
 
 def _rv_sites(d: SingularDiagram):
     sites = []
@@ -715,6 +640,10 @@ def _rv_apply(d: SingularDiagram, site: MoveSite) -> SingularDiagram:
 # -- public API ----------------------------------------------------------------
 
 def find_move_sites(d: SingularDiagram, move: str) -> list[MoveSite]:
+    """Every site of `move` in d, sorted by (crossings, params).  RIII,
+    RIVa and RIVb trace each form's word from every crossing, so their cost
+    is linear in the number of crossings per word and form; RII and RV
+    compare all pairs of crossings."""
     if move == "RI_insert":
         return [MoveSite.make("RI_insert", (), edge=e, sign=POS, shape="A")
                 for e in d.edges]
@@ -723,10 +652,8 @@ def find_move_sites(d: SingularDiagram, move: str) -> list[MoveSite]:
                 for i, c in enumerate(d.crossings) if _is_kink(c)]
     if move == "RII_remove":
         return sorted(_rii_sites(d), key=lambda s: (s.crossings, s.params))
-    if move == "RIII":
-        return sorted(_riii_sites(d), key=lambda s: (s.crossings, s.params))
-    if move in ("RIVa", "RIVb"):
-        return sorted(_riv_sites(d, move), key=lambda s: (s.crossings, s.params))
+    if move in _WORD_MOVES:
+        return sorted(_word_sites(d, move), key=lambda s: (s.crossings, s.params))
     if move == "RV":
         return sorted(_rv_sites(d), key=lambda s: (s.crossings, s.params))
     raise UnknownNameError(f"unknown move {move!r}")
@@ -740,10 +667,8 @@ def apply_move(d: SingularDiagram, site: MoveSite) -> SingularDiagram:
         return _ri_remove(d, site.crossings[0])
     if site.move == "RII_remove":
         return _rii_remove(d, site)
-    if site.move == "RIII":
-        return _riii_apply(d, site)
-    if site.move in ("RIVa", "RIVb"):
-        return _riv_apply(d, site)
+    if site.move in _WORD_MOVES:
+        return _word_apply(d, site)
     if site.move == "RV":
         return _rv_apply(d, site)
     raise UnknownNameError(f"unknown move {site.move!r}")
@@ -769,7 +694,7 @@ def isomorphic(d1: SingularDiagram, d2: SingularDiagram) -> bool:
     for j, c in enumerate(d2.crossings):
         by_kind2.setdefault(c.kind, []).append(j)
 
-    def rec(i, cmap, emap, used):
+    def rec(i, emap, used):
         if i == n:
             return True
         c1 = d1.crossings[i]
@@ -788,8 +713,8 @@ def isomorphic(d1: SingularDiagram, d2: SingularDiagram) -> bool:
                 continue
             if len(set(trial.values())) != len(trial):
                 continue
-            if rec(i + 1, cmap | {i: j}, trial, used | {j}):
+            if rec(i + 1, trial, used | {j}):
                 return True
         return False
 
-    return rec(0, {}, {}, set())
+    return rec(0, {}, set())

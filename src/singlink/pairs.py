@@ -9,7 +9,10 @@ SINGULAR_PAIR_AXIOMS:
     (3) (1xS)(Sx1)(1 x tau) = (tau x 1)(1xS)(Sx1)             (RIVa)
 
 That table, two words of elementary maps per identity, is their only
-definition.  check_singular_pair evaluates both words at every point.
+definition.  check_singular_pair evaluates both words at every point, and
+the diagram layer reads the RIVa and RIVb moves off the same words (and
+RIII off pairtable.YANG_BAXTER): the two sides of an identity are the two
+sides of its move.
 The search builds tau1 row by row (left invertibility makes each row a
 permutation), derives tau2 pointwise from the first component of (1),
 and checks every other component of every identity, derived from the

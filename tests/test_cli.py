@@ -210,6 +210,16 @@ class TestErrorsAndDeterminism:
                            "--max-n", "5")
         assert code == 0
 
+    @pytest.mark.parametrize("argv", [
+        ("diagram", "show", "@unknot", "--max-n", "3"),
+        ("color", "@unknot", "--pair", "builtin:flip-i2", "--slow"),
+        ("pairs", "check", "builtin:flip-i2", "--slow"),
+    ])
+    def test_flags_exist_only_where_read(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+
     def test_n_does_not_lift_the_bound(self, capsys):
         code, _, err = run(capsys, "pairs", "enumerate", "--switch", "flip",
                            "--n", "5")
@@ -228,8 +238,20 @@ class TestErrorsAndDeterminism:
          "--cocycle", "{top_list}", "--target", "{z2}"),
         ("invariant", "statesum", "@unknot", "--pair", "builtin:flip-i2",
          "--cocycle", "{out_of_range}", "--target", "{z2}"),
+        ("diagram", "show", "{top_list}"),
+        ("diagram", "show", "{three_slots}"),
+        ("diagram", "show", "{no_kind}"),
+        ("diagram", "show", "{int_slots}"),
+        ("diagram", "show", "{bad_json}"),
+        ("tables", "--which", "lr-invertible", "--n", "-1"),
+        ("tables", "--which", "lr-invertible", "--n", "0"),
+        ("pairs", "enumerate", "--switch", "flip", "--n", "0"),
+        ("pairs", "enumerate", "--switch", "flip", "--max-n", "0"),
     ], ids=["flip-x", "flip-0", "no-biquandle", "not-biquandle", "bad-json",
-            "ragged-cocycle", "cocycle-list", "cocycle-out-of-range"])
+            "ragged-cocycle", "cocycle-list", "cocycle-out-of-range",
+            "diagram-list", "diagram-three-slots", "diagram-no-kind",
+            "diagram-int-slots", "diagram-not-json", "lr-n-negative", "lr-n-zero", "flip-n-zero",
+            "max-n-zero"])
     def test_malformed_input_is_one_line_error(self, tmp_path, capsys, argv):
         flip = json.loads(builtin_pair("flip-i2").biquandle.table.to_json())
         zero = {"n": 2, "t1": [[0, 0], [0, 0]], "t2": [[0, 0], [0, 0]]}
@@ -241,7 +263,11 @@ class TestErrorsAndDeterminism:
                             "h": [[0, 1], [1, 0]]},
                  "top_list": [[0, 0], [0, 0]],
                  "out_of_range": {"kind": "ab", "f": [[0, 0], [0, 0]],
-                                  "h": [[0, 2], [1, 0]]}}
+                                  "h": [[0, 2], [1, 0]]},
+                 "three_slots": {"crossings": [{"kind": "+",
+                                                "slots": ["a", "b", "a"]}]},
+                 "no_kind": {"crossings": [{"slots": ["a", "b", "b", "a"]}]},
+                 "int_slots": {"crossings": [{"kind": "+", "slots": [1, 2, 2, 1]}]}}
         paths = {}
         for name, obj in files.items():
             paths[name] = tmp_path / f"{name}.json"

@@ -5,6 +5,8 @@ import signal
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singlink.coloring import (brute_force_colorings, count_colorings,
                                enumerate_colorings)
@@ -113,13 +115,13 @@ class TestSingToPosReplacement:
 # differential tests on random singular braid closures
 # ---------------------------------------------------------------------------
 
-def random_word(rng: random.Random, strands: int, length: int):
+def random_word(rng: random.Random, strands: int, length: int, kinds="+-s"):
     """Letters (position, kind) acting on strand positions (pos, pos+1);
     every position occurs, so the closure has no crossing-free strand."""
     positions = list(range(strands - 1))
     positions += [rng.randrange(strands - 1) for _ in range(length - strands + 1)]
     rng.shuffle(positions)
-    return [(pos, rng.choice("+-s")) for pos in positions]
+    return [(pos, rng.choice(kinds)) for pos in positions]
 
 
 def braid_closure(word, strands: int, rng: random.Random) -> SingularDiagram:
@@ -186,6 +188,41 @@ class TestRandomClosures:
                 d = braid_closure(word, strands, rng)
                 for p in prs:
                     assert count_colorings(d, p) == fixed_point_count(word, strands, p), word
+
+
+COUNT_PRESERVING_MOVES = ("RIII", "RIVa", "RIVb", "RV")
+
+
+@st.composite
+def moved_closures(draw):
+    """A word of at most 10 letters on 2-4 strands, its closure with
+    shuffled names, and the chain of diagrams after up to 4 drawn
+    RIII/RIVa/RIVb/RV moves."""
+    strands = draw(st.integers(2, 4))
+    extra = draw(st.lists(st.integers(0, strands - 2), max_size=11 - strands))
+    positions = draw(st.permutations(list(range(strands - 1)) + extra))
+    word = [(pos, draw(st.sampled_from("+-s"))) for pos in positions]
+    chain = [braid_closure(word, strands, draw(st.randoms(use_true_random=False)))]
+    for _ in range(draw(st.integers(0, 4))):
+        sites = [s for m in COUNT_PRESERVING_MOVES
+                 for s in find_move_sites(chain[-1], m)]
+        if not sites:
+            break
+        chain.append(apply_move(chain[-1], draw(st.sampled_from(sites))))
+    return word, strands, chain
+
+
+MOVE_PAIRS = (SingularPair(dihedral_switch(3), dihedral_switch(3).table.inverse()),
+              SingularPair(dihedral_switch(5), make_tau_phi(5, 1, 4, [0, 2, 4, 1, 3])))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(moved_closures())
+def test_moves_keep_the_fixed_point_count(case):
+    word, strands, chain = case
+    for p in MOVE_PAIRS:
+        expected = fixed_point_count(word, strands, p)
+        assert [count_colorings(d, p) for d in chain] == [expected] * len(chain), word
 
 
 @contextmanager

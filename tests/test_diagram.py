@@ -1,3 +1,7 @@
+import hashlib
+import json
+import random
+
 import pytest
 
 from singlink.diagram import (MOVES, Crossing, MoveSite, SingularDiagram,
@@ -6,6 +10,7 @@ from singlink.diagram import (MOVES, Crossing, MoveSite, SingularDiagram,
 from singlink.errors import (BadBasepointError, DanglingEdgeError,
                              DiagramSyntaxError, PatternMismatchError,
                              SlotReuseError, UnknownNameError)
+from tests.test_coloring import braid_closure, random_word
 
 SING_HOPF_LIKE_TEXT = """\
 # a two-component link whose two crossings are both singular
@@ -222,6 +227,47 @@ class TestMoves:
     def test_unknown_move(self):
         with pytest.raises(UnknownNameError):
             find_move_sites(builtin_diagram("unknot"), "R7")
+
+
+def digest_closures():
+    """Seeded 2-5 strand closures with shuffled edge names over the kind
+    sets +s, +-s and - (the last gives negative RIII sites)."""
+    rng = random.Random("move digest")
+    out = []
+    for kinds, count in (("+s", 20), ("+-s", 12), ("-", 12)):
+        for _ in range(count):
+            strands = rng.randint(2, 5)
+            word = random_word(rng, strands, rng.randint(strands - 1, 9), kinds)
+            out.append(braid_closure(word, strands, rng))
+    return out
+
+
+# SHA-256 of every find_move_sites list and every rewritten diagram, over
+# the fixture diagrams, digest_closures() and the closures' one-move
+# descendants; recorded before the moves were read off the axiom words
+MOVES_DIGEST = "cac2ab6dac7052c52934ba918f92bfc11058913c8f4213d2ab4cf02c85bff521"
+
+
+def test_moves_match_recorded_digest(all_diagrams):
+    h = hashlib.sha256()
+
+    def feed(d):
+        children = []
+        for move in MOVES:
+            sites = find_move_sites(d, move)
+            h.update(repr(sites).encode())
+            for site in sites:
+                d2 = apply_move(d, site)
+                h.update(json.dumps(d2.to_dict()).encode())
+                children.append(d2)
+        return children
+
+    for d in all_diagrams.values():
+        feed(d)
+    for d in digest_closures():
+        for child in feed(d):
+            feed(child)
+    assert h.hexdigest() == MOVES_DIGEST
 
 
 class TestIsomorphism:
