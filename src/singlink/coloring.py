@@ -69,33 +69,37 @@ def _search(d: SingularDiagram, p: SingularPair, found: list | None) -> int:
                     return False
         return True
 
-    def seed() -> int:
+    def seed(low: int) -> tuple[int, int]:
+        """The edge to branch on and where the next fallback scan may
+        start; every edge below `low` is coloured."""
         for i1, i2, o1, o2 in quads:
             if (col[i1] < 0) != (col[i2] < 0):
-                return i1 if col[i1] < 0 else i2
+                return (i1 if col[i1] < 0 else i2), low
             if (col[o1] < 0) != (col[o2] < 0):
-                return o1 if col[o1] < 0 else o2
-        for e, v in enumerate(col):
-            if v < 0:
-                return e
-        return -1
+                return (o1 if col[o1] < 0 else o2), low
+        for e in range(low, len(col)):
+            if col[e] < 0:
+                return e, e
+        return -1, low
 
     leaves = 0
-    # one frame per open branch point: [seeded edge, trail mark, next color]
+    # one frame per open branch point: [seeded edge, trail mark, next
+    # color, fallback scan start]; edges below the scan start were
+    # coloured before the frame opened and stay so while it is open
     stack: list[list[int]] = []
     work: list[int] = []
     while True:
         if propagate(work):
-            e = seed()
+            e, low = seed(stack[-1][3] if stack else 0)
             if e < 0:
                 leaves += 1
                 if found is not None:
                     found.append(tuple(col))
             else:
-                stack.append([e, len(trail), 0])
+                stack.append([e, len(trail), 0, low])
         while stack:
             frame = stack[-1]
-            e, mark, v = frame
+            e, mark, v, _ = frame
             while len(trail) > mark:
                 col[trail.pop()] = -1
             if v < n:
@@ -122,7 +126,10 @@ def enumerate_colorings(d: SingularDiagram, p: SingularPair) -> list[Coloring]:
     colors of the missing slot of the first half-known in-pair or
     out-pair in crossing order, where a single choice determines a whole
     crossing; only when no pair is half-known does it fall back to the
-    first uncoloured edge in sorted-name order.  Open branch points live
+    first uncoloured edge in sorted-name order.  That scan resumes at
+    the edge where the open branch point's scan stopped, since every
+    edge before it stays coloured until that branch point closes, so k
+    crossing-free loops cost O(k), not O(k^2).  Open branch points live
     on an explicit stack, so Python's recursion limit does not bound the
     number of seeds.
     """

@@ -33,8 +33,9 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import (BadBasepointError, DanglingEdgeError, DiagramSyntaxError,
-                     PatternMismatchError, SlotReuseError, UnknownNameError)
+from .errors import (BadBasepointError, DanglingEdgeError, DiagramError,
+                     DiagramSyntaxError, PatternMismatchError, SlotReuseError,
+                     UnknownNameError)
 from .pairs import SINGULAR_PAIR_AXIOMS
 from .pairtable import YANG_BAXTER
 
@@ -133,12 +134,12 @@ class SingularDiagram:
 def _validate(crossings, loops, declared_bases):
     in_seen: dict[str, int] = {}
     out_seen: dict[str, int] = {}
-    for c in crossings:
+    for i, c in enumerate(crossings):
         if len(c.slots) != 4 or not all(isinstance(e, str) for e in c.slots):
-            raise DiagramSyntaxError(
-                f"a crossing needs 4 edge names, got {list(c.slots)!r}", 0)
+            raise DiagramError(f"crossing {i}: a crossing needs 4 edge "
+                               f"names, got {list(c.slots)!r}")
         if c.kind not in KINDS:
-            raise DiagramSyntaxError(f"bad crossing kind {c.kind!r}", 0)
+            raise DiagramError(f"crossing {i}: bad crossing kind {c.kind!r}")
         for e in (c.in1, c.in2):
             if e in in_seen:
                 raise SlotReuseError(f"edge {e!r} used twice as an in-slot")

@@ -16,7 +16,11 @@ sides of its move.
 The search builds tau1 row by row (left invertibility makes each row a
 permutation), derives tau2 pointwise from the first component of (1),
 and checks every other component of every identity, derived from the
-same words, as soon as the rows it reads exist.
+same words, as soon as the rows it reads exist.  `enumerate_taus` then
+checks its output once more, a batch of taus at a time: `pair_verdicts`
+runs the same words over numpy arrays (`pairtable.word_images`).
+Isomorphism classes are keyed by `canonical_form`, the least relabeled
+table stack, also taken for a batch of pairs at once.
 """
 
 from __future__ import annotations
@@ -32,7 +36,15 @@ from .errors import (DimensionMismatchError, HomogeneityViolationError,
                      NonUnitError, SearchBoundExceededError, UnknownNameError)
 from .pairtable import (Biquandle, PairTable, apply_word, dihedral_switch,
                         first_failure, flip_switch, i2_switch, is_flip,
-                        word_arity, word_map)
+                        word_arity, word_images, word_map)
+
+# batch sizes: taus per `pair_verdicts` call in the `enumerate_taus`
+# guard, and relabeled cells (pairs x relabelings x table cells) per
+# `canonical_form` call in `classify_isomorphism`: large enough to
+# amortise numpy's cost per call, small enough that a batch's arrays stay
+# near 100 kB
+CHECK_BATCH = 128
+CANONICAL_BATCH = 1 << 14
 
 # (name, lhs, rhs): words of letters (map, i) in application order, S the
 # switch and T the companion tau, listed in reporting order
@@ -43,7 +55,7 @@ SINGULAR_PAIR_AXIOMS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SingularPair:
     biquandle: Biquandle
     tau: PairTable
@@ -126,6 +138,37 @@ def check_singular_pair(S: Biquandle, tau: PairTable) -> PairCheck:
             bad.append(Violation(name, point))
 
     return PairCheck(not bad, tuple(bad))
+
+
+def pair_verdicts(S: Biquandle, taus,
+                  require_bijective: bool = True) -> np.ndarray:
+    """`check_singular_pair(S, tau).ok` for a list of taus on S's set, as
+    one bool array; with require_bijective=False, whether tau breaks
+    nothing but bijectivity.
+
+    The same checks as numpy arrays over the whole batch: every tau1 row
+    and tau2 column sorts to 0..n-1 (left and right invertibility), the
+    n^2 cells (tau1, tau2) sort to 0..n^2-1 (bijectivity), and both words
+    of each SINGULAR_PAIR_AXIOMS identity agree at every point of X^k
+    (`word_images`, the array reading of the words `word_map` runs).
+    """
+    n = S.n
+    stack = _stack([(t.t1, t.t2) for t in taus], 2, n, np.int16)
+    t1, t2 = stack[:, 0], stack[:, 1]
+    ok = (np.sort(t1, axis=2) == np.arange(n)).all(axis=(1, 2))
+    ok &= (np.sort(t2, axis=1) == np.arange(n)[:, None]).all(axis=(1, 2))
+    if require_bijective:
+        cells = (t1.astype(np.intp) * n + t2).reshape(len(ok), -1)
+        ok &= (np.sort(cells, axis=1) == np.arange(n * n)).all(axis=1)
+    s1, s2 = np.array([S.table.t1, S.table.t2], dtype=np.int16)[:, None]
+    maps = {"S": (s1, s2), "T": (t1, t2)}
+    for _, lhs, rhs in SINGULAR_PAIR_AXIOMS:
+        k = word_arity(lhs, rhs)
+        points = np.indices((n,) * k, dtype=np.int16).reshape(k, -1)
+        for left, right in zip(word_images(lhs, maps, points),
+                               word_images(rhs, maps, points)):
+            ok &= (left == right).all(axis=-1)
+    return ok
 
 
 def check_flip_tau_condition(tau: PairTable) -> bool:
@@ -404,22 +447,24 @@ def _enumerate_flip_taus(n: int, require_bijective: bool):
     perms = list(itertools.permutations(range(n)))
     results = []
     rows = []
+    # the cells (a, b) whose pair (tau1, tau2) row k completes
+    completed_at = [[(k, b) for b in range(k)] + [(a, k) for a in range(k)]
+                    + [(k, k)] for k in range(n)]
 
-    def pairs_completed_at(k):
-        return [(k, b) for b in range(k)] + [(a, k) for a in range(k)] + [(k, k)]
+    columns = {}    # one tuple per distinct tau2 row, shared by all taus
 
     def rec(k, seen):
         if k == n:
-            t1 = tuple(rows)
-            t2 = tuple(tuple(rows[y][x] for y in range(n)) for x in range(n))
-            results.append(PairTable(n, t1, t2))
+            t2 = [tuple(rows[y][x] for y in range(n)) for x in range(n)]
+            results.append(PairTable(n, tuple(rows),
+                                     [columns.setdefault(c, c) for c in t2]))
             return
         for p in perms:
             rows.append(p)
             added = []
             ok = True
             if require_bijective:
-                for (a, b) in pairs_completed_at(k):
+                for (a, b) in completed_at[k]:
                     pair = (rows[a][b], rows[b][a])
                     if pair in seen:
                         ok = False
@@ -443,6 +488,13 @@ def enumerate_taus(S: Biquandle, require_bijective: bool = True,
     With require_bijective=False the bijectivity requirement is dropped
     (left/right invertibility and eqs (1)-(3) still hold), which is the
     population counted in the left/right-invertible table.
+
+    The search's output is checked again before it is returned, as a
+    guard on the search: `pair_verdicts` tests left and right
+    invertibility, bijectivity (when required) and every identity of
+    SINGULAR_PAIR_AXIOMS at every point, for a batch of taus at once.  A
+    tau the batch rejects raises AssertionError naming the violations
+    `check_singular_pair` reports for it.
     """
     n = S.n
     if n > max_n:
@@ -453,17 +505,17 @@ def enumerate_taus(S: Biquandle, require_bijective: bool = True,
         results = _enumerate_flip_taus(n, require_bijective)
     else:
         results = _search_taus(st, require_bijective)
-    out = []
-    for tab in sorted(set(results), key=lambda t_: t_.key()):
-        res = check_singular_pair(S, tab)
-        if require_bijective:
-            if not res.ok:
-                raise AssertionError("enumeration produced a non-pair")
-        else:
-            hard = [v for v in res.violations if v.axiom != "bijective"]
-            if hard:
-                raise AssertionError("enumeration produced a bad candidate")
-        out.append(tab)
+    out = sorted(set(results), key=lambda t_: t_.key())
+    for start in range(0, len(out), CHECK_BATCH):
+        part = out[start:start + CHECK_BATCH]
+        ok = pair_verdicts(S, part, require_bijective)
+        if not ok.all():
+            tau = part[int(ok.argmin())]
+            bad = [f"violated {v.axiom} at {v.witness}"
+                   for v in check_singular_pair(S, tau).violations
+                   if require_bijective or v.axiom != "bijective"]
+            raise AssertionError("enumeration produced a non-pair: "
+                                 + ", ".join(bad))
     if up_to_iso:
         return classify_isomorphism([SingularPair(S, tab) for tab in out])
     return out
@@ -622,8 +674,8 @@ def enumerate_left_right_invertible(n: int, max_n: int = 4) -> LrCounts:
     iso = iso_sum // factorial(n)
 
     bij = _enumerate_flip_taus(n, require_bijective=True)
-    classes = classify_isomorphism(
-        [SingularPair(flip_switch(n), tab) for tab in bij])
+    S = flip_switch(n)
+    classes = classify_isomorphism([SingularPair(S, tab) for tab in bij])
     return LrCounts(total, iso, len(bij), len(classes))
 
 
@@ -672,32 +724,52 @@ def automorphism_group(t: PairTable) -> list[tuple[int, ...]]:
     return [g for g in out if t.relabel(g) == t]
 
 
-def canonical_form(tables: np.ndarray, relabelings) -> tuple[bytes, int]:
-    """The least key of a (k, n, n) int16 table stack over relabelings.
+def canonical_form(tables: np.ndarray,
+                   relabelings) -> tuple[list[bytes], np.ndarray]:
+    """The least keys of P stacks of k tables, a (P, k, n, n) int16 array,
+    over relabelings.
 
     Relabeling by g sends every table T to (g x g) o T o (g x g)^-1, whose
-    key is the bytes of the relabeled int16 stack; all relabelings are
-    applied at once.  Returns the least key and the index of the first
-    relabeling that reaches it: among relabelings giving the same key,
-    the first one wins.
+    key is the bytes of the relabeled int16 stack; all stacks and all
+    relabelings are done at once.  Returns the P least keys and, for each,
+    the index of the first relabeling that reaches it: among relabelings
+    giving the same key, the first one listed wins.
     """
     g = np.asarray(relabelings, dtype=np.int16)
     m, n = g.shape
+    P, k = tables.shape[:2]
     ginv = np.argsort(g, axis=1)
-    # cells[r, t, x, y]: flat index of T_t(ginv_r(x), ginv_r(y)) in `tables`
-    cells = (np.arange(len(tables))[:, None, None] * n * n
+    # cells[r, t, x, y]: flat index of T_t(ginv_r(x), ginv_r(y)) in a stack
+    cells = (np.arange(k)[:, None, None] * n * n
              + ginv[:, None, :, None] * n + ginv[:, None, None, :])
-    keys = g.take(tables.take(cells) + n * np.arange(m)[:, None, None, None])
-    keys = keys.reshape(m, -1)
+    images = tables.reshape(P, -1)[:, cells]
+    # g_r(v) is g.flat[r*n + v]; offsets in the narrowest dtype holding
+    # m*n keep the sum narrow, which makes the lookup several times faster
+    offsets = n * np.arange(m).astype(np.min_scalar_type(m * n))
+    keys = g.take(images + offsets[:, None, None, None]).reshape(P, m, -1)
     # equal-width "S" strings order as their bytes do, like the keys
-    as_bytes = keys.view(np.uint8).view(f"S{2 * keys.shape[1]}")
-    best = int(as_bytes.argmin())
-    return keys[best].tobytes(), best
+    as_bytes = keys.view(np.uint8).view(f"S{2 * keys.shape[2]}")[..., 0]
+    best = as_bytes.argmin(axis=1)
+    return [row.tobytes() for row in keys[np.arange(P), best]], best
 
 
-def _pair_tables(pair: SingularPair) -> np.ndarray:
-    st = pair.biquandle.table
-    return np.array([st.t1, st.t2, pair.tau.t1, pair.tau.t2], dtype=np.int16)
+def _stack(groups, k: int, n: int, dtype) -> np.ndarray:
+    """The (P, k, n, n) array of P groups of k n x n tables, filled
+    straight from their row tuples."""
+    flat = itertools.chain.from_iterable
+    cells = np.fromiter(flat(flat(flat(groups))), dtype=dtype)
+    return cells.reshape(len(groups), k, n, n)
+
+
+def _pair_tables(pairs, tau_only: bool = False) -> np.ndarray:
+    """The (P, 4, n, n) int16 stack of S1, S2, tau1, tau2 per pair, or of
+    tau1, tau2 alone, (P, 2, n, n)."""
+    if tau_only:
+        groups = [(p.tau.t1, p.tau.t2) for p in pairs]
+    else:
+        groups = [(p.biquandle.table.t1, p.biquandle.table.t2,
+                   p.tau.t1, p.tau.t2) for p in pairs]
+    return _stack(groups, len(groups[0]), pairs[0].n, np.int16)
 
 
 def canonical_key(pair: SingularPair, relabelings=None) -> bytes:
@@ -708,7 +780,7 @@ def canonical_key(pair: SingularPair, relabelings=None) -> bytes:
             raise SearchBoundExceededError(
                 f"canonical form over all {n}! relabelings refused for n={n}")
         relabelings = itertools.permutations(range(n))
-    return canonical_form(_pair_tables(pair), list(relabelings))[0]
+    return canonical_form(_pair_tables([pair]), list(relabelings))[0][0]
 
 
 def classify_isomorphism(pairs) -> list[IsoClass]:
@@ -717,7 +789,10 @@ def classify_isomorphism(pairs) -> list[IsoClass]:
     When every input shares the same switch S the relabelings are cut to
     Aut(S): two pairs with equal S are isomorphic iff an S-automorphism
     conjugates one tau onto the other.  Otherwise the minimum runs over
-    all n! relabelings (n <= 8).
+    all n! relabelings (n <= 8).  `canonical_form` keys the pairs a batch
+    at a time (on the tau tables alone under Aut(S)).  Classes come in
+    key order; each is represented by its first pair under the first
+    relabeling reaching the key.
     """
     pairs = list(pairs)
     if not pairs:
@@ -726,7 +801,10 @@ def classify_isomorphism(pairs) -> list[IsoClass]:
     if any(p.n != n for p in pairs):
         raise DimensionMismatchError("pairs of mixed cardinality")
     same_switch = all(p.biquandle.table == pairs[0].biquandle.table for p in pairs)
-    if same_switch and (n > 8 or len(pairs) > 64):
+    # Aut(S) fixes S, so every stack it relabels opens with S's own two
+    # tables: the tau tables alone order the keys
+    tau_only = same_switch and (n > 8 or len(pairs) > 64)
+    if tau_only:
         relabelings = automorphism_group(pairs[0].biquandle.table)
     else:
         if n > 8:
@@ -735,15 +813,18 @@ def classify_isomorphism(pairs) -> list[IsoClass]:
         relabelings = list(itertools.permutations(range(n)))
 
     rel = np.array(relabelings, dtype=np.int16)
-    groups: dict[bytes, list[int]] = {}
-    witness: dict[bytes, tuple] = {}
-    for idx, p in enumerate(pairs):
-        key, g = canonical_form(_pair_tables(p), rel)
-        groups.setdefault(key, []).append(idx)
-        witness.setdefault(key, relabelings[g])
-    return [IsoClass(pairs[groups[key][0]].relabel(list(witness[key])),
-                     len(groups[key]))
-            for key in sorted(groups)]
+    cells = len(rel) * (2 if tau_only else 4) * n * n
+    batch = max(1, CANONICAL_BATCH // cells)
+    first: dict[bytes, SingularPair] = {}
+    sizes: Counter = Counter()
+    for start in range(0, len(pairs), batch):
+        part = pairs[start:start + batch]
+        keys, best = canonical_form(_pair_tables(part, tau_only), rel)
+        for p, key, g in zip(part, keys, best):
+            if key not in first:
+                first[key] = p.relabel(list(relabelings[g]))
+            sizes[key] += 1
+    return [IsoClass(first[key], sizes[key]) for key in sorted(first)]
 
 
 def tau_phi_iso_count(n: int) -> int:

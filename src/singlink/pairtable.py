@@ -13,6 +13,8 @@ import json
 from dataclasses import dataclass
 from math import gcd
 
+import numpy as np
+
 from .errors import DimensionMismatchError, NonUnitError
 
 Row = tuple[int, ...]
@@ -20,10 +22,13 @@ Table = tuple[Row, ...]
 
 
 def _freeze(rows) -> Table:
-    return tuple(tuple(int(v) for v in row) for row in rows)
+    """Rows as tuples of ints; a row that already is one is kept, so
+    tables built from shared rows share them."""
+    return tuple(row if type(row) is tuple and all(type(v) is int for v in row)
+                 else tuple(int(v) for v in row) for row in rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairTable:
     """A map X x X -> X x X on X = {0..n-1}; backbone of S and tau."""
 
@@ -164,6 +169,23 @@ def word_map(word, maps):
             p[i], p[i + 1] = t1[a][b], t2[a][b]
         return p
     return run
+
+
+def word_images(word, maps, points):
+    """`word_map` on integer arrays, for a batch of maps at once.
+
+    maps[m] is a pair of arrays (t1, t2) of shape (B, n, n): B tables side
+    by side, or B = 1 for a table the whole batch shares.  `points` holds
+    one integer array per coordinate of X^k; the images come back the same
+    way, a coordinate of shape (B, N) once a batched letter has written it.
+    """
+    p = list(points)
+    for m, i in word:
+        t1, t2 = maps[m]
+        batch = np.arange(len(t1))[:, None]
+        a, b = p[i], p[i + 1]
+        p[i], p[i + 1] = t1[batch, a, b], t2[batch, a, b]
+    return p
 
 
 def apply_word(word, maps, point) -> tuple[int, ...]:

@@ -276,6 +276,20 @@ class TestErrorsAndDeterminism:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("crossing,message", [
+        ({"kind": "+", "slots": ["c", "d", "a"]},
+         "crossing 1: a crossing needs 4 edge names, got ['c', 'd', 'a']"),
+        ({"kind": "q", "slots": ["c", "d", "d", "c"]},
+         "crossing 1: bad crossing kind 'q'"),
+    ], ids=["three-slots", "bad-kind"])
+    def test_bad_crossing_error_names_its_index(self, tmp_path, capsys,
+                                                 crossing, message):
+        path = tmp_path / "diagram.json"
+        path.write_text(json.dumps({"crossings": [
+            {"kind": "+", "slots": ["a", "b", "b", "a"]}, crossing]}))
+        assert run(capsys, "diagram", "show", str(path)) == \
+            (1, "", f"error: {message}\n")
+
 
 class TestCocycleFiles:
     def test_file_cocycle_with_finite_target(self, tmp_path, capsys):

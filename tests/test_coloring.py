@@ -87,13 +87,31 @@ class TestOracle:
         assert keys == sorted(keys)
 
 
+# pairs whose tau is far from S: a rewrite that mixes up the S and T
+# crossings of RIVa or RIVb changes their counts
+FAR_PAIRS = {"d5-tau-phi": SingularPair(dihedral_switch(5),
+                                        make_tau_phi(5, 1, 4, [0, 2, 4, 1, 3])),
+             "bialexander-tau-a": SingularPair(make_bialexander(5, 2, 3),
+                                               make_tau_a(5, 2, 3, 2))}
+
+
+def riv_closure() -> SingularDiagram:
+    """A 3-strand closure with RIVa and RIVb sites for S = + and T = s and
+    for the swapped kinds; a swapped rewrite changes its D5 tau_phi count."""
+    word = [(0, "s"), (0, "s"), (1, "s"), (0, "s"), (1, "+"), (1, "+"),
+            (1, "+"), (0, "s"), (1, "s")]
+    return braid_closure(word, 3, random.Random("riv sites"))
+
+
 class TestMoveInvariance:
     def test_counts_invariant_under_all_moves(self, all_diagrams, test_pairs):
-        for dname, d in all_diagrams.items():
+        diagrams = dict(all_diagrams, riv_closure=riv_closure())
+        prs = dict(test_pairs, **FAR_PAIRS)
+        for dname, d in diagrams.items():
             for move in MOVES:
                 for site in find_move_sites(d, move):
                     d2 = apply_move(d, site)
-                    for pname, p in test_pairs.items():
+                    for pname, p in prs.items():
                         assert count_colorings(d, p) == count_colorings(d2, p), \
                             (dname, move, site, pname)
 
@@ -177,9 +195,7 @@ class TestRandomClosures:
                     sorted_by_edges(d, brute_force_colorings(d, p)), (word, d)
 
     def test_count_matches_fixed_points(self):
-        D5, B = dihedral_switch(5), make_bialexander(5, 2, 3)
-        prs = (SingularPair(D5, make_tau_phi(5, 1, 4, [0, 2, 4, 1, 3])),
-               SingularPair(B, make_tau_a(5, 2, 3, 2)))
+        prs = tuple(FAR_PAIRS.values())
         rng = random.Random("fixed points")
         with time_limit(60):            # a name-dependent search takes minutes
             for _ in range(60):
@@ -213,7 +229,7 @@ def moved_closures(draw):
 
 
 MOVE_PAIRS = (SingularPair(dihedral_switch(3), dihedral_switch(3).table.inverse()),
-              SingularPair(dihedral_switch(5), make_tau_phi(5, 1, 4, [0, 2, 4, 1, 3])))
+              FAR_PAIRS["d5-tau-phi"])
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -261,6 +277,27 @@ def test_seeds_beyond_the_recursion_limit():
     with time_limit(10):
         assert count_colorings(d, p) == 1
         assert enumerate_colorings(d, p) == [dict.fromkeys(d.edges, 0)]
+
+
+def test_many_loops_take_linear_time():
+    # each loop is a fallback seed; a fallback scan from edge 0 at every
+    # branch point takes 8 s to count 20,000 loops, a resumed one 0.1 s
+    d = SingularDiagram((), tuple(f"e{i}" for i in range(20000)))
+    p = builtin_pair("trivial-1")
+    with time_limit(5):
+        assert count_colorings(d, p) == 1
+        assert len(enumerate_colorings(d, p)) == 1
+
+
+def test_loops_between_crossings():
+    # loops named to sort among the ladder's edges, so that fallback
+    # seeds and pair seeds alternate on the stack
+    loops = ("a", "m0", "m1", "q", "z")
+    d = SingularDiagram(ladder(16).crossings, loops)
+    p = builtin_pair("d3-ss")
+    cols = enumerate_colorings(d, p)
+    assert count_colorings(d, p) == len(cols) == 3 * 3 ** len(loops)
+    assert len({tuple(sorted(c.items())) for c in cols}) == len(cols)
 
 
 def test_output_matches_recorded_digest(all_diagrams, test_pairs):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from singlink import pairs as pairs_module
 from singlink.errors import (HomogeneityViolationError, NonUnitError,
                              SearchBoundExceededError)
 from singlink.pairs import (SingularPair, _component_checks, brute_force_taus,
@@ -17,10 +18,10 @@ from singlink.pairs import (SingularPair, _component_checks, brute_force_taus,
                             check_singular_pair, classify_isomorphism,
                             automorphism_group,
                             enumerate_left_right_invertible, enumerate_taus,
-                            make_tau_a, make_tau_phi, tau_phi_family,
-                            tau_phi_iso_count)
+                            make_tau_a, make_tau_phi, pair_verdicts,
+                            tau_phi_family, tau_phi_iso_count)
 from singlink.pairtable import (Biquandle, PairTable, dihedral_switch,
-                                flip_switch, i2_switch, make_bialexander,
+                                flip_switch, i2_switch, is_flip, make_bialexander,
                                 make_quandle_switch, trivial_quandle)
 
 
@@ -233,7 +234,7 @@ class TestTauPhi:
     def test_In_matches_table_level_oracle(self, n):
         # every tau_phi table, classified under Aut(D_n)
         aut = np.array(automorphism_group(dihedral_switch(n).table), dtype=np.int16)
-        classes = {canonical_form(np.array([t.t1, t.t2], dtype=np.int16), aut)[0]
+        classes = {canonical_form(np.array([(t.t1, t.t2)], dtype=np.int16), aut)[0][0]
                    for t in tau_phi_family(n, 1, n - 1)}
         assert tau_phi_iso_count(n) == len(classes)
 
@@ -464,6 +465,12 @@ def test_canonical_keys_match_recorded_digest():
         "3ab8c1cc6b8146c4c914b280477673b26c7335b96e17539d8ba8da2f275f57ea"
 
 
+def _canonical_form_one(tables, relabelings):
+    """canonical_form of a single (k, n, n) stack, as (key, index)."""
+    keys, best = canonical_form(tables[None], relabelings)
+    return keys[0], int(best[0])
+
+
 def _canonical_form_loop(tables, relabelings):
     """Reference: relabel one g at a time, keep the first least key."""
     best = None
@@ -484,10 +491,122 @@ def test_canonical_form_matches_loop_and_first_minimal_wins():
         # a shuffled set with repeats: equal keys must resolve to the first
         rel = [tuple(rng.sample(range(4), 4)) for _ in range(30)]
         rel += automorphism_group(S.table)
-        assert canonical_form(tables, rel) == _canonical_form_loop(tables, rel)
+        assert _canonical_form_one(tables, rel) == _canonical_form_loop(tables, rel)
     # flip-flip is fixed by both relabelings: the one listed first wins
     p = builtin_pair("flip-flip")
     tables = np.array([p.biquandle.table.t1, p.biquandle.table.t2,
                        p.tau.t1, p.tau.t2], dtype=np.int16)
     for rel in ([(0, 1), (1, 0)], [(1, 0), (0, 1)]):
-        assert canonical_form(tables, rel) == (tables.tobytes(), 0)
+        assert _canonical_form_one(tables, rel) == (tables.tobytes(), 0)
+
+
+def test_canonical_form_batch_matches_one_at_a_time():
+    rng = random.Random(6)
+    S = dihedral_switch(4)
+    taus = enumerate_taus(S)
+    # repeated stacks, and relabelings with repeats and ties
+    stacks = [(S.table.t1, S.table.t2, t.t1, t.t2) for t in taus + taus[:3]]
+    tables = np.array(stacks, dtype=np.int16)
+    rel = [tuple(rng.sample(range(4), 4)) for _ in range(30)]
+    rel += automorphism_group(S.table) + rel[:5]
+    keys, best = canonical_form(tables, rel)
+    assert len(keys) == len(best) == len(stacks)
+    for t, key, g in zip(tables, keys, best):
+        assert (key, int(g)) == _canonical_form_one(t, rel) \
+            == _canonical_form_loop(t, rel)
+
+
+def test_classification_does_not_depend_on_the_batch_size(monkeypatch):
+    S = flip_switch(3)
+    pairs = [SingularPair(S, t)
+             for t in enumerate_taus(S, require_bijective=False)]
+    whole = classify_isomorphism(pairs)
+    monkeypatch.setattr(pairs_module, "CANONICAL_BATCH", 1)   # one pair each
+    assert classify_isomorphism(pairs) == whole
+    assert (len(whole), sum(c.size for c in whole)) == (44, 216)
+
+
+# ---------------------------------------------------------------------------
+# the enumerate_taus guard: one batched check over the search's output
+# ---------------------------------------------------------------------------
+
+def _verdict_candidates(S, rng, count):
+    """Pairs, non-bijective solutions, and seeded candidates that break
+    each category: any tables, left/right-invertible maps, and pairs with
+    two tau1 entries swapped or one entry changed."""
+    n = S.n
+    loose = enumerate_taus(S, require_bijective=n > 3)    # 331,776 at flip4
+    out = rng.sample(loose, min(len(loose), 40)) + [S.table.inverse()]
+    perms = list(itertools.permutations(range(n)))
+    for _ in range(count):
+        kind = rng.randrange(4)
+        if kind == 0:
+            t1 = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+            t2 = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        elif kind == 1:
+            rows = [rng.choice(perms) for _ in range(n)]
+            cols = [rng.choice(perms) for _ in range(n)]
+            t1, t2 = rows, [[cols[y][x] for y in range(n)] for x in range(n)]
+        else:
+            b = rng.choice(out)
+            t1 = [list(r) for r in b.t1]
+            t2 = [list(r) for r in b.t2]
+            x, y, z = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+            if kind == 2:
+                t1[x][y], t1[x][z] = t1[x][z], t1[x][y]
+            else:
+                rng.choice((t1, t2))[x][y] = rng.randrange(n)
+        out.append(PairTable(n, t1, t2))
+    return out
+
+
+@pytest.mark.parametrize("S", [flip_switch(1), flip_switch(2), i2_switch(),
+                               flip_switch(3), dihedral_switch(3),
+                               flip_switch(4), dihedral_switch(4),
+                               make_bialexander(4, 1, 3)],
+                         ids=["flip1", "flip2", "i2", "flip3", "D3", "flip4",
+                              "D4", "bialexander(4,1,3)"])
+def test_batched_verdicts_match_check_singular_pair(S):
+    cands = _verdict_candidates(S, random.Random(f"verdicts {S.n}"), 150)
+    checks = [check_singular_pair(S, t) for t in cands]
+    assert pair_verdicts(S, cands).tolist() == [c.ok for c in checks]
+    assert pair_verdicts(S, cands, require_bijective=False).tolist() == \
+        [all(v.axiom == "bijective" for v in c.violations) for c in checks]
+    if S.n >= 3:
+        expected = {"left_invertible", "right_invertible", "bijective", "rv"}
+        if not is_flip(S.table):    # for the flip, (2) and (3) always hold
+            expected |= {"rivb", "riva"}
+        assert {v.axiom for c in checks for v in c.violations} == expected
+
+
+def _inject(monkeypatch, bad):
+    search = pairs_module._enumerate_flip_taus
+    monkeypatch.setattr(pairs_module, "_enumerate_flip_taus",
+                        lambda n, require_bijective: search(n, require_bijective) + [bad])
+
+
+def test_guard_names_the_violated_axiom(monkeypatch):
+    monkeypatch.setattr(pairs_module, "CHECK_BATCH", 5)   # several batches
+    # D3's switch table is bijective and invertible but breaks rv for flip
+    _inject(monkeypatch, dihedral_switch(3).table)
+    with pytest.raises(AssertionError, match=r"violated rv at \(0, 1\)$"):
+        enumerate_taus(flip_switch(3))
+
+
+def test_guard_asks_for_bijectivity_only_when_required(monkeypatch):
+    S = flip_switch(3)
+    loose = enumerate_taus(S, require_bijective=False)
+    bad = next(t for t in loose if not t.is_bijective())
+    _inject(monkeypatch, bad)
+    with pytest.raises(AssertionError, match="violated bijective at"):
+        enumerate_taus(S)
+    assert enumerate_taus(S, require_bijective=False) == loose
+
+
+def test_guard_makes_no_per_tau_check_on_valid_output(monkeypatch):
+    calls = []
+    check = pairs_module.check_singular_pair
+    monkeypatch.setattr(pairs_module, "check_singular_pair",
+                        lambda *a: calls.append(a) or check(*a))
+    assert len(enumerate_taus(flip_switch(4))) == 3360
+    assert calls == []
