@@ -7,157 +7,184 @@ according to the crossing kind.  Loops are unconstrained.
 
 from __future__ import annotations
 
+import heapq
+
+import numpy as np
+
 from .diagram import NEG, POS, SING, SingularDiagram
 from .pairs import SingularPair
 
 Coloring = dict[str, int]
 
-
-def _crossing_maps(p: SingularPair):
-    S = p.biquandle.table
-    return {POS: S, NEG: S.inverse(), SING: p.tau}
+# partial colorings a block may hold before a seed splits it
+_ROWS = 1 << 16
 
 
-def _flat(t) -> tuple[list[int], ...]:
-    """Forward and backward tables of a bijective map, indexed x*n + y."""
-    inv = t.inverse()
-    return tuple([v for row in tab for v in row] for tab in (t.t1, t.t2, inv.t1, inv.t2))
-
-
-def _search(d: SingularDiagram, p: SingularPair, found: list | None) -> int:
-    """Count the colorings of d, appending each as a value tuple on
-    d.edges to `found` unless it is None."""
+def flat_tables(p: SingularPair) -> dict[tuple[str, bool], tuple[np.ndarray, ...]]:
+    """Per (crossing kind, forward), the tables (M1, M2) of the crossing's
+    map M, or of M^-1 when not forward, indexed x*n + y.  One inverse per
+    map: S^-1's tables are S's read the other way round."""
     n = p.n
-    edges = d.edges
-    index = {e: i for i, e in enumerate(edges)}
-    tables = {kind: _flat(m) for kind, m in _crossing_maps(p).items()}
-    touching: list[list[int]] = [[] for _ in edges]
-    for ci, c in enumerate(d.crossings):
-        for e in dict.fromkeys(c.slots):
-            touching[index[e]].append(ci)
+    out = {}
+    for kind, t in ((POS, p.biquandle.table), (SING, p.tau)):
+        fwd = tuple(np.array(tab, dtype=np.intp).ravel() for tab in (t.t1, t.t2))
+        back = np.full(n * n, -1)
+        back[fwd[0] * n + fwd[1]] = np.arange(n * n)
+        if back.min() < 0:
+            raise ValueError("table is not bijective")
+        out[kind, True], out[kind, False] = fwd, (back // n, back % n)
+    out[NEG, True], out[NEG, False] = out[POS, False], out[POS, True]
+    return out
+
+
+def _plan(d: SingularDiagram):
+    """The search as levels (seed edge, ops) over the ids of d.edges.
+
+    An op (a, b, (kind, forward), ((dst, new), (dst, new))) fires a
+    crossing: the colors of slots a, b give the other pair, which sets
+    each new dst and is checked against each other one.  Each crossing
+    fires once, when both slots of its in-pair or its out-pair are coloured.
+    """
+    index = {e: i for i, e in enumerate(d.edges)}
     quads = [tuple(index[e] for e in c.slots) for c in d.crossings]
-    # crossing ci: in1, in2, out1, out2, forward and backward tables, and
-    # for each slot the other crossings its edge touches: once ci forces
-    # colors, all four of its slots agree and it needs no second look
-    cross = []
-    for ci, (c, slots) in enumerate(zip(d.crossings, quads)):
-        others = tuple([cj for cj in touching[e] if cj != ci] for e in slots)
-        cross.append(slots + tables[c.kind] + others)
-    col = [-1] * len(edges)
-    trail: list[int] = []     # edges in the order they were coloured
+    touching: list[list[int]] = [[] for _ in index]
+    for ci, q in enumerate(quads):
+        for e in dict.fromkeys(q):
+            touching[e].append(ci)
+    known = [False] * len(index)
+    fired = [False] * len(quads)
+    touched: list[int] = []        # heap of crossings with a coloured edge
+    levels = []
+    low = 0                        # every edge below it is coloured
 
-    def propagate(work: list[int]) -> bool:
-        while work:
-            i1, i2, o1, o2, f1, f2, b1, b2, n1, n2, n3, n4 = cross[work.pop()]
-            x, y = col[i1], col[i2]
-            if x >= 0 and y >= 0:
-                k = x * n + y
-                forced = ((o1, f1[k], n3), (o2, f2[k], n4))
-            else:
-                x, y = col[o1], col[o2]
-                if x < 0 or y < 0:
-                    continue
-                k = x * n + y
-                forced = ((i1, b1[k], n1), (i2, b2[k], n2))
-            for e, v, nbrs in forced:
-                have = col[e]
-                if have < 0:
-                    col[e] = v
-                    trail.append(e)
-                    work.extend(nbrs)
-                elif have != v:
-                    return False
-        return True
+    def colour(e):
+        known[e] = True
+        for ci in touching[e]:
+            heapq.heappush(touched, ci)
+        return touching[e]
 
-    def seed(low: int) -> tuple[int, int]:
-        """The edge to branch on and where the next fallback scan may
-        start; every edge below `low` is coloured."""
-        for i1, i2, o1, o2 in quads:
-            if (col[i1] < 0) != (col[i2] < 0):
-                return (i1 if col[i1] < 0 else i2), low
-            if (col[o1] < 0) != (col[o2] < 0):
-                return (o1 if col[o1] < 0 else o2), low
-        for e in range(low, len(col)):
-            if col[e] < 0:
-                return e, e
-        return -1, low
-
-    leaves = 0
-    # one frame per open branch point: [seeded edge, trail mark, next
-    # color, fallback scan start]; edges below the scan start were
-    # coloured before the frame opened and stay so while it is open
-    stack: list[list[int]] = []
-    work: list[int] = []
     while True:
-        if propagate(work):
-            e, low = seed(stack[-1][3] if stack else 0)
-            if e < 0:
-                leaves += 1
-                if found is not None:
-                    found.append(tuple(col))
-            else:
-                stack.append([e, len(trail), 0, low])
-        while stack:
-            frame = stack[-1]
-            e, mark, v, _ = frame
-            while len(trail) > mark:
-                col[trail.pop()] = -1
-            if v < n:
-                frame[2] = v + 1
-                col[e] = v
-                trail.append(e)
-                work = list(touching[e])
-                break
-            stack.pop()
+        # after propagation, a touched crossing that has not fired has a
+        # half-known pair: the first in order holds the first such pair
+        while touched and fired[touched[0]]:
+            heapq.heappop(touched)
+        if touched:
+            q = quads[touched[0]]
+            pair = q[:2] if known[q[0]] != known[q[1]] else q[2:]
+            e = pair[known[pair[0]]]
         else:
-            return leaves
+            while low < len(known) and known[low]:
+                low += 1
+            if low == len(known):
+                return levels
+            e = low
+        ops = []
+        work = list(colour(e))
+        while work:
+            ci = work.pop()
+            q = quads[ci]
+            forward = known[q[0]] and known[q[1]]
+            if fired[ci] or not (forward or known[q[2]] and known[q[3]]):
+                continue
+            fired[ci] = True
+            src, dst = (q[:2], q[2:]) if forward else (q[2:], q[:2])
+            new = tuple((x, not known[x]) for x in dst)
+            for x, fresh in new:
+                if fresh:
+                    work.extend(cj for cj in colour(x) if cj != ci)
+            ops.append((*src, (d.crossings[ci].kind, forward), new))
+        levels.append((e, ops))
+
+
+def _blocks(d: SingularDiagram, p: SingularPair, tables=None):
+    """The colorings of d as (edges, colorings) arrays, a block at a time,
+    depth-first; `tables` are p's `flat_tables`."""
+    n = p.n
+    dtype = np.min_scalar_type(n - 1)
+    tabs = {key: tuple(t.astype(dtype) for t in ts)
+            for key, ts in (tables or flat_tables(p)).items()}
+    plan = _plan(d)
+    colors = np.arange(n, dtype=dtype)
+    width = max(1, _ROWS // n)
+    stack = [(0, np.zeros((len(d.edges), 1), dtype))]
+    while stack:
+        level, cols = stack.pop()
+        if level == len(plan):
+            yield cols
+            continue
+        if cols.shape[1] > width:
+            stack.append((level, cols[:, width:]))
+            cols = cols[:, :width]
+        e, ops = plan[level]
+        if n > 1:
+            cols = np.repeat(cols, n, axis=1)
+            cols[e] = np.tile(colors, cols.shape[1] // n)
+        ok = np.ones(cols.shape[1], bool)
+        for a, b, key, dsts in ops:
+            k = cols[a] * np.intp(n) + cols[b]
+            for (dst, new), tab in zip(dsts, tabs[key]):
+                if new:
+                    np.take(tab, k, out=cols[dst])
+                else:
+                    ok &= cols[dst] == tab[k]
+        if not ok.all():
+            cols = cols[:, ok]
+        if cols.shape[1]:
+            stack.append((level + 1, cols))
+
+
+def coloring_array(d: SingularDiagram, p: SingularPair, tables=None) -> np.ndarray:
+    """All colorings as a (colorings, edges) array over d.edges, rows in
+    lexicographic order; `tables` are p's `flat_tables`."""
+    cols = np.concatenate([*_blocks(d, p, tables),
+                           np.zeros((len(d.edges), 0), np.uint8)], axis=1)
+    if len(cols):
+        cols = cols[:, np.lexsort(cols[::-1])]
+    return cols.T
 
 
 def enumerate_colorings(d: SingularDiagram, p: SingularPair) -> list[Coloring]:
     """All colorings, deterministically ordered by the value tuple on
     sorted edges.
 
-    The diagram is compiled into integer edge ids (in sorted-name order)
-    and flat forward/backward tables of S, S^-1 and tau.  Colors are
-    propagated incrementally: assigning an edge re-examines only the
-    crossings touching it, forward (ins determine outs) and backward
-    (outs determine ins), and a trail undoes the assignments on
-    backtrack.  When propagation stalls, the search branches on all n
-    colors of the missing slot of the first half-known in-pair or
-    out-pair in crossing order, where a single choice determines a whole
-    crossing; only when no pair is half-known does it fall back to the
-    first uncoloured edge in sorted-name order.  That scan resumes at
-    the edge where the open branch point's scan stopped, since every
-    edge before it stays coloured until that branch point closes, so k
-    crossing-free loops cost O(k), not O(k^2).  Open branch points live
-    on an explicit stack, so Python's recursion limit does not bound the
-    number of seeds.
+    The search is compiled once per diagram into a plan.  Edges get ids in
+    sorted-name order; each level of the plan seeds one edge and lists the
+    crossings that propagation then fires, forward (ins determine outs) or
+    backward (outs determine ins).  Which edges are coloured after a seed
+    depends only on which were coloured before it, not on their colors,
+    so one plan serves every branch.  The seed rule is unchanged: the
+    missing slot of the first half-known in-pair or out-pair in crossing
+    order (in-pair first), where one choice determines a whole crossing,
+    found from a heap of the crossings with a coloured edge; only when no
+    pair is half-known, the first uncoloured edge in sorted-name order.
+
+    The plan runs on numpy arrays of partial colorings, one row per
+    branch, in the smallest unsigned dtype: a seed repeats every row once
+    per color, a level's gathers and checks act on all rows at once, and
+    rows failing a check are dropped once per level.  A block that a seed
+    would take past _ROWS rows is split and its parts run depth-first.  A
+    count keeps, besides the running block, at most one split block per
+    level, each O(_ROWS * edges) bytes; an enumeration holds all colorings,
+    O(colorings * edges) bytes.
     """
-    found: list[tuple[int, ...]] = []
-    _search(d, p, found)
-    found.sort()
     edges = d.edges
-    return [dict(zip(edges, values)) for values in found]
+    return [dict(zip(edges, row)) for row in coloring_array(d, p).tolist()]
 
 
 def count_colorings(d: SingularDiagram, p: SingularPair) -> int:
-    """Number of colorings; the search of `enumerate_colorings` without
-    building or sorting them."""
-    return _search(d, p, None)
+    """Number of colorings; the plan of `enumerate_colorings`, run block by
+    block without keeping or sorting them."""
+    return sum(cols.shape[1] for cols in _blocks(d, p))
 
 
 def brute_force_colorings(d: SingularDiagram, p: SingularPair) -> list[Coloring]:
     """Oracle: filter all |X|^edges assignments (tests only)."""
     import itertools
 
-    n = p.n
-    maps = _crossing_maps(p)
-    edges = d.edges
-    out = []
-    for values in itertools.product(range(n), repeat=len(edges)):
-        col = dict(zip(edges, values))
-        ok = all(maps[c.kind].apply(col[c.in1], col[c.in2]) == (col[c.out1], col[c.out2])
-                 for c in d.crossings)
-        if ok:
-            out.append(col)
-    return out
+    S = p.biquandle.table
+    maps = {POS: S, NEG: S.inverse(), SING: p.tau}
+    cols = (dict(zip(d.edges, values))
+            for values in itertools.product(range(p.n), repeat=len(d.edges)))
+    return [col for col in cols if all(
+        maps[c.kind].apply(col[c.in1], col[c.in2]) == (col[c.out1], col[c.out2])
+        for c in d.crossings)]

@@ -73,20 +73,15 @@ class SingularDiagram:
 
     # derived structure, built during validation
     components: tuple[tuple[str, ...], ...] = field(default=(), compare=False)
+    edges: tuple[str, ...] = field(default=(), compare=False)    # sorted
 
     def __post_init__(self):
-        comps, bases = _validate(self.crossings, self.loops, self.basepoints)
+        comps, bases, edges = _validate(self.crossings, self.loops, self.basepoints)
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "basepoints", bases)
+        object.__setattr__(self, "edges", edges)
 
     # -- lookups -------------------------------------------------------
-    @property
-    def edges(self) -> tuple[str, ...]:
-        out = set(self.loops)
-        for c in self.crossings:
-            out.update(c.slots)
-        return tuple(sorted(out))
-
     def consumer(self, edge: str):
         """(crossing index, 0 for in1 / 1 for in2) eating this edge."""
         for i, c in enumerate(self.crossings):
@@ -192,7 +187,7 @@ def _validate(crossings, loops, declared_bases):
         if b not in comps[i]:
             raise BadBasepointError(f"edge {b!r} is not on component {i}")
         bases[i] = b
-    return comps, tuple(bases)
+    return comps, tuple(bases), tuple(sorted([*in_seen, *loops]))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,13 @@ to a conjugacy class representative; the state sum multiplies the
 weights of all crossings once each, with no order, and sums over
 colorings in the integral group ring.
 
+Both are evaluated on every coloring at once: `coloring_array` gives the
+sorted colorings as one array, and each passage's weight is gathered for
+all of them.  In an abelianized target coordinate rows are added (int64,
+or Python ints where a sum could pass 2^62) and the torsion is reduced
+once; a finite target folds its Cayley table.  Equal values are tallied
+with np.unique, in order of first appearance.
+
 The cocycle conditions are not written out here: the checkers evaluate
 both sides of every instance of the relation table in
 `presentation.relation_families` in the target group.
@@ -19,10 +26,14 @@ both sides of every instance of the relation table in
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
-from .coloring import enumerate_colorings
+import numpy as np
+
+from .coloring import coloring_array, flat_tables
 from .diagram import NEG, POS, SING, SingularDiagram
 from .errors import CocycleInvalidError, DimensionMismatchError
 from .pairs import SingularPair, builtin_pair
@@ -64,13 +75,6 @@ class CocyclePair:
         return len(self.f)
 
 
-def _ops(target: Target):
-    if isinstance(target, FiniteGroup):
-        return (target.identity(), target.mul, target.inv,
-                target.conjugacy_class_rep)
-    return (target.identity(), target.mul, target.inv, lambda a: a)
-
-
 def _target_abelian(target: Target) -> bool:
     return isinstance(target, AbelianizedGroup) or target.is_abelian()
 
@@ -92,7 +96,7 @@ def _memo_check(p: SingularPair, c: CocyclePair) -> CocycleCheck:
 def _check_cocycle(p: SingularPair, c: CocyclePair) -> CocycleCheck:
     """Evaluate both sides of every relation instance in the target and
     keep the first failing point of each family."""
-    ident, mul, _, _ = _ops(c.target)
+    ident, mul = c.target.identity(), c.target.mul
     # generator index -> table value: all f(x,y), then all h(x,y)
     value = [v for row in c.f for v in row] + [v for row in c.h for v in row]
 
@@ -150,7 +154,8 @@ def derived_cocycle_identities(p: SingularPair, c: CocyclePair) -> dict[str, boo
     if not check_nc_cocycle(p, c).ok:
         raise CocycleInvalidError("pair fails the noncommutative conditions")
     n = p.n
-    ident, mul, inv, _ = _ops(c.target)
+    t = c.target
+    ident, mul, inv = t.identity(), t.mul, t.inv
     st = p.biquandle.table
     s1, s2 = st.t1, st.t2
     f, h = c.f, c.h
@@ -202,6 +207,25 @@ def universal_ab_cocycle(p: SingularPair) -> CocyclePair:
     return CocyclePair(group, f, h, AB)
 
 
+# The worked n = 2 examples in their customary bases: free labels, torsion,
+# and the free then torsion coordinates of f11, f12, f21, f22, h11, h12,
+# h21, h22.  flip-flip nc: h is the free basis, f = (1, bc^-1, cb^-1, 1);
+# flip-flip ab: free on f12 and h, with f21 = f12 + h21 - h12.
+_NAMED = {
+    ("flip-i2", NC): ("abc", (), ((0, 0, 0),) * 4 + (
+        (1, 0, 0), (0, 1, 0), (0, 1, 0), (0, 0, 1))),
+    ("flip-i2", AB): ("abc", (2, 2), (
+        (0, 0, 0, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1), (0, 0, 0, 0, 0),
+        (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0))),
+    ("flip-flip", NC): ("abcd", (), (
+        (0, 0, 0, 0), (0, 1, -1, 0), (0, -1, 1, 0), (0, 0, 0, 0),
+        (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))),
+    ("flip-flip", AB): (("f12", "a", "b", "c", "d"), (), (
+        (0, 0, 0, 0, 0), (1, 0, 0, 0, 0), (1, 0, -1, 1, 0), (0, 0, 0, 0, 0),
+        (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1))),
+}
+
+
 def builtin_cocycle(pair_name: str, kind: str) -> CocyclePair:
     """Universal cocycles for the worked n=2 examples with the customary
     generator names: a, b, c (and d); torsion generators u1, u2.
@@ -211,89 +235,19 @@ def builtin_cocycle(pair_name: str, kind: str) -> CocyclePair:
     these are the universal pairs up to relabeling the basis.
     """
     p = builtin_pair(pair_name)
-    if pair_name in ("flip-i2", "flip-s2") and kind == NC:
-        group = AbelianizedGroup(
-            3, (), _coords_flip_i2_nc(), free_labels=("a", "b", "c"))
-        f, h = _tables_from_group(2, group)
-        c = CocyclePair(group, f, h, NC)
-    elif pair_name in ("flip-i2", "flip-s2") and kind == AB:
-        group = AbelianizedGroup(
-            3, (2, 2), _coords_flip_s2_ab(),
-            free_labels=("a", "b", "c"), torsion_labels=("u1", "u2"))
-        f, h = _tables_from_group(2, group)
-        c = CocyclePair(group, f, h, AB)
-    elif pair_name == "flip-flip" and kind == NC:
-        group = AbelianizedGroup(
-            4, (), _coords_flip_flip_nc(), free_labels=("a", "b", "c", "d"))
-        f, h = _tables_from_group(2, group)
-        c = CocyclePair(group, f, h, NC)
-    elif pair_name == "flip-flip" and kind == AB:
-        group = AbelianizedGroup(
-            5, (), _coords_flip_flip_ab(),
-            free_labels=("f12", "a", "b", "c", "d"))
-        f, h = _tables_from_group(2, group)
-        c = CocyclePair(group, f, h, AB)
+    spec = _NAMED.get(("flip-i2" if pair_name == "flip-s2" else pair_name, kind))
+    if spec:
+        free, torsion, coords = spec
+        r = len(free)
+        group = AbelianizedGroup(r, torsion, tuple((v[:r], v[r:]) for v in coords),
+                                 tuple(free))
+        c = CocyclePair(group, *_tables_from_group(2, group), kind)
     else:
         c = universal_nc_cocycle(p) if kind == NC else universal_ab_cocycle(p)
     checker = check_nc_cocycle if kind == NC else check_ab_cocycle
     if not checker(p, c).ok:
         raise CocycleInvalidError(f"builtin cocycle {pair_name}/{kind} is broken")
     return c
-
-
-def _unit(rank, tors_len, free_i=None, tors_i=None, neg_free=None):
-    free = [0] * rank
-    tors = [0] * tors_len
-    if free_i is not None:
-        free[free_i] = 1
-    if neg_free is not None:
-        free[neg_free] -= 1
-    if tors_i is not None:
-        tors[tors_i] = 1
-    return tuple(free), tuple(tors)
-
-
-def _coords_flip_i2_nc():
-    # generators f00,f01,f10,f11,h00,h01,h10,h11; free basis a,b,c
-    z = _unit(3, 0)
-    a = _unit(3, 0, free_i=0)
-    b = _unit(3, 0, free_i=1)
-    cc = _unit(3, 0, free_i=2)
-    return (z, z, z, z, a, b, b, cc)
-
-
-def _coords_flip_s2_ab():
-    z = _unit(3, 2)
-    u1 = _unit(3, 2, tors_i=0)
-    u2 = _unit(3, 2, tors_i=1)
-    a = _unit(3, 2, free_i=0)
-    b = _unit(3, 2, free_i=1)
-    cc = _unit(3, 2, free_i=2)
-    return (z, u1, u2, z, a, b, b, cc)
-
-
-def _coords_flip_flip_nc():
-    # h generators are the free basis a,b,c,d; f = (1, bc^-1, cb^-1, 1)
-    z = _unit(4, 0)
-    bc = ((0, 1, -1, 0), ())
-    cb = ((0, -1, 1, 0), ())
-    a = _unit(4, 0, free_i=0)
-    b = _unit(4, 0, free_i=1)
-    cc = _unit(4, 0, free_i=2)
-    dd = _unit(4, 0, free_i=3)
-    return (z, bc, cb, z, a, b, cc, dd)
-
-
-def _coords_flip_flip_ab():
-    # free on f12, h11, h12, h21, h22 with f21 = f12 + h21 - h12
-    z = _unit(5, 0)
-    f12 = _unit(5, 0, free_i=0)
-    f21 = ((1, 0, -1, 1, 0), ())
-    a = _unit(5, 0, free_i=1)
-    b = _unit(5, 0, free_i=2)
-    cc = _unit(5, 0, free_i=3)
-    dd = _unit(5, 0, free_i=4)
-    return (z, f12, f21, z, a, b, cc, dd)
 
 
 # ---------------------------------------------------------------------------
@@ -323,73 +277,120 @@ def _validate_cocycle(p: SingularPair, c: CocyclePair):
             f"cocycle pair fails {[v[0] for v in res.violations]}")
 
 
+def _passages(d: SingularDiagram, p: SingularPair, c: CocyclePair, passages: int):
+    """The number of colorings of d, and per crossing the weight of its
+    passage at every coloring as (W, k): W[k] is h at a singular crossing,
+    f at a positive one and f(S^-1(x,y))^-1 at a negative one, where k =
+    x*n + y indexes the incoming colors.  W holds elements of a finite
+    target as ints and of an abelianized one as rows of free then torsion
+    coordinates: int64, or Python ints if `passages` of them could sum
+    past 2^62."""
+    n, t, tables = p.n, c.target, flat_tables(p)
+    cols = coloring_array(d, p, tables)
+    s1, s2 = tables[NEG, True]                         # S^-1
+    at = s1 * n + s2
+    if isinstance(t, FiniteGroup):
+        F, H = (np.array(tab).ravel() for tab in (c.f, c.h))
+        W = {POS: F, SING: H, NEG: np.array(t.inverse)[F[at]]}
+    else:
+        rows = [fr + tr for row in c.f + c.h for fr, tr in row]
+        big = max(map(abs, itertools.chain(*rows)), default=0) * (passages + 1) >> 62
+        A = np.array(rows, dtype=object if big else np.int64).reshape(2 * n * n, -1)
+        W = {POS: A[:n * n], SING: A[n * n:], NEG: -A[at]}
+    col = dict(zip(d.edges, cols.T))
+    return len(cols), lambda cr: (W[cr.kind],
+                                  col[cr.in1].astype(np.intp) * n + col[cr.in2])
+
+
+def _product(t: Target, factors, size: int):
+    """Per coloring, the ordered product of W[k] over (W, k) in factors: a
+    Cayley-table fold in a finite target, a sum of coordinate rows reduced
+    once mod the torsion in an abelianized one."""
+    if isinstance(t, FiniteGroup):
+        table, val = np.array(t.table), np.full(size, t.identity())
+        for W, k in factors:
+            val = table[val, W[k]]
+        return val
+    val = np.zeros((size, t.rank + len(t.torsion)), np.int64)
+    for W, k in factors:
+        val = val + W[k]
+    val[:, t.rank:] %= np.array(t.torsion, dtype=val.dtype)
+    return val
+
+
+def _distinct(t: Target, vals):
+    """The distinct rows of vals in order of first appearance, as target
+    elements (per component if vals has a component axis), the class of
+    every row and the size of every class."""
+    keys = vals.reshape(len(vals), math.prod(vals.shape[1:]))
+    if keys.dtype == object:      # exact: rank each column of Python ints
+        keys = np.stack([np.unique(col, return_inverse=True)[1] for col in keys.T], 1)
+    # each row as one opaque value; the zero column keeps it from being empty
+    keys = np.concatenate([keys, np.zeros((len(keys), 1), keys.dtype)], axis=1)
+    keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+    _, first, which, counts = np.unique(keys, return_index=True,
+                                        return_inverse=True, return_counts=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    out = vals[first[order]].tolist()
+    if isinstance(t, AbelianizedGroup):
+        def elem(v):
+            return tuple(v[:t.rank]), tuple(v[t.rank:])
+        out = [elem(v) if vals.ndim == 2 else tuple(map(elem, v)) for v in out]
+    elif vals.ndim == 2:
+        out = list(map(tuple, out))
+    return out, rank[which.ravel()].tolist(), counts[order].tolist()
+
+
 def nc_invariant(d: SingularDiagram, p: SingularPair,
                  c: CocyclePair) -> NcInvariantValue:
+    """Per coloring, each component's ordered weight product from its
+    basepoint, as a conjugacy-class representative.  Enumerative: in a
+    non-abelian target the classes do not factor over crossings.  Every
+    coloring is evaluated at once, one passage at a time."""
     if c.kind != NC:
         raise CocycleInvalidError("nc_invariant needs a noncommutative pair")
     _validate_cocycle(p, c)
-    ident, mul, inv, conj_rep = _ops(c.target)
-    sinv = p.biquandle.table.inverse()
-    colorings = enumerate_colorings(d, p)
+    t = c.target
+    size, factor = _passages(d, p, c, 2 * len(d.crossings))
     consumer = {}
     for cr in d.crossings:
         consumer[cr.in1] = (cr, 0)
         consumer[cr.in2] = (cr, 1)
-    # each component's passages from its basepoint: (crossing, 0 for in1 / 1 for in2)
-    walks = []
+    comps = []
     for base in d.basepoints:
-        walk = []
-        edge = base
-        while edge in consumer:       # a crossing-free loop has an empty walk
+        # the weighted passages from the basepoint; a loop has none
+        passed, edge = [], base
+        while edge in consumer:
             cr, slot = consumer[edge]
-            walk.append((cr, slot))
+            if cr.kind == SING or (cr.kind, slot) in ((POS, 0), (NEG, 1)):
+                passed.append(cr)
             edge = cr.out2 if slot == 0 else cr.out1
             if edge == base:
                 break
-        walks.append(walk)
-    values = []
-    for col in colorings:
-        comp_vals = []
-        for walk in walks:
-            val = ident
-            for cr, slot in walk:
-                x, y = col[cr.in1], col[cr.in2]
-                if cr.kind == SING:
-                    val = mul(val, c.h[x][y])
-                elif cr.kind == POS and slot == 0:
-                    val = mul(val, c.f[x][y])
-                elif cr.kind == NEG and slot == 1:
-                    a, b = sinv.apply(x, y)
-                    val = mul(val, inv(c.f[a][b]))
-            comp_vals.append(conj_rep(val))
-        values.append(tuple(comp_vals))
-    return NcInvariantValue(tuple(values))
+        comps.append(_product(t, map(factor, passed), size))
+    if not comps:
+        return NcInvariantValue(((),) * size)
+    vals = np.stack(comps, axis=1)
+    if isinstance(t, FiniteGroup):
+        vals = np.array([t.conjugacy_class_rep(a) for a in range(t.order)])[vals]
+    values, which, _ = _distinct(t, vals)
+    return NcInvariantValue(tuple(map(values.__getitem__, which)))
 
 
 def state_sum(d: SingularDiagram, p: SingularPair,
               c: CocyclePair) -> GroupRingElement:
     """Phi_{f,h}(L) = sum over colorings of the unordered product of all
-    Boltzmann weights, in Z[H]."""
+    Boltzmann weights, in Z[H]; terms in order of first appearance over
+    the sorted colorings."""
     if c.kind != AB:
         raise CocycleInvalidError("state_sum needs an abelian pair")
     _validate_cocycle(p, c)
-    ident, mul, inv, _ = _ops(c.target)
-    n = p.n
-    sinv = p.biquandle.table.inverse()
-    # weight at incoming colors (x, y), flat at x*n + y, per crossing kind
-    weights = {SING: [w for row in c.h for w in row],
-               POS: [w for row in c.f for w in row],
-               NEG: [inv(c.f[a][b]) for a, b in
-                     (sinv.apply(x, y) for x in range(n) for y in range(n))]}
-    crossings = [(cr.in1, cr.in2, weights[cr.kind]) for cr in d.crossings]
-    # coefficient per value, in order of first appearance over colorings
-    tally: dict = {}
-    for col in enumerate_colorings(d, p):
-        val = ident
-        for e1, e2, w in crossings:
-            val = mul(val, w[col[e1] * n + col[e2]])
-        tally[val] = tally.get(val, 0) + 1
-    return GroupRingElement(tally)
+    size, factor = _passages(d, p, c, len(d.crossings))
+    values, _, counts = _distinct(
+        c.target, _product(c.target, map(factor, d.crossings), size))
+    return GroupRingElement(dict(zip(values, counts)))
 
 
 def render_laurent(group: AbelianizedGroup, v: GroupRingElement) -> str:

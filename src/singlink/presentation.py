@@ -367,9 +367,6 @@ class AbelianizedGroup:
             out = self.mul(out, self.power(self.coord_map[g], e))
         return out
 
-    def invariant_factors(self) -> tuple[int, ...]:
-        return self.torsion + (0,) * self.rank
-
     def render_element(self, a: Element) -> str:
         parts = []
         for lbl, e, d in zip(self.torsion_labels, a[1], self.torsion):
@@ -406,15 +403,15 @@ def abelianize(pres: Presentation) -> AbelianizedGroup:
     transform V carried along; the row transform U is never formed.
     """
     g = pres.num_generators
-    M = pres.exponent_matrix()
-    if not M:
-        coord = tuple(
-            (tuple(int(i == j) for i in range(g)), ()) for j in range(g))
-        return AbelianizedGroup(g, (), coord)
-    A = _int_matrix(M)
-    r = len(M)
-    W = np.zeros((r + g, g), dtype=A.dtype)
-    W[:r] = A
+    rels = pres.relations
+    r = len(rels)
+    # W[:r] is the exponent matrix, added up letter by letter; W[r:] = I
+    exps = [e for w in rels for _, e in w]
+    big = sum(map(abs, exps)) > _INT64_SAFE
+    W = np.zeros((r + g, g), dtype=object if big else np.int64)
+    np.add.at(W, (np.repeat(np.arange(r), [len(w) for w in rels]),
+                  np.array([gen for w in rels for gen, _ in w], dtype=np.intp)),
+              np.array(exps, dtype=W.dtype))
     W[r + np.arange(g), np.arange(g)] = 1
     W, r0 = _smith_reduce(W, r, g)
     diag = [int(W[i, i]) for i in range(r0)]

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from singlink import coloring
 from singlink.coloring import (brute_force_colorings, count_colorings,
                                enumerate_colorings)
-from singlink.diagram import (MOVES, Crossing, SingularDiagram, apply_move,
-                              builtin_diagram, find_move_sites)
+from singlink.diagram import (MOVES, Crossing, MoveSite, SingularDiagram,
+                              apply_move, builtin_diagram, find_move_sites)
 from singlink.pairs import SingularPair, builtin_pair, make_tau_a, make_tau_phi
 from singlink.pairtable import dihedral_switch, flip_switch, make_bialexander
 
@@ -209,22 +210,35 @@ class TestRandomClosures:
 COUNT_PRESERVING_MOVES = ("RIII", "RIVa", "RIVb", "RV")
 
 
+def drawn_site(draw, d: SingularDiagram, moves):
+    """One of the sites of `moves` in d, or None when there is none.  The
+    kinks RI_insert could add count as one site, whose edge, sign and shape
+    are drawn next."""
+    sites = [s for m in moves if m != "RI_insert" for s in find_move_sites(d, m)]
+    sites += ["RI_insert"] if "RI_insert" in moves and d.edges else []
+    site = draw(st.sampled_from(sites)) if sites else None
+    if site == "RI_insert":
+        site = MoveSite.make("RI_insert", (), edge=draw(st.sampled_from(d.edges)),
+                             sign=draw(st.sampled_from("+-")),
+                             shape=draw(st.sampled_from("AB")))
+    return site
+
+
 @st.composite
-def moved_closures(draw):
+def moved_closures(draw, moves=COUNT_PRESERVING_MOVES):
     """A word of at most 10 letters on 2-4 strands, its closure with
-    shuffled names, and the chain of diagrams after up to 4 drawn
-    RIII/RIVa/RIVb/RV moves."""
+    shuffled names, and the chain of diagrams after up to 4 moves drawn
+    from `moves`."""
     strands = draw(st.integers(2, 4))
     extra = draw(st.lists(st.integers(0, strands - 2), max_size=11 - strands))
     positions = draw(st.permutations(list(range(strands - 1)) + extra))
     word = [(pos, draw(st.sampled_from("+-s"))) for pos in positions]
     chain = [braid_closure(word, strands, draw(st.randoms(use_true_random=False)))]
     for _ in range(draw(st.integers(0, 4))):
-        sites = [s for m in COUNT_PRESERVING_MOVES
-                 for s in find_move_sites(chain[-1], m)]
-        if not sites:
+        site = drawn_site(draw, chain[-1], moves)
+        if site is None:
             break
-        chain.append(apply_move(chain[-1], draw(st.sampled_from(sites))))
+        chain.append(apply_move(chain[-1], site))
     return word, strands, chain
 
 
@@ -311,3 +325,119 @@ def test_output_matches_recorded_digest(all_diagrams, test_pairs):
             h.update(repr((dname, pname, [sorted(c.items()) for c in cols])).encode())
     assert h.hexdigest() == \
         "da1844aa3bd91c6bd884677f814b31565554ae8f9eab4fe8aa28635bbec0592a"
+
+
+def two_crossing_components(k: int) -> SingularDiagram:
+    """k disjoint two-component links of two crossings each, named so that
+    each link's edges sort together."""
+    cs = []
+    for i in range(k):
+        x, y, y2, x2 = (f"c{i:05d}{s}" for s in "abcd")
+        cs += [Crossing("+", (x, y, y2, x2)), Crossing("+", (y2, x2, x, y))]
+    return SingularDiagram(tuple(cs))
+
+
+def reference_seeds(d: SingularDiagram) -> list[str]:
+    """The seed rule by plain scans: propagate to a fixed point (a crossing
+    with a known in-pair or out-pair gets all four slots), then seed the
+    missing slot of the first half-known in-pair or out-pair in crossing
+    order, in-pair first, else the first uncoloured edge in sorted order."""
+    known: set[str] = set()
+    seeds = []
+    while True:
+        grew = True
+        while grew:
+            grew = False
+            for c in d.crossings:
+                if {c.in1, c.in2} <= known or {c.out1, c.out2} <= known:
+                    grew |= not set(c.slots) <= known
+                    known |= set(c.slots)
+        half = [pair for c in d.crossings for pair in (c.slots[:2], c.slots[2:])
+                if len(known & set(pair)) == 1]
+        rest = [e for e in d.edges if e not in known]
+        if not rest:
+            return seeds
+        seed = next(e for e in half[0] if e not in known) if half else rest[0]
+        seeds.append(seed)
+        known.add(seed)
+
+
+def test_plan_seeds_follow_the_scan_rule():
+    rng = random.Random("plan seeds")
+    diagrams = [two_crossing_components(3), SingularDiagram((), ("b", "a")),
+                SingularDiagram(ladder(6).crossings, ("a", "m", "z"))]
+    for _ in range(150):
+        strands = rng.randint(2, 4)
+        word = random_word(rng, strands, rng.randint(strands - 1, 14))
+        d = braid_closure(word, strands, rng)
+        loops = tuple(f"e{rng.randrange(1000)}x" for _ in range(rng.randint(0, 2)))
+        diagrams.append(SingularDiagram(d.crossings, tuple(sorted(set(loops)))))
+    for d in diagrams:
+        plan = coloring._plan(d)
+        assert [d.edges[e] for e, _ in plan] == reference_seeds(d), d
+        # each crossing fires once
+        assert sum(len(ops) for _, ops in plan) == len(d.crossings)
+
+
+def test_many_components_take_linear_time():
+    # the first seed scan from crossing 0 at every branch point takes 7.8 s
+    # on these 4,000 links; the plan's heap of touched crossings 0.3 s
+    d = two_crossing_components(4000)
+    with time_limit(1):
+        assert count_colorings(d, builtin_pair("trivial-1")) == 1
+
+
+EDGE_CASES = {
+    "empty": SingularDiagram(()),
+    "loops": SingularDiagram((), ("b", "a", "c")),
+    "kink": SingularDiagram((Crossing("s", ("e0", "l", "e0", "l")),)),
+    "kinks and a loop": SingularDiagram((Crossing("+", ("a", "k", "b", "k")),
+                                         Crossing("-", ("m", "b", "m", "a"))), ("z",)),
+    "no colorings": builtin_diagram("sing_hopf"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASES))
+def test_edge_cases_match_brute_force(name, test_pairs):
+    d = EDGE_CASES[name]
+    for pname, p in test_pairs.items():
+        want = sorted_by_edges(d, brute_force_colorings(d, p))
+        assert enumerate_colorings(d, p) == want, pname
+        assert count_colorings(d, p) == len(want), pname
+        assert coloring.coloring_array(d, p).shape == (len(want), len(d.edges))
+    assert enumerate_colorings(EDGE_CASES["empty"], builtin_pair("d3-ss")) == [{}]
+    assert count_colorings(builtin_diagram("sing_hopf"), builtin_pair("flip-i2")) == 0
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_row_cap_does_not_change_the_output(rows, monkeypatch, all_diagrams, test_pairs):
+    # blocks of one to three rows split at almost every seed and run
+    # depth-first; counts and enumerations must not notice
+    rng = random.Random("row cap")
+    diagrams = dict(all_diagrams, **EDGE_CASES)
+    for i in range(10):
+        strands = rng.randint(2, 4)
+        word = random_word(rng, strands, rng.randint(strands - 1, 8))
+        diagrams[f"closure {i}"] = braid_closure(word, strands, rng)
+    prs = dict(test_pairs, **FAR_PAIRS)
+    want = {(dn, pn): (count_colorings(d, p), enumerate_colorings(d, p))
+            for dn, d in diagrams.items() for pn, p in prs.items()}
+    monkeypatch.setattr(coloring, "_ROWS", rows)
+    for (dn, pn), (count, cols) in want.items():
+        d, p = diagrams[dn], prs[pn]
+        assert count_colorings(d, p) == count, (dn, pn)
+        assert enumerate_colorings(d, p) == cols, (dn, pn)
+
+
+def ring_chain(k: int) -> SingularDiagram:
+    """k rings, each linked to the next by a positive and a singular
+    crossing: the closure of s1 t1 s2 t2 ... on k strands."""
+    word = [(i, kind) for i in range(k - 1) for kind in "+s"]
+    return braid_closure(word, k, random.Random("ring chain"))
+
+
+def test_ring_chain_counts_fast():
+    # 2^18 colorings with flip-flip: 4.4 s for the depth-first search
+    d = ring_chain(18)
+    with time_limit(2):
+        assert count_colorings(d, builtin_pair("flip-flip")) == 2 ** 18

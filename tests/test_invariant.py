@@ -1,9 +1,12 @@
+import functools
 import hashlib
+from random import Random
 
 import pytest
+from hypothesis import given, settings
 
 from singlink import invariant
-from singlink.coloring import count_colorings
+from singlink.coloring import count_colorings, enumerate_colorings
 from singlink.diagram import (MOVES, Crossing, SingularDiagram, apply_move,
                               builtin_diagram, find_move_sites)
 from singlink.errors import CocycleInvalidError
@@ -18,6 +21,9 @@ from singlink.pairtable import (dihedral_switch, flip_switch, i2_switch,
                                 make_quandle_switch, dihedral_quandle)
 from singlink.presentation import (AbelianizedGroup, FiniteGroup,
                                    GroupRingElement)
+from tests.test_coloring import (EDGE_CASES, FAR_PAIRS, braid_closure,
+                                 fixed_point_count, moved_closures,
+                                 random_word)
 
 
 def elem(group, **exps):
@@ -447,3 +453,175 @@ class TestCompareNotions:
         ab = CocyclePair(tgt, f, h, AB)
         assert check_nc_cocycle(p, nc).ok
         assert check_ab_cocycle(p, ab).ok
+
+
+# ---------------------------------------------------------------------------
+# the batched evaluation against one coloring at a time
+# ---------------------------------------------------------------------------
+
+def nc_oracle(d, p, c):
+    """nc_invariant one coloring at a time: each component's product from
+    its basepoint in the target's own mul and inv, then its class
+    representative."""
+    t = c.target
+    conj = t.conjugacy_class_rep if isinstance(t, FiniteGroup) else (lambda a: a)
+    sinv = p.biquandle.table.inverse()
+    consumer = {}
+    for cr in d.crossings:
+        consumer[cr.in1] = (cr, 0)
+        consumer[cr.in2] = (cr, 1)
+    walks = []
+    for base in d.basepoints:
+        walk, edge = [], base
+        while edge in consumer:
+            cr, slot = consumer[edge]
+            walk.append((cr, slot))
+            edge = cr.out2 if slot == 0 else cr.out1
+            if edge == base:
+                break
+        walks.append(walk)
+    values = []
+    for col in enumerate_colorings(d, p):
+        comp_vals = []
+        for walk in walks:
+            val = t.identity()
+            for cr, slot in walk:
+                x, y = col[cr.in1], col[cr.in2]
+                if cr.kind == "s":
+                    val = t.mul(val, c.h[x][y])
+                elif cr.kind == "+" and slot == 0:
+                    val = t.mul(val, c.f[x][y])
+                elif cr.kind == "-" and slot == 1:
+                    a, b = sinv.apply(x, y)
+                    val = t.mul(val, t.inv(c.f[a][b]))
+            comp_vals.append(conj(val))
+        values.append(tuple(comp_vals))
+    return tuple(values)
+
+
+def state_sum_oracle(d, p, c):
+    """state_sum's terms one coloring at a time, in order of first
+    appearance over the sorted colorings."""
+    t = c.target
+    sinv = p.biquandle.table.inverse()
+    tally = {}
+    for col in enumerate_colorings(d, p):
+        val = t.identity()
+        for cr in d.crossings:
+            x, y = col[cr.in1], col[cr.in2]
+            if cr.kind == "s":
+                w = c.h[x][y]
+            elif cr.kind == "+":
+                w = c.f[x][y]
+            else:
+                a, b = sinv.apply(x, y)
+                w = t.inv(c.f[a][b])
+            val = t.mul(val, w)
+        tally[val] = tally.get(val, 0) + 1
+    return list(tally.items())
+
+
+def assert_matches_oracles(d, p, nc=None, ab=None, label=None):
+    # repr: the batched values must be Python ints in tuples, as the
+    # oracle's are, not numpy scalars
+    if nc is not None:
+        assert repr(nc_invariant(d, p, nc).per_coloring) == \
+            repr(nc_oracle(d, p, nc)), (label, "nc")
+    if ab is not None:
+        assert repr(list(state_sum(d, p, ab).terms.items())) == \
+            repr(state_sum_oracle(d, p, ab)), (label, "ab")
+
+
+def flip_flip_finite_cocycles():
+    """(flip, flip) cocycles into finite groups: h symmetric into S3 with
+    non-commuting values, and into Z/6 (both kinds)."""
+    s3 = FiniteGroup.symmetric(3)
+    e = s3.identity()
+    g = s3.mul(1, 4)
+    z6 = FiniteGroup.cyclic(6)
+    return (CocyclePair(s3, ((e, e), (e, e)), ((1, g), (g, 4)), NC),
+            CocyclePair(z6, ((0, 0), (0, 0)), ((1, 5), (5, 3)), NC),
+            CocyclePair(z6, ((0, 0), (0, 0)), ((1, 5), (5, 3)), AB))
+
+
+def scaled(c: CocyclePair, k: int) -> CocyclePair:
+    """k times an abelianized cocycle: multiplication by k is an
+    endomorphism of the target, so the result is a cocycle too."""
+    g = c.target
+
+    def times(a):
+        return (tuple(k * v for v in a[0]),
+                tuple(k * v % m for v, m in zip(a[1], g.torsion)))
+    return CocyclePair(g, [[times(a) for a in row] for row in c.f],
+                       [[times(a) for a in row] for row in c.h], c.kind)
+
+
+class TestBatchedEvaluation:
+    def test_builtin_cocycles(self, all_diagrams, test_pairs, nc_cocycles,
+                              ab_cocycles):
+        for dname, d in dict(all_diagrams, **EDGE_CASES).items():
+            for pname, p in test_pairs.items():
+                assert_matches_oracles(d, p, nc_cocycles[pname], ab_cocycles[pname],
+                                       (dname, pname))
+
+    def test_random_closures(self, test_pairs):
+        prs = dict(test_pairs, **FAR_PAIRS)
+        cocycles = {name: (universal_nc_cocycle(p), universal_ab_cocycle(p))
+                    for name, p in prs.items()}
+        rng = Random("batched invariants")
+        for _ in range(12):
+            strands = rng.randint(2, 4)
+            word = random_word(rng, strands, rng.randint(strands - 1, 9))
+            d = braid_closure(word, strands, rng)
+            for name, p in prs.items():
+                assert_matches_oracles(d, p, *cocycles[name], (word, name))
+
+    def test_finite_targets(self, all_diagrams):
+        p = builtin_pair("flip-flip")
+        s3, z6_nc, z6_ab = flip_flip_finite_cocycles()
+        assert not s3.target.is_abelian()
+        for dname, d in all_diagrams.items():
+            assert_matches_oracles(d, p, s3, z6_ab, dname)
+            assert_matches_oracles(d, p, z6_nc, None, dname)
+        # the class representatives are not the products themselves
+        values = {v for t in nc_invariant(builtin_diagram("four_sing_left"), p,
+                                          s3).per_coloring for v in t}
+        assert any(s3.target.conjugacy_class_rep(v) != v for v in range(6))
+        assert all(s3.target.conjugacy_class_rep(v) == v for v in values)
+
+    @pytest.mark.parametrize("k", [2 ** 40 + 1, 2 ** 70 + 1])
+    def test_large_coordinates_stay_exact(self, k, all_diagrams):
+        # 2^40: int64 sums; 2^70: Python ints, with values past 2^63
+        p = builtin_pair("flip-i2")
+        nc, ab = (scaled(builtin_cocycle("flip-i2", kind), k) for kind in (NC, AB))
+        assert check_nc_cocycle(p, nc).ok and check_ab_cocycle(p, ab).ok
+        assert ab.target.torsion == (2, 2)
+        biggest = 0
+        for dname, d in all_diagrams.items():
+            assert_matches_oracles(d, p, nc, ab, dname)
+            for elem in state_sum(d, p, ab).terms:
+                biggest = max([biggest, *map(abs, elem[0])])
+        assert biggest >= 2 * k
+
+
+@functools.lru_cache(maxsize=None)
+def move_cocycles():
+    """(pair, nc cocycle, ab cocycle): the universal cocycles of the pairs
+    the count test draws moves for, and finite (flip, flip) ones."""
+    from tests.test_coloring import MOVE_PAIRS
+    s3, _, z6_ab = flip_flip_finite_cocycles()
+    return tuple((p, universal_nc_cocycle(p), universal_ab_cocycle(p))
+                 for p in MOVE_PAIRS) + ((builtin_pair("flip-flip"), s3, z6_ab),)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(moved_closures(MOVES))
+def test_moves_keep_both_invariants(case):
+    word, strands, chain = case
+    for p, nc, ab in move_cocycles():
+        count = fixed_point_count(word, strands, p)
+        ncs = [nc_multiset_unordered(nc_invariant(d, p, nc)) for d in chain]
+        sums = [state_sum(d, p, ab) for d in chain]
+        assert sum(ncs[0].values()) == sums[0].coefficient_sum() == count, word
+        assert ncs == ncs[:1] * len(chain), word
+        assert sums == sums[:1] * len(chain), word
