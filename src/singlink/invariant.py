@@ -319,9 +319,9 @@ def _product(t: Target, factors, size: int):
 
 
 def _distinct(t: Target, vals):
-    """The distinct rows of vals in order of first appearance, as target
-    elements (per component if vals has a component axis), the class of
-    every row and the size of every class."""
+    """The distinct values of vals (ints, or rows of coordinates) in order
+    of first appearance as target elements, the class of every value and
+    the size of every class."""
     keys = vals.reshape(len(vals), math.prod(vals.shape[1:]))
     if keys.dtype == object:      # exact: rank each column of Python ints
         keys = np.stack([np.unique(col, return_inverse=True)[1] for col in keys.T], 1)
@@ -335,11 +335,7 @@ def _distinct(t: Target, vals):
     rank[order] = np.arange(len(order))
     out = vals[first[order]].tolist()
     if isinstance(t, AbelianizedGroup):
-        def elem(v):
-            return tuple(v[:t.rank]), tuple(v[t.rank:])
-        out = [elem(v) if vals.ndim == 2 else tuple(map(elem, v)) for v in out]
-    elif vals.ndim == 2:
-        out = list(map(tuple, out))
+        out = [(tuple(v[:t.rank]), tuple(v[t.rank:])) for v in out]
     return out, rank[which.ravel()].tolist(), counts[order].tolist()
 
 
@@ -369,14 +365,12 @@ def nc_invariant(d: SingularDiagram, p: SingularPair,
             edge = cr.out2 if slot == 0 else cr.out1
             if edge == base:
                 break
-        comps.append(_product(t, map(factor, passed), size))
-    if not comps:
-        return NcInvariantValue(((),) * size)
-    vals = np.stack(comps, axis=1)
-    if isinstance(t, FiniteGroup):
-        vals = np.array([t.conjugacy_class_rep(a) for a in range(t.order)])[vals]
-    values, which, _ = _distinct(t, vals)
-    return NcInvariantValue(tuple(map(values.__getitem__, which)))
+        val = _product(t, map(factor, passed), size)
+        if isinstance(t, FiniteGroup):
+            val = np.array([t.conjugacy_class_rep(a) for a in range(t.order)])[val]
+        values, which, _ = _distinct(t, val)
+        comps.append(map(values.__getitem__, which))
+    return NcInvariantValue(tuple(zip(*comps)) if comps else ((),) * size)
 
 
 def state_sum(d: SingularDiagram, p: SingularPair,

@@ -21,9 +21,9 @@ from singlink.pairtable import (dihedral_switch, flip_switch, i2_switch,
                                 make_quandle_switch, dihedral_quandle)
 from singlink.presentation import (AbelianizedGroup, FiniteGroup,
                                    GroupRingElement)
-from tests.test_coloring import (EDGE_CASES, FAR_PAIRS, braid_closure,
-                                 fixed_point_count, moved_closures,
-                                 random_word)
+from tests.test_coloring import (EDGE_CASES, FAR_PAIRS, MOVE_PAIRS,
+                                 braid_closure, fixed_point_count,
+                                 moved_closures, random_word)
 
 
 def elem(group, **exps):
@@ -608,7 +608,6 @@ class TestBatchedEvaluation:
 def move_cocycles():
     """(pair, nc cocycle, ab cocycle): the universal cocycles of the pairs
     the count test draws moves for, and finite (flip, flip) ones."""
-    from tests.test_coloring import MOVE_PAIRS
     s3, _, z6_ab = flip_flip_finite_cocycles()
     return tuple((p, universal_nc_cocycle(p), universal_ab_cocycle(p))
                  for p in MOVE_PAIRS) + ((builtin_pair("flip-flip"), s3, z6_ab),)
