@@ -20,9 +20,10 @@ from singlink.pairs import (SingularPair, _component_checks, brute_force_taus,
                             enumerate_left_right_invertible, enumerate_taus,
                             make_tau_a, make_tau_phi, pair_verdicts,
                             tau_phi_family, tau_phi_iso_count)
-from singlink.pairtable import (Biquandle, PairTable, dihedral_switch,
-                                flip_switch, i2_switch, is_flip, make_bialexander,
-                                make_quandle_switch, trivial_quandle)
+from singlink.pairtable import (Biquandle, PairTable, dihedral_quandle,
+                                dihedral_switch, flip_switch, i2_switch, is_flip,
+                                make_bialexander, make_quandle_switch,
+                                trivial_quandle)
 
 
 class TestSingularPairAxioms:
@@ -463,6 +464,48 @@ def test_canonical_keys_match_recorded_digest():
             h.update(canonical_key(SingularPair(S, t)))
     assert h.hexdigest() == \
         "3ab8c1cc6b8146c4c914b280477673b26c7335b96e17539d8ba8da2f275f57ea"
+
+
+# sha256 over repr(tau.key()) of each tau enumerate_taus returns, in order
+TAU_DIGESTS = [
+    ("flip1", True, 1, "21787fdc0781d7fbfa4016cc357beaa12198d48d5c834c7c430a306ed5a48249"),
+    ("flip1", False, 1, "21787fdc0781d7fbfa4016cc357beaa12198d48d5c834c7c430a306ed5a48249"),
+    ("flip2", True, 2, "19e80b904e3c802048ee26736f1b19e5126c8e376aa2d012b93bd85a4a805322"),
+    ("flip2", False, 4, "c9fb5c6f42098a3bc7dfa3439b793a84bc60f95e98fa3088ded6cbc7f6ad6cb5"),
+    ("flip3", True, 24, "a71cafe067c4324456aadb6ac3ecf2edabb60fb06e38f1f28360ae792e898ed1"),
+    ("flip3", False, 216, "8c30b8f055fca2a312db8f5db1a8d75bfeef5fd98a021b76d97d90fc527de3bf"),
+    ("flip4", True, 3360, "b9453faed07f9ab87644122d83e56079ee0b682eda5f5270d18258fea2ca6100"),
+    ("i2", True, 2, "19e80b904e3c802048ee26736f1b19e5126c8e376aa2d012b93bd85a4a805322"),
+    ("i2", False, 2, "19e80b904e3c802048ee26736f1b19e5126c8e376aa2d012b93bd85a4a805322"),
+    ("D3", True, 2, "458e016bb97171c16f24e843d5968dac87b23e58a190a2b254c13018aaa79857"),
+    ("D3", False, 2, "458e016bb97171c16f24e843d5968dac87b23e58a190a2b254c13018aaa79857"),
+    ("D4", True, 16, "bd6ec99c6dd1a8ad9eab876beda10ec92d0f67558d94262bfbb0b386d68c7cff"),
+    ("D4", False, 16, "bd6ec99c6dd1a8ad9eab876beda10ec92d0f67558d94262bfbb0b386d68c7cff"),
+    ("D5", True, 8, "8be11dff6f4ac98d3a2f6880e462231872411b5fba418b13dd3851e9acead07d"),
+    ("D5", False, 8, "8be11dff6f4ac98d3a2f6880e462231872411b5fba418b13dd3851e9acead07d"),
+    ("bialexander(5,2,3)", True, 128, "04f7071e8596383d6fbf32f4db114ec9c5374373ae5d64f42bb6587adb71619c"),
+    ("bialexander(5,2,3)", False, 480, "3504a193d25f8296de4466342b7a0a18ec0558f97fc6f39b4fa792a47e080040"),
+    ("bialexander(4,1,3)", True, 16, "bd6ec99c6dd1a8ad9eab876beda10ec92d0f67558d94262bfbb0b386d68c7cff"),
+    ("bialexander(4,1,3)", False, 16, "bd6ec99c6dd1a8ad9eab876beda10ec92d0f67558d94262bfbb0b386d68c7cff"),
+    ("D4 quandle", True, 16, "bd6ec99c6dd1a8ad9eab876beda10ec92d0f67558d94262bfbb0b386d68c7cff"),
+    ("D4 quandle", False, 16, "bd6ec99c6dd1a8ad9eab876beda10ec92d0f67558d94262bfbb0b386d68c7cff"),
+]
+DIGEST_SWITCHES = {**{f"flip{n}": flip_switch(n) for n in range(1, 5)},
+                   "i2": i2_switch(), "D3": dihedral_switch(3),
+                   "D4": dihedral_switch(4), "D5": dihedral_switch(5),
+                   "bialexander(5,2,3)": make_bialexander(5, 2, 3),
+                   "bialexander(4,1,3)": make_bialexander(4, 1, 3),
+                   "D4 quandle": make_quandle_switch(dihedral_quandle(4))}
+
+
+@pytest.mark.parametrize("name,bijective,count,digest", TAU_DIGESTS)
+def test_enumerate_taus_matches_recorded_digest(name, bijective, count, digest):
+    # the oracle where brute_force_taus cannot reach (n >= 4)
+    taus = enumerate_taus(DIGEST_SWITCHES[name], require_bijective=bijective)
+    h = hashlib.sha256()
+    for tau in taus:
+        h.update(repr(tau.key()).encode())
+    assert (len(taus), h.hexdigest()) == (count, digest)
 
 
 def _canonical_form_one(tables, relabelings):
