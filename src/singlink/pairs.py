@@ -13,12 +13,15 @@ definition.  check_singular_pair evaluates both words at every point, and
 the diagram layer reads the RIVa and RIVb moves off the same words (and
 RIII off pairtable.YANG_BAXTER): the two sides of an identity are the two
 sides of its move.
-The search builds tau1 row by row (left invertibility makes each row a
-permutation), derives tau2 pointwise from the first component of (1),
-and checks every other component of every identity, derived from the
-same words, as soon as the rows it reads exist.  `enumerate_taus` then
-checks its output once more, a batch of taus at a time: `pair_verdicts`
-runs the same words over numpy arrays (`pairtable.word_images`).
+One search serves every switch.  It fills tau1 row by row (left
+invertibility makes each row a permutation), derives tau2 pointwise from
+the first component of (1), and checks every other component of every
+identity as soon as the rows it reads exist; which rows those are comes
+from running the words' S-only prefixes, so the words stay the only
+definition.  The search runs on numpy batches of partial taus, and
+`enumerate_taus` then checks its output once more, a batch of taus at a
+time: `pair_verdicts` runs the same words over numpy arrays
+(`pairtable.word_images`).
 Isomorphism classes are keyed by `canonical_form`, the least relabeled
 table stack, also taken for a batch of pairs at once.
 """
@@ -34,9 +37,8 @@ import numpy as np
 
 from .errors import (DimensionMismatchError, HomogeneityViolationError,
                      NonUnitError, SearchBoundExceededError, UnknownNameError)
-from .pairtable import (Biquandle, PairTable, apply_word, dihedral_switch,
-                        first_failure, flip_switch, i2_switch, is_flip,
-                        word_arity, word_images, word_map)
+from .pairtable import (Biquandle, PairTable, dihedral_switch, first_failure,
+                        flip_switch, i2_switch, word_arity, word_images)
 
 # batch sizes: taus per `pair_verdicts` call in the `enumerate_taus`
 # guard, and relabeled cells (pairs x relabelings x table cells) per
@@ -45,6 +47,11 @@ from .pairtable import (Biquandle, PairTable, apply_word, dihedral_switch,
 # near 100 kB
 CHECK_BATCH = 128
 CANONICAL_BATCH = 1 << 14
+# the tau search: partial taus a batch may hold after a level extends it
+# (a larger batch is split and its parts run depth-first), and component
+# equations checked per `word_images` call before failing taus are dropped
+SEARCH_ROWS = 1 << 12
+SEARCH_CHUNK = 32
 
 # (name, lhs, rhs): words of letters (map, i) in application order, S the
 # switch and T the companion tau, listed in reporting order
@@ -362,123 +369,129 @@ def tau_phi_family(m: int, s: int, t: int) -> list[PairTable]:
 # exhaustive enumeration of companion tau's
 # ---------------------------------------------------------------------------
 
-def _derive_tau2(st: PairTable, t1_rows, a, b, linv):
-    """Solve the first component of rv (eq (1)) for tau2(a,b)."""
-    u = t1_rows[a][b]
-    sa, sb = st.apply(a, b)
-    w = t1_rows[sa][sb]
-    return linv[u][w]
+def _last_rows(word, points, S, s1) -> np.ndarray:
+    """Per output coordinate of `word` and point of X^k (a (k, N) array),
+    the last tau1 row the image reads, or -1 when it reads no tau.
+
+    The word reads tau at most once, at the point (a, b) its S-only
+    prefix reaches: tau1(a, b) reads row a, and tau2(a, b), derived from
+    rows a and S1(a, b), the later of the two.  Each letter after tau
+    mixes the two coordinates it acts on.
+    """
+    rows = np.full(points.shape, -1)
+    letters = [m for m, _ in word]
+    assert letters.count("T") <= 1, word
+    if "T" in letters:
+        t = letters.index("T")
+        i = word[t][1]
+        prefix = word_images(word[:t], S, points)
+        a, b = np.reshape(prefix[i], -1), np.reshape(prefix[i + 1], -1)
+        rows[i], rows[i + 1] = a, np.maximum(a, s1[a, b])
+        for _, c in word[t + 1:]:
+            rows[c] = rows[c + 1] = np.maximum(rows[c], rows[c + 1])
+    return rows
 
 
-def _side_folder(word, k: int, st: PairTable):
-    """point of X^k -> [(last tau1 row read, side) per coordinate] of a word.
+def _tau_plan(st: PairTable):
+    """The tau search as one level per tau1 row k, each a tuple (cells,
+    sources, known, columns, checks) of what row k makes known.
 
-    The word reads tau at most once, at a point its S-only prefix fixes,
-    so the prefix folds to the constants (a, b) and what follows tau(a,b)
-    folds to a table indexed by the tau values the coordinate depends on.
-    A side is (table, need, a, b) with need a sorted tuple of c in {0, 1}:
-    its value is table[tau_c(a,b)]... for c in need.  tau1(a,b) needs row
-    a and tau2(a,b) rows a and S1(a,b), from which it is derived.
+    tau2(a, b) is derived at the level of the later of rows a and
+    S1(a, b): `cells` are those flat cells a*n + b and `sources` the
+    cells S(a, b) whose tau1 the derivation reads.  `known` are the cells
+    derived by the end of the level and `columns` their b*n, so that
+    tau2 + b*n is distinct over them unless two cells of a column share a
+    tau2 value.  `checks` holds every component equation of
+    SINGULAR_PAIR_AXIOMS whose tau reads all lie in rows 0..k, one of
+    them in row k, as (lhs, rhs, js, points): outputs js of the two words
+    must agree at each point, an (arity, m) array with m <= SEARCH_CHUNK.
+    The first component of rv is skipped: the derivation solves it.
     """
     n = st.n
-    S = {"S": st}
-    letters = [m for m, _ in word]
-    assert set(letters) <= {"S", "T"} and letters.count("T") <= 1, word
-    if "T" not in letters:
-        run = word_map(word, S)
-        return lambda point: [(0, (v, (), 0, 0)) for v in run(point)]
-    t = letters.index("T")
-    i, prefix, suffix = word[t][1], word_map(word[:t], S), word[t + 1:]
-    # which of tau1, tau2 (coordinates i, i+1 after tau) reach each output
-    deps = [set() for _ in range(k)]
-    deps[i], deps[i + 1] = {0}, {1}
-    for _, c in suffix:
-        deps[c] = deps[c + 1] = deps[c] | deps[c + 1]
-    needs = [tuple(sorted(d)) for d in deps]
-    # index into (0, a, max(a, S1(a,b))), the last row each need reads
-    last = [max(d, default=-1) + 1 for d in deps]
-    tables = {}     # the other coordinates -> one table per output
-
-    def table(q, j, need):
-        # output j of the suffix at q, indexed by coordinates i + c, c in need
-        if not need:
-            return apply_word(suffix, S, q)[j]
-        c = i + need[0]
-        return tuple(table(q[:c] + (x,) + q[c + 1:], j, need[1:])
-                     for x in range(n))
-
-    def fold(point):
-        q = tuple(prefix(point))
-        a, b = q[i], q[i + 1]
-        rest = q[:i] + q[i + 2:]
-        if rest not in tables:
-            tables[rest] = [table(q, j, need) for j, need in enumerate(needs)]
-        rows = (0, a, max(a, st.t1[a][b]))
-        return [(rows[r], (tab, need, a, b))
-                for tab, need, r in zip(tables[rest], needs, last)]
-    return fold
+    s1, s2 = np.array(st.t1), np.array(st.t2)
+    S = {"S": (s1[None], s2[None])}
+    a, b = np.indices((n, n)).reshape(2, -1)
+    level = np.maximum(a, s1[a, b])
+    plan = []
+    for k in range(n):
+        cells, known = np.flatnonzero(level == k), np.flatnonzero(level <= k)
+        plan.append((cells, s1[a, b][cells] * n + s2[a, b][cells], known,
+                     (b[known] * n).astype(np.int16), []))
+    for name, lhs, rhs in SINGULAR_PAIR_AXIOMS:
+        arity = word_arity(lhs, rhs)
+        points = np.indices((n,) * arity).reshape(arity, -1)
+        due = np.maximum(_last_rows(lhs, points, S, s1),
+                         _last_rows(rhs, points, S, s1))
+        assert due.min() >= 0, name     # each equation reads tau on a side
+        if name == "rv":
+            due[0] = -1
+        for row, (*_, checks) in enumerate(plan):
+            # the points whose outputs js fall due at this row, per js
+            due_at = (1 << np.arange(arity)) @ (due == row)
+            for group in np.unique(due_at[due_at > 0]):
+                js = tuple(np.flatnonzero(group >> np.arange(arity) & 1))
+                at = points[:, due_at == group]
+                checks += [(lhs, rhs, js, at[:, i:i + SEARCH_CHUNK])
+                           for i in range(0, at.shape[1], SEARCH_CHUNK)]
+    return plan
 
 
-def _component_checks(st: PairTable):
-    """Every component equation of SINGULAR_PAIR_AXIOMS as (lhs, rhs) sides
-    (see _side_folder); buckets[k] holds those whose last tau1 row is k, in
-    row-major point order, which meets a failing check early.  The first
-    component of (1) is skipped: _derive_tau2 solves it.
-    """
-    entries = []
-    for idx, (name, lhs, rhs) in enumerate(SINGULAR_PAIR_AXIOMS):
-        k = word_arity(lhs, rhs)
-        left, right = _side_folder(lhs, k, st), _side_folder(rhs, k, st)
-        for point in itertools.product(range(st.n), repeat=k):
-            for j, ((lrow, lside), (rrow, rside)) in enumerate(
-                    zip(left(point), right(point))):
-                if name == "rv" and j == 0:
-                    continue
-                entries.append((point, idx, j, max(lrow, rrow), (lside, rside)))
-    entries.sort()      # (point, idx, j) is unique
-    buckets = [[] for _ in range(st.n)]
-    for *_, row, check in entries:
-        buckets[row].append(check)
-    return buckets
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """Whether each row of keys holds no value twice."""
+    keys = np.sort(keys, axis=1)
+    return (keys[:, 1:] != keys[:, :-1]).all(axis=1)
 
 
-def _enumerate_flip_taus(n: int, require_bijective: bool):
-    """Fast path for S = flip: tau2(x,y) = tau1(y,x), eqs (2),(3) vacuous."""
-    perms = list(itertools.permutations(range(n)))
-    results = []
-    rows = []
-    # the cells (a, b) whose pair (tau1, tau2) row k completes
-    completed_at = [[(k, b) for b in range(k)] + [(a, k) for a in range(k)]
-                    + [(k, k)] for k in range(n)]
-
-    columns = {}    # one tuple per distinct tau2 row, shared by all taus
-
-    def rec(k, seen):
+def _tau_search(st: PairTable, require_bijective: bool) -> list[PairTable]:
+    """Every tau for the switch table st that enumerate_taus returns,
+    before its guard, in table order: `_tau_plan` run depth-first on int8
+    batches of partial taus, shape (rows, 2, n, n)."""
+    n = st.n
+    perms = np.array(list(itertools.permutations(range(n))), np.int8)
+    s1 = np.array(st.t1, np.int8)
+    S = (s1[None], np.array(st.t2, np.int8)[None])
+    # tau2(a, b) solves S1(tau1(a, b), tau2(a, b)) = tau1(S(a, b)), the
+    # first component of rv: linv[u, S1(u, y)] = y
+    linv = np.empty((n, n), np.int8)
+    linv[np.arange(n)[:, None], s1] = np.arange(n)
+    plan = _tau_plan(st)
+    width = max(1, SEARCH_ROWS // len(perms))
+    found = []
+    stack = [(0, np.zeros((1, 2, n, n), np.int8))]
+    while stack:
+        k, taus = stack.pop()
         if k == n:
-            t2 = [tuple(rows[y][x] for y in range(n)) for x in range(n)]
-            results.append(PairTable(n, tuple(rows),
-                                     [columns.setdefault(c, c) for c in t2]))
-            return
-        for p in perms:
-            rows.append(p)
-            added = []
-            ok = True
-            if require_bijective:
-                for (a, b) in completed_at[k]:
-                    pair = (rows[a][b], rows[b][a])
-                    if pair in seen:
-                        ok = False
-                        break
-                    seen.add(pair)
-                    added.append(pair)
-            if ok:
-                rec(k + 1, seen)
-            for pair in added:
-                seen.discard(pair)
-            rows.pop()
-
-    rec(0, set())
-    return results
+            found.append(taus)
+            continue
+        if len(taus) > width:
+            stack.append((k, taus[width:]))
+            taus = taus[:width]
+        cells, sources, known, columns, checks = plan[k]
+        taus = np.repeat(taus, len(perms), axis=0)
+        taus[:, 0, k] = np.tile(perms, (len(taus) // len(perms), 1))
+        tau1, tau2 = taus.reshape(len(taus), 2, n * n).transpose(1, 0, 2)
+        tau2[:, cells] = linv[tau1[:, cells], tau1[:, sources]]
+        # right invertibility, and bijectivity, over the cells known so far
+        ok = _distinct(tau2[:, known] + columns)
+        if require_bijective:
+            ok &= _distinct(tau1[:, known].astype(np.int16) * n + tau2[:, known])
+        taus = taus[ok]
+        for lhs, rhs, js, points in checks:
+            if not len(taus):
+                break
+            maps = {"S": S, "T": (taus[:, 0], taus[:, 1])}
+            left = word_images(lhs, maps, points)
+            right = word_images(rhs, maps, points)
+            ok = (left[js[0]] == right[js[0]]).all(axis=1)
+            for j in js[1:]:
+                ok &= (left[j] == right[j]).all(axis=1)
+            taus = taus[ok]
+        if len(taus):
+            stack.append((k + 1, taus))
+    rows: dict = {}     # one tuple per distinct row, shared by all taus
+    return [PairTable(n, [rows.setdefault(r, r) for r in map(tuple, t1)],
+                      [rows.setdefault(r, r) for r in map(tuple, t2)])
+            for taus in found for t1, t2 in taus.tolist()]
 
 
 def enumerate_taus(S: Biquandle, require_bijective: bool = True,
@@ -488,6 +501,19 @@ def enumerate_taus(S: Biquandle, require_bijective: bool = True,
     With require_bijective=False the bijectivity requirement is dropped
     (left/right invertibility and eqs (1)-(3) still hold), which is the
     population counted in the left/right-invertible table.
+
+    One search serves every switch.  A plan built once per call
+    (`_tau_plan`) lists, for each tau1 row k, the tau2 cells that row
+    completes and the component equations whose tau reads it completes.
+    The plan runs on int8 batches of partial taus, one per branch: row k
+    extends every partial tau by each of the n! permutations, derives the
+    new tau2 cells, and drops a partial tau as soon as two known tau2
+    cells of a column agree, two known cells share a (tau1, tau2) pair
+    (when bijectivity is required), or a listed equation fails; the
+    equations run SEARCH_CHUNK points at a time.  A batch that a row
+    would take past SEARCH_ROWS partial taus is split and its parts run
+    depth-first.  The cost is n! times the number of partial taus that
+    survive each row; no bound on that number is claimed.
 
     The search's output is checked again before it is returned, as a
     guard on the search: `pair_verdicts` tests left and right
@@ -500,12 +526,8 @@ def enumerate_taus(S: Biquandle, require_bijective: bool = True,
     if n > max_n:
         raise SearchBoundExceededError(
             f"n={n} exceeds enumeration bound {max_n}")
-    st = S.table
-    if is_flip(st):
-        results = _enumerate_flip_taus(n, require_bijective)
-    else:
-        results = _search_taus(st, require_bijective)
-    out = sorted(set(results), key=lambda t_: t_.key())
+    out = sorted(set(_tau_search(S.table, require_bijective)),
+                 key=lambda t_: t_.key())
     for start in range(0, len(out), CHECK_BATCH):
         part = out[start:start + CHECK_BATCH]
         ok = pair_verdicts(S, part, require_bijective)
@@ -520,75 +542,6 @@ def enumerate_taus(S: Biquandle, require_bijective: bool = True,
         return classify_isomorphism([SingularPair(S, tab) for tab in out])
     return out
 
-
-def _search_taus(st: PairTable, require_bijective: bool):
-    n = st.n
-    perms = list(itertools.permutations(range(n)))
-    # linv[u][w] = y with S1(u,y) = w
-    linv = [[0] * n for _ in range(n)]
-    for u in range(n):
-        for y in range(n):
-            linv[u][st.t1[u][y]] = y
-    checks = _component_checks(st)
-    # tau2(a,b) becomes derivable once rows a and S1(a,b) both exist
-    derive_at = [[] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            derive_at[max(a, st.t1[a][b])].append((a, b))
-
-    t1 = [None] * n
-    t2 = [[None] * n for _ in range(n)]
-    taus = (t1, t2)
-    col_seen = [set() for _ in range(n)]
-    results = []
-
-    def rec(k, seen):
-        if k == n:
-            tab = PairTable(n, tuple(t1), tuple(tuple(r) for r in t2))
-            results.append(tab)
-            return
-        for p in perms:
-            t1[k] = p
-            derived = []
-            ok = True
-            for (a, b) in derive_at[k]:
-                v = _derive_tau2(st, t1, a, b, linv)
-                t2[a][b] = v
-                derived.append((a, b))
-                if v in col_seen[b]:       # right invertibility
-                    ok = False
-                    break
-                col_seen[b].add(v)
-                if require_bijective:
-                    pair = (t1[a][b], v)
-                    if pair in seen:
-                        ok = False
-                        col_seen[b].discard(v)
-                        t2[a][b] = None
-                        derived.pop()
-                        break
-                    seen.add(pair)
-            if ok:
-                for (lv, lneed, la, lb), (rv, rneed, ra, rb) in checks[k]:
-                    for c in lneed:
-                        lv = lv[taus[c][la][lb]]
-                    for c in rneed:
-                        rv = rv[taus[c][ra][rb]]
-                    if lv != rv:
-                        ok = False
-                        break
-            if ok:
-                rec(k + 1, seen)
-            for (a, b) in derived:
-                v = t2[a][b]
-                col_seen[b].discard(v)
-                if require_bijective:
-                    seen.discard((t1[a][b], v))
-                t2[a][b] = None
-            t1[k] = None
-
-    rec(0, set())
-    return results
 
 
 def brute_force_taus(S: Biquandle, require_bijective: bool = True,
@@ -655,8 +608,8 @@ def enumerate_left_right_invertible(n: int, max_n: int = 4) -> LrCounts:
 
     total is (n!)^n (tau1 is a free list of n permutations and forces
     tau2); iso is computed by Burnside orbit counting over S_n acting by
-    simultaneous relabeling; the bijective population is enumerated
-    explicitly and classified.
+    simultaneous relabeling; the bijective population is enumerated by
+    the tau search for S = flip and classified.
     """
     if n > max_n:
         raise SearchBoundExceededError(f"n={n} exceeds bound {max_n}")
@@ -673,8 +626,8 @@ def enumerate_left_right_invertible(n: int, max_n: int = 4) -> LrCounts:
         iso_sum += class_size * fixed
     iso = iso_sum // factorial(n)
 
-    bij = _enumerate_flip_taus(n, require_bijective=True)
     S = flip_switch(n)
+    bij = _tau_search(S.table, require_bijective=True)
     classes = classify_isomorphism([SingularPair(S, tab) for tab in bij])
     return LrCounts(total, iso, len(bij), len(classes))
 

@@ -188,11 +188,6 @@ def word_images(word, maps, points):
     return p
 
 
-def apply_word(word, maps, point) -> tuple[int, ...]:
-    """The image of `point` under `word`, each letter read from `maps`."""
-    return tuple(word_map(word, maps)(point))
-
-
 @functools.cache
 def word_arity(*words) -> int:
     """The k of X^k the words act on."""
@@ -292,10 +287,6 @@ class Quandle:
 def flip_switch(n: int) -> Biquandle:
     t = PairTable.from_function(n, lambda x, y: (y, x))
     return Biquandle(t, tuple(range(n)))
-
-
-def is_flip(t: PairTable) -> bool:
-    return t == flip_switch(t.n).table
 
 
 def i2_switch() -> Biquandle:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from singlink import pairs as pairs_module
 from singlink.errors import (HomogeneityViolationError, NonUnitError,
                              SearchBoundExceededError)
-from singlink.pairs import (SingularPair, _component_checks, brute_force_taus,
+from singlink.pairs import (SingularPair, brute_force_taus,
                             builtin_pair, canonical_form, canonical_key,
                             check_bialexander_characterization,
                             check_flip_s_condition, check_flip_tau_condition,
@@ -21,7 +21,7 @@ from singlink.pairs import (SingularPair, _component_checks, brute_force_taus,
                             make_tau_a, make_tau_phi, pair_verdicts,
                             tau_phi_family, tau_phi_iso_count)
 from singlink.pairtable import (Biquandle, PairTable, dihedral_quandle,
-                                dihedral_switch, flip_switch, i2_switch, is_flip,
+                                dihedral_switch, flip_switch, i2_switch,
                                 make_bialexander, make_quandle_switch,
                                 trivial_quandle)
 
@@ -450,11 +450,27 @@ def test_check_singular_pair_matches_recorded_digest():
     ("D4", [33, 61, 125, 181]),
     ("D5", [43, 83, 135, 207, 307]),
     ("bialexander(5,2,3)", [51, 38, 130, 182, 374]),
+    ("flip4", [37, 79, 121, 163]),
 ])
 def test_search_checks_run_at_the_earliest_row(name, sizes):
-    # a looser derivation would stay correct but check later and prune less
-    buckets = _component_checks(PIN_SWITCHES[name].table)
-    assert [len(b) for b in buckets] == sizes
+    # component equations checked per tau1 row; a looser derivation would
+    # stay correct but check later and prune less
+    S = {**PIN_SWITCHES, "flip4": flip_switch(4)}[name]
+    plan = pairs_module._tau_plan(S.table)
+    assert [sum(len(js) * points.shape[1] for *_, js, points in checks)
+            for *_, checks in plan] == sizes
+
+
+@pytest.mark.parametrize("S", [flip_switch(3), dihedral_switch(4),
+                               make_bialexander(4, 1, 3)],
+                         ids=["flip3", "D4", "bialexander(4,1,3)"])
+@pytest.mark.parametrize("bijective", [True, False])
+def test_batch_sizes_do_not_change_the_output(monkeypatch, S, bijective):
+    whole = enumerate_taus(S, require_bijective=bijective)
+    monkeypatch.setattr(pairs_module, "SEARCH_CHUNK", 1)
+    for rows in (1, 2, 3):
+        monkeypatch.setattr(pairs_module, "SEARCH_ROWS", rows)
+        assert enumerate_taus(S, require_bijective=bijective) == whole
 
 
 def test_canonical_keys_match_recorded_digest():
@@ -466,7 +482,9 @@ def test_canonical_keys_match_recorded_digest():
         "3ab8c1cc6b8146c4c914b280477673b26c7335b96e17539d8ba8da2f275f57ea"
 
 
-# sha256 over repr(tau.key()) of each tau enumerate_taus returns, in order
+# sha256 over repr(tau.key()) of each tau enumerate_taus returns, in order,
+# recorded with the backtracking search and the flip-only search that the
+# batched search replaced
 TAU_DIGESTS = [
     ("flip1", True, 1, "21787fdc0781d7fbfa4016cc357beaa12198d48d5c834c7c430a306ed5a48249"),
     ("flip1", False, 1, "21787fdc0781d7fbfa4016cc357beaa12198d48d5c834c7c430a306ed5a48249"),
@@ -617,15 +635,16 @@ def test_batched_verdicts_match_check_singular_pair(S):
         [all(v.axiom == "bijective" for v in c.violations) for c in checks]
     if S.n >= 3:
         expected = {"left_invertible", "right_invertible", "bijective", "rv"}
-        if not is_flip(S.table):    # for the flip, (2) and (3) always hold
+        # for the flip, (2) and (3) always hold
+        if S.table != flip_switch(S.n).table:
             expected |= {"rivb", "riva"}
         assert {v.axiom for c in checks for v in c.violations} == expected
 
 
 def _inject(monkeypatch, bad):
-    search = pairs_module._enumerate_flip_taus
-    monkeypatch.setattr(pairs_module, "_enumerate_flip_taus",
-                        lambda n, require_bijective: search(n, require_bijective) + [bad])
+    search = pairs_module._tau_search
+    monkeypatch.setattr(pairs_module, "_tau_search",
+                        lambda st, require_bijective: search(st, require_bijective) + [bad])
 
 
 def test_guard_names_the_violated_axiom(monkeypatch):

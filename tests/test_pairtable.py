@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singlink.errors import NonUnitError
-from singlink.pairtable import (Biquandle, PairTable, Quandle, apply_word,
+from singlink.pairtable import (Biquandle, PairTable, Quandle,
                                 check_biquandle, check_yang_baxter,
-                                first_failure,
+                                first_failure, word_map,
                                 dihedral_quandle, dihedral_switch,
                                 flip_switch, i2_switch, make_bialexander,
                                 make_quandle_switch, trivial_quandle)
@@ -86,7 +86,7 @@ class TestWords:
         # (1 x S) first, then (S x 1), with S the flip:
         # (0, 1, 2) -> (0, 2, 1) -> (2, 0, 1)
         maps = {"S": flip_switch(3).table}
-        assert apply_word((("S", 1), ("S", 0)), maps, (0, 1, 2)) == (2, 0, 1)
+        assert word_map((("S", 1), ("S", 0)), maps)((0, 1, 2)) == [2, 0, 1]
 
     def test_first_failure_is_row_major_first(self):
         # S o tau = tau o S fails first at (0, 1) for D3 with the flip
