@@ -48,6 +48,17 @@ class PairTable:
             if any(not (0 <= v < n) for row in t for v in row):
                 raise ValueError("table entries out of range")
 
+    @classmethod
+    def _unchecked(cls, n: int, t1: Table, t2: Table) -> "PairTable":
+        """A table from rows its caller has built and checked: n tuples of
+        n ints in 0..n-1 per table.  Skips `__post_init__`, which
+        `PairTable(n, t1, t2)` runs."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "t1", t1)
+        object.__setattr__(self, "t2", t2)
+        return self
+
     def apply(self, x: int, y: int) -> tuple[int, int]:
         return self.t1[x][y], self.t2[x][y]
 

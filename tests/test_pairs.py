@@ -269,7 +269,7 @@ class TestTauPhi:
     def test_In_matches_phi_orbit_enumeration(self, n):
         assert tau_phi_iso_count(n) == self.phi_orbit_count(n)
 
-    @pytest.mark.parametrize("n", range(3, 17))
+    @pytest.mark.parametrize("n", range(3, 31))
     def test_dihedral_automorphisms_are_affine(self, n):
         affine = sorted(tuple((a * x + b) % n for x in range(n))
                         for a in range(n) if gcd(a, n) == 1 for b in range(n))
@@ -397,6 +397,115 @@ class TestClassification:
         with pytest.raises(SearchBoundExceededError):
             classify_isomorphism([p1, p2])
         assert len(classify_isomorphism([p1, p1])) == 1
+
+
+def _closure(t, start):
+    """The elements T1 and T2 reach from the set `start`."""
+    reached = set(start)
+    while True:
+        new = {v for x in reached for y in reached for v in t.apply(x, y)}
+        if new <= reached:
+            return reached
+        reached |= new
+
+
+def _aut_oracle_tables(rng, n, count):
+    """Seeded tables on n elements, most of them not biquandles: random
+    ones; ones that keep a random set holding 0 closed, so that 0 alone
+    does not generate X; and translation-invariant ones, T(x, y) =
+    (x + a(y - x), x + b(y - x)) on Z/n, whose automorphisms include
+    every translation."""
+    out = [PairTable.from_function(n, lambda x, y: (x, y)),
+           PairTable.from_function(n, lambda x, y: (y, y))]
+    for _ in range(count):
+        kind = rng.randrange(3)
+        t1 = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        t2 = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        if kind == 1:
+            closed = [0] + rng.sample(range(1, n), rng.randrange(n - 1)) \
+                if n > 1 else [0]
+            for x in closed:
+                for y in closed:
+                    t1[x][y], t2[x][y] = rng.choice(closed), rng.choice(closed)
+        elif kind == 2:
+            a = [rng.randrange(n) for _ in range(n)]
+            b = [rng.randrange(n) for _ in range(n)]
+            t1 = [[(x + a[(y - x) % n]) % n for y in range(n)] for x in range(n)]
+            t2 = [[(x + b[(y - x) % n]) % n for y in range(n)] for x in range(n)]
+        out.append(PairTable(n, t1, t2))
+    return out
+
+
+def _brute_force_automorphisms(t):
+    return [g for g in itertools.permutations(range(t.n)) if t.relabel(g) == t]
+
+
+AUT_SWITCHES = {
+    **{f"flip{n}": flip_switch(n) for n in range(1, 6)},
+    **{f"D{n}": dihedral_switch(n) for n in range(3, 8)},
+    "i2": i2_switch(),
+    "bialexander(4,1,3)": make_bialexander(4, 1, 3),
+    "bialexander(5,2,3)": make_bialexander(5, 2, 3),
+    **{f"trivial quandle {n}": make_quandle_switch(trivial_quandle(n))
+       for n in (2, 3, 4)},
+    **{f"dihedral quandle {n}": make_quandle_switch(dihedral_quandle(n))
+       for n in (3, 4, 5)},
+}
+
+
+@pytest.mark.parametrize("name", list(AUT_SWITCHES))
+def test_automorphism_group_matches_brute_force(name):
+    # the same list as a scan of all n! relabelings, in the same order
+    t = AUT_SWITCHES[name].table
+    assert automorphism_group(t) == _brute_force_automorphisms(t)
+
+
+@pytest.mark.parametrize("name", list(AUT_SWITCHES))
+def test_generators_reach_every_element_by_derivation(name):
+    t = AUT_SWITCHES[name].table
+    gens, derivations = pairs_module._generators(t)
+    known = list(gens)
+    for z, i, x, y in derivations:
+        assert x in known and y in known and (t.t1, t.t2)[i][x][y] == z
+        known.append(z)
+    assert sorted(known) == list(range(t.n))
+    # the candidate counts the docstring states: n(n-1) for D_n, n! for
+    # the flip
+    if name.startswith("D"):
+        assert gens == [0, 1]
+    if name.startswith(("flip", "trivial quandle")):
+        assert gens == list(range(t.n))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_automorphism_group_of_random_tables_matches_brute_force(monkeypatch, n):
+    tables = _aut_oracle_tables(random.Random(f"automorphisms {n}"), n, 24)
+    for t in tables:
+        assert automorphism_group(t) == _brute_force_automorphisms(t)
+    # one candidate per batch keeps the list and its order
+    monkeypatch.setattr(pairs_module, "AUT_BATCH", 1)
+    for t in tables:
+        assert automorphism_group(t) == _brute_force_automorphisms(t)
+    if n >= 3:
+        # some tables need more than one generator, and some have more
+        # automorphisms than the identity
+        assert any(len(_closure(t, {0})) < n for t in tables[2:])
+        assert any(len(automorphism_group(t)) > 1 for t in tables[2:])
+
+
+@pytest.mark.parametrize("name,bijective", [
+    ("flip3", True), ("flip3", False), ("flip4", True), ("D4", True),
+    ("D4", False), ("bialexander(5,2,3)", True), ("bialexander(5,2,3)", False)])
+def test_search_tables_equal_validated_tables(name, bijective):
+    # the search builds its tables without PairTable's per-table checks
+    S = DIGEST_SWITCHES[name]
+    found = pairs_module._tau_search(S.table, bijective)
+    built = [PairTable(S.n, [list(r) for r in t.t1], [list(r) for r in t.t2])
+             for t in found]
+    assert found == built
+    assert [hash(t) for t in found] == [hash(t) for t in built]
+    assert all(type(rows) is tuple and type(r) is tuple and type(v) is int
+               for t in found for rows in (t.t1, t.t2) for r in rows for v in r)
 
 
 # ---------------------------------------------------------------------------
