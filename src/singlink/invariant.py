@@ -21,7 +21,8 @@ with np.unique, in order of first appearance.
 
 The cocycle conditions are not written out here: the checkers evaluate
 both sides of every instance of the relation table in
-`presentation.relation_families` in the target group.
+`presentation.relation_families` in the target group, each family at all
+of its points at once with the same products.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from .errors import CocycleInvalidError, DimensionMismatchError
 from .pairs import SingularPair, builtin_pair
 from .presentation import (AbelianizedGroup, FiniteGroup, GroupRingElement,
                            abelianize, build_ab_presentation,
-                           build_unc_presentation, f_gen, h_gen,
-                           relation_families, relation_instances)
+                           build_unc_presentation, f_gen, family_words,
+                           h_gen, relation_families)
 
 Target = Union[FiniteGroup, AbelianizedGroup]
 
@@ -69,6 +70,11 @@ class CocyclePair:
         if isinstance(self.target, FiniteGroup) and not all(
                 0 <= v < self.target.order for r in self.f + self.h for v in r):
             raise ValueError(f"values must lie in 0..{self.target.order - 1}")
+        if isinstance(self.target, AbelianizedGroup):
+            shape = self.target.rank, len(self.target.torsion)
+            if not all(tuple(map(len, v)) == shape for r in self.f + self.h for v in r):
+                raise ValueError(f"values must have {shape[0]} free and "
+                                 f"{shape[1]} torsion coordinates")
 
     @property
     def n(self) -> int:
@@ -94,28 +100,20 @@ def _memo_check(p: SingularPair, c: CocyclePair) -> CocycleCheck:
 
 
 def _check_cocycle(p: SingularPair, c: CocyclePair) -> CocycleCheck:
-    """Evaluate both sides of every relation instance in the target and
-    keep the first failing point of each family."""
-    ident, mul = c.target.identity(), c.target.mul
-    # generator index -> table value: all f(x,y), then all h(x,y)
-    value = [v for row in c.f for v in row] + [v for row in c.h for v in row]
-
-    def product(side):
-        if not side:
-            return ident
-        out = value[side[0]]
-        for g in side[1:]:
-            out = mul(out, value[g])
-        return out
-
-    families = relation_families(p, c.kind)
-    bad = {}
-    for name, point, lhs, rhs in relation_instances(families, p.n):
-        # identical sides hold in every group and need no evaluation
-        if name not in bad and lhs != rhs and product(lhs) != product(rhs):
-            bad[name] = point
-    viols = tuple((name, bad[name]) for name, _ in families if name in bad)
-    return CocycleCheck(not viols, viols)
+    """Evaluate both sides of every relation family in the target at all
+    of its points at once (`_product`), and keep the first failing point
+    of each family in row-major order."""
+    words = list(family_words(relation_families(p, c.kind), p.n))
+    W = _weights(c, max(side.shape[1] for _, _, *sides in words for side in sides))
+    viols = []
+    for name, k, lhs, rhs in words:
+        left, right = (_product(c.target, [(W, g) for g in side.T], len(side))
+                       for side in (lhs, rhs))
+        ok = (left == right).reshape(len(lhs), -1).all(axis=1)
+        if not ok.all():
+            point = np.unravel_index(ok.argmin(), (p.n,) * k)
+            viols.append((name, tuple(map(int, point))))
+    return CocycleCheck(not viols, tuple(viols))
 
 
 def check_nc_cocycle(p: SingularPair, c: CocyclePair) -> CocycleCheck:
@@ -277,26 +275,32 @@ def _validate_cocycle(p: SingularPair, c: CocyclePair):
             f"cocycle pair fails {[v[0] for v in res.violations]}")
 
 
+def _weights(c: CocyclePair, terms: int) -> np.ndarray:
+    """The target value of every generator, all f(x, y) and then all
+    h(x, y) as `f_gen` and `h_gen` index them: ints in a finite target,
+    and in an abelianized one rows of free then torsion coordinates,
+    int64, or Python ints if `terms` of them could sum past 2^62."""
+    if isinstance(c.target, FiniteGroup):
+        return np.array(c.f + c.h).ravel()
+    rows = [fr + tr for row in c.f + c.h for fr, tr in row]
+    big = max(map(abs, itertools.chain(*rows)), default=0) * (terms + 1) >> 62
+    return np.array(rows, dtype=object if big else np.int64).reshape(len(rows), -1)
+
+
 def _passages(d: SingularDiagram, p: SingularPair, c: CocyclePair, passages: int):
     """The number of colorings of d, and per crossing the weight of its
     passage at every coloring as (W, k): W[k] is h at a singular crossing,
     f at a positive one and f(S^-1(x,y))^-1 at a negative one, where k =
-    x*n + y indexes the incoming colors.  W holds elements of a finite
-    target as ints and of an abelianized one as rows of free then torsion
-    coordinates: int64, or Python ints if `passages` of them could sum
-    past 2^62."""
+    x*n + y indexes the incoming colors.  W holds target elements as
+    `_weights` does, sized for sums of `passages` of them."""
     n, t, tables = p.n, c.target, flat_tables(p)
     cols = coloring_array(d, p, tables)
     s1, s2 = tables[NEG, True]                         # S^-1
     at = s1 * n + s2
-    if isinstance(t, FiniteGroup):
-        F, H = (np.array(tab).ravel() for tab in (c.f, c.h))
-        W = {POS: F, SING: H, NEG: np.array(t.inverse)[F[at]]}
-    else:
-        rows = [fr + tr for row in c.f + c.h for fr, tr in row]
-        big = max(map(abs, itertools.chain(*rows)), default=0) * (passages + 1) >> 62
-        A = np.array(rows, dtype=object if big else np.int64).reshape(2 * n * n, -1)
-        W = {POS: A[:n * n], SING: A[n * n:], NEG: -A[at]}
+    A = _weights(c, passages)
+    F = A[:n * n]
+    neg = np.array(t.inverse)[F[at]] if isinstance(t, FiniteGroup) else -F[at]
+    W = {POS: F, SING: A[n * n:], NEG: neg}
     col = dict(zip(d.edges, cols.T))
     return len(cols), lambda cr: (W[cr.kind],
                                   col[cr.in1].astype(np.intp) * n + col[cr.in2])

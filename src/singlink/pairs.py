@@ -18,12 +18,15 @@ invertibility makes each row a permutation), derives tau2 pointwise from
 the first component of (1), and checks every other component of every
 identity as soon as the rows it reads exist; which rows those are comes
 from running the words' S-only prefixes, so the words stay the only
-definition.  The search runs on numpy batches of partial taus, and
-`enumerate_taus` then checks its output once more, a batch of taus at a
-time: `pair_verdicts` runs the same words over numpy arrays
+definition.  Components that hold for every tau are never checked: the
+words are run once on the n^2 constant taus when the plan is built.  The
+search runs on numpy batches of partial taus and returns one array;
+`enumerate_taus` builds tables from it and checks them once more, a batch
+of taus at a time: `pair_verdicts` runs the same words over numpy arrays
 (`pairtable.word_images`).
 Isomorphism classes are keyed by `canonical_form`, the least relabeled
-table stack, also taken for a batch of pairs at once.
+table stack, taken for a batch of pairs at once; the lr table counts the
+flip's classes from the search's array without building a table.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from math import factorial, gcd
+from math import factorial, gcd, prod
 
 import numpy as np
 
@@ -41,10 +44,10 @@ from .pairtable import (Biquandle, PairTable, dihedral_switch, first_failure,
                         flip_switch, i2_switch, word_arity, word_images)
 
 # batch sizes: taus per `pair_verdicts` call in the `enumerate_taus`
-# guard, and relabeled cells (pairs x relabelings x table cells) per
-# `canonical_form` call in `classify_isomorphism`: large enough to
-# amortise numpy's cost per call, small enough that a batch's arrays stay
-# near 100 kB
+# guard and per `tolist` when the search's tables are built, and relabeled
+# cells (pairs x relabelings x table cells) per `canonical_form` call in
+# `_least_keys`: large enough to amortise numpy's cost per call, small
+# enough that a batch's arrays and lists stay near 100 kB
 CHECK_BATCH = 128
 CANONICAL_BATCH = 1 << 14
 # the tau search: partial taus a batch may hold after a level extends it
@@ -372,9 +375,10 @@ def tau_phi_family(m: int, s: int, t: int) -> list[PairTable]:
 # exhaustive enumeration of companion tau's
 # ---------------------------------------------------------------------------
 
-def _last_rows(word, points, S, s1) -> np.ndarray:
+def _last_rows(word, points, S, s1):
     """Per output coordinate of `word` and point of X^k (a (k, N) array),
-    the last tau1 row the image reads, or -1 when it reads no tau.
+    the last tau1 row the image reads, or -1 when it reads no tau; and
+    per point, the flat cell a*n + b where the word reads tau, or -1.
 
     The word reads tau at most once, at the point (a, b) its S-only
     prefix reaches: tau1(a, b) reads row a, and tau2(a, b), derived from
@@ -382,6 +386,7 @@ def _last_rows(word, points, S, s1) -> np.ndarray:
     mixes the two coordinates it acts on.
     """
     rows = np.full(points.shape, -1)
+    cell = np.full(points.shape[1], -1)
     letters = [m for m, _ in word]
     assert letters.count("T") <= 1, word
     if "T" in letters:
@@ -390,9 +395,44 @@ def _last_rows(word, points, S, s1) -> np.ndarray:
         prefix = word_images(word[:t], S, points)
         a, b = np.reshape(prefix[i], -1), np.reshape(prefix[i + 1], -1)
         rows[i], rows[i + 1] = a, np.maximum(a, s1[a, b])
+        cell = a * len(s1) + b
         for _, c in word[t + 1:]:
             rows[c] = rows[c + 1] = np.maximum(rows[c], rows[c + 1])
-    return rows
+    return rows, cell
+
+
+def _axiom_outputs(st: PairTable):
+    """Per identity of SINGULAR_PAIR_AXIOMS, (name, lhs, rhs, points, due,
+    holds): `points` is X^k in row-major order as a (k, n^k) array, and
+    for output j of the two words at point i, due[j, i] is the last tau1
+    row they read, and holds[j, i] says that they agree there for every
+    tau because both words read tau at the same cell (a, b) and agree for
+    each of its n^2 values.
+
+    Each word reads tau at most once (`_last_rows`), so output j of each
+    is then a function of tau(a, b) alone, and the n^2 constant taus try
+    every value: one `word_images` call per word, at the points where the
+    two cells are the same.  Words that read tau at different cells are
+    never marked, even where they agree.
+    """
+    n = st.n
+    s1, s2 = np.array(st.t1), np.array(st.t2)
+    S = {"S": (s1[None], s2[None])}
+    # the constant taus: tau(x, y) = (c // n, c % n) for c < n^2
+    const = np.broadcast_to(np.arange(n * n)[:, None, None], (n * n, n, n))
+    maps = {**S, "T": (const // n, const % n)}
+    for name, lhs, rhs in SINGULAR_PAIR_AXIOMS:
+        arity = word_arity(lhs, rhs)
+        points = np.indices((n,) * arity).reshape(arity, -1)
+        (left, lcell), (right, rcell) = (_last_rows(w, points, S, s1)
+                                         for w in (lhs, rhs))
+        same = (lcell >= 0) & (lcell == rcell)
+        at = points[:, same]
+        holds = np.zeros(left.shape, bool)
+        for j, (u, v) in enumerate(zip(word_images(lhs, maps, at),
+                                       word_images(rhs, maps, at))):
+            holds[j, same] = np.atleast_2d(u == v).all(axis=0)
+        yield name, lhs, rhs, points, np.maximum(left, right), holds
 
 
 def _tau_plan(st: PairTable):
@@ -408,11 +448,12 @@ def _tau_plan(st: PairTable):
     SINGULAR_PAIR_AXIOMS whose tau reads all lie in rows 0..k, one of
     them in row k, as (lhs, rhs, js, points): outputs js of the two words
     must agree at each point, an (arity, m) array with m <= SEARCH_CHUNK.
-    The first component of rv is skipped: the derivation solves it.
+    Two kinds of equation are left out: the first component of rv, which
+    the derivation solves, and every equation that holds for all taus
+    (`_axiom_outputs`), such as 384 of the 400 for the flip at n = 4.
     """
     n = st.n
     s1, s2 = np.array(st.t1), np.array(st.t2)
-    S = {"S": (s1[None], s2[None])}
     a, b = np.indices((n, n)).reshape(2, -1)
     level = np.maximum(a, s1[a, b])
     plan = []
@@ -420,12 +461,10 @@ def _tau_plan(st: PairTable):
         cells, known = np.flatnonzero(level == k), np.flatnonzero(level <= k)
         plan.append((cells, s1[a, b][cells] * n + s2[a, b][cells], known,
                      (b[known] * n).astype(np.int16), []))
-    for name, lhs, rhs in SINGULAR_PAIR_AXIOMS:
-        arity = word_arity(lhs, rhs)
-        points = np.indices((n,) * arity).reshape(arity, -1)
-        due = np.maximum(_last_rows(lhs, points, S, s1),
-                         _last_rows(rhs, points, S, s1))
+    for name, lhs, rhs, points, due, holds in _axiom_outputs(st):
+        arity = len(points)
         assert due.min() >= 0, name     # each equation reads tau on a side
+        due[holds] = -1
         if name == "rv":
             due[0] = -1
         for row, (*_, checks) in enumerate(plan):
@@ -445,10 +484,10 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return (keys[:, 1:] != keys[:, :-1]).all(axis=1)
 
 
-def _tau_search(st: PairTable, require_bijective: bool) -> list[PairTable]:
+def _tau_array(st: PairTable, require_bijective: bool) -> np.ndarray:
     """Every tau for the switch table st that enumerate_taus returns,
-    before its guard, in table order: `_tau_plan` run depth-first on int8
-    batches of partial taus, shape (rows, 2, n, n)."""
+    before its guard, in table order, as one int8 (P, 2, n, n) array:
+    `_tau_plan` run depth-first on int8 batches of partial taus."""
     n = st.n
     perms = np.array(list(itertools.permutations(range(n))), np.int8)
     s1 = np.array(st.t1, np.int8)
@@ -459,7 +498,7 @@ def _tau_search(st: PairTable, require_bijective: bool) -> list[PairTable]:
     linv[np.arange(n)[:, None], s1] = np.arange(n)
     plan = _tau_plan(st)
     width = max(1, SEARCH_ROWS // len(perms))
-    found = []
+    found = [np.empty((0, 2, n, n), np.int8)]
     stack = [(0, np.zeros((1, 2, n, n), np.int8))]
     while stack:
         k, taus = stack.pop()
@@ -491,16 +530,24 @@ def _tau_search(st: PairTable, require_bijective: bool) -> list[PairTable]:
             taus = taus[ok]
         if len(taus):
             stack.append((k + 1, taus))
-    # the tables' shape and range are checked once per batch, so they
-    # are built without PairTable's per-table validation
-    for taus in found:
-        if taus.shape[1:] != (2, n, n) or not ((taus >= 0) & (taus < n)).all():
-            raise AssertionError("the tau search built a malformed table")
-    rows: dict = {}     # one tuple per distinct row, shared by all taus
+    return np.concatenate(found)
+
+
+def _tau_search(st: PairTable, require_bijective: bool) -> list[PairTable]:
+    """The taus of `_tau_array` as PairTables, built CHECK_BATCH at a time
+    from nested lists.  Their shape and range are checked once for the
+    whole array, so they are built without PairTable's per-table
+    validation, and all tables share one tuple per distinct row."""
+    n = st.n
+    taus = _tau_array(st, require_bijective)
+    if taus.shape[1:] != (2, n, n) or not ((taus >= 0) & (taus < n)).all():
+        raise AssertionError("the tau search built a malformed table")
+    rows: dict = {}
     return [PairTable._unchecked(
                 n, tuple([rows.setdefault(r, r) for r in map(tuple, t1)]),
                 tuple([rows.setdefault(r, r) for r in map(tuple, t2)]))
-            for taus in found for t1, t2 in taus.tolist()]
+            for start in range(0, len(taus), CHECK_BATCH)
+            for t1, t2 in taus[start:start + CHECK_BATCH].tolist()]
 
 
 def enumerate_taus(S: Biquandle, require_bijective: bool = True,
@@ -513,7 +560,8 @@ def enumerate_taus(S: Biquandle, require_bijective: bool = True,
 
     One search serves every switch.  A plan built once per call
     (`_tau_plan`) lists, for each tau1 row k, the tau2 cells that row
-    completes and the component equations whose tau reads it completes.
+    completes and the component equations whose tau reads it completes,
+    leaving out those that hold for every tau (`_axiom_outputs`).
     The plan runs on int8 batches of partial taus, one per branch: row k
     extends every partial tau by each of the n! permutations, derives the
     new tau2 cells, and drops a partial tau as soon as two known tau2
@@ -522,7 +570,9 @@ def enumerate_taus(S: Biquandle, require_bijective: bool = True,
     equations run SEARCH_CHUNK points at a time.  A batch that a row
     would take past SEARCH_ROWS partial taus is split and its parts run
     depth-first.  The cost is n! times the number of partial taus that
-    survive each row; no bound on that number is claimed.
+    survive each row; no bound on that number is claimed.  The survivors
+    of the last row form one (P, 2, n, n) array (`_tau_array`), and the
+    tables are built from it CHECK_BATCH taus at a time.
 
     The search's output is checked again before it is returned, as a
     guard on the search: `pair_verdicts` tests left and right
@@ -617,8 +667,12 @@ def enumerate_left_right_invertible(n: int, max_n: int = 4) -> LrCounts:
 
     total is (n!)^n (tau1 is a free list of n permutations and forces
     tau2); iso is computed by Burnside orbit counting over S_n acting by
-    simultaneous relabeling; the bijective population is enumerated by
-    the tau search for S = flip and classified.
+    simultaneous relabeling; the bijective population is the tau search's
+    array for S = flip, and its classes are the distinct `canonical_form`
+    keys of that array under Aut(flip) = S_n, with no table or
+    SingularPair built.  The `enumerate_taus` guard does not run here:
+    the tests compare both counts with `enumerate_taus` and
+    `classify_isomorphism`.
     """
     if n > max_n:
         raise SearchBoundExceededError(f"n={n} exceeds bound {max_n}")
@@ -635,10 +689,10 @@ def enumerate_left_right_invertible(n: int, max_n: int = 4) -> LrCounts:
         iso_sum += class_size * fixed
     iso = iso_sum // factorial(n)
 
-    S = flip_switch(n)
-    bij = _tau_search(S.table, require_bijective=True)
-    classes = classify_isomorphism([SingularPair(S, tab) for tab in bij])
-    return LrCounts(total, iso, len(bij), len(classes))
+    flip = flip_switch(n).table
+    taus = _tau_array(flip, require_bijective=True)
+    keys, _ = _least_keys(taus.astype(np.int16), automorphism_group(flip))
+    return LrCounts(total, iso, len(taus), len(set(keys)))
 
 
 # ---------------------------------------------------------------------------
@@ -784,6 +838,25 @@ def canonical_key(pair: SingularPair, relabelings=None) -> bytes:
     return canonical_form(_pair_tables([pair]), list(relabelings))[0][0]
 
 
+def _least_keys(tables: np.ndarray, relabelings) -> tuple[list[bytes], list[int]]:
+    """`canonical_form` of a (P, k, n, n) stack, CANONICAL_BATCH relabeled
+    cells at a time."""
+    rel = np.asarray(relabelings, dtype=np.int16)
+    batch = max(1, CANONICAL_BATCH // (len(rel) * prod(tables.shape[1:])))
+    keys, best = [], []
+    for start in range(0, len(tables), batch):
+        part_keys, part_best = canonical_form(tables[start:start + batch], rel)
+        keys += part_keys
+        best += part_best.tolist()
+    return keys, best
+
+
+def _pair_from_key(S: Biquandle, key: bytes) -> SingularPair:
+    """The pair of S and the tau whose int16 (tau1, tau2) stack is key."""
+    t1, t2 = np.frombuffer(key, np.int16).reshape(2, S.n, S.n).tolist()
+    return SingularPair(S, PairTable(S.n, t1, t2))
+
+
 def classify_isomorphism(pairs) -> list[IsoClass]:
     """Partition pairs into isomorphism classes (simultaneous relabeling).
 
@@ -791,9 +864,10 @@ def classify_isomorphism(pairs) -> list[IsoClass]:
     Aut(S): two pairs with equal S are isomorphic iff an S-automorphism
     conjugates one tau onto the other.  Otherwise the minimum runs over
     all n! relabelings (n <= 8).  `canonical_form` keys the pairs a batch
-    at a time (on the tau tables alone under Aut(S)).  Classes come in
-    key order; each is represented by its first pair under the first
-    relabeling reaching the key.
+    at a time (`_least_keys`, on the tau tables alone under Aut(S)).
+    Classes come in key order.  Each is represented by its first pair
+    under the first relabeling reaching the key; under Aut(S), which fixes
+    S and s, that is S with the tau read off the key.
     """
     pairs = list(pairs)
     if not pairs:
@@ -813,18 +887,13 @@ def classify_isomorphism(pairs) -> list[IsoClass]:
                 f"general classification needs n <= 8, got {n}")
         relabelings = list(itertools.permutations(range(n)))
 
-    rel = np.array(relabelings, dtype=np.int16)
-    cells = len(rel) * (2 if tau_only else 4) * n * n
-    batch = max(1, CANONICAL_BATCH // cells)
+    keys, best = _least_keys(_pair_tables(pairs, tau_only), relabelings)
     first: dict[bytes, SingularPair] = {}
-    sizes: Counter = Counter()
-    for start in range(0, len(pairs), batch):
-        part = pairs[start:start + batch]
-        keys, best = canonical_form(_pair_tables(part, tau_only), rel)
-        for p, key, g in zip(part, keys, best):
-            if key not in first:
-                first[key] = p.relabel(list(relabelings[g]))
-            sizes[key] += 1
+    for p, key, g in zip(pairs, keys, best):
+        if key not in first:
+            first[key] = (_pair_from_key(p.biquandle, key) if tau_only
+                          else p.relabel(list(relabelings[g])))
+    sizes = Counter(keys)
     return [IsoClass(first[key], sizes[key]) for key in sorted(first)]
 
 
@@ -851,10 +920,11 @@ def tau_phi_iso_count(n: int) -> int:
     maps x -> ax + b with gcd(a, n) = 1, so `automorphism_group` is run
     on the switch table and compared with them; a mismatch, or a sum not
     divisible by phi(n), raises RuntimeError.  The guard is most of the
-    cost: summed over n = 3..12, a call takes about 18 ms on a 2-core
+    cost: summed over n = 3..12, a call takes 6.5-10 ms on a 2-core
     x86-64 machine, of which building and validating the D_n switch
-    takes 12 ms and `automorphism_group` 4-5 ms; the count itself is
-    O(phi(n) * n * |H|).  `tau_phi_family` with
+    (`check_yang_baxter` on numpy) takes 3-3.5 ms and
+    `automorphism_group` 2-3 ms; the count itself is O(phi(n) * n * |H|).
+    `tau_phi_family` with
     `canonical_form` under `automorphism_group` is the table-level
     oracle the tests compare against.
     """

@@ -216,8 +216,12 @@ def first_failure(lhs, rhs, maps, n: int):
 
 
 def check_yang_baxter(t: PairTable) -> bool:
-    """The braid-form Yang-Baxter identity YANG_BAXTER at every triple."""
-    return first_failure(*YANG_BAXTER, {"S": t}, t.n) is None
+    """The braid-form Yang-Baxter identity YANG_BAXTER at every triple,
+    all n^3 of them in one `word_images` pass."""
+    S = {"S": (np.array([t.t1]), np.array([t.t2]))}
+    points = np.indices((t.n,) * 3).reshape(3, -1)
+    lhs, rhs = (word_images(w, S, points) for w in YANG_BAXTER)
+    return all((u == v).all() for u, v in zip(lhs, rhs))
 
 
 def check_biquandle(t: PairTable):

@@ -81,87 +81,101 @@ def relation_families(p: SingularPair, kind: str):
     """The relation families of U_nc^{fh} (kind "nc") or Ab^{fh} ("ab").
 
     Each entry is (name, relation), listed in reporting order.  relation
-    takes a point (x), (x, y) or (x, y, z) and returns the generator
-    indices of the two sides of lhs = rhs; every letter has exponent +1.
+    takes a point (x), (x, y) or (x, y, z) as integer arrays, all points
+    of a batch at once, and returns the generator index arrays of the
+    letters of the two sides of lhs = rhs; every letter has exponent +1.
+    `family_words` runs it over every point.
     """
     n = p.n
-    s1, s2 = p.biquandle.table.t1, p.biquandle.table.t2
-    t1, t2 = p.tau.t1, p.tau.t2
-    s = p.biquandle.s_map
+    s1, s2 = np.array(p.biquandle.table.t1), np.array(p.biquandle.table.t2)
+    t1, t2 = np.array(p.tau.t1), np.array(p.tau.t2)
+    s = np.array(p.biquandle.s_map)
 
-    F = [[f_gen(n, x, y) for y in range(n)] for x in range(n)]
-    H = [[h_gen(n, x, y) for y in range(n)] for x in range(n)]
+    F, H = f_gen(n, *np.indices((n, n))), h_gen(n, *np.indices((n, n)))
 
     if kind == "nc":
         return (
             # (f1)  f(x,y) f(S2(x,y),z) = f(x,S1(y,z)) f(S2(x,S1(y,z)),S2(y,z))
             ("f1", lambda x, y, z: (
-                [F[x][y], F[s2[x][y]][z]],
-                [F[x][s1[y][z]], F[s2[x][s1[y][z]]][s2[y][z]]])),
+                [F[x, y], F[s2[x, y], z]],
+                [F[x, s1[y, z]], F[s2[x, s1[y, z]], s2[y, z]]])),
             # (f4)  f(x,y) f(S2(x,y),z) = f(x,tau1(y,z)) f(S2(x,tau1(y,z)),tau2(y,z))
             ("f4", lambda x, y, z: (
-                [F[x][y], F[s2[x][y]][z]],
-                [F[x][t1[y][z]], F[s2[x][t1[y][z]]][t2[y][z]]])),
+                [F[x, y], F[s2[x, y], z]],
+                [F[x, t1[y, z]], F[s2[x, t1[y, z]], t2[y, z]]])),
             # (h1)  h(S1(x,y),S1(S2(x,y),z)) = h(y,z)
             ("h1", lambda x, y, z: (
-                [H[s1[x][y]][s1[s2[x][y]][z]]], [H[y][z]])),
+                [H[s1[x, y], s1[s2[x, y], z]]], [H[y, z]])),
             # (c1)  f(x,S1(y,z)) h(S2(x,S1(y,z)),S2(y,z)) = h(x,y) f(tau2(x,y),z)
             ("c1", lambda x, y, z: (
-                [F[x][s1[y][z]], H[s2[x][s1[y][z]]][s2[y][z]]],
-                [H[x][y], F[t2[x][y]][z]])),
+                [F[x, s1[y, z]], H[s2[x, s1[y, z]], s2[y, z]]],
+                [H[x, y], F[t2[x, y], z]])),
             # (c2)  f(y,z) h(S2(x,S1(y,z)),S2(y,z)) = h(x,y) f(tau1(x,y),S1(tau2(x,y),z))
             ("c2", lambda x, y, z: (
-                [F[y][z], H[s2[x][s1[y][z]]][s2[y][z]]],
-                [H[x][y], F[t1[x][y]][s1[t2[x][y]][z]]])),
+                [F[y, z], H[s2[x, s1[y, z]], s2[y, z]]],
+                [H[x, y], F[t1[x, y], s1[t2[x, y], z]]])),
             # (c3)  h(x,y) = f(x,y) h(S(x,y))
             ("c3", lambda x, y: (
-                [H[x][y]], [F[x][y], H[s1[x][y]][s2[x][y]]])),
+                [H[x, y]], [F[x, y], H[s1[x, y], s2[x, y]]])),
             # (c4)  h(S(x,y)) = h(x,y) f(tau(x,y))
             ("c4", lambda x, y: (
-                [H[s1[x][y]][s2[x][y]]], [H[x][y], F[t1[x][y]][t2[x][y]]])),
+                [H[s1[x, y], s2[x, y]]], [H[x, y], F[t1[x, y], t2[x, y]]])),
         )
     return (
         # (f1')  f(x,y) f(S2(x,y),z) f(S1(x,y),S1(S2(x,y),z))
         #          = f(x,S1(y,z)) f(S2(x,S1(y,z)),S2(y,z)) f(y,z)
         ("f1'", lambda x, y, z: (
-            [F[x][y], F[s2[x][y]][z], F[s1[x][y]][s1[s2[x][y]][z]]],
-            [F[x][s1[y][z]], F[s2[x][s1[y][z]]][s2[y][z]], F[y][z]])),
+            [F[x, y], F[s2[x, y], z], F[s1[x, y], s1[s2[x, y], z]]],
+            [F[x, s1[y, z]], F[s2[x, s1[y, z]], s2[y, z]], F[y, z]])),
         # (f2')  f(x, s(x)) = 1
-        ("f2'", lambda x: ([F[x][s[x]]], [])),
+        ("f2'", lambda x: ([F[x, s[x]]], [])),
         # (c1')  h(y,z) f(x,tau1(y,z)) f(S2(x,tau1(y,z)),tau2(y,z))
         #          = f(x,y) f(S2(x,y),z) h(S1(x,y),S1(S2(x,y),z))
         ("c1'", lambda x, y, z: (
-            [H[y][z], F[x][t1[y][z]], F[s2[x][t1[y][z]]][t2[y][z]]],
-            [F[x][y], F[s2[x][y]][z], H[s1[x][y]][s1[s2[x][y]][z]]])),
+            [H[y, z], F[x, t1[y, z]], F[s2[x, t1[y, z]], t2[y, z]]],
+            [F[x, y], F[s2[x, y], z], H[s1[x, y], s1[s2[x, y], z]]])),
         # (c2')  f(y,z) f(x,S1(y,z)) h(S2(x,S1(y,z)),S2(y,z))
         #          = h(x,y) f(tau2(x,y),z) f(tau1(x,y),S1(tau2(x,y),z))
         ("c2'", lambda x, y, z: (
-            [F[y][z], F[x][s1[y][z]], H[s2[x][s1[y][z]]][s2[y][z]]],
-            [H[x][y], F[t2[x][y]][z], F[t1[x][y]][s1[t2[x][y]][z]]])),
+            [F[y, z], F[x, s1[y, z]], H[s2[x, s1[y, z]], s2[y, z]]],
+            [H[x, y], F[t2[x, y], z], F[t1[x, y], s1[t2[x, y], z]]])),
         # (c3')  f(x,y) h(S(x,y)) = h(x,y) f(tau(x,y))
         ("c3'", lambda x, y: (
-            [F[x][y], H[s1[x][y]][s2[x][y]]], [H[x][y], F[t1[x][y]][t2[x][y]]])),
+            [F[x, y], H[s1[x, y], s2[x, y]]], [H[x, y], F[t1[x, y], t2[x, y]]])),
     )
 
 
+def family_words(families, n: int):
+    """Per relation family, (name, k, lhs, rhs): its arity k and its two
+    sides at every point of X^k in row-major order, as (n^k, letters)
+    arrays of generator indices."""
+    points = {k: np.indices((n,) * k).reshape(k, -1) for k in (1, 2, 3)}
+    for name, rel in families:
+        k = rel.__code__.co_argcount
+        yield name, k, *(np.array(side, np.intp).reshape(len(side), n ** k).T
+                         for side in rel(*points[k]))
+
+
 def relation_instances(families, n: int):
-    """Yield (name, point, lhs, rhs) for every instance of every family.
+    """Yield (name, point, lhs, rhs) for every instance of every family,
+    the sides as lists of generator indices read off `family_words`.
 
     x walks the unary families, y the binary ones and z the ternary ones,
     each in table order, so relations come out grouped by point.
     """
     by_arity = {1: [], 2: [], 3: []}
-    for name, rel in families:
-        by_arity[rel.__code__.co_argcount].append((name, rel))
+    for name, k, lhs, rhs in family_words(families, n):
+        by_arity[k].append((name, lhs.tolist(), rhs.tolist()))
     for x in range(n):
-        for name, rel in by_arity[1]:
-            yield (name, (x,), *rel(x))
+        for name, lhs, rhs in by_arity[1]:
+            yield name, (x,), lhs[x], rhs[x]
         for y in range(n):
-            for name, rel in by_arity[2]:
-                yield (name, (x, y), *rel(x, y))
+            i = x * n + y
+            for name, lhs, rhs in by_arity[2]:
+                yield name, (x, y), lhs[i], rhs[i]
             for z in range(n):
-                for name, rel in by_arity[3]:
-                    yield (name, (x, y, z), *rel(x, y, z))
+                for name, lhs, rhs in by_arity[3]:
+                    yield name, (x, y, z), lhs[i * n + z], rhs[i * n + z]
 
 
 def _build_presentation(p: SingularPair, kind: str) -> Presentation:

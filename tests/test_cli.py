@@ -238,6 +238,8 @@ class TestErrorsAndDeterminism:
          "--cocycle", "{top_list}", "--target", "{z2}"),
         ("invariant", "statesum", "@unknot", "--pair", "builtin:flip-i2",
          "--cocycle", "{out_of_range}", "--target", "{z2}"),
+        ("invariant", "nc", "@unknot", "--pair", "builtin:flip-i2",
+         "--cocycle", "{short_coordinates}"),
         ("diagram", "show", "{top_list}"),
         ("diagram", "show", "{three_slots}"),
         ("diagram", "show", "{no_kind}"),
@@ -249,6 +251,7 @@ class TestErrorsAndDeterminism:
         ("pairs", "enumerate", "--switch", "flip", "--max-n", "0"),
     ], ids=["flip-x", "flip-0", "no-biquandle", "not-biquandle", "bad-json",
             "ragged-cocycle", "cocycle-list", "cocycle-out-of-range",
+            "cocycle-short-coordinates",
             "diagram-list", "diagram-three-slots", "diagram-no-kind",
             "diagram-int-slots", "diagram-not-json", "lr-n-negative", "lr-n-zero", "flip-n-zero",
             "max-n-zero"])
@@ -264,6 +267,12 @@ class TestErrorsAndDeterminism:
                  "top_list": [[0, 0], [0, 0]],
                  "out_of_range": {"kind": "ab", "f": [[0, 0], [0, 0]],
                                   "h": [[0, 2], [1, 0]]},
+                 # values in Z^1 with no free coordinate
+                 "short_coordinates": {
+                     "kind": "nc",
+                     "target": {"rank": 1, "torsion": [],
+                                "coord_map": [[[1], []]] * 8},
+                     "f": [[[[], []]] * 2] * 2, "h": [[[[], []]] * 2] * 2},
                  "three_slots": {"crossings": [{"kind": "+",
                                                 "slots": ["a", "b", "a"]}]},
                  "no_kind": {"crossings": [{"slots": ["a", "b", "b", "a"]}]},

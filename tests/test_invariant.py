@@ -20,7 +20,8 @@ from singlink.pairs import SingularPair, builtin_pair, enumerate_taus
 from singlink.pairtable import (dihedral_switch, flip_switch, i2_switch,
                                 make_quandle_switch, dihedral_quandle)
 from singlink.presentation import (AbelianizedGroup, FiniteGroup,
-                                   GroupRingElement)
+                                   GroupRingElement, relation_families,
+                                   relation_instances)
 from tests.test_coloring import (EDGE_CASES, FAR_PAIRS, MOVE_PAIRS,
                                  braid_closure, fixed_point_count,
                                  moved_closures, random_word)
@@ -116,6 +117,78 @@ class TestCheckers:
         z3 = ((0,) * 3,) * 3
         with pytest.raises(DimensionMismatchError):
             check_nc_cocycle(p, CocyclePair(tgt, z3, z3, NC))
+
+
+def check_cocycle_oracle(p, c):
+    """The checker one relation instance at a time: both sides multiplied
+    out letter by letter with the target's `mul`, keeping the first
+    failing point of each family."""
+    ident, mul = c.target.identity(), c.target.mul
+    value = [v for row in c.f for v in row] + [v for row in c.h for v in row]
+
+    def product(side):
+        out = ident
+        for g in side:
+            out = mul(out, value[g])
+        return out
+
+    families = relation_families(p, c.kind)
+    bad = {}
+    for name, point, lhs, rhs in relation_instances(families, p.n):
+        if name not in bad and product(lhs) != product(rhs):
+            bad[name] = point
+    viols = tuple((name, bad[name]) for name, _ in families if name in bad)
+    return invariant.CocycleCheck(not viols, viols)
+
+
+def random_cocycles(rng, count):
+    """(pair, cocycle) with seeded h into Z/2, Z/3 or S3, and f derived
+    from h by (c3) or drawn at random; about one in six passes."""
+    groups = (FiniteGroup.cyclic(2), FiniteGroup.cyclic(3),
+              FiniteGroup.symmetric(3))
+    names = ("flip-flip", "flip-i2", "i2-ss", "d3-ss", "d3-sinv", "flip-flip-3")
+    for _ in range(count):
+        p, G = builtin_pair(rng.choice(names)), rng.choice(groups)
+        n, st = p.n, p.biquandle.table
+        kind = rng.choice((NC, AB)) if G.is_abelian() else NC
+        h = [[rng.randrange(G.order) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.7:
+            f = [[G.mul(h[x][y], G.inv(h[st.t1[x][y]][st.t2[x][y]]))
+                  for y in range(n)] for x in range(n)]
+        else:
+            f = [[rng.randrange(G.order) for _ in range(n)] for _ in range(n)]
+        yield p, CocyclePair(G, f, h, kind)
+
+
+class TestBatchedChecker:
+    def test_random_finite_cocycles_match_oracle(self):
+        valid = 0
+        for p, c in random_cocycles(Random("batched checker"), 1000):
+            res = invariant._check_cocycle(p, c)
+            assert res == check_cocycle_oracle(p, c), (p, c)
+            valid += res.ok
+        assert 100 < valid < 900
+
+    @pytest.mark.parametrize("k", [1, 2 ** 70 + 1])
+    def test_abelianized_cocycles_match_oracle(self, test_pairs, k):
+        # universal cocycles (scaled past int64 at 2^70), and copies with
+        # one entry of f or h replaced by another generator's value
+        rng = Random(f"abelianized checker {k}")
+        seen = set()
+        for p in test_pairs.values():
+            for c in (universal_nc_cocycle(p), universal_ab_cocycle(p)):
+                c = scaled(c, k)
+                cases = [c]
+                for _ in range(6):
+                    tabs = [[list(row) for row in c.f], [list(row) for row in c.h]]
+                    x, y = rng.randrange(p.n), rng.randrange(p.n)
+                    rng.choice(tabs)[x][y] = rng.choice(rng.choice(tabs)[x])
+                    cases.append(CocyclePair(c.target, *tabs, c.kind))
+                for case in cases:
+                    res = invariant._check_cocycle(p, case)
+                    assert res == check_cocycle_oracle(p, case)
+                    seen.add(res.ok)
+        assert seen == {True, False}
 
 
 class TestBuiltinCocyclesAreUniversal:

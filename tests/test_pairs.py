@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from collections import Counter
 from math import gcd
 
 import numpy as np
@@ -23,7 +24,7 @@ from singlink.pairs import (SingularPair, brute_force_taus,
 from singlink.pairtable import (Biquandle, PairTable, dihedral_quandle,
                                 dihedral_switch, flip_switch, i2_switch,
                                 make_bialexander, make_quandle_switch,
-                                trivial_quandle)
+                                trivial_quandle, word_map)
 
 
 class TestSingularPairAxioms:
@@ -556,18 +557,67 @@ def test_check_singular_pair_matches_recorded_digest():
 
 
 @pytest.mark.parametrize("name,sizes", [
-    ("D4", [33, 61, 125, 181]),
-    ("D5", [43, 83, 135, 207, 307]),
-    ("bialexander(5,2,3)", [51, 38, 130, 182, 374]),
-    ("flip4", [37, 79, 121, 163]),
+    # per tau1 row: the component equations due there (the first output of
+    # rv, which the derivation solves, aside), and those the plan keeps
+    ("D4", ([33, 61, 125, 181], [11, 31, 83, 131])),
+    ("D5", ([43, 83, 135, 207, 307], [12, 42, 84, 146, 236])),
+    ("bialexander(5,2,3)", ([51, 38, 130, 182, 374], [41, 38, 130, 182, 374])),
+    ("flip4", ([37, 79, 121, 163], [1, 3, 5, 7])),
 ])
 def test_search_checks_run_at_the_earliest_row(name, sizes):
-    # component equations checked per tau1 row; a looser derivation would
-    # stay correct but check later and prune less
+    # a looser derivation would stay correct but check later and prune
+    # less; the plan drops exactly the equations `_axiom_outputs` marks as
+    # holding for every tau
+    due_sizes, kept_sizes = sizes
     S = {**PIN_SWITCHES, "flip4": flip_switch(4)}[name]
     plan = pairs_module._tau_plan(S.table)
-    assert [sum(len(js) * points.shape[1] for *_, js, points in checks)
-            for *_, checks in plan] == sizes
+    kept = [sum(len(js) * points.shape[1] for *_, js, points in checks)
+            for *_, checks in plan]
+    due_at, dropped = [0] * S.n, [0] * S.n
+    for axiom, _, _, _, due, holds in pairs_module._axiom_outputs(S.table):
+        if axiom == "rv":
+            due, holds = due[1:], holds[1:]
+        for row in range(S.n):
+            due_at[row] += int((due == row).sum())
+            dropped[row] += int((holds & (due == row)).sum())
+    assert due_at == due_sizes
+    assert [k + d for k, d in zip(kept, dropped)] == due_sizes
+    assert kept == kept_sizes
+
+
+def _random_table(rng, n):
+    return PairTable(n, *[[[rng.randrange(n) for _ in range(n)]
+                           for _ in range(n)] for _ in range(2)])
+
+
+# switch tables, and seeded tables with arbitrary values in S's place: on
+# those, an equation whose two words read tau at different cells can
+# agree at the n^2 constant taus and still fail
+TAUTOLOGY_TABLES = {
+    **{name: S.table for name, S in PIN_SWITCHES.items()},
+    **{f"flip{n}": flip_switch(n).table for n in (2, 3, 4)},
+    **{f"trivial quandle {n}": make_quandle_switch(trivial_quandle(n)).table
+       for n in (2, 3, 4)},
+    **{f"dihedral quandle {n}": make_quandle_switch(dihedral_quandle(n)).table
+       for n in (3, 4, 5)},
+    **{f"random table {n}-{k}": _random_table(random.Random(f"S {n} {k}"), n)
+       for n in (2, 3) for k in range(4)}}
+
+
+@pytest.mark.parametrize("name", TAUTOLOGY_TABLES)
+def test_dropped_equations_are_tautologies(name):
+    # every (axiom, output, point) the plan drops as holding for all taus
+    # holds for seeded taus with arbitrary values, not only companions
+    st = TAUTOLOGY_TABLES[name]
+    rng = random.Random(f"tautologies {name}")
+    taus = [_random_table(rng, st.n) for _ in range(12)] + [st]
+    for axiom, lhs, rhs, points, _, holds in pairs_module._axiom_outputs(st):
+        runs = [(word_map(lhs, maps), word_map(rhs, maps))
+                for maps in ({"S": st, "T": tau} for tau in taus)]
+        for j, i in zip(*np.nonzero(holds)):
+            point = points[:, i].tolist()
+            for left, right in runs:
+                assert left(point)[j] == right(point)[j], (axiom, j, point)
 
 
 @pytest.mark.parametrize("S", [flip_switch(3), dihedral_switch(4),
@@ -781,3 +831,37 @@ def test_guard_makes_no_per_tau_check_on_valid_output(monkeypatch):
                         lambda *a: calls.append(a) or check(*a))
     assert len(enumerate_taus(flip_switch(4))) == 3360
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# classes from keys: representatives read off the keys, and the lr count
+# from the search's array
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["flip3", "flip4", "D4", "D5",
+                                  "bialexander(5,2,3)"])
+def test_key_representatives_equal_relabeled_pairs(name):
+    S = DIGEST_SWITCHES[name]
+    pairs = [SingularPair(S, t) for t in enumerate_taus(S)]
+    aut = automorphism_group(S.table)
+    keys, best = canonical_form(pairs_module._pair_tables(pairs, True), aut)
+    for p, key, g in zip(pairs, keys, best):
+        assert pairs_module._pair_from_key(S, key) == p.relabel(list(aut[g]))
+    # the classes themselves, represented as before by relabeled pairs
+    first, sizes = {}, Counter(keys)
+    for p, key, g in zip(pairs, keys, best):
+        if key not in first:
+            first[key] = p.relabel(list(aut[g]))
+    if len(pairs) > 64:     # classify_isomorphism keys these under Aut(S)
+        assert classify_isomorphism(pairs) == \
+            [pairs_module.IsoClass(first[k], sizes[k]) for k in sorted(first)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_lr_class_count_matches_classification(n):
+    S = flip_switch(n)
+    taus = enumerate_taus(S)
+    counts = enumerate_left_right_invertible(n)
+    assert counts.bijective == len(taus)
+    assert counts.bijective_iso == len(
+        classify_isomorphism([SingularPair(S, t) for t in taus]))
