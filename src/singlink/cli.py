@@ -318,13 +318,11 @@ def _cmd_tables(args) -> int:
                 lines.append(f"{n}  {vals[0]}  {vals[1]}  {vals[2]}  {vals[3]}")
             _emit(args.json, lines, {"rows": rows})
         return 0
-    if args.which == "tau-phi":
-        top = 12 if args.slow else 9
-        rows = [(n, tau_phi_iso_count(n)) for n in range(3, top + 1)]
-        lines = ["n  I_n"] + [f"{n}  {c}" for n, c in rows]
-        _emit(args.json, lines, {"rows": rows})
-        return 0
-    raise SinglinkError(f"unknown table {args.which!r}")
+    top = 12 if args.slow else 9     # tau-phi, the last of the choices
+    rows = [(n, tau_phi_iso_count(n)) for n in range(3, top + 1)]
+    lines = ["n  I_n"] + [f"{n}  {c}" for n, c in rows]
+    _emit(args.json, lines, {"rows": rows})
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,6 +386,11 @@ _DISPATCH = {"pairs": _cmd_pairs, "diagram": _cmd_diagram, "color": _cmd_color,
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    if args.cmd == "tables":    # each flag is read by one table only
+        for flag, given, table in (("--n", args.n is not None, "lr-invertible"),
+                                   ("--slow", args.slow, "tau-phi")):
+            if given and args.which != table:
+                ap.error(f"{flag} is not read by --which {args.which}")
     try:
         return _DISPATCH[args.cmd](args)
     except SinglinkError as exc:

@@ -11,6 +11,7 @@ import heapq
 
 import numpy as np
 
+from . import batch
 from .diagram import NEG, POS, SING, SingularDiagram
 from .pairs import SingularPair
 
@@ -97,50 +98,36 @@ def _plan(d: SingularDiagram):
 
 
 def _blocks(d: SingularDiagram, p: SingularPair, tables=None):
-    """The colorings of d as (edges, colorings) arrays, a block at a time,
-    depth-first; `tables` are p's `flat_tables`."""
+    """The colorings of d as (colorings, edges) arrays from `batch.run`,
+    one level per seed of `_plan`; `tables` are p's `flat_tables`."""
     n = p.n
     dtype = np.min_scalar_type(n - 1)
-    tabs = {key: tuple(t.astype(dtype) for t in ts)
-            for key, ts in (tables or flat_tables(p)).items()}
+    tabs = tables or flat_tables(p)
     plan = _plan(d)
-    colors = np.arange(n, dtype=dtype)
-    width = max(1, _ROWS // n)
-    stack = [(0, np.zeros((len(d.edges), 1), dtype))]
-    while stack:
-        level, cols = stack.pop()
-        if level == len(plan):
-            yield cols
-            continue
-        if cols.shape[1] > width:
-            stack.append((level, cols[:, width:]))
-            cols = cols[:, :width]
+
+    def step(level, cols, chosen):
         e, ops = plan[level]
-        if n > 1:
-            cols = np.repeat(cols, n, axis=1)
-            cols[e] = np.tile(colors, cols.shape[1] // n)
-        ok = np.ones(cols.shape[1], bool)
+        cols[:, e] = chosen
+        ok = np.ones(len(cols), bool)
         for a, b, key, dsts in ops:
-            k = cols[a] * np.intp(n) + cols[b]
+            k = cols[:, a] * np.intp(n) + cols[:, b]
             for (dst, new), tab in zip(dsts, tabs[key]):
                 if new:
-                    np.take(tab, k, out=cols[dst])
+                    cols[:, dst] = tab[k]
                 else:
-                    ok &= cols[dst] == tab[k]
-        if not ok.all():
-            cols = cols[:, ok]
-        if cols.shape[1]:
-            stack.append((level + 1, cols))
+                    ok &= cols[:, dst] == tab[k]
+        return cols if ok.all() else cols[ok]
+
+    return batch.run(np.zeros((1, len(d.edges)), dtype), len(plan),
+                     np.arange(n, dtype=dtype), _ROWS, step)
 
 
 def coloring_array(d: SingularDiagram, p: SingularPair, tables=None) -> np.ndarray:
     """All colorings as a (colorings, edges) array over d.edges, rows in
     lexicographic order; `tables` are p's `flat_tables`."""
     cols = np.concatenate([*_blocks(d, p, tables),
-                           np.zeros((len(d.edges), 0), np.uint8)], axis=1)
-    if len(cols):
-        cols = cols[:, np.lexsort(cols[::-1])]
-    return cols.T
+                           np.zeros((0, len(d.edges)), np.uint8)])
+    return cols[np.lexsort(cols.T[::-1])] if cols.shape[1] else cols
 
 
 def enumerate_colorings(d: SingularDiagram, p: SingularPair) -> list[Coloring]:
@@ -158,14 +145,10 @@ def enumerate_colorings(d: SingularDiagram, p: SingularPair) -> list[Coloring]:
     found from a heap of the crossings with a coloured edge; only when no
     pair is half-known, the first uncoloured edge in sorted-name order.
 
-    The plan runs on numpy arrays of partial colorings, one row per
-    branch, in the smallest unsigned dtype: a seed repeats every row once
-    per color, a level's gathers and checks act on all rows at once, and
-    rows failing a check are dropped once per level.  A block that a seed
-    would take past _ROWS rows is split and its parts run depth-first.  A
-    count keeps, besides the running block, at most one split block per
-    level, each O(_ROWS * edges) bytes; an enumeration holds all colorings,
-    O(colorings * edges) bytes.
+    `batch.run` runs the plan on arrays of partial colorings, one row per
+    branch, at most _ROWS at a time, in the smallest unsigned dtype; a
+    level's gathers and checks act on all rows at once.  An enumeration
+    holds all colorings, O(colorings * edges) bytes.
     """
     edges = d.edges
     return [dict(zip(edges, row)) for row in coloring_array(d, p).tolist()]
@@ -174,7 +157,7 @@ def enumerate_colorings(d: SingularDiagram, p: SingularPair) -> list[Coloring]:
 def count_colorings(d: SingularDiagram, p: SingularPair) -> int:
     """Number of colorings; the plan of `enumerate_colorings`, run block by
     block without keeping or sorting them."""
-    return sum(cols.shape[1] for cols in _blocks(d, p))
+    return sum(len(cols) for cols in _blocks(d, p))
 
 
 def brute_force_colorings(d: SingularDiagram, p: SingularPair) -> list[Coloring]:

@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (BadBasepointError, DanglingEdgeError, DiagramError,
                      DiagramSyntaxError, PatternMismatchError, SlotReuseError,
@@ -82,14 +83,15 @@ class SingularDiagram:
         object.__setattr__(self, "edges", edges)
 
     # -- lookups -------------------------------------------------------
+    @cached_property
+    def consumers(self) -> dict[str, tuple[int, int]]:
+        """Edge -> (crossing index, 0 for in1 / 1 for in2) eating it."""
+        return {e: (i, slot) for i, c in enumerate(self.crossings)
+                for slot, e in enumerate(c.slots[:2])}
+
     def consumer(self, edge: str):
         """(crossing index, 0 for in1 / 1 for in2) eating this edge."""
-        for i, c in enumerate(self.crossings):
-            if c.in1 == edge:
-                return i, 0
-            if c.in2 == edge:
-                return i, 1
-        return None
+        return self.consumers.get(edge)
 
     def counts(self):
         kinds = {POS: 0, NEG: 0, SING: 0}
@@ -532,14 +534,7 @@ _WORD_MOVES = {
 }
 
 
-def _consumers(d: SingularDiagram) -> dict[str, int]:
-    out = {}
-    for k, c in enumerate(d.crossings):
-        out[c.in1] = out[c.in2] = k
-    return out
-
-
-def _trace(d: SingularDiagram, consumer, word, kinds, first: int):
+def _trace(d: SingularDiagram, word, kinds, first: int):
     """Read `word` along d from crossing `first`: a letter (m, i) eats the
     edges at positions i, i+1 and puts out1 at i, out2 at i+1; each later
     letter is the consumer of an edge already at its positions.  Returns
@@ -549,7 +544,8 @@ def _trace(d: SingularDiagram, consumer, word, kinds, first: int):
     at: dict[int, str] = {}
     used: list[int] = []
     for m, i in word:
-        k = consumer[next(at[p] for p in (i, i + 1) if p in at)] if used else first
+        k = (d.consumers[next(at[p] for p in (i, i + 1) if p in at)][0]
+             if used else first)
         c = d.crossings[k]
         if k in used or c.kind != kinds[m]:
             return None
@@ -564,12 +560,11 @@ def _trace(d: SingularDiagram, consumer, word, kinds, first: int):
 
 def _word_sites(d: SingularDiagram, move: str):
     words, kind_maps = _WORD_MOVES[move]
-    consumer = _consumers(d)
     sites = []
     for form, word in words.items():
         for kinds in kind_maps:
             for k in range(len(d.crossings)):
-                hit = _trace(d, consumer, word, kinds, k)
+                hit = _trace(d, word, kinds, k)
                 if hit:
                     sites.append(MoveSite.make(move, hit[0], form=form))
     return sites
@@ -584,9 +579,8 @@ def _word_apply(d: SingularDiagram, site: MoveSite) -> SingularDiagram:
     form = site.param("form")
     hit = None
     if form in words and site.crossings and 0 <= site.crossings[0] < len(d.crossings):
-        consumer = _consumers(d)
         for kinds in kind_maps:
-            if hit := _trace(d, consumer, words[form], kinds, site.crossings[0]):
+            if hit := _trace(d, words[form], kinds, site.crossings[0]):
                 break
     if not hit or hit[0] != site.crossings:
         raise PatternMismatchError(f"no {site.move} pattern at the given crossings")

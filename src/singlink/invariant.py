@@ -354,16 +354,13 @@ def nc_invariant(d: SingularDiagram, p: SingularPair,
     _validate_cocycle(p, c)
     t = c.target
     size, factor = _passages(d, p, c, 2 * len(d.crossings))
-    consumer = {}
-    for cr in d.crossings:
-        consumer[cr.in1] = (cr, 0)
-        consumer[cr.in2] = (cr, 1)
     comps = []
     for base in d.basepoints:
         # the weighted passages from the basepoint; a loop has none
         passed, edge = [], base
-        while edge in consumer:
-            cr, slot = consumer[edge]
+        while edge in d.consumers:
+            ci, slot = d.consumers[edge]
+            cr = d.crossings[ci]
             if cr.kind == SING or (cr.kind, slot) in ((POS, 0), (NEG, 1)):
                 passed.append(cr)
             edge = cr.out2 if slot == 0 else cr.out1

@@ -20,10 +20,10 @@ identity as soon as the rows it reads exist; which rows those are comes
 from running the words' S-only prefixes, so the words stay the only
 definition.  Components that hold for every tau are never checked: the
 words are run once on the n^2 constant taus when the plan is built.  The
-search runs on numpy batches of partial taus and returns one array;
-`enumerate_taus` builds tables from it and checks them once more, a batch
-of taus at a time: `pair_verdicts` runs the same words over numpy arrays
-(`pairtable.word_images`).
+search runs on numpy batches of partial taus (`batch.run`) and returns
+one array; `enumerate_taus` builds tables from it and checks them once
+more, a batch at a time: `pair_verdicts` runs the same words over numpy
+arrays (`pairtable.word_images`).
 Isomorphism classes are keyed by `canonical_form`, the least relabeled
 table stack, taken for a batch of pairs at once; the lr table counts the
 flip's classes from the search's array without building a table.
@@ -38,6 +38,7 @@ from math import factorial, gcd, prod
 
 import numpy as np
 
+from . import batch
 from .errors import (DimensionMismatchError, HomogeneityViolationError,
                      NonUnitError, SearchBoundExceededError, UnknownNameError)
 from .pairtable import (Biquandle, PairTable, dihedral_switch, first_failure,
@@ -50,9 +51,8 @@ from .pairtable import (Biquandle, PairTable, dihedral_switch, first_failure,
 # enough that a batch's arrays and lists stay near 100 kB
 CHECK_BATCH = 128
 CANONICAL_BATCH = 1 << 14
-# the tau search: partial taus a batch may hold after a level extends it
-# (a larger batch is split and its parts run depth-first), and component
-# equations checked per `word_images` call before failing taus are dropped
+# the tau search: the `batch.run` row cap, and component equations
+# checked per `word_images` call before failing taus are dropped
 SEARCH_ROWS = 1 << 12
 SEARCH_CHUNK = 32
 # automorphism candidates: table cells (candidates x n^2) checked per batch
@@ -487,7 +487,7 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
 def _tau_array(st: PairTable, require_bijective: bool) -> np.ndarray:
     """Every tau for the switch table st that enumerate_taus returns,
     before its guard, in table order, as one int8 (P, 2, n, n) array:
-    `_tau_plan` run depth-first on int8 batches of partial taus."""
+    `_tau_plan` run by `batch.run`, one level per tau1 row."""
     n = st.n
     perms = np.array(list(itertools.permutations(range(n))), np.int8)
     s1 = np.array(st.t1, np.int8)
@@ -497,20 +497,10 @@ def _tau_array(st: PairTable, require_bijective: bool) -> np.ndarray:
     linv = np.empty((n, n), np.int8)
     linv[np.arange(n)[:, None], s1] = np.arange(n)
     plan = _tau_plan(st)
-    width = max(1, SEARCH_ROWS // len(perms))
-    found = [np.empty((0, 2, n, n), np.int8)]
-    stack = [(0, np.zeros((1, 2, n, n), np.int8))]
-    while stack:
-        k, taus = stack.pop()
-        if k == n:
-            found.append(taus)
-            continue
-        if len(taus) > width:
-            stack.append((k, taus[width:]))
-            taus = taus[:width]
+
+    def step(k, taus, chosen):
         cells, sources, known, columns, checks = plan[k]
-        taus = np.repeat(taus, len(perms), axis=0)
-        taus[:, 0, k] = np.tile(perms, (len(taus) // len(perms), 1))
+        taus[:, 0, k] = chosen
         tau1, tau2 = taus.reshape(len(taus), 2, n * n).transpose(1, 0, 2)
         tau2[:, cells] = linv[tau1[:, cells], tau1[:, sources]]
         # right invertibility, and bijectivity, over the cells known so far
@@ -528,9 +518,10 @@ def _tau_array(st: PairTable, require_bijective: bool) -> np.ndarray:
             for j in js[1:]:
                 ok &= (left[j] == right[j]).all(axis=1)
             taus = taus[ok]
-        if len(taus):
-            stack.append((k + 1, taus))
-    return np.concatenate(found)
+        return taus
+
+    return np.concatenate([np.empty((0, 2, n, n), np.int8), *batch.run(
+        np.zeros((1, 2, n, n), np.int8), n, perms, SEARCH_ROWS, step)])
 
 
 def _tau_search(st: PairTable, require_bijective: bool) -> list[PairTable]:
@@ -562,31 +553,29 @@ def enumerate_taus(S: Biquandle, require_bijective: bool = True,
     (`_tau_plan`) lists, for each tau1 row k, the tau2 cells that row
     completes and the component equations whose tau reads it completes,
     leaving out those that hold for every tau (`_axiom_outputs`).
-    The plan runs on int8 batches of partial taus, one per branch: row k
-    extends every partial tau by each of the n! permutations, derives the
-    new tau2 cells, and drops a partial tau as soon as two known tau2
-    cells of a column agree, two known cells share a (tau1, tau2) pair
-    (when bijectivity is required), or a listed equation fails; the
-    equations run SEARCH_CHUNK points at a time.  A batch that a row
-    would take past SEARCH_ROWS partial taus is split and its parts run
-    depth-first.  The cost is n! times the number of partial taus that
-    survive each row; no bound on that number is claimed.  The survivors
-    of the last row form one (P, 2, n, n) array (`_tau_array`), and the
-    tables are built from it CHECK_BATCH taus at a time.
+    `batch.run` runs the plan on int8 batches of partial taus, one per
+    branch, at most SEARCH_ROWS at a time: row k extends every partial tau
+    by each of the n! permutations, derives the new tau2 cells, and drops
+    a partial tau as soon as two known tau2 cells of a column agree, two
+    known cells share a (tau1, tau2) pair (when bijectivity is required),
+    or a listed equation fails, SEARCH_CHUNK points at a time.  The cost
+    is n! times the number of partial taus that survive each row; no
+    bound on that number is claimed.  The tables are built from the
+    survivors (`_tau_array`) CHECK_BATCH taus at a time.
 
     The search's output is checked again before it is returned, as a
     guard on the search: `pair_verdicts` tests left and right
     invertibility, bijectivity (when required) and every identity of
     SINGULAR_PAIR_AXIOMS at every point, for a batch of taus at once.  A
     tau the batch rejects raises AssertionError naming the violations
-    `check_singular_pair` reports for it.
+    `check_singular_pair` reports for it; output not strictly increasing
+    in table order raises AssertionError too.
     """
     n = S.n
     if n > max_n:
         raise SearchBoundExceededError(
             f"n={n} exceeds enumeration bound {max_n}")
-    out = sorted(set(_tau_search(S.table, require_bijective)),
-                 key=lambda t_: t_.key())
+    out = _tau_search(S.table, require_bijective)
     for start in range(0, len(out), CHECK_BATCH):
         part = out[start:start + CHECK_BATCH]
         ok = pair_verdicts(S, part, require_bijective)
@@ -597,6 +586,8 @@ def enumerate_taus(S: Biquandle, require_bijective: bool = True,
                    if require_bijective or v.axiom != "bijective"]
             raise AssertionError("enumeration produced a non-pair: "
                                  + ", ".join(bad))
+    if any(a.key() >= b.key() for a, b in zip(out, out[1:])):
+        raise AssertionError("enumeration is not strictly in table order")
     if up_to_iso:
         return classify_isomorphism([SingularPair(S, tab) for tab in out])
     return out

@@ -214,6 +214,10 @@ class TestErrorsAndDeterminism:
         ("diagram", "show", "@unknot", "--max-n", "3"),
         ("color", "@unknot", "--pair", "builtin:flip-i2", "--slow"),
         ("pairs", "check", "builtin:flip-i2", "--slow"),
+        ("tables", "--which", "flip-counts", "--n", "3"),
+        ("tables", "--which", "tau-phi", "--n", "5"),
+        ("tables", "--which", "flip-counts", "--slow"),
+        ("tables", "--which", "lr-invertible", "--n", "3", "--slow"),
     ])
     def test_flags_exist_only_where_read(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
