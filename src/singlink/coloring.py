@@ -7,6 +7,7 @@ according to the crossing kind.  Loops are unconstrained.
 
 from __future__ import annotations
 
+import functools
 import heapq
 
 import numpy as np
@@ -21,10 +22,12 @@ Coloring = dict[str, int]
 _ROWS = 1 << 16
 
 
+@functools.lru_cache(maxsize=64)
 def flat_tables(p: SingularPair) -> dict[tuple[str, bool], tuple[np.ndarray, ...]]:
     """Per (crossing kind, forward), the tables (M1, M2) of the crossing's
     map M, or of M^-1 when not forward, indexed x*n + y.  One inverse per
-    map: S^-1's tables are S's read the other way round."""
+    map: S^-1's tables are S's read the other way round.  Built once per
+    pair and cached (the last 64 pairs); the arrays are read-only."""
     n = p.n
     out = {}
     for kind, t in ((POS, p.biquandle.table), (SING, p.tau)):
@@ -34,6 +37,8 @@ def flat_tables(p: SingularPair) -> dict[tuple[str, bool], tuple[np.ndarray, ...
         if back.min() < 0:
             raise ValueError("table is not bijective")
         out[kind, True], out[kind, False] = fwd, (back // n, back % n)
+    for tab in (tab for pair in out.values() for tab in pair):
+        tab.flags.writeable = False
     out[NEG, True], out[NEG, False] = out[POS, False], out[POS, True]
     return out
 
@@ -47,85 +52,100 @@ def _plan(d: SingularDiagram):
     fires once, when both slots of its in-pair or its out-pair are coloured.
     """
     index = {e: i for i, e in enumerate(d.edges)}
-    quads = [tuple(index[e] for e in c.slots) for c in d.crossings]
+    quads = [[index[e] for e in c.slots] for c in d.crossings]
+    kinds = [c.kind for c in d.crossings]
     touching: list[list[int]] = [[] for _ in index]
     for ci, q in enumerate(quads):
-        for e in dict.fromkeys(q):
+        for e in q:                # twice for a kink: the flags make it harmless
             touching[e].append(ci)
     known = [False] * len(index)
     fired = [False] * len(quads)
+    queued = [False] * len(quads)
     touched: list[int] = []        # heap of crossings with a coloured edge
     levels = []
     low = 0                        # every edge below it is coloured
-
-    def colour(e):
-        known[e] = True
-        for ci in touching[e]:
-            heapq.heappush(touched, ci)
-        return touching[e]
-
     while True:
         # after propagation, a touched crossing that has not fired has a
         # half-known pair: the first in order holds the first such pair
         while touched and fired[touched[0]]:
             heapq.heappop(touched)
         if touched:
-            q = quads[touched[0]]
-            pair = q[:2] if known[q[0]] != known[q[1]] else q[2:]
-            e = pair[known[pair[0]]]
+            i1, i2, o1, o2 = quads[touched[0]]
+            if known[i1] != known[i2]:
+                e = i2 if known[i1] else i1
+            else:
+                e = o2 if known[o1] else o1
         else:
             while low < len(known) and known[low]:
                 low += 1
             if low == len(known):
                 return levels
             e = low
+        known[e] = True
+        for ci in touching[e]:
+            if not queued[ci]:
+                queued[ci] = True
+                heapq.heappush(touched, ci)
         ops = []
-        work = list(colour(e))
+        work = touching[e][:]
         while work:
             ci = work.pop()
-            q = quads[ci]
-            forward = known[q[0]] and known[q[1]]
-            if fired[ci] or not (forward or known[q[2]] and known[q[3]]):
+            if fired[ci]:
+                continue
+            i1, i2, o1, o2 = quads[ci]
+            if known[i1] and known[i2]:
+                forward, a, b, x, y = True, i1, i2, o1, o2
+            elif known[o1] and known[o2]:
+                forward, a, b, x, y = False, o1, o2, i1, i2
+            else:
                 continue
             fired[ci] = True
-            src, dst = (q[:2], q[2:]) if forward else (q[2:], q[:2])
-            new = tuple((x, not known[x]) for x in dst)
-            for x, fresh in new:
+            new = ((x, not known[x]), (y, not known[y]))
+            for z, fresh in new:
                 if fresh:
-                    work.extend(cj for cj in colour(x) if cj != ci)
-            ops.append((*src, (d.crossings[ci].kind, forward), new))
+                    known[z] = True
+                    for cj in touching[z]:
+                        if not fired[cj]:
+                            work.append(cj)
+                            if not queued[cj]:
+                                queued[cj] = True
+                                heapq.heappush(touched, cj)
+            ops.append((a, b, (kinds[ci], forward), new))
         levels.append((e, ops))
 
 
-def _blocks(d: SingularDiagram, p: SingularPair, tables=None):
+def _blocks(d: SingularDiagram, p: SingularPair):
     """The colorings of d as (colorings, edges) arrays from `batch.run`,
-    one level per seed of `_plan`; `tables` are p's `flat_tables`."""
+    one level per seed of `_plan`."""
     n = p.n
     dtype = np.min_scalar_type(n - 1)
-    tabs = tables or flat_tables(p)
+    tabs = flat_tables(p)
     plan = _plan(d)
 
     def step(level, cols, chosen):
         e, ops = plan[level]
         cols[:, e] = chosen
-        ok = np.ones(len(cols), bool)
+        ok = None
         for a, b, key, dsts in ops:
-            k = cols[:, a] * np.intp(n) + cols[:, b]
+            k = cols[:, a] * np.intp(n)
+            k += cols[:, b]
             for (dst, new), tab in zip(dsts, tabs[key]):
                 if new:
-                    cols[:, dst] = tab[k]
+                    cols[:, dst] = tab.take(k)
+                elif ok is None:
+                    ok = cols[:, dst] == tab.take(k)
                 else:
-                    ok &= cols[:, dst] == tab[k]
-        return cols if ok.all() else cols[ok]
+                    ok &= cols[:, dst] == tab.take(k)
+        return cols if ok is None or ok.all() else cols[ok]
 
     return batch.run(np.zeros((1, len(d.edges)), dtype), len(plan),
                      np.arange(n, dtype=dtype), _ROWS, step)
 
 
-def coloring_array(d: SingularDiagram, p: SingularPair, tables=None) -> np.ndarray:
+def coloring_array(d: SingularDiagram, p: SingularPair) -> np.ndarray:
     """All colorings as a (colorings, edges) array over d.edges, rows in
-    lexicographic order; `tables` are p's `flat_tables`."""
-    cols = np.concatenate([*_blocks(d, p, tables),
+    lexicographic order."""
+    cols = np.concatenate([*_blocks(d, p),
                            np.zeros((0, len(d.edges)), np.uint8)])
     return cols[np.lexsort(cols.T[::-1])] if cols.shape[1] else cols
 
@@ -134,7 +154,8 @@ def enumerate_colorings(d: SingularDiagram, p: SingularPair) -> list[Coloring]:
     """All colorings, deterministically ordered by the value tuple on
     sorted edges.
 
-    The search is compiled once per diagram into a plan.  Edges get ids in
+    The search is compiled into a plan at each call, and a pair's
+    `flat_tables` are built once per pair.  Edges get ids in
     sorted-name order; each level of the plan seeds one edge and lists the
     crossings that propagation then fires, forward (ins determine outs) or
     backward (outs determine ins).  Which edges are coloured after a seed

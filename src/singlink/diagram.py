@@ -477,43 +477,38 @@ def _ri_remove(d: SingularDiagram, idx: int) -> SingularDiagram:
 
 # -- RII ---------------------------------------------------------------------
 
-def _rii_sites(d: SingularDiagram):
-    """Poke patterns: two classical crossings of opposite sign whose two
-    connecting edges each carry one strand straight from one crossing to
-    the other."""
-    sites = []
-    n = len(d.crossings)
-    for i in range(n):
-        a = d.crossings[i]
-        if a.kind == SING:
-            continue
-        for j in range(n):
-            if i == j:
-                continue
-            b = d.crossings[j]
-            if b.kind == SING or a.kind == b.kind:
-                continue
-            # parallel poke: both outputs of a feed the matching inputs of b;
-            # one strand passes on the under side of both crossings
-            if a.out1 == b.in1 and a.out2 == b.in2 and a.out1 != a.out2:
-                if i < j or not (b.out1 == a.in1 and b.out2 == a.in2):
-                    sites.append(MoveSite.make("RII_remove", (i, j), pattern="par"))
-            # antiparallel pokes: one connecting edge each way, and the
-            # connecting strand keeps the same over/under role at both
-            # crossings (the mixed-role patterns are clasps, not pokes);
-            # both predicates are symmetric in (a, b), hence i < j
-            if i < j and a.out2 == b.in2 and b.out2 == a.in2 and a.out2 != b.out2:
-                sites.append(MoveSite.make("RII_remove", (i, j), pattern="anti2"))
-            if i < j and a.out1 == b.in1 and b.out1 == a.in1 and a.out1 != b.out1:
-                sites.append(MoveSite.make("RII_remove", (i, j), pattern="anti3"))
-    return sites
+def _rii_pokes(d: SingularDiagram, i: int):
+    """Poke patterns at crossing i: (j, pattern) where i and j are two
+    classical crossings of opposite sign whose two connecting edges each
+    carry one strand straight from one crossing to the other.  The partner
+    is the consumer of one of i's out-edges."""
+    a = d.crossings[i]
+    if a.kind == SING:
+        return []
+    (j1, slot1), (j2, slot2) = d.consumers[a.out1], d.consumers[a.out2]
+    b1, b2 = d.crossings[j1], d.crossings[j2]
+    other = {POS: NEG, NEG: POS}[a.kind]
+    pokes = []
+    # parallel poke: a's out2 enters b at in2, so its out1 enters at in1;
+    # one strand passes on the under side of both crossings
+    if j1 == j2 and slot2 == 1 and b1.kind == other:
+        if i < j1 or not (b1.out1 == a.in1 and b1.out2 == a.in2):
+            pokes.append((j1, "par"))
+    # antiparallel pokes: one connecting edge each way, and the connecting
+    # strand keeps the same over/under role at both crossings (the
+    # mixed-role patterns are clasps, not pokes); both predicates are
+    # symmetric in (a, b), hence i < j
+    if slot2 == 1 and i < j2 and b2.kind == other and b2.out2 == a.in2:
+        pokes.append((j2, "anti2"))
+    if slot1 == 0 and i < j1 and b1.kind == other and b1.out1 == a.in1:
+        pokes.append((j1, "anti3"))
+    return pokes
 
 
 def _rii_remove(d: SingularDiagram, site: MoveSite) -> SingularDiagram:
     i, j = site.crossings
-    ok = any(s.crossings == (i, j) and s.param("pattern") == site.param("pattern")
-             for s in _rii_sites(d))
-    if not ok:
+    if not (0 <= i < len(d.crossings)
+            and (j, site.param("pattern")) in _rii_pokes(d, i)):
         raise PatternMismatchError(f"no RII poke at crossings ({i}, {j})")
     return _remove_and_splice(d, {i, j})
 
@@ -600,25 +595,23 @@ def _word_apply(d: SingularDiagram, site: MoveSite) -> SingularDiagram:
 
 # -- RV ------------------------------------------------------------------------
 
-def _rv_sites(d: SingularDiagram):
-    sites = []
-    n = len(d.crossings)
-    for i in range(n):
-        A = d.crossings[i]
-        for j in range(n):
-            if i == j:
-                continue
-            B = d.crossings[j]
-            if A.out1 != B.in1 or A.out2 != B.in2:
-                continue
-            if {A.kind, B.kind} == {SING, POS}:
-                sites.append(MoveSite.make("RV", (i, j)))
-    return sites
+def _rv_partner(d: SingularDiagram, i: int):
+    """The crossing j such that (i, j) is an RV site: crossing j eats
+    crossing i's out1 at in1 and its out2 at in2, and one of the two is
+    singular, the other positive.  None when there is none."""
+    A = d.crossings[i]
+    j, slot = d.consumers[A.out2]
+    # then out1, a different edge, can only enter j at in1; the kinds
+    # differ, so j is not i
+    if (slot == 1 and d.consumers[A.out1][0] == j
+            and {A.kind, d.crossings[j].kind} == {SING, POS}):
+        return j
+    return None
 
 
 def _rv_apply(d: SingularDiagram, site: MoveSite) -> SingularDiagram:
     i, j = site.crossings
-    if not any(s.crossings == (i, j) for s in _rv_sites(d)):
+    if not (0 <= i < len(d.crossings) and _rv_partner(d, i) == j):
         raise PatternMismatchError("no RV pattern at the given crossings")
     A, B = d.crossings[i], d.crossings[j]
     cs = list(d.crossings)
@@ -633,7 +626,8 @@ def find_move_sites(d: SingularDiagram, move: str) -> list[MoveSite]:
     """Every site of `move` in d, sorted by (crossings, params).  RIII,
     RIVa and RIVb trace each form's word from every crossing, so their cost
     is linear in the number of crossings per word and form; RII and RV
-    compare all pairs of crossings."""
+    read each crossing's partner off `SingularDiagram.consumers`, so
+    theirs is linear too."""
     if move == "RI_insert":
         return [MoveSite.make("RI_insert", (), edge=e, sign=POS, shape="A")
                 for e in d.edges]
@@ -641,11 +635,14 @@ def find_move_sites(d: SingularDiagram, move: str) -> list[MoveSite]:
         return [MoveSite.make("RI_remove", (i,))
                 for i, c in enumerate(d.crossings) if _is_kink(c)]
     if move == "RII_remove":
-        return sorted(_rii_sites(d), key=lambda s: (s.crossings, s.params))
+        return sorted((MoveSite.make("RII_remove", (i, j), pattern=pat)
+                       for i in range(len(d.crossings)) for j, pat in _rii_pokes(d, i)),
+                      key=lambda s: (s.crossings, s.params))
     if move in _WORD_MOVES:
         return sorted(_word_sites(d, move), key=lambda s: (s.crossings, s.params))
     if move == "RV":
-        return sorted(_rv_sites(d), key=lambda s: (s.crossings, s.params))
+        return [MoveSite.make("RV", (i, j)) for i in range(len(d.crossings))
+                if (j := _rv_partner(d, i)) is not None]
     raise UnknownNameError(f"unknown move {move!r}")
 
 

@@ -294,7 +294,7 @@ def _passages(d: SingularDiagram, p: SingularPair, c: CocyclePair, passages: int
     x*n + y indexes the incoming colors.  W holds target elements as
     `_weights` does, sized for sums of `passages` of them."""
     n, t, tables = p.n, c.target, flat_tables(p)
-    cols = coloring_array(d, p, tables)
+    cols = coloring_array(d, p)
     s1, s2 = tables[NEG, True]                         # S^-1
     at = s1 * n + s2
     A = _weights(c, passages)

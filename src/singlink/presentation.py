@@ -206,6 +206,8 @@ def build_ab_presentation(p: SingularPair) -> Presentation:
 # A row or column update replaces a by a - q*b; with |a|, |b|, |q| at most
 # this the result stays below 2^61, so int64 arithmetic is exact.
 _INT64_SAFE = 1 << 30
+# rows per step of the pivot's search for a unit
+_BAND = 32
 
 
 def _exceeds(block) -> bool:
@@ -243,7 +245,14 @@ def _smith_reduce(W, r: int, c: int):
 
     def pivot(k, R, C):
         """First nonzero entry of least absolute value in W[k:R, k:C], in
-        row-major order, or None when the block is zero."""
+        row-major order, or None when the block is zero.  A unit is the
+        least possible, so the first one found, _BAND rows at a time, is
+        it; only a block without a unit is scanned whole."""
+        for top in range(k, R, _BAND):
+            hits = np.flatnonzero(np.abs(W[top:min(top + _BAND, R), k:C]) == 1)
+            if hits.size:
+                i, j = divmod(int(hits[0]), C - k)
+                return top + i, k + j
         B = np.abs(W[k:R, k:C])
         zero = B == 0
         if zero.all():
@@ -273,8 +282,10 @@ def _smith_reduce(W, r: int, c: int):
                 widen(new)
             cols = k + 1 + np.flatnonzero(W[k, k + 1:C])
             if cols.size:
+                # rows with a zero in column k would get zero added
+                at = np.ix_(np.flatnonzero(W[:, k]), cols)
                 q = W[k, cols] // W[k, k]
-                W[:, cols] = new = W[:, cols] - np.outer(W[:, k], q)
+                W[at] = new = W[at] - np.outer(W[at[0][:, 0], k], q)
                 widen(new)
             if not (W[rows, k].any() or W[k, cols].any()):
                 return True

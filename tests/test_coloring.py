@@ -439,3 +439,45 @@ def test_ring_chain_counts_fast():
     d = ring_chain(18)
     with time_limit(2):
         assert count_colorings(d, builtin_pair("flip-flip")) == 2 ** 18
+
+
+def d3_pair() -> SingularPair:
+    """A D3 pair built anew at each call: equal to, not the same object as,
+    the one before."""
+    D3 = dihedral_switch(3)
+    return SingularPair(D3, D3.table.inverse())
+
+
+def test_flat_tables_are_read_only():
+    tabs = coloring.flat_tables(d3_pair())
+    for pair in tabs.values():
+        for tab in pair:
+            assert not tab.flags.writeable
+            with pytest.raises(ValueError):
+                tab[0] = 1
+
+
+def test_equal_pairs_share_their_tables():
+    p, q = d3_pair(), d3_pair()
+    assert p == q and p is not q
+    assert coloring.flat_tables(p) is coloring.flat_tables(q)
+
+
+def test_results_do_not_depend_on_the_table_cache():
+    from singlink.invariant import (nc_invariant, state_sum, universal_ab_cocycle,
+                                    universal_nc_cocycle)
+
+    d = builtin_diagram("sing_trefoil_mirror")
+    coloring.flat_tables.cache_clear()
+
+    def results():
+        p = d3_pair()
+        return (count_colorings(d, p), enumerate_colorings(d, p),
+                nc_invariant(d, p, universal_nc_cocycle(p)),
+                state_sum(d, p, universal_ab_cocycle(p)))
+
+    first = results()
+    assert first[0] == len(first[1]) == 9
+    assert coloring.flat_tables.cache_info().misses == 1
+    assert results() == first
+    assert coloring.flat_tables.cache_info().hits >= 1

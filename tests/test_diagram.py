@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 
@@ -290,3 +291,115 @@ class TestIsomorphism:
         d2 = SingularDiagram(d.crossings, d.loops,
                              (other,) + d.basepoints[1:])
         assert isomorphic(d, d2)
+
+
+# -- RII and RV sites against all-pairs scans -----------------------------------
+
+def rii_sites_by_pairs(d: SingularDiagram):
+    """Oracle: every RII poke by comparing all ordered pairs of crossings."""
+    sites = []
+    for i, a in enumerate(d.crossings):
+        for j, b in enumerate(d.crossings):
+            if i == j or "s" in (a.kind, b.kind) or a.kind == b.kind:
+                continue
+            if a.out1 == b.in1 and a.out2 == b.in2 and a.out1 != a.out2:
+                if i < j or not (b.out1 == a.in1 and b.out2 == a.in2):
+                    sites.append(MoveSite.make("RII_remove", (i, j), pattern="par"))
+            if i < j and a.out2 == b.in2 and b.out2 == a.in2 and a.out2 != b.out2:
+                sites.append(MoveSite.make("RII_remove", (i, j), pattern="anti2"))
+            if i < j and a.out1 == b.in1 and b.out1 == a.in1 and a.out1 != b.out1:
+                sites.append(MoveSite.make("RII_remove", (i, j), pattern="anti3"))
+    return sorted(sites, key=lambda s: (s.crossings, s.params))
+
+
+def rv_sites_by_pairs(d: SingularDiagram):
+    """Oracle: every RV site by comparing all ordered pairs of crossings."""
+    return [MoveSite.make("RV", (i, j))
+            for i, A in enumerate(d.crossings) for j, B in enumerate(d.crossings)
+            if i != j and A.out1 == B.in1 and A.out2 == B.in2
+            and {A.kind, B.kind} == {"s", "+"}]
+
+
+def poked(rng: random.Random, d: SingularDiagram) -> SingularDiagram:
+    """d with kinks and RII pokes added: RI kinks of either sign and shape
+    on random edges, and a +- or -+ pair spliced into a random edge in
+    one of the three poke patterns."""
+    for _ in range(rng.randint(0, 2)):
+        d = apply_move(d, MoveSite.make("RI_insert", (), edge=rng.choice(d.edges),
+                                        sign=rng.choice("+-"), shape=rng.choice("AB")))
+    if not d.crossings:
+        return d
+    # cut the strand after crossing 0's out-edge and run it through a poke
+    # with a new circle
+    e = rng.choice(d.crossings[0].slots[2:])
+    ci, slot = d.consumer(e)
+    signs = rng.sample("+-", 2)
+    u, v, w, x = (f"q{i}" for i in range(4))
+    pattern = rng.choice(["par", "anti2", "anti3"])
+    if pattern == "par":
+        # e -> in1 of a, a circle through in2; out1 of a -> in1 of b
+        new = (Crossing(signs[0], (e, x, u, v)), Crossing(signs[1], (u, v, w, x)))
+        feed = w
+    elif pattern == "anti2":
+        new = (Crossing(signs[0], (e, v, u, x)), Crossing(signs[1], (w, x, v, w)))
+        feed = u
+    else:
+        new = (Crossing(signs[0], (v, e, x, u)), Crossing(signs[1], (x, w, v, w)))
+        feed = u
+    cs = list(d.crossings)
+    slots = list(cs[ci].slots)
+    slots[slot] = feed
+    cs[ci] = Crossing(cs[ci].kind, tuple(slots))
+    return SingularDiagram(tuple(cs) + new, d.loops)
+
+
+def rii_rv_corpus(all_diagrams):
+    rng = random.Random("rii rv sites")
+    out = list(all_diagrams.values())
+    # every diagram of two crossings: among them a parallel poke that
+    # matches in both orders (the closure of +-), the clasps and kinks
+    for ins, outs in itertools.product(itertools.permutations("wxyz"), repeat=2):
+        for kinds in itertools.product("+-s", repeat=2):
+            out.append(SingularDiagram((Crossing(kinds[0], ins[:2] + outs[:2]),
+                                        Crossing(kinds[1], ins[2:] + outs[2:]))))
+    for _ in range(120):
+        strands = rng.randint(2, 4)
+        word = random_word(rng, strands, rng.randint(strands - 1, 10))
+        d = braid_closure(word, strands, rng)
+        out.append(d)
+        moved = d
+        for _ in range(3):
+            sites = [s for m in ("RIII", "RIVa", "RIVb", "RV")
+                     for s in find_move_sites(moved, m)]
+            if sites:
+                moved = apply_move(moved, rng.choice(sites))
+        out += [moved, poked(rng, d), poked(rng, moved)]
+    return out
+
+
+def test_rii_and_rv_sites_match_all_pairs_scans(all_diagrams):
+    corpus = rii_rv_corpus(all_diagrams)
+    found = {"RII_remove": 0, "RV": 0, "par both orders": 0}
+    for k, d in enumerate(corpus):
+        for move, oracle in (("RII_remove", rii_sites_by_pairs), ("RV", rv_sites_by_pairs)):
+            want = oracle(d)
+            assert find_move_sites(d, move) == want, (move, d)
+            found[move] += bool(want)
+            for site in want:
+                apply_move(d, site)
+            if k % 8:
+                continue
+            # applying a move checks the one site it is given
+            n = len(d.crossings)
+            patterns = ("par", "anti2", "anti3") if move == "RII_remove" else (None,)
+            for i, j, pattern in itertools.product(range(-1, n + 1), range(-1, n + 1),
+                                                   patterns):
+                site = MoveSite.make(move, (i, j), **({"pattern": pattern} if pattern else {}))
+                if site not in want:
+                    with pytest.raises(PatternMismatchError):
+                        apply_move(d, site)
+        a_b = [s.crossings for s in rii_sites_by_pairs(d) if s.param("pattern") == "par"]
+        found["par both orders"] += any(
+            (j, i) not in a_b and d.crossings[j].out1 == d.crossings[i].in1
+            and d.crossings[j].out2 == d.crossings[i].in2 for i, j in a_b)
+    assert all(found.values()), found

@@ -581,3 +581,91 @@ def test_smith_normal_form_is_exact_beyond_int64(case):
     U, D, V = smith_normal_form(M)
     assert [D[i][i] for i in range(len(D))] == diagonal
     assert hashlib.sha256(repr((U, D, V)).encode()).hexdigest() == digest
+
+
+def smith_by_full_scan(M):
+    """Oracle: the elimination of `smith_normal_form` on lists of Python
+    ints, each pivot found by scanning the whole remaining block for the
+    first nonzero entry of least absolute value in row-major order."""
+    r, c = len(M), len(M[0])
+    W = [[*row, *(int(i == k) for k in range(r))] for i, row in enumerate(M)]
+    W += [[int(i == j) for j in range(c)] + [0] * r for i in range(c)]
+
+    def pivot(k, R, C):
+        nonzero = [(abs(W[i][j]), i, j) for i in range(k, R) for j in range(k, C)
+                   if W[i][j]]
+        return min(nonzero)[1:] if nonzero else None
+
+    def reduce_at(k, R, C):
+        piv = pivot(k, R, C)
+        if piv is None:
+            return False
+        while True:
+            i, j = piv
+            W[k], W[i] = W[i], W[k]
+            for row in W:
+                row[k], row[j] = row[j], row[k]
+            rows = [i for i in range(k + 1, R) if W[i][k]]
+            for i in rows:
+                q = W[i][k] // W[k][k]
+                W[i] = [a - q * b for a, b in zip(W[i], W[k])]
+            cols = [j for j in range(k + 1, C) if W[k][j]]
+            for j in cols:
+                q = W[k][j] // W[k][k]
+                for row in W:
+                    row[j] -= q * row[k]
+            if not any([W[i][k] for i in rows] + [W[k][j] for j in cols]):
+                return True
+            piv = pivot(k, R, C)
+
+    def make_positive(j):
+        if W[j][j] < 0:
+            W[j] = [-a for a in W[j]]
+
+    k = 0
+    while k < min(r, c) and reduce_at(k, r, c):
+        make_positive(k)
+        k += 1
+    changed = True
+    while changed:
+        changed = False
+        for i in range(k - 1):
+            if W[i + 1][i + 1] % W[i][i]:
+                for row in W:
+                    row[i] += row[i + 1]
+                reduce_at(i, i + 2, i + 2)
+                make_positive(i)
+                make_positive(i + 1)
+                changed = True
+    return ([row[c:] for row in W[:r]], [row[:c] for row in W[:r]],
+            [row[:c] for row in W[r:]])
+
+
+def snf_differential_matrices():
+    """Random matrices, some taller than a band of the unit search: with
+    units, unit-free (every entry even, or every entry a multiple of 3 or
+    more), sparse, and with entries from 2^29 to past 2^30, where the
+    elimination moves to Python ints."""
+    rng = random.Random("snf full scan")
+    out = []
+    for t in range(120):
+        r, c = rng.randint(1, 45 if t % 4 == 0 else 8), rng.randint(1, 9)
+        kind = t % 5
+        scale = (1, 2, rng.randint(3, 6), 1, rng.choice((1 << 29, 1 << 31)))[kind]
+        zero = 0.7 if kind == 3 else 0.2
+        out.append([[0 if rng.random() < zero else scale * rng.randint(-4, 4)
+                     + (rng.randint(-1, 1) if kind == 4 else 0)
+                     for _ in range(c)] for _ in range(r)])
+    return out
+
+
+def test_smith_normal_form_matches_the_full_scan_oracle():
+    mats = snf_differential_matrices()
+    unit_free = big = tall = 0
+    for M in mats:
+        assert smith_normal_form(M) == smith_by_full_scan(M), M
+        entries = [abs(x) for row in M for x in row]
+        unit_free += 1 not in entries
+        big += max(entries) > 1 << 30
+        tall += len(M) > 32
+    assert unit_free and big and tall, (unit_free, big, tall)
