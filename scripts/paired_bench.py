@@ -2,20 +2,22 @@
 """Interleaved parent/change pairs of the benchmark, with their summary.
 
     python3 scripts/paired_bench.py --parent REV --workload closures \\
-        --seeds 14901-14910 [--seconds 20] [--json BENCH_N.json]
+        --seeds 14901-14910 [--json BENCH_N.json]
 
-The parent side is the committed tree of REV, extracted into a temporary
-directory with `git archive` (so, like the benchmark, it runs committed
-files, and an interrupted run leaves nothing in the repository); it is
-removed on exit.  The change side is this checkout.  Both run the
-unchanged `perfbench/run.py --trace 0` of their own tree, one benchmark at
-a time, once per seed: the parent first on odd seeds, the change first on
-even ones.  For every end-to-end metric of BENCHMARK.json the script
-prints each side's median and quartiles (statistics.quantiles,
-method='inclusive'), the pairs the change won and the ratio of the
-medians, then the attempted and failed task counts.  --json writes the
-same figures as the workload's entry in the `paired_bench` block of a
-BENCH_*.json file, creating the file or keeping what else it holds.
+Both sides run committed files, like the benchmark: the parent side is the
+tree of REV and the change side the tree of HEAD, each extracted with
+`git archive` into a temporary directory that is removed on exit (so an
+interrupted run leaves nothing in the repository).  Uncommitted edits in
+the checkout are not run; commit them first.  Both run the unchanged
+`perfbench/run.py --trace 0` of their own tree for BENCHMARK.json's
+run_seconds, one benchmark at a time, once per seed: the parent first on
+odd seeds, the change first on even ones.  For every end-to-end metric of
+BENCHMARK.json the script prints each side's median and quartiles
+(statistics.quantiles, method='inclusive'), the pairs the change won and
+the ratio of the medians, then the attempted and failed task counts.
+--json writes the same figures as the workload's entry in the
+`paired_bench` block of a BENCH_*.json file, creating the file or keeping
+what else it holds.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ def write_block(path: Path, workload: str, entry: dict, seconds: int):
     block.update({
         "command": f"python3 perfbench/run.py --workload W --seed N "
                    f"--seconds {seconds} --trace 0",
-        "order": "odd seeds parent first, even seeds change first",
+        "order": "odd seeds parent first, even seeds change first, one benchmark at a time",
         "quartiles": "statistics.quantiles(method='inclusive') over the runs of each side",
         workload: entry})
     path.write_text(json.dumps(data, indent=1) + "\n")
@@ -118,35 +120,44 @@ def main(argv=None):
     ap.add_argument("--workload", choices=WORKLOADS, required=True)
     ap.add_argument("--seeds", type=seed_list, required=True,
                     help="e.g. 14901-14910 or 14901,14903")
-    ap.add_argument("--seconds", type=int, default=20)
     ap.add_argument("--json", type=Path, help="BENCH_*.json to write the block into")
     args = ap.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     # SIGTERM unwinds like Ctrl-C, so the temporary tree is removed
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
+    seconds = spec["run_seconds"]
     tmp = Path(tempfile.mkdtemp(prefix="paired_bench-"))
     try:
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.parent],
-                                 capture_output=True, check=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(tmp)], input=archive, check=True)
-        trees = {"parent": tmp, "change": ROOT}
+        revs = {side: subprocess.run(
+                    ["git", "-C", str(ROOT), "rev-parse", "--verify", rev + "^{commit}"],
+                    capture_output=True, check=True, text=True).stdout.strip()
+                for side, rev in (("parent", args.parent), ("change", "HEAD"))}
+        trees = {side: tmp / side for side in revs}
+        for side, rev in revs.items():
+            archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                                     capture_output=True, check=True).stdout
+            trees[side].mkdir()
+            subprocess.run(["tar", "-x", "-C", str(trees[side])], input=archive,
+                           check=True)
         runs = {"parent": [], "change": []}
         for i, seed in enumerate(args.seeds):
             order = ("parent", "change") if seed % 2 else ("change", "parent")
             for side in order:
-                runs[side].append(run_bench(trees[side], args.workload, seed, args.seconds))
+                runs[side].append(run_bench(trees[side], args.workload, seed, seconds))
                 wall = runs[side][-1]["metrics"]["wall_s"]["value"]
                 print(f"[{i + 1}/{len(args.seeds)}] seed {seed} {side}: wall_s {wall:.4g}",
                       file=sys.stderr, flush=True)
     except subprocess.CalledProcessError as e:
-        detail = (e.stderr or b"").decode(errors="replace").strip()
+        detail = e.stderr or b""
+        detail = (detail if isinstance(detail, str)
+                  else detail.decode(errors="replace")).strip()
         raise SystemExit(f"error: {' '.join(e.cmd)} failed: {detail}")
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-    entry = summarize(args.seeds, runs, spec)
+    entry = {"revisions": revs, **summarize(args.seeds, runs, spec)}
     print(report(args.workload, entry))
     if args.json:
-        write_block(args.json, args.workload, entry, args.seconds)
+        write_block(args.json, args.workload, entry, seconds)
     return 0
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import functools
 import heapq
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -23,11 +25,12 @@ _ROWS = 1 << 16
 
 
 @functools.lru_cache(maxsize=64)
-def flat_tables(p: SingularPair) -> dict[tuple[str, bool], tuple[np.ndarray, ...]]:
+def flat_tables(p: SingularPair) -> Mapping[tuple[str, bool], tuple[np.ndarray, ...]]:
     """Per (crossing kind, forward), the tables (M1, M2) of the crossing's
     map M, or of M^-1 when not forward, indexed x*n + y.  One inverse per
     map: S^-1's tables are S's read the other way round.  Built once per
-    pair and cached (the last 64 pairs); the arrays are read-only."""
+    pair and cached (the last 64 pairs); the mapping and its arrays are
+    read-only, since every caller with an equal pair shares them."""
     n = p.n
     out = {}
     for kind, t in ((POS, p.biquandle.table), (SING, p.tau)):
@@ -40,7 +43,7 @@ def flat_tables(p: SingularPair) -> dict[tuple[str, bool], tuple[np.ndarray, ...
     for tab in (tab for pair in out.values() for tab in pair):
         tab.flags.writeable = False
     out[NEG, True], out[NEG, False] = out[POS, False], out[POS, True]
-    return out
+    return MappingProxyType(out)
 
 
 def _plan(d: SingularDiagram):

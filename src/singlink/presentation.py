@@ -206,7 +206,7 @@ def build_ab_presentation(p: SingularPair) -> Presentation:
 # A row or column update replaces a by a - q*b; with |a|, |b|, |q| at most
 # this the result stays below 2^61, so int64 arithmetic is exact.
 _INT64_SAFE = 1 << 30
-# rows per step of the pivot's search for a unit
+# rows per step of the pivot search, which stops at the first unit
 _BAND = 32
 
 
@@ -245,21 +245,20 @@ def _smith_reduce(W, r: int, c: int):
 
     def pivot(k, R, C):
         """First nonzero entry of least absolute value in W[k:R, k:C], in
-        row-major order, or None when the block is zero.  A unit is the
-        least possible, so the first one found, _BAND rows at a time, is
-        it; only a block without a unit is scanned whole."""
+        row-major order, or None when the block is zero.  The block is read
+        _BAND rows at a time; a unit is the least possible, so the first
+        one ends the search."""
+        best = None
         for top in range(k, R, _BAND):
-            hits = np.flatnonzero(np.abs(W[top:min(top + _BAND, R), k:C]) == 1)
-            if hits.size:
-                i, j = divmod(int(hits[0]), C - k)
-                return top + i, k + j
-        B = np.abs(W[k:R, k:C])
-        zero = B == 0
-        if zero.all():
-            return None
-        B[zero] = B.max() + 1
-        i, j = divmod(int(B.argmin()), C - k)
-        return k + i, k + j
+            B = np.abs(W[top:min(top + _BAND, R), k:C]).ravel()
+            nz = np.flatnonzero(B)
+            if nz.size:
+                at = nz[B[nz].argmin()]
+                if best is None or B[at] < best[0]:
+                    best = B[at], top + at // (C - k), k + at % (C - k)
+                    if best[0] == 1:
+                        break
+        return None if best is None else best[1:]
 
     def reduce_at(k, R, C):
         """Pivot at (k, k) and clear the rest of row k and column k inside
@@ -282,10 +281,8 @@ def _smith_reduce(W, r: int, c: int):
                 widen(new)
             cols = k + 1 + np.flatnonzero(W[k, k + 1:C])
             if cols.size:
-                # rows with a zero in column k would get zero added
-                at = np.ix_(np.flatnonzero(W[:, k]), cols)
                 q = W[k, cols] // W[k, k]
-                W[at] = new = W[at] - np.outer(W[at[0][:, 0], k], q)
+                W[:, cols] = new = W[:, cols] - np.outer(W[:, k], q)
                 widen(new)
             if not (W[rows, k].any() or W[k, cols].any()):
                 return True

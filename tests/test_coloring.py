@@ -455,6 +455,10 @@ def test_flat_tables_are_read_only():
             assert not tab.flags.writeable
             with pytest.raises(ValueError):
                 tab[0] = 1
+    with pytest.raises(TypeError):
+        tabs[coloring.SING, True] = tabs[coloring.POS, True]
+    with pytest.raises(AttributeError):
+        tabs.pop((coloring.NEG, True))
 
 
 def test_equal_pairs_share_their_tables():

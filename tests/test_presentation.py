@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from singlink import presentation
 from singlink.errors import NotInvolutiveError
 from singlink.pairs import SingularPair, builtin_pair, enumerate_taus
 from singlink.pairtable import (dihedral_switch, flip_switch, i2_switch,
@@ -642,20 +643,23 @@ def smith_by_full_scan(M):
 
 
 def snf_differential_matrices():
-    """Random matrices, some taller than a band of the unit search: with
-    units, unit-free (every entry even, or every entry a multiple of 3 or
-    more), sparse, and with entries from 2^29 to past 2^30, where the
-    elimination moves to Python ints."""
+    """Random matrices, some taller than a band of the pivot search: with
+    units, unit-free (every entry even, or each row a multiple of its own
+    2 to 6, so that bands differ in their least entry), sparse, and with
+    entries from 2^29 to past 2^30, where the elimination moves to Python
+    ints."""
     rng = random.Random("snf full scan")
     out = []
     for t in range(120):
-        r, c = rng.randint(1, 45 if t % 4 == 0 else 8), rng.randint(1, 9)
+        r, c = rng.randint(1, 80 if t % 4 == 0 else 8), rng.randint(1, 9)
         kind = t % 5
-        scale = (1, 2, rng.randint(3, 6), 1, rng.choice((1 << 29, 1 << 31)))[kind]
-        zero = 0.7 if kind == 3 else 0.2
-        out.append([[0 if rng.random() < zero else scale * rng.randint(-4, 4)
-                     + (rng.randint(-1, 1) if kind == 4 else 0)
-                     for _ in range(c)] for _ in range(r)])
+        M = []
+        for _ in range(r):
+            scale = (1, 2, rng.randint(2, 6), 1, rng.choice((1 << 29, 1 << 31)))[kind]
+            zero = 0.7 if kind == 3 else 0.2
+            M.append([0 if rng.random() < zero else scale * rng.randint(-4, 4)
+                      + (rng.randint(-1, 1) if kind == 4 else 0) for _ in range(c)])
+        out.append(M)
     return out
 
 
@@ -667,5 +671,5 @@ def test_smith_normal_form_matches_the_full_scan_oracle():
         entries = [abs(x) for row in M for x in row]
         unit_free += 1 not in entries
         big += max(entries) > 1 << 30
-        tall += len(M) > 32
+        tall += 1 not in entries and len(M) > 2 * presentation._BAND
     assert unit_free and big and tall, (unit_free, big, tall)
