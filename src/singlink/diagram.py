@@ -359,13 +359,15 @@ class MoveSite:
 
 def _rebuild(crossings, loops, old_bases) -> SingularDiagram:
     """Reassemble a diagram, keeping old basepoints where they still name
-    an edge of the component (components may have been renumbered)."""
+    an edge of the component (components may have been renumbered).
+    Validated once: each aligned basepoint is on its component by choice."""
     d2 = SingularDiagram(tuple(crossings), tuple(loops))
     aligned = []
     for comp in d2.components:
         cands = [b for b in old_bases if b in comp]
         aligned.append(cands[0] if cands else comp[0])
-    return SingularDiagram(d2.crossings, d2.loops, tuple(aligned))
+    object.__setattr__(d2, "basepoints", tuple(aligned))
+    return d2
 
 
 def _fresh_edges(d: SingularDiagram, k: int) -> list[str]:

@@ -18,8 +18,9 @@ invertibility makes each row a permutation), derives tau2 pointwise from
 the first component of (1), and checks every other component of every
 identity as soon as the rows it reads exist; which rows those are comes
 from running the words' S-only prefixes, so the words stay the only
-definition.  Components that hold for every tau are never checked: the
-words are run once on the n^2 constant taus when the plan is built.  The
+definition.  Components that hold for every tau are never checked: run on
+the n^2 constant taus when the plan is built, they agree on all of them
+and either read tau at the same cell on both sides or read no tau.  The
 search runs on numpy batches of partial taus (`batch.run`) and returns
 one array; `enumerate_taus` builds tables from it and checks them once
 more, a batch at a time: `pair_verdicts` runs the same words over numpy
@@ -42,7 +43,8 @@ from . import batch
 from .errors import (DimensionMismatchError, HomogeneityViolationError,
                      NonUnitError, SearchBoundExceededError, UnknownNameError)
 from .pairtable import (Biquandle, PairTable, dihedral_switch, first_failure,
-                        flip_switch, i2_switch, word_arity, word_images)
+                        flat_map, flip_switch, i2_switch, word_arity,
+                        word_images)
 
 # batch sizes: taus per `pair_verdicts` call in the `enumerate_taus`
 # guard and per `tolist` when the search's tables are built, and relabeled
@@ -173,13 +175,13 @@ def pair_verdicts(S: Biquandle, taus,
     if require_bijective:
         cells = (t1.astype(np.intp) * n + t2).reshape(len(ok), -1)
         ok &= (np.sort(cells, axis=1) == np.arange(n * n)).all(axis=1)
-    s1, s2 = np.array([S.table.t1, S.table.t2], dtype=np.int16)[:, None]
-    maps = {"S": (s1, s2), "T": (t1, t2)}
+    maps = {"S": flat_map(np.array([S.table.t1, S.table.t2], np.int16)),
+            "T": flat_map(stack)}
     for _, lhs, rhs in SINGULAR_PAIR_AXIOMS:
         k = word_arity(lhs, rhs)
         points = np.indices((n,) * k, dtype=np.int16).reshape(k, -1)
-        for left, right in zip(word_images(lhs, maps, points),
-                               word_images(rhs, maps, points)):
+        for left, right in zip(word_images(lhs, maps, points, n),
+                               word_images(rhs, maps, points, n)):
             ok &= (left == right).all(axis=-1)
     return ok
 
@@ -392,7 +394,7 @@ def _last_rows(word, points, S, s1):
     if "T" in letters:
         t = letters.index("T")
         i = word[t][1]
-        prefix = word_images(word[:t], S, points)
+        prefix = word_images(word[:t], S, points, len(s1))
         a, b = np.reshape(prefix[i], -1), np.reshape(prefix[i + 1], -1)
         rows[i], rows[i + 1] = a, np.maximum(a, s1[a, b])
         cell = a * len(s1) + b
@@ -405,33 +407,33 @@ def _axiom_outputs(st: PairTable):
     """Per identity of SINGULAR_PAIR_AXIOMS, (name, lhs, rhs, points, due,
     holds): `points` is X^k in row-major order as a (k, n^k) array, and
     for output j of the two words at point i, due[j, i] is the last tau1
-    row they read, and holds[j, i] says that they agree there for every
-    tau because both words read tau at the same cell (a, b) and agree for
-    each of its n^2 values.
+    row they read, and holds[j, i] says that they agree there for every tau.
 
-    Each word reads tau at most once (`_last_rows`), so output j of each
-    is then a function of tau(a, b) alone, and the n^2 constant taus try
-    every value: one `word_images` call per word, at the points where the
-    two cells are the same.  Words that read tau at different cells are
+    Each word reads tau at most once (`_last_rows`), so output j of each is
+    a function of tau at one cell, and the n^2 constant taus give it every
+    value: it holds when the words agree at all of them, and either read
+    tau at the same cell or lhs's output is constant over them (then so is
+    rhs's).  One `word_images` call per word, at every point; D4 has 192 of
+    its 416 outputs marked.  Outputs that vary and read different cells are
     never marked, even where they agree.
     """
     n = st.n
-    s1, s2 = np.array(st.t1), np.array(st.t2)
-    S = {"S": (s1[None], s2[None])}
+    s1 = np.array(st.t1)
+    S = {"S": flat_map(np.array([st.t1, st.t2]))}
     # the constant taus: tau(x, y) = (c // n, c % n) for c < n^2
-    const = np.broadcast_to(np.arange(n * n)[:, None, None], (n * n, n, n))
-    maps = {**S, "T": (const // n, const % n)}
+    const = np.stack(divmod(np.arange(n * n), n), axis=1)[:, :, None, None]
+    maps = {**S, "T": flat_map(np.broadcast_to(const, (n * n, 2, n, n)))}
     for name, lhs, rhs in SINGULAR_PAIR_AXIOMS:
         arity = word_arity(lhs, rhs)
         points = np.indices((n,) * arity).reshape(arity, -1)
         (left, lcell), (right, rcell) = (_last_rows(w, points, S, s1)
                                          for w in (lhs, rhs))
         same = (lcell >= 0) & (lcell == rcell)
-        at = points[:, same]
         holds = np.zeros(left.shape, bool)
-        for j, (u, v) in enumerate(zip(word_images(lhs, maps, at),
-                                       word_images(rhs, maps, at))):
-            holds[j, same] = np.atleast_2d(u == v).all(axis=0)
+        for j, (u, v) in enumerate(zip(word_images(lhs, maps, points, n),
+                                       word_images(rhs, maps, points, n))):
+            u = np.atleast_2d(u)
+            holds[j] = (u == v).all(axis=0) & (same | (u == u[0]).all(axis=0))
         yield name, lhs, rhs, points, np.maximum(left, right), holds
 
 
@@ -450,7 +452,8 @@ def _tau_plan(st: PairTable):
     must agree at each point, an (arity, m) array with m <= SEARCH_CHUNK.
     Two kinds of equation are left out: the first component of rv, which
     the derivation solves, and every equation that holds for all taus
-    (`_axiom_outputs`), such as 384 of the 400 for the flip at n = 4.
+    (`_axiom_outputs`: same cell, or no tau read), 192 of 416 for D4 and
+    384 of 416 for the flip at n = 4.
     """
     n = st.n
     s1, s2 = np.array(st.t1), np.array(st.t2)
@@ -491,7 +494,7 @@ def _tau_array(st: PairTable, require_bijective: bool) -> np.ndarray:
     n = st.n
     perms = np.array(list(itertools.permutations(range(n))), np.int8)
     s1 = np.array(st.t1, np.int8)
-    S = (s1[None], np.array(st.t2, np.int8)[None])
+    S = flat_map(np.array([st.t1, st.t2], np.int8))
     # tau2(a, b) solves S1(tau1(a, b), tau2(a, b)) = tau1(S(a, b)), the
     # first component of rv: linv[u, S1(u, y)] = y
     linv = np.empty((n, n), np.int8)
@@ -511,9 +514,9 @@ def _tau_array(st: PairTable, require_bijective: bool) -> np.ndarray:
         for lhs, rhs, js, points in checks:
             if not len(taus):
                 break
-            maps = {"S": S, "T": (taus[:, 0], taus[:, 1])}
-            left = word_images(lhs, maps, points)
-            right = word_images(rhs, maps, points)
+            maps = {"S": S, "T": flat_map(taus)}
+            left = word_images(lhs, maps, points, n)
+            right = word_images(rhs, maps, points, n)
             ok = (left[js[0]] == right[js[0]]).all(axis=1)
             for j in js[1:]:
                 ok &= (left[j] == right[j]).all(axis=1)

@@ -182,20 +182,34 @@ def word_map(word, maps):
     return run
 
 
-def word_images(word, maps, points):
+def flat_map(tables) -> tuple:
+    """The `word_images` map of a (2, n, n) table pair (t1, t2) that every
+    point shares, or of a (B, 2, n, n) stack, one pair per batch row."""
+    n = tables.shape[-1]
+    flat = np.ascontiguousarray(tables).reshape(-1)
+    rows = None if tables.ndim == 3 else np.arange(len(tables))[:, None] * (2 * n * n)
+    return flat, flat[n * n:], rows
+
+
+def word_images(word, maps, points, n: int):
     """`word_map` on integer arrays, for a batch of maps at once.
 
-    maps[m] is a pair of arrays (t1, t2) of shape (B, n, n): B tables side
-    by side, or B = 1 for a table the whole batch shares.  `points` holds
-    one integer array per coordinate of X^k; the images come back the same
-    way, a coordinate of shape (B, N) once a batched letter has written it.
+    maps[m] is a `flat_map` (f1, f2, rows): the tables flattened, f2 a view
+    n^2 cells into f1, and rows the (B, 1) offsets b * 2n^2 of a batch, or
+    None for shared tables.  Each letter computes one flat index k = a*n + b
+    (+ rows) and reads both outputs with f1.take(k) and f2.take(k).  k is
+    an np.intp, which holds B * 2n^2; int8 taus would overflow a*n at
+    n >= 12.  `points` holds one integer array per coordinate of X^k; the
+    images come back the same way, a coordinate of shape (B, N) once a
+    batched letter has written it.
     """
     p = list(points)
     for m, i in word:
-        t1, t2 = maps[m]
-        batch = np.arange(len(t1))[:, None]
-        a, b = p[i], p[i + 1]
-        p[i], p[i + 1] = t1[batch, a, b], t2[batch, a, b]
+        f1, f2, rows = maps[m]
+        k = p[i] * np.intp(n) + p[i + 1]
+        if rows is not None:
+            k = k + rows
+        p[i], p[i + 1] = f1.take(k), f2.take(k)
     return p
 
 
@@ -218,9 +232,9 @@ def first_failure(lhs, rhs, maps, n: int):
 def check_yang_baxter(t: PairTable) -> bool:
     """The braid-form Yang-Baxter identity YANG_BAXTER at every triple,
     all n^3 of them in one `word_images` pass."""
-    S = {"S": (np.array([t.t1]), np.array([t.t2]))}
+    S = {"S": flat_map(np.array([t.t1, t.t2]))}
     points = np.indices((t.n,) * 3).reshape(3, -1)
-    lhs, rhs = (word_images(w, S, points) for w in YANG_BAXTER)
+    lhs, rhs = (word_images(w, S, points, t.n) for w in YANG_BAXTER)
     return all((u == v).all() for u, v in zip(lhs, rhs))
 
 

@@ -559,9 +559,9 @@ def test_check_singular_pair_matches_recorded_digest():
 @pytest.mark.parametrize("name,sizes", [
     # per tau1 row: the component equations due there (the first output of
     # rv, which the derivation solves, aside), and those the plan keeps
-    ("D4", ([33, 61, 125, 181], [11, 31, 83, 131])),
-    ("D5", ([43, 83, 135, 207, 307], [12, 42, 84, 146, 236])),
-    ("bialexander(5,2,3)", ([51, 38, 130, 182, 374], [41, 38, 130, 182, 374])),
+    ("D4", ([33, 61, 125, 181], [9, 21, 69, 109])),
+    ("D5", ([43, 83, 135, 207, 307], [8, 28, 60, 112, 192])),
+    ("bialexander(5,2,3)", ([51, 38, 130, 182, 374], [41, 8, 80, 112, 284])),
     ("flip4", ([37, 79, 121, 163], [1, 3, 5, 7])),
 ])
 def test_search_checks_run_at_the_earliest_row(name, sizes):

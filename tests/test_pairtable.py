@@ -1,13 +1,16 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singlink.errors import NonUnitError
+from singlink.pairs import SINGULAR_PAIR_AXIOMS
 from singlink.pairtable import (Biquandle, PairTable, Quandle,
                                 check_biquandle, check_yang_baxter,
-                                first_failure, word_map,
+                                first_failure, flat_map, word_images,
+                                word_arity, word_map, YANG_BAXTER,
                                 dihedral_quandle, dihedral_switch,
                                 flip_switch, i2_switch, make_bialexander,
                                 make_quandle_switch, trivial_quandle)
@@ -94,6 +97,38 @@ class TestWords:
         lhs, rhs = (("S", 0), ("T", 0)), (("T", 0), ("S", 0))
         assert first_failure(lhs, rhs, maps, 3) == (0, 1)
         assert first_failure(lhs, lhs, maps, 3) is None
+
+
+# every word the library evaluates on arrays
+ALL_WORDS = (*YANG_BAXTER,
+             *(w for _, lhs, rhs in SINGULAR_PAIR_AXIOMS for w in (lhs, rhs)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 12, 13])
+@pytest.mark.parametrize("dtype", [np.int8, np.int16])
+@pytest.mark.parametrize("batched", [True, False], ids=["B=4", "B=1"])
+@pytest.mark.parametrize("per_row", [True, False], ids=["points(B,N)", "points(N)"])
+def test_word_images_match_word_map(n, dtype, batched, per_row):
+    # seeded arbitrary tables and points: at n >= 12 a*n overflows int8,
+    # and distinct tables per row catch a lost row offset
+    rng = np.random.default_rng([n, np.dtype(dtype).itemsize, batched, per_row])
+    B, N = 4, 30
+    S = rng.integers(0, n, (2, n, n)).astype(dtype)
+    T = rng.integers(0, n, (B, 2, n, n)).astype(dtype)
+    maps = {"S": flat_map(S), "T": flat_map(T if batched else T[0])}
+    tables = [{"S": PairTable(n, *S.tolist()),
+               "T": PairTable(n, *T[b if batched else 0].tolist())}
+              for b in range(B)]
+    for word in ALL_WORDS:
+        k = word_arity(word)
+        points = rng.integers(0, n, (k, B, N) if per_row else (k, N)).astype(dtype)
+        images = word_images(word, maps, points, n)
+        for b in range(B):
+            run = word_map(word, tables[b])
+            want = np.array([run(points[:, b, i] if per_row else points[:, i])
+                             for i in range(N)]).T
+            got = [np.broadcast_to(img, (B, N))[b] for img in images]
+            assert (np.array(got) == want).all(), (word, b)
 
 
 class TestBiquandle:
