@@ -360,7 +360,7 @@ class MoveSite:
 def _rebuild(crossings, loops, old_bases) -> SingularDiagram:
     """Reassemble a diagram, keeping old basepoints where they still name
     an edge of the component (components may have been renumbered).
-    Validated once: each aligned basepoint is on its component by choice."""
+    Validated once: each aligned basepoint is taken from its own component."""
     d2 = SingularDiagram(tuple(crossings), tuple(loops))
     aligned = []
     for comp in d2.components:

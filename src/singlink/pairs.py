@@ -430,10 +430,11 @@ def _axiom_outputs(st: PairTable):
                                          for w in (lhs, rhs))
         same = (lcell >= 0) & (lcell == rcell)
         holds = np.zeros(left.shape, bool)
-        for j, (u, v) in enumerate(zip(word_images(lhs, maps, points, n),
-                                       word_images(rhs, maps, points, n))):
-            u = np.atleast_2d(u)
-            holds[j] = (u == v).all(axis=0) & (same | (u == u[0]).all(axis=0))
+        # images per (constant tau, point), (1, N) where no tau is read
+        at = points[:, None]
+        for j, (u, v) in enumerate(zip(word_images(lhs, maps, at, n),
+                                       word_images(rhs, maps, at, n))):
+            holds[j] = ((u == v) & (same | (u == u[0]))).all(axis=0)
         yield name, lhs, rhs, points, np.maximum(left, right), holds
 
 
@@ -470,14 +471,15 @@ def _tau_plan(st: PairTable):
         due[holds] = -1
         if name == "rv":
             due[0] = -1
-        for row, (*_, checks) in enumerate(plan):
-            # the points whose outputs js fall due at this row, per js
-            due_at = (1 << np.arange(arity)) @ (due == row)
-            for group in np.unique(due_at[due_at > 0]):
-                js = tuple(np.flatnonzero(group >> np.arange(arity) & 1))
-                at = points[:, due_at == group]
-                checks += [(lhs, rhs, js, at[:, i:i + SEARCH_CHUNK])
-                           for i in range(0, at.shape[1], SEARCH_CHUNK)]
+        # per row and point, the outputs js due there as a bit mask
+        due_at = (1 << np.arange(arity)) @ (due == np.arange(n)[:, None, None])
+        keys = np.arange(n)[:, None] << arity | due_at
+        for key in np.unique(keys[due_at > 0]):
+            row, group = divmod(key, 1 << arity)
+            js = tuple(np.flatnonzero(group >> np.arange(arity) & 1))
+            at = points[:, due_at[row] == group]
+            plan[row][-1].extend((lhs, rhs, js, at[:, i:i + SEARCH_CHUNK])
+                                 for i in range(0, at.shape[1], SEARCH_CHUNK))
     return plan
 
 

@@ -186,7 +186,7 @@ def flat_map(tables) -> tuple:
     """The `word_images` map of a (2, n, n) table pair (t1, t2) that every
     point shares, or of a (B, 2, n, n) stack, one pair per batch row."""
     n = tables.shape[-1]
-    flat = np.ascontiguousarray(tables).reshape(-1)
+    flat = tables.reshape(-1)
     rows = None if tables.ndim == 3 else np.arange(len(tables))[:, None] * (2 * n * n)
     return flat, flat[n * n:], rows
 
@@ -194,14 +194,13 @@ def flat_map(tables) -> tuple:
 def word_images(word, maps, points, n: int):
     """`word_map` on integer arrays, for a batch of maps at once.
 
-    maps[m] is a `flat_map` (f1, f2, rows): the tables flattened, f2 a view
-    n^2 cells into f1, and rows the (B, 1) offsets b * 2n^2 of a batch, or
-    None for shared tables.  Each letter computes one flat index k = a*n + b
-    (+ rows) and reads both outputs with f1.take(k) and f2.take(k).  k is
-    an np.intp, which holds B * 2n^2; int8 taus would overflow a*n at
-    n >= 12.  `points` holds one integer array per coordinate of X^k; the
-    images come back the same way, a coordinate of shape (B, N) once a
-    batched letter has written it.
+    maps[m] is a `flat_map` (f1, f2, rows): flat tables, f2 a view n^2
+    cells into f1, and rows the (B, 1) batch offsets b * 2n^2, or None when
+    shared.  Each letter computes one index k = a*n + b (+ rows) as np.intp,
+    which holds B * 2n^2 (int8 taus overflow a*n at n >= 12), and reads both
+    outputs with f1.take(k) and f2.take(k).  `points` holds one integer array
+    per coordinate of X^k; the images come back the same way, a coordinate
+    of shape (B, N) once a batched letter has written it.
     """
     p = list(points)
     for m, i in word:
