@@ -685,6 +685,37 @@ def test_enumerate_taus_matches_recorded_digest(name, bijective, count, digest):
     assert (len(taus), h.hexdigest()) == (count, digest)
 
 
+# sha256 over every array of `_tau_plan` (dtype, shape and bytes) and the
+# words and outputs of each check, level by level, in order
+PLAN_DIGESTS = {
+    "flip1": "8985620b5eeed2acf87f8445baf4068d1e17dd0fdf9b9b91f7de1094d016904e",
+    "flip2": "2344c704a1b26d5a32ed0011c767a6634713aca00d1f9b03b413b06f9e7cb62a",
+    "flip3": "e334ea61af3627d8ae1e8ecd946c5971a3bf4f4c612e60640a999ccd5775a8a2",
+    "flip4": "5239dc29284cde2afa88c9c23abe05bf198a1706bd88da93a2ca0ffd57c2ff5f",
+    "i2": "7c77821e89a63fde87e1c5278f6a090bb713a87aafc5bfd0a75c7e688e98781e",
+    "D3": "1bf422cefd16ae4a3469b64bbb259e522a0b641d11e7746142a81f6e7fa81459",
+    "D4": "b6ca3c22242d8bb723d108e138c67b93a9f543908e21394873cf23e7cb6d4620",
+    "D5": "a6e034d69cbe966b4c6593ab7533cabd9685f2a1090d37f742c04fb61788edb1",
+    "bialexander(5,2,3)": "fba162c3fd5967d6a1cceb42cc10ecadadfa1a13bb47fed30b6cd085578f81f1",
+    "bialexander(4,1,3)": "b6ca3c22242d8bb723d108e138c67b93a9f543908e21394873cf23e7cb6d4620",
+    "D4 quandle": "b6ca3c22242d8bb723d108e138c67b93a9f543908e21394873cf23e7cb6d4620",
+}
+
+
+@pytest.mark.parametrize("name", DIGEST_SWITCHES)
+def test_tau_plan_matches_recorded_digest(name):
+    h = hashlib.sha256()
+    for *arrays, checks in pairs_module._tau_plan(DIGEST_SWITCHES[name].table):
+        for a in arrays:
+            h.update(repr((a.dtype.str, a.shape)).encode())
+            h.update(a.tobytes())
+        for lhs, rhs, js, points in checks:
+            h.update(repr((lhs, rhs, [int(j) for j in js], points.dtype.str,
+                           points.shape)).encode())
+            h.update(points.tobytes())
+    assert h.hexdigest() == PLAN_DIGESTS[name]
+
+
 def _canonical_form_one(tables, relabelings):
     """canonical_form of a single (k, n, n) stack, as (key, index)."""
     keys, best = canonical_form(tables[None], relabelings)
