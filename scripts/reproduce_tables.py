@@ -10,9 +10,8 @@ import time
 from singlink.diagram import builtin_diagram
 from singlink.invariant import (AB, NC, builtin_cocycle, nc_invariant,
                                 render_laurent, state_sum)
-from singlink.pairs import (SingularPair, builtin_pair, classify_isomorphism,
-                            enumerate_left_right_invertible, enumerate_taus,
-                            tau_phi_iso_count)
+from singlink.pairs import (builtin_pair, enumerate_left_right_invertible,
+                            enumerate_taus, tau_phi_iso_count)
 from singlink.pairtable import flip_switch
 
 
@@ -38,10 +37,9 @@ def main():
     banner("singular pairs for S = flip")
     print("n  pairs  isoclasses")
     for n in (2, 3, 4):
-        taus = enumerate_taus(flip_switch(n), max_n=4)
-        classes = classify_isomorphism(
-            [SingularPair(flip_switch(n), t) for t in taus])
-        print(f"{n}  {len(taus):5d}  {len(classes):10d}")
+        classes = enumerate_taus(flip_switch(n), up_to_iso=True, max_n=4)
+        pairs = sum(c.size for c in classes)
+        print(f"{n}  {pairs:5d}  {len(classes):10d}")
 
     banner("isoclasses of tau_phi singular pairs for D_n")
     top = 12 if args.slow else 9

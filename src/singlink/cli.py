@@ -292,10 +292,8 @@ def _cmd_tables(args) -> int:
     if args.which == "flip-counts":
         rows = []
         for n in (2, 3, 4):
-            taus = enumerate_taus(flip_switch(n), max_n=4)
-            classes = classify_isomorphism(
-                [SingularPair(flip_switch(n), t) for t in taus])
-            rows.append((n, len(taus), len(classes)))
+            classes = enumerate_taus(flip_switch(n), up_to_iso=True, max_n=4)
+            rows.append((n, sum(c.size for c in classes), len(classes)))
         lines = ["n  pairs  isoclasses"]
         for n, a, b in rows:
             lines.append(f"{n}  {a:5d}  {b:10d}")
@@ -335,7 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_pairs = sub.add_parser("pairs")
     pp = p_pairs.add_subparsers(dest="pairs_cmd", required=True)
     pe = pp.add_parser("enumerate", parents=[common])
-    pe.add_argument("--switch", required=True)
+    pe.add_argument("--switch", required=True,
+                    help="flip[:n], i2, dN (e.g. d4), bialexander:m,s,t, "
+                         "or a switch or quandle JSON file")
     pe.add_argument("--n", type=int)
     pe.add_argument("--iso", action="store_true")
     pe.add_argument("--max-n", type=int, default=4,

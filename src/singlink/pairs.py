@@ -22,12 +22,11 @@ definition.  Components that hold for every tau are never checked: run on
 the n^2 constant taus when the plan is built, they agree on all of them
 and either read tau at the same cell on both sides or read no tau.  The
 search runs on numpy batches of partial taus (`batch.run`) and returns
-one array; `enumerate_taus` builds tables from it and checks them once
-more, a batch at a time: `pair_verdicts` runs the same words over numpy
-arrays (`pairtable.word_images`).
-Isomorphism classes are keyed by `canonical_form`, the least relabeled
-table stack, taken for a batch of pairs at once; the lr table counts the
-flip's classes from the search's array without building a table.
+one int8 array, which `enumerate_taus` checks once more as it stands
+(`pair_verdicts` runs the same words over numpy arrays) before it builds
+tables, only for what it returns.  Isomorphism classes are keyed by
+`canonical_form`, the least relabeled table stack, for a batch of pairs
+at once; under up_to_iso and in the lr table, from the search's array.
 """
 
 from __future__ import annotations
@@ -86,10 +85,9 @@ class SingularPair:
         return self.biquandle.table.key() + self.tau.key()
 
     def relabel(self, g) -> "SingularPair":
-        t = self.biquandle.table.relabel(g)
-        ginv = _inv(g)
-        s = tuple(g[self.biquandle.s_map[ginv[i]]] for i in range(self.n))
-        return SingularPair(Biquandle(t, s), self.tau.relabel(g))
+        return SingularPair(Biquandle(self.biquandle.table.relabel(g),
+                                      _conjugate(self.biquandle.s_map, g)),
+                            self.tau.relabel(g))
 
     @classmethod
     def checked(cls, biquandle: Biquandle, tau: PairTable) -> "SingularPair":
@@ -100,11 +98,12 @@ class SingularPair:
         return cls(biquandle, tau)
 
 
-def _inv(g):
+def _conjugate(s, g):
+    """g o s o g^-1, for permutations s and g of 0..n-1."""
     out = [0] * len(g)
-    for i, v in enumerate(g):
-        out[v] = i
-    return out
+    for x, v in enumerate(s):
+        out[g[x]] = g[v]
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -155,11 +154,12 @@ def check_singular_pair(S: Biquandle, tau: PairTable) -> PairCheck:
     return PairCheck(not bad, tuple(bad))
 
 
-def pair_verdicts(S: Biquandle, taus,
+def pair_verdicts(S: Biquandle, taus: np.ndarray,
                   require_bijective: bool = True) -> np.ndarray:
-    """`check_singular_pair(S, tau).ok` for a list of taus on S's set, as
-    one bool array; with require_bijective=False, whether tau breaks
-    nothing but bijectivity.
+    """`check_singular_pair(S, tau).ok` for each tau of a (P, 2, n, n)
+    integer array of (tau1, tau2) tables with entries in 0..n-1, as one
+    bool array; with require_bijective=False, whether tau breaks nothing
+    but bijectivity.
 
     The same checks as numpy arrays over the whole batch: every tau1 row
     and tau2 column sorts to 0..n-1 (left and right invertibility), the
@@ -168,15 +168,16 @@ def pair_verdicts(S: Biquandle, taus,
     (`word_images`, the array reading of the words `word_map` runs).
     """
     n = S.n
-    stack = _stack([(t.t1, t.t2) for t in taus], 2, n, np.int16)
-    t1, t2 = stack[:, 0], stack[:, 1]
+    if taus.shape[1:] != (2, n, n):
+        raise DimensionMismatchError(f"taus of shape {taus.shape} on {n} elements")
+    t1, t2 = taus[:, 0], taus[:, 1]
     ok = (np.sort(t1, axis=2) == np.arange(n)).all(axis=(1, 2))
     ok &= (np.sort(t2, axis=1) == np.arange(n)[:, None]).all(axis=(1, 2))
     if require_bijective:
         cells = (t1.astype(np.intp) * n + t2).reshape(len(ok), -1)
         ok &= (np.sort(cells, axis=1) == np.arange(n * n)).all(axis=1)
     maps = {"S": flat_map(np.array([S.table.t1, S.table.t2], np.int16)),
-            "T": flat_map(stack)}
+            "T": flat_map(taus)}
     for _, lhs, rhs in SINGULAR_PAIR_AXIOMS:
         k = word_arity(lhs, rhs)
         points = np.indices((n,) * k, dtype=np.int16).reshape(k, -1)
@@ -377,30 +378,31 @@ def tau_phi_family(m: int, s: int, t: int) -> list[PairTable]:
 # exhaustive enumeration of companion tau's
 # ---------------------------------------------------------------------------
 
-def _last_rows(word, points, S, s1):
-    """Per output coordinate of `word` and point of X^k (a (k, N) array),
-    the last tau1 row the image reads, or -1 when it reads no tau; and
-    per point, the flat cell a*n + b where the word reads tau, or -1.
+def _word_reads(word, maps, points, n: int, s1):
+    """`word_images` of word at points, a (k, 1, N) array; per output and
+    point the last tau1 row the image reads, or -1 when it reads no tau;
+    and per point the flat cell a*n + b where the word reads tau, or -1.
 
     The word reads tau at most once, at the point (a, b) its S-only
     prefix reaches: tau1(a, b) reads row a, and tau2(a, b), derived from
     rows a and S1(a, b), the later of the two.  Each letter after tau
-    mixes the two coordinates it acts on.
+    mixes the two coordinates it acts on.  The prefix runs once, on the
+    (1, N) points, and the rest of the word on maps' taus from its image.
     """
-    rows = np.full(points.shape, -1)
-    cell = np.full(points.shape[1], -1)
     letters = [m for m, _ in word]
     assert letters.count("T") <= 1, word
-    if "T" in letters:
-        t = letters.index("T")
+    t = letters.index("T") if "T" in letters else len(word)
+    prefix = word_images(word[:t], maps, points, n)
+    rows = np.full((len(points), points.shape[2]), -1)
+    cell = np.full(points.shape[2], -1)
+    if t < len(word):
         i = word[t][1]
-        prefix = word_images(word[:t], S, points, len(s1))
-        a, b = np.reshape(prefix[i], -1), np.reshape(prefix[i + 1], -1)
+        a, b = prefix[i][0], prefix[i + 1][0]
         rows[i], rows[i + 1] = a, np.maximum(a, s1[a, b])
-        cell = a * len(s1) + b
+        cell = a * n + b
         for _, c in word[t + 1:]:
             rows[c] = rows[c + 1] = np.maximum(rows[c], rows[c + 1])
-    return rows, cell
+    return word_images(word[t:], maps, prefix, n), rows, cell
 
 
 def _axiom_outputs(st: PairTable):
@@ -409,32 +411,29 @@ def _axiom_outputs(st: PairTable):
     for output j of the two words at point i, due[j, i] is the last tau1
     row they read, and holds[j, i] says that they agree there for every tau.
 
-    Each word reads tau at most once (`_last_rows`), so output j of each is
-    a function of tau at one cell, and the n^2 constant taus give it every
-    value: it holds when the words agree at all of them, and either read
-    tau at the same cell or lhs's output is constant over them (then so is
-    rhs's).  One `word_images` call per word, at every point; D4 has 192 of
-    its 416 outputs marked.  Outputs that vary and read different cells are
-    never marked, even where they agree.
+    Each word reads tau at most once (`_word_reads`), so output j of each
+    is a function of tau at one cell, and the n^2 constant taus give it
+    every value: it holds when the words agree at all of them, and either
+    read tau at the same cell or lhs's output is constant over them (then
+    so is rhs's).  One `_word_reads` call per word, at every point; D4 has
+    192 of its 416 outputs marked.  Outputs that vary and read different
+    cells are never marked, even where they agree.
     """
     n = st.n
     s1 = np.array(st.t1)
-    S = {"S": flat_map(np.array([st.t1, st.t2]))}
     # the constant taus: tau(x, y) = (c // n, c % n) for c < n^2
     const = np.stack(divmod(np.arange(n * n), n), axis=1)[:, :, None, None]
-    maps = {**S, "T": flat_map(np.broadcast_to(const, (n * n, 2, n, n)))}
+    maps = {"S": flat_map(np.array([st.t1, st.t2])),
+            "T": flat_map(np.broadcast_to(const, (n * n, 2, n, n)))}
     for name, lhs, rhs in SINGULAR_PAIR_AXIOMS:
         arity = word_arity(lhs, rhs)
         points = np.indices((n,) * arity).reshape(arity, -1)
-        (left, lcell), (right, rcell) = (_last_rows(w, points, S, s1)
-                                         for w in (lhs, rhs))
-        same = (lcell >= 0) & (lcell == rcell)
-        holds = np.zeros(left.shape, bool)
         # images per (constant tau, point), (1, N) where no tau is read
-        at = points[:, None]
-        for j, (u, v) in enumerate(zip(word_images(lhs, maps, at, n),
-                                       word_images(rhs, maps, at, n))):
-            holds[j] = ((u == v) & (same | (u == u[0]))).all(axis=0)
+        (limg, left, lcell), (rimg, right, rcell) = (
+            _word_reads(w, maps, points[:, None], n, s1) for w in (lhs, rhs))
+        same = (lcell >= 0) & (lcell == rcell)
+        holds = np.array([((u == v) & (same | (u == u[0]))).all(axis=0)
+                          for u, v in zip(limg, rimg)])
         yield name, lhs, rhs, points, np.maximum(left, right), holds
 
 
@@ -529,74 +528,63 @@ def _tau_array(st: PairTable, require_bijective: bool) -> np.ndarray:
         np.zeros((1, 2, n, n), np.int8), n, perms, SEARCH_ROWS, step)])
 
 
-def _tau_search(st: PairTable, require_bijective: bool) -> list[PairTable]:
-    """The taus of `_tau_array` as PairTables, built CHECK_BATCH at a time
-    from nested lists.  Their shape and range are checked once for the
-    whole array, so they are built without PairTable's per-table
-    validation, and all tables share one tuple per distinct row."""
-    n = st.n
-    taus = _tau_array(st, require_bijective)
-    if taus.shape[1:] != (2, n, n) or not ((taus >= 0) & (taus < n)).all():
+def enumerate_taus(S: Biquandle, require_bijective: bool = True,
+                   up_to_iso: bool = False, max_n: int = 5):
+    """All tau making (S, tau) a singular pair, in table-lexicographic
+    order, or under up_to_iso their classes (`_tau_classes`).
+
+    With require_bijective=False the bijectivity requirement is dropped
+    (left/right invertibility and eqs (1)-(3) still hold), which is the
+    population counted in the left/right-invertible table.
+
+    The search (`_tau_array`) runs a plan (`_tau_plan`) on int8 batches
+    of partial taus (`batch.run`), at most SEARCH_ROWS at a time: row k
+    extends each by the n! permutations, derives the tau2 cells it
+    completes, and drops a partial tau as soon as two known tau2 cells of
+    a column agree, two known cells share a (tau1, tau2) pair (when
+    bijectivity is required), or an equation of the plan fails.  The cost
+    is n! times the number of partial taus that survive each row; no
+    bound on that number is claimed.
+
+    The search's int8 (P, 2, n, n) array (`_tau_array`) is checked before
+    anything is built from it, as a guard on the search: its dtype, shape
+    and range; `pair_verdicts`, CHECK_BATCH taus at a time; and strict
+    table order, each row's bytes against the next's.  A rejected tau
+    raises AssertionError naming the violations `check_singular_pair`
+    reports for it, and so does disorder.  Tables are built only for what
+    is returned: every tau, sharing one tuple per distinct row, or the
+    class representatives.
+    """
+    n = S.n
+    if n > max_n:
+        raise SearchBoundExceededError(
+            f"n={n} exceeds enumeration bound {max_n}")
+    taus = _tau_array(S.table, require_bijective)
+    if (taus.dtype != np.int8 or taus.shape[1:] != (2, n, n)
+            or not ((taus >= 0) & (taus < n)).all()):
         raise AssertionError("the tau search built a malformed table")
+    for start in range(0, len(taus), CHECK_BATCH):
+        part = taus[start:start + CHECK_BATCH]
+        ok = pair_verdicts(S, part, require_bijective)
+        if not ok.all():
+            tau = PairTable(n, *part[ok.argmin()].tolist())
+            bad = [f"violated {v.axiom} at {v.witness}"
+                   for v in check_singular_pair(S, tau).violations
+                   if require_bijective or v.axiom != "bijective"]
+            raise AssertionError("enumeration produced a non-pair: "
+                                 + ", ".join(bad))
+    # int8 entries in 0..n-1: bytes order rows as table keys do
+    keys = taus.reshape(len(taus), -1).view(f"S{2 * n * n}")[:, 0]
+    if (keys[1:] <= keys[:-1]).any():
+        raise AssertionError("enumeration is not strictly in table order")
+    if up_to_iso:
+        return _tau_classes(S, taus)
     rows: dict = {}
     return [PairTable._unchecked(
                 n, tuple([rows.setdefault(r, r) for r in map(tuple, t1)]),
                 tuple([rows.setdefault(r, r) for r in map(tuple, t2)]))
             for start in range(0, len(taus), CHECK_BATCH)
             for t1, t2 in taus[start:start + CHECK_BATCH].tolist()]
-
-
-def enumerate_taus(S: Biquandle, require_bijective: bool = True,
-                   up_to_iso: bool = False, max_n: int = 5):
-    """All tau making (S, tau) a singular pair, in table-lexicographic order.
-
-    With require_bijective=False the bijectivity requirement is dropped
-    (left/right invertibility and eqs (1)-(3) still hold), which is the
-    population counted in the left/right-invertible table.
-
-    One search serves every switch.  A plan built once per call
-    (`_tau_plan`) lists, for each tau1 row k, the tau2 cells that row
-    completes and the component equations whose tau reads it completes,
-    leaving out those that hold for every tau (`_axiom_outputs`).
-    `batch.run` runs the plan on int8 batches of partial taus, one per
-    branch, at most SEARCH_ROWS at a time: row k extends every partial tau
-    by each of the n! permutations, derives the new tau2 cells, and drops
-    a partial tau as soon as two known tau2 cells of a column agree, two
-    known cells share a (tau1, tau2) pair (when bijectivity is required),
-    or a listed equation fails, SEARCH_CHUNK points at a time.  The cost
-    is n! times the number of partial taus that survive each row; no
-    bound on that number is claimed.  The tables are built from the
-    survivors (`_tau_array`) CHECK_BATCH taus at a time.
-
-    The search's output is checked again before it is returned, as a
-    guard on the search: `pair_verdicts` tests left and right
-    invertibility, bijectivity (when required) and every identity of
-    SINGULAR_PAIR_AXIOMS at every point, for a batch of taus at once.  A
-    tau the batch rejects raises AssertionError naming the violations
-    `check_singular_pair` reports for it; output not strictly increasing
-    in table order raises AssertionError too.
-    """
-    n = S.n
-    if n > max_n:
-        raise SearchBoundExceededError(
-            f"n={n} exceeds enumeration bound {max_n}")
-    out = _tau_search(S.table, require_bijective)
-    for start in range(0, len(out), CHECK_BATCH):
-        part = out[start:start + CHECK_BATCH]
-        ok = pair_verdicts(S, part, require_bijective)
-        if not ok.all():
-            tau = part[int(ok.argmin())]
-            bad = [f"violated {v.axiom} at {v.witness}"
-                   for v in check_singular_pair(S, tau).violations
-                   if require_bijective or v.axiom != "bijective"]
-            raise AssertionError("enumeration produced a non-pair: "
-                                 + ", ".join(bad))
-    if any(a.key() >= b.key() for a, b in zip(out, out[1:])):
-        raise AssertionError("enumeration is not strictly in table order")
-    if up_to_iso:
-        return classify_isomorphism([SingularPair(S, tab) for tab in out])
-    return out
-
 
 
 def brute_force_taus(S: Biquandle, require_bijective: bool = True,
@@ -804,23 +792,15 @@ def canonical_form(tables: np.ndarray,
     return [row.tobytes() for row in keys[np.arange(P), best]], best
 
 
-def _stack(groups, k: int, n: int, dtype) -> np.ndarray:
-    """The (P, k, n, n) array of P groups of k n x n tables, filled
-    straight from their row tuples."""
-    flat = itertools.chain.from_iterable
-    cells = np.fromiter(flat(flat(flat(groups))), dtype=dtype)
-    return cells.reshape(len(groups), k, n, n)
-
-
 def _pair_tables(pairs, tau_only: bool = False) -> np.ndarray:
     """The (P, 4, n, n) int16 stack of S1, S2, tau1, tau2 per pair, or of
-    tau1, tau2 alone, (P, 2, n, n)."""
-    if tau_only:
-        groups = [(p.tau.t1, p.tau.t2) for p in pairs]
-    else:
-        groups = [(p.biquandle.table.t1, p.biquandle.table.t2,
-                   p.tau.t1, p.tau.t2) for p in pairs]
-    return _stack(groups, len(groups[0]), pairs[0].n, np.int16)
+    tau1, tau2 alone, (P, 2, n, n), filled straight from their row tuples."""
+    groups = [(p.tau.t1, p.tau.t2) if tau_only else
+              (p.biquandle.table.t1, p.biquandle.table.t2, p.tau.t1, p.tau.t2)
+              for p in pairs]
+    flat = itertools.chain.from_iterable
+    cells = np.fromiter(flat(flat(flat(groups))), dtype=np.int16)
+    return cells.reshape(len(groups), -1, pairs[0].n, pairs[0].n)
 
 
 def canonical_key(pair: SingularPair, relabelings=None) -> bytes:
@@ -847,50 +827,67 @@ def _least_keys(tables: np.ndarray, relabelings) -> tuple[list[bytes], list[int]
     return keys, best
 
 
-def _pair_from_key(S: Biquandle, key: bytes) -> SingularPair:
-    """The pair of S and the tau whose int16 (tau1, tau2) stack is key."""
-    t1, t2 = np.frombuffer(key, np.int16).reshape(2, S.n, S.n).tolist()
-    return SingularPair(S, PairTable(S.n, t1, t2))
+def _pair_from_key(S: Biquandle, key: bytes, g=None) -> SingularPair:
+    """The pair whose int16 stack is key: S and the tau of a (tau1, tau2)
+    key, or, for a (S1, S2, tau1, tau2) key, S relabeled by g and tau."""
+    n = S.n
+    *switch, t1, t2 = np.frombuffer(key, np.int16).reshape(-1, n, n).tolist()
+    if switch:
+        S = Biquandle(PairTable(n, *switch), _conjugate(S.s_map, g))
+    return SingularPair(S, PairTable(n, t1, t2))
+
+
+def _classes(stacks: np.ndarray, relabelings, switch_at) -> list[IsoClass]:
+    """Classes of a (P, k, n, n) int16 stack of pairs' tables under
+    relabelings, in key order.  Each is represented by the pair read off
+    its key (`_pair_from_key`), with the switch switch_at(i) of its first
+    pair i and the first relabeling reaching the key."""
+    keys, best = _least_keys(stacks, relabelings)
+    first: dict[bytes, SingularPair] = {}
+    for i, (key, g) in enumerate(zip(keys, best)):
+        if key not in first:
+            first[key] = _pair_from_key(switch_at(i), key, relabelings[g])
+    sizes = Counter(keys)
+    return [IsoClass(first[key], sizes[key]) for key in sorted(first)]
+
+
+def _tau_classes(S: Biquandle, taus: np.ndarray) -> list[IsoClass]:
+    """The classes of the pairs (S, tau) for a (P, 2, n, n) integer array
+    of taus: for more than 64 taus or n > 8, the tau tables keyed under
+    Aut(S), which fixes S, so each representative carries S; otherwise the
+    full stacks under all n! relabelings, so a representative's switch is
+    in general a relabeling of S.  The partition is the same either way."""
+    n = S.n
+    taus = taus.astype(np.int16, copy=False)
+    if n > 8 or len(taus) > 64:
+        return _classes(taus, automorphism_group(S.table), lambda i: S)
+    switch = np.array([S.table.t1, S.table.t2], np.int16)
+    stacks = np.concatenate(
+        [np.broadcast_to(switch, (len(taus), 2, n, n)), taus], axis=1)
+    return _classes(stacks, list(itertools.permutations(range(n))),
+                    lambda i: S)
 
 
 def classify_isomorphism(pairs) -> list[IsoClass]:
-    """Partition pairs into isomorphism classes (simultaneous relabeling).
-
-    When every input shares the same switch S the relabelings are cut to
-    Aut(S): two pairs with equal S are isomorphic iff an S-automorphism
-    conjugates one tau onto the other.  Otherwise the minimum runs over
-    all n! relabelings (n <= 8).  `canonical_form` keys the pairs a batch
-    at a time (`_least_keys`, on the tau tables alone under Aut(S)).
-    Classes come in key order.  Each is represented by its first pair
-    under the first relabeling reaching the key; under Aut(S), which fixes
-    S and s, that is S with the tau read off the key.
-    """
+    """Partition pairs into isomorphism classes (simultaneous relabeling),
+    in key order.  Pairs sharing one switch are classified by
+    `_tau_classes`, whose representatives carry that switch only for more
+    than 64 pairs or n > 8; pairs with different switches are keyed under
+    all n! relabelings (n <= 8)."""
     pairs = list(pairs)
     if not pairs:
         return []
     n = pairs[0].n
     if any(p.n != n for p in pairs):
         raise DimensionMismatchError("pairs of mixed cardinality")
-    same_switch = all(p.biquandle.table == pairs[0].biquandle.table for p in pairs)
-    # Aut(S) fixes S, so every stack it relabels opens with S's own two
-    # tables: the tau tables alone order the keys
-    tau_only = same_switch and (n > 8 or len(pairs) > 64)
-    if tau_only:
-        relabelings = automorphism_group(pairs[0].biquandle.table)
-    else:
-        if n > 8:
-            raise SearchBoundExceededError(
-                f"general classification needs n <= 8, got {n}")
-        relabelings = list(itertools.permutations(range(n)))
-
-    keys, best = _least_keys(_pair_tables(pairs, tau_only), relabelings)
-    first: dict[bytes, SingularPair] = {}
-    for p, key, g in zip(pairs, keys, best):
-        if key not in first:
-            first[key] = (_pair_from_key(p.biquandle, key) if tau_only
-                          else p.relabel(list(relabelings[g])))
-    sizes = Counter(keys)
-    return [IsoClass(first[key], sizes[key]) for key in sorted(first)]
+    S = pairs[0].biquandle
+    if all(p.biquandle.table == S.table for p in pairs):
+        return _tau_classes(S, _pair_tables(pairs, tau_only=True))
+    if n > 8:
+        raise SearchBoundExceededError(
+            f"general classification needs n <= 8, got {n}")
+    return _classes(_pair_tables(pairs), list(itertools.permutations(range(n))),
+                    lambda i: pairs[i].biquandle)
 
 
 def tau_phi_iso_count(n: int) -> int:

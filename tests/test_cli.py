@@ -224,6 +224,14 @@ class TestErrorsAndDeterminism:
             main(list(argv))
         assert exc.value.code == 2
 
+    def test_switch_help_lists_the_accepted_forms(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["pairs", "enumerate", "--help"])
+        assert exc.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        for form in ("flip[:n]", "i2", "dN", "bialexander:m,s,t", "JSON file"):
+            assert form in out
+
     def test_n_does_not_lift_the_bound(self, capsys):
         code, _, err = run(capsys, "pairs", "enumerate", "--switch", "flip",
                            "--n", "5")

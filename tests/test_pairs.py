@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singlink import pairs as pairs_module
-from singlink.errors import (HomogeneityViolationError, NonUnitError,
+from singlink.errors import (DimensionMismatchError,
+                             HomogeneityViolationError, NonUnitError,
                              SearchBoundExceededError)
 from singlink.pairs import (SingularPair, brute_force_taus,
                             builtin_pair, canonical_form, canonical_key,
@@ -498,9 +499,9 @@ def test_automorphism_group_of_random_tables_matches_brute_force(monkeypatch, n)
     ("flip3", True), ("flip3", False), ("flip4", True), ("D4", True),
     ("D4", False), ("bialexander(5,2,3)", True), ("bialexander(5,2,3)", False)])
 def test_search_tables_equal_validated_tables(name, bijective):
-    # the search builds its tables without PairTable's per-table checks
+    # enumerate_taus builds its tables without PairTable's per-table checks
     S = DIGEST_SWITCHES[name]
-    found = pairs_module._tau_search(S.table, bijective)
+    found = enumerate_taus(S, require_bijective=bijective)
     built = [PairTable(S.n, [list(r) for r in t.t1], [list(r) for r in t.t2])
              for t in found]
     assert found == built
@@ -820,9 +821,12 @@ def _verdict_candidates(S, rng, count):
 def test_batched_verdicts_match_check_singular_pair(S):
     cands = _verdict_candidates(S, random.Random(f"verdicts {S.n}"), 150)
     checks = [check_singular_pair(S, t) for t in cands]
-    assert pair_verdicts(S, cands).tolist() == [c.ok for c in checks]
-    assert pair_verdicts(S, cands, require_bijective=False).tolist() == \
+    stack = _tau_stack(cands)
+    assert pair_verdicts(S, stack).tolist() == [c.ok for c in checks]
+    assert pair_verdicts(S, stack, require_bijective=False).tolist() == \
         [all(v.axiom == "bijective" for v in c.violations) for c in checks]
+    with pytest.raises(DimensionMismatchError):
+        pair_verdicts(S, stack[:, :1])
     if S.n >= 3:
         expected = {"left_invertible", "right_invertible", "bijective", "rv"}
         # for the flip, (2) and (3) always hold
@@ -831,10 +835,23 @@ def test_batched_verdicts_match_check_singular_pair(S):
         assert {v.axiom for c in checks for v in c.violations} == expected
 
 
+def _tau_stack(taus, dtype=np.int16):
+    return np.array([(t.t1, t.t2) for t in taus], dtype).reshape(
+        len(taus), 2, taus[0].n, taus[0].n)
+
+
+def _corrupt(monkeypatch, change):
+    """Run enumerate_taus's guard on change(the search's array)."""
+    search = pairs_module._tau_array
+    monkeypatch.setattr(pairs_module, "_tau_array",
+                        lambda st, require_bijective:
+                        change(search(st, require_bijective)))
+
+
 def _inject(monkeypatch, bad):
-    search = pairs_module._tau_search
-    monkeypatch.setattr(pairs_module, "_tau_search",
-                        lambda st, require_bijective: search(st, require_bijective) + [bad])
+    """Append the table bad to the search's array, as an int8 row."""
+    _corrupt(monkeypatch, lambda taus: np.concatenate(
+        [taus, _tau_stack([bad], np.int8)]))
 
 
 def test_guard_names_the_violated_axiom(monkeypatch):
@@ -855,7 +872,36 @@ def test_guard_asks_for_bijectivity_only_when_required(monkeypatch):
     # the loose guard passes the tau itself and rejects it only as a repeat
     with pytest.raises(AssertionError, match="not strictly in table order"):
         enumerate_taus(S, require_bijective=False)
-    assert pair_verdicts(S, [bad], require_bijective=False).all()
+    assert pair_verdicts(S, _tau_stack([bad]), require_bijective=False).all()
+
+
+def _out_of_range(taus):
+    row = np.zeros((1, 2, 3, 3), np.int8)
+    row[0, 1, 2, 0] = 3
+    return np.concatenate([taus, row])
+
+
+@pytest.mark.parametrize("change", [
+    _out_of_range, lambda taus: taus[:, :, :2, :2],
+    lambda taus: taus.astype(np.int16)],
+    ids=["out of range", "wrong set", "wide dtype"])
+def test_guard_rejects_a_malformed_array(monkeypatch, change):
+    _corrupt(monkeypatch, change)
+    with pytest.raises(AssertionError, match="malformed table"):
+        enumerate_taus(flip_switch(3))
+
+
+@pytest.mark.parametrize("rows", [[0, 1, 2, 9, 4, 5, 6, 7, 8, 3],
+                                  [0, 1, 2, 3, 3, 4]],
+                         ids=["swapped", "repeated"])
+@pytest.mark.parametrize("bijective", [True, False])
+def test_guard_rejects_rows_out_of_order(monkeypatch, rows, bijective):
+    S = dihedral_switch(4)                  # 16 taus
+    _corrupt(monkeypatch, lambda taus: taus[rows + list(range(10, 16))])
+    with pytest.raises(AssertionError, match="not strictly in table order"):
+        enumerate_taus(S, require_bijective=bijective)
+    with pytest.raises(AssertionError, match="not strictly in table order"):
+        enumerate_taus(S, require_bijective=bijective, up_to_iso=True)
 
 
 def test_guard_makes_no_per_tau_check_on_valid_output(monkeypatch):
@@ -899,3 +945,67 @@ def test_lr_class_count_matches_classification(n):
     assert counts.bijective == len(taus)
     assert counts.bijective_iso == len(
         classify_isomorphism([SingularPair(S, t) for t in taus]))
+
+
+def test_partition_is_the_same_on_both_sides_of_the_64_pair_rule():
+    # D4's 16 pairs are keyed under all 4! relabelings, the same pairs five
+    # times over (80 > 64) under Aut(D4): the classes and their members
+    # agree, only the representatives differ
+    S = dihedral_switch(4)
+    pairs = [SingularPair(S, t) for t in enumerate_taus(S)]
+    members = Counter(canonical_key(p) for p in pairs)
+    small, large = classify_isomorphism(pairs), classify_isomorphism(pairs * 5)
+    assert {canonical_key(c.canonical): c.size for c in small} == members
+    assert {canonical_key(c.canonical): c.size for c in large} == \
+        {key: 5 * size for key, size in members.items()}
+    assert len(small) == len(large) == 10
+    # under all relabelings each representative is a relabeled pair, whose
+    # switch table here is never D4's own; under Aut(D4) it always is
+    assert all(c.canonical.biquandle.table != S.table for c in small)
+    assert all(c.canonical.biquandle == S for c in large)
+
+
+def test_representatives_carry_the_s_of_their_switch():
+    # s is x -> 3x for bialexander(5,2,3): a relabeled representative must
+    # carry the s of its relabeled table, with one switch or several
+    S = make_bialexander(5, 2, 3)
+    pairs = [SingularPair(S, t) for t in enumerate_taus(S)[:40]]
+    mixed = pairs[:20] + [SingularPair(dihedral_switch(5), t)
+                          for t in enumerate_taus(dihedral_switch(5))]
+    reps = [c.canonical.biquandle for c in classify_isomorphism(pairs)
+            + classify_isomorphism(mixed)]
+    assert all(Biquandle.from_table(b.table) == b for b in reps)
+    assert any(b.s_map != S.s_map for b in reps)
+
+
+def _array_class_cases():
+    for name, bijective, *_ in TAU_DIGESTS:
+        yield name, bijective
+    # 331,776 taus
+    yield pytest.param("flip4", False, marks=pytest.mark.slow)
+
+
+@pytest.mark.parametrize("name,bijective", _array_class_cases())
+def test_array_classes_equal_classified_tables(name, bijective):
+    # enumerate_taus classifies the search's array; classify_isomorphism
+    # the tables it returns.  Both sides of the 64-pair rule are covered:
+    # D4 has 16 taus, bialexander(5,2,3) 128 and 480, flip4 3,360
+    S = DIGEST_SWITCHES[name]
+    taus = enumerate_taus(S, require_bijective=bijective)
+    assert enumerate_taus(S, require_bijective=bijective, up_to_iso=True) == \
+        classify_isomorphism([SingularPair(S, t) for t in taus])
+
+
+def test_classes_build_tables_only_for_representatives(monkeypatch):
+    S = flip_switch(4)
+    built = []
+    init, unchecked = PairTable.__post_init__, PairTable._unchecked.__func__
+    monkeypatch.setattr(PairTable, "__post_init__",
+                        lambda self: built.append(self) or init(self))
+    monkeypatch.setattr(PairTable, "_unchecked", classmethod(
+        lambda cls, *args: built.append(args) or unchecked(cls, *args)))
+    classes = enumerate_taus(S, up_to_iso=True)
+    assert (len(classes), sum(c.size for c in classes)) == (169, 3360)
+    assert len(built) == 169
+    built.clear()
+    assert len(enumerate_taus(S)) == len(built) == 3360
