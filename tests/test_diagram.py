@@ -104,6 +104,14 @@ class TestBuiltins:
         assert builtin_diagram("four_sing_right").counts()["s"] == 4
         assert builtin_diagram("sing_hopf").counts()["s"] == 1
 
+    def test_renders_match_recorded_digest(self):
+        # edge names and crossing order of every builtin, as rendered
+        h = hashlib.sha256()
+        for name in builtin_names():
+            h.update(name.encode() + b"\n" + builtin_diagram(name).render().encode())
+        assert h.hexdigest() == \
+            "669653140fbb8f6d31eaf3021de7bc62939feba193b92ea4941f9418f61bf0ad"
+
 
 class TestMoves:
     def test_ri_insert_sites_one_per_edge(self):
