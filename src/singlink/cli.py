@@ -38,9 +38,13 @@ def _malformed(what: str):
         raise SinglinkError(f"malformed {what}: {exc}") from None
 
 
+_SWITCH_FORMS = ("flip[:n], i2, dN (e.g. d4), bialexander:m,s,t, "
+                 "or a switch or quandle JSON file")
+
+
 def _load_switch(spec: str) -> Biquandle:
     with _malformed(f"switch {spec!r}"):
-        if spec.startswith("flip"):
+        if spec == "flip" or spec.startswith("flip:"):
             n = int(spec.split(":", 1)[1]) if ":" in spec else 2
             return flip_switch(n)
         if spec == "i2":
@@ -50,7 +54,12 @@ def _load_switch(spec: str) -> Biquandle:
         if spec.startswith("bialexander:"):
             m, s, t = (int(v) for v in spec.split(":", 1)[1].split(","))
             return make_bialexander(m, s, t)
-        with open(spec) as fh:
+        try:
+            fh = open(spec)
+        except FileNotFoundError:
+            raise SinglinkError(f"unknown switch {spec!r}: expected "
+                                f"{_SWITCH_FORMS}") from None
+        with fh:
             data = json.load(fh)
         if "op" in data:
             return make_quandle_switch(Quandle.from_dict(data))
@@ -333,9 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pairs = sub.add_parser("pairs")
     pp = p_pairs.add_subparsers(dest="pairs_cmd", required=True)
     pe = pp.add_parser("enumerate", parents=[common])
-    pe.add_argument("--switch", required=True,
-                    help="flip[:n], i2, dN (e.g. d4), bialexander:m,s,t, "
-                         "or a switch or quandle JSON file")
+    pe.add_argument("--switch", required=True, help=_SWITCH_FORMS)
     pe.add_argument("--n", type=int)
     pe.add_argument("--iso", action="store_true")
     pe.add_argument("--max-n", type=int, default=4,

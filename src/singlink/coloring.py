@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 from types import MappingProxyType
 from typing import Mapping
 
@@ -186,8 +187,6 @@ def count_colorings(d: SingularDiagram, p: SingularPair) -> int:
 
 def brute_force_colorings(d: SingularDiagram, p: SingularPair) -> list[Coloring]:
     """Oracle: filter all |X|^edges assignments (tests only)."""
-    import itertools
-
     S = p.biquandle.table
     maps = {POS: S, NEG: S.inverse(), SING: p.tau}
     cols = (dict(zip(d.edges, values))
@@ -195,3 +194,18 @@ def brute_force_colorings(d: SingularDiagram, p: SingularPair) -> list[Coloring]
     return [col for col in cols if all(
         maps[c.kind].apply(col[c.in1], col[c.in2]) == (col[c.out1], col[c.out2])
         for c in d.crossings)]
+
+
+def fixed_point_count(word, strands: int, p: SingularPair) -> int:
+    """Oracle: colorings of the closure of a braid word (see
+    `diagram.braid_closure`) = top colors that the composed map of X^k
+    along the word (S, S^-1 or tau per letter) sends to themselves."""
+    S = p.biquandle.table
+    maps = {POS: S, NEG: S.inverse(), SING: p.tau}
+    count = 0
+    for top in itertools.product(range(p.n), repeat=strands):
+        state = list(top)
+        for pos, kind in word:
+            state[pos], state[pos + 1] = maps[kind].apply(state[pos], state[pos + 1])
+        count += tuple(state) == top
+    return count

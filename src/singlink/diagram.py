@@ -32,7 +32,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .errors import (BadBasepointError, DanglingEdgeError, DiagramError,
                      DiagramSyntaxError, PatternMismatchError, SlotReuseError,
@@ -75,23 +74,19 @@ class SingularDiagram:
     # derived structure, built during validation
     components: tuple[tuple[str, ...], ...] = field(default=(), compare=False)
     edges: tuple[str, ...] = field(default=(), compare=False)    # sorted
+    # edge -> (crossing index, 0 for in1 / 1 for in2) eating it
+    consumers: dict[str, tuple[int, int]] = field(init=False, compare=False,
+                                                  repr=False)
 
     def __post_init__(self):
-        comps, bases, edges = _validate(self.crossings, self.loops, self.basepoints)
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "basepoints", bases)
-        object.__setattr__(self, "edges", edges)
+        _validate(self)
 
     # -- lookups -------------------------------------------------------
-    @cached_property
-    def consumers(self) -> dict[str, tuple[int, int]]:
-        """Edge -> (crossing index, 0 for in1 / 1 for in2) eating it."""
-        return {e: (i, slot) for i, c in enumerate(self.crossings)
-                for slot, e in enumerate(c.slots[:2])}
-
-    def consumer(self, edge: str):
-        """(crossing index, 0 for in1 / 1 for in2) eating this edge."""
-        return self.consumers.get(edge)
+    def successor(self, edge: str) -> str:
+        """The next edge along edge's strand: the strand entering a
+        crossing at in1 leaves at out2, the one entering at in2 at out1."""
+        i, slot = self.consumers[edge]
+        return self.crossings[i].slots[3 - slot]
 
     def counts(self):
         kinds = {POS: 0, NEG: 0, SING: 0}
@@ -128,8 +123,11 @@ class SingularDiagram:
                    tuple(d.get("base", ())))
 
 
-def _validate(crossings, loops, declared_bases):
-    in_seen: dict[str, int] = {}
+def _validate(d: SingularDiagram):
+    """Check d's slots, loops and basepoints, and fill in its consumers,
+    components, aligned basepoints and sorted edges."""
+    crossings, loops, declared_bases = d.crossings, d.loops, d.basepoints
+    consumers: dict[str, tuple[int, int]] = {}
     out_seen: dict[str, int] = {}
     for i, c in enumerate(crossings):
         if len(c.slots) != 4 or not all(isinstance(e, str) for e in c.slots):
@@ -137,44 +135,40 @@ def _validate(crossings, loops, declared_bases):
                                f"names, got {list(c.slots)!r}")
         if c.kind not in KINDS:
             raise DiagramError(f"crossing {i}: bad crossing kind {c.kind!r}")
-        for e in (c.in1, c.in2):
-            if e in in_seen:
+        for slot, e in enumerate((c.in1, c.in2)):
+            if e in consumers:
                 raise SlotReuseError(f"edge {e!r} used twice as an in-slot")
-            in_seen[e] = 1
+            consumers[e] = (i, slot)
         for e in (c.out1, c.out2):
             if e in out_seen:
                 raise SlotReuseError(f"edge {e!r} used twice as an out-slot")
             out_seen[e] = 1
     declared = Counter(loops)
     for e in loops:
-        if e in in_seen or e in out_seen:
+        if e in consumers or e in out_seen:
             raise SlotReuseError(f"loop edge {e!r} also used at a crossing")
         if declared[e] > 1:
             raise SlotReuseError(f"loop edge {e!r} declared twice")
-    for e in in_seen:
+    for e in consumers:
         if e not in out_seen:
             raise DanglingEdgeError(f"edge {e!r} is consumed but never produced")
     for e in out_seen:
-        if e not in in_seen:
+        if e not in consumers:
             raise DanglingEdgeError(f"edge {e!r} is produced but never consumed")
+    object.__setattr__(d, "consumers", consumers)
 
-    # strand continuity: successor of an edge is the out-edge across its consumer
-    succ = {}
-    for c in crossings:
-        succ[c.in1] = c.out2
-        succ[c.in2] = c.out1
     comps = []
     seen = set()
-    for e in sorted(in_seen):
+    for e in sorted(consumers):
         if e in seen:
             continue
         comp = [e]
         seen.add(e)
-        cur = succ[e]
+        cur = d.successor(e)
         while cur != e:
             comp.append(cur)
             seen.add(cur)
-            cur = succ[cur]
+            cur = d.successor(cur)
         comps.append(tuple(sorted(comp)))
     for e in sorted(loops):
         comps.append((e,))
@@ -189,7 +183,9 @@ def _validate(crossings, loops, declared_bases):
         if b not in comps[i]:
             raise BadBasepointError(f"edge {b!r} is not on component {i}")
         bases[i] = b
-    return comps, tuple(bases), tuple(sorted([*in_seen, *loops]))
+    object.__setattr__(d, "components", comps)
+    object.__setattr__(d, "basepoints", tuple(bases))
+    object.__setattr__(d, "edges", tuple(sorted([*consumers, *loops])))
 
 
 # ---------------------------------------------------------------------------
@@ -246,18 +242,45 @@ def parse_diagram(text: str) -> SingularDiagram:
 
 
 # ---------------------------------------------------------------------------
+# singular braid closures
+# ---------------------------------------------------------------------------
+
+def braid_closure(word, strands: int, names) -> SingularDiagram:
+    """Closure of a singular braid word on `strands` strands.
+
+    A letter (pos, kind) is a crossing of that kind on strand positions pos
+    and pos+1: it eats the edges there at in1 and in2 and puts its out1 at
+    pos and its out2 at pos+1.  `names` names the 2*len(word) edges in the
+    order they are made, the top edge of each position first; the last
+    letter at each position closes onto that position's top edge.  Raises
+    ValueError when a position has no crossing or the name count is wrong.
+    """
+    if len(names) != 2 * len(word):
+        raise ValueError(f"{len(word)} letters need {2 * len(word)} edge names, "
+                         f"got {len(names)}")
+    last = {p: j for j, (pos, _) in enumerate(word) for p in (pos, pos + 1)}
+    if set(last) != set(range(strands)):
+        raise ValueError(f"every one of the {strands} strand positions needs a "
+                         f"crossing, and no other, got {sorted(last)}")
+    at = list(names[:strands])
+    fresh = iter(names[strands:])
+    cs = []
+    for j, (pos, kind) in enumerate(word):
+        outs = [names[p] if last[p] == j else next(fresh) for p in (pos, pos + 1)]
+        cs.append(Crossing(kind, (at[pos], at[pos + 1], *outs)))
+        at[pos:pos + 2] = outs
+    return SingularDiagram(tuple(cs))
+
+
+# ---------------------------------------------------------------------------
 # builtin corpus (transcribed from the figures; each one is pinned by the
 # invariant values it must reproduce)
 # ---------------------------------------------------------------------------
 
-def _braid_closure(kinds: list[str]) -> SingularDiagram:
-    """Closure of a 2-strand braid: level i crossing eats (l_i, r_i)."""
-    k = len(kinds)
-    cs = []
-    for i in range(k):
-        j = (i + 1) % k
-        cs.append(Crossing(kinds[i], (f"l{i}", f"r{i}", f"l{j}", f"r{j}")))
-    return SingularDiagram(tuple(cs))
+def _ladder_names(k: int) -> list[str]:
+    """l0 r0 l1 r1 ...: a 2-strand closure of k letters whose level-i
+    crossing eats (l_i, r_i)."""
+    return [f"{side}{i}" for i in range(k) for side in "lr"]
 
 
 _BUILTINS = {}
@@ -277,25 +300,25 @@ def _unknot():
 
 @_register("trefoil")
 def _trefoil():
-    return _braid_closure([POS, POS, POS])
+    return braid_closure([(0, POS)] * 3, 2, _ladder_names(3))
 
 
 @_register("sing_trefoil")
 def _sing_trefoil():
     # trefoil with positive classical crossings, one crossing made singular
-    return _braid_closure([SING, POS, POS])
+    return braid_closure([(0, SING), (0, POS), (0, POS)], 2, _ladder_names(3))
 
 
 @_register("sing_trefoil_mirror")
 def _sing_trefoil_mirror():
-    return _braid_closure([SING, NEG, NEG])
+    return braid_closure([(0, SING), (0, NEG), (0, NEG)], 2, _ladder_names(3))
 
 
 @_register("sing_trefoil_fig8")
 def _sing_trefoil_fig8():
     # the singular trefoil knot used for the {b^2} computation; the
     # transcription is pinned by that value, not by the picture
-    return _braid_closure([POS, SING, POS])
+    return braid_closure([(0, POS), (0, SING), (0, POS)], 2, _ladder_names(3))
 
 
 @_register("sing_hopf")
@@ -310,7 +333,7 @@ def _sing_hopf():
 @_register("four_sing_left")
 def _four_sing_left():
     # the (2,4)-torus pattern with all four crossings singular
-    return _braid_closure([SING, SING, SING, SING])
+    return braid_closure([(0, SING)] * 4, 2, _ladder_names(4))
 
 
 @_register("four_sing_right")
@@ -390,38 +413,29 @@ def _remove_and_splice(d: SingularDiagram, dead: set[int]) -> SingularDiagram:
     collapses to the single edge e (f is renamed).  Runs that close up
     entirely inside the dead region become crossing-free loops.
     """
-    succ = {}
-    produced_dead = set()
-    for i in dead:
-        c = d.crossings[i]
-        succ[c.in1] = c.out2
-        succ[c.in2] = c.out1
-        produced_dead.update((c.out1, c.out2))
+    ins = sorted(e for i in dead for e in d.crossings[i].slots[:2])
+    outs = {e for i in dead for e in d.crossings[i].slots[2:]}
     keep = [c for i, c in enumerate(d.crossings) if i not in dead]
     loops = list(d.loops)
     rename: dict[str, str] = {}
     visited = set()
-    for e in sorted(succ):
-        if e in produced_dead:
-            continue
-        run = [e]
-        cur = succ[e]
-        while cur in succ:
-            run.append(cur)
-            cur = succ[cur]
-        run.append(cur)
-        visited.update(run)
-        rename[run[-1]] = e
-    for e in sorted(succ):
-        if e in visited:
-            continue
-        cyc = [e]
-        cur = succ[e]
-        while cur != e:
-            cyc.append(cur)
-            cur = succ[cur]
-        visited.update(cyc)
-        loops.append(min(cyc))
+
+    def run(e):
+        """Follow the strand from e while a dead crossing eats it; the
+        edge it leaves on, or e again when the run closes up."""
+        while True:
+            visited.add(e)
+            e = d.successor(e)
+            if e in visited or d.consumers[e][0] not in dead:
+                return e
+
+    for e in ins:
+        if e not in outs:
+            rename[run(e)] = e
+    for e in ins:
+        if e not in visited:
+            run(e)
+            loops.append(e)
     new_cs = tuple(Crossing(c.kind, tuple(rename.get(x, x) for x in c.slots))
                    for c in keep)
     new_loops = tuple(sorted(set(rename.get(x, x) for x in loops)))
@@ -447,7 +461,7 @@ def _ri_insert(d: SingularDiagram, edge: str, sign: str, shape: str) -> Singular
         raise PatternMismatchError(f"no edge {edge!r}")
     new_edge, loop_edge = _fresh_edges(d, 2)
     # cut edge -> edge .. new_edge at the consumer side
-    ci, slot = d.consumer(edge)
+    ci, slot = d.consumers[edge]
     cs = list(d.crossings)
     slots = list(cs[ci].slots)
     slots[slot] = new_edge

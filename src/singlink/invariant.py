@@ -363,7 +363,7 @@ def nc_invariant(d: SingularDiagram, p: SingularPair,
             cr = d.crossings[ci]
             if cr.kind == SING or (cr.kind, slot) in ((POS, 0), (NEG, 1)):
                 passed.append(cr)
-            edge = cr.out2 if slot == 0 else cr.out1
+            edge = d.successor(edge)
             if edge == base:
                 break
         val = _product(t, map(factor, passed), size)
@@ -412,53 +412,3 @@ def render_laurent(group: AbelianizedGroup, v: GroupRingElement) -> str:
         else:
             parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
     return " ".join(parts)
-
-
-def compare_cocycle_notions(p: SingularPair, bound: int = 6) -> dict:
-    """Experimental: do noncommutative pairs with abelian targets also
-    satisfy the abelian conditions?
-
-    Checks the abelianized universal pair and all its pushforwards into
-    cyclic groups Z/k for k <= bound.  Reports counterexamples; asserts
-    nothing.
-    """
-    ncp = universal_nc_cocycle(p)
-    group: AbelianizedGroup = ncp.target
-    checked = []
-    counterexamples = []
-
-    def push(hom_free, hom_tors, k):
-        def img(elem):
-            val = sum(e * hv for e, hv in zip(elem[0], hom_free))
-            val += sum(e * hv for e, hv in zip(elem[1], hom_tors))
-            return val % k
-        tgt = FiniteGroup.cyclic(k)
-        f = tuple(tuple(img(v) for v in row) for row in ncp.f)
-        h = tuple(tuple(img(v) for v in row) for row in ncp.h)
-        return CocyclePair(tgt, f, h, NC)
-
-    # the universal abelianized pair itself
-    ab_version = CocyclePair(group, ncp.f, ncp.h, AB)
-    ok_ab = check_ab_cocycle(p, ab_version).ok
-    checked.append(("universal_abelianized", ok_ab))
-    if not ok_ab:
-        counterexamples.append("universal_abelianized")
-    import itertools
-    for k in range(2, bound + 1):
-        tors_choices = []
-        for dd in group.torsion:
-            tors_choices.append([v for v in range(k) if (v * dd) % k == 0])
-        free_choices = [range(k)] * group.rank
-        for hom in itertools.product(*free_choices, *tors_choices):
-            hom_free = hom[:group.rank]
-            hom_tors = hom[group.rank:]
-            cc = push(hom_free, hom_tors, k)
-            if not check_nc_cocycle(p, cc).ok:
-                continue
-            ab_cc = CocyclePair(cc.target, cc.f, cc.h, AB)
-            ok = check_ab_cocycle(p, ab_cc).ok
-            name = f"Z/{k} hom {hom}"
-            checked.append((name, ok))
-            if not ok:
-                counterexamples.append(name)
-    return {"checked": len(checked), "counterexamples": counterexamples}

@@ -6,6 +6,7 @@ import pytest
 from singlink.diagram import Crossing, SingularDiagram, builtin_names
 from singlink.invariant import AB, NC, builtin_cocycle
 from singlink.pairs import builtin_pair
+from tests.closures import ladder
 
 
 def riva_closure() -> SingularDiagram:
@@ -28,10 +29,7 @@ def rivb_closure() -> SingularDiagram:
 
 
 def poked_trefoil() -> SingularDiagram:
-    return SingularDiagram(tuple(
-        Crossing("+" if i < 4 else "-",
-                 (f"l{i}", f"r{i}", f"l{(i + 1) % 5}", f"r{(i + 1) % 5}"))
-        for i in range(5)))
+    return ladder("++++-")
 
 
 def anti_poke() -> SingularDiagram:
@@ -60,11 +58,7 @@ def riii_braid() -> SingularDiagram:
 
 def poked_sing_trefoil() -> SingularDiagram:
     # singular trefoil with a trailing +,- poke
-    kinds = ["s", "+", "+", "+", "-"]
-    return SingularDiagram(tuple(
-        Crossing(kinds[i],
-                 (f"l{i}", f"r{i}", f"l{(i + 1) % 5}", f"r{(i + 1) % 5}"))
-        for i in range(5)))
+    return ladder("s+++-")
 
 
 EXTRA_DIAGRAMS = {

@@ -232,6 +232,16 @@ class TestErrorsAndDeterminism:
         for form in ("flip[:n]", "i2", "dN", "bialexander:m,s,t", "JSON file"):
             assert form in out
 
+    @pytest.mark.parametrize("spec", ["D4", "nope.json", "flipped"])
+    def test_unknown_switch_names_the_accepted_forms(self, tmp_path, monkeypatch,
+                                                     capsys, spec):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "pairs", "enumerate", "--switch", spec)
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: unknown switch {spec!r}")
+        for form in ("flip[:n]", "i2", "dN", "bialexander:m,s,t", "JSON file"):
+            assert form in err
+
     def test_n_does_not_lift_the_bound(self, capsys):
         code, _, err = run(capsys, "pairs", "enumerate", "--switch", "flip",
                            "--n", "5")

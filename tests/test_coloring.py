@@ -1,26 +1,21 @@
 import hashlib
-import itertools
 import random
 import signal
 from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from singlink import coloring
 from singlink.coloring import (brute_force_colorings, count_colorings,
-                               enumerate_colorings)
-from singlink.diagram import (MOVES, Crossing, MoveSite, SingularDiagram,
-                              apply_move, builtin_diagram, find_move_sites)
-from singlink.pairs import SingularPair, builtin_pair, make_tau_a, make_tau_phi
-from singlink.pairtable import dihedral_switch, flip_switch, make_bialexander
-
-
-def replace_sing_by_pos(d: SingularDiagram) -> SingularDiagram:
-    cs = tuple(Crossing("+" if c.kind == "s" else c.kind, c.slots)
-               for c in d.crossings)
-    return SingularDiagram(cs, d.loops, d.basepoints)
+                               enumerate_colorings, fixed_point_count)
+from singlink.diagram import (MOVES, Crossing, SingularDiagram, apply_move,
+                              builtin_diagram, find_move_sites)
+from singlink.pairs import SingularPair, builtin_pair
+from singlink.pairtable import dihedral_switch
+from tests.closures import (EDGE_CASES, FAR_PAIRS, MOVE_PAIRS, ladder,
+                            moved_closures, random_word, replace_sing_by_pos,
+                            shuffled_closure)
 
 
 class TestPaperCounts:
@@ -88,20 +83,12 @@ class TestOracle:
         assert keys == sorted(keys)
 
 
-# pairs whose tau is far from S: a rewrite that mixes up the S and T
-# crossings of RIVa or RIVb changes their counts
-FAR_PAIRS = {"d5-tau-phi": SingularPair(dihedral_switch(5),
-                                        make_tau_phi(5, 1, 4, [0, 2, 4, 1, 3])),
-             "bialexander-tau-a": SingularPair(make_bialexander(5, 2, 3),
-                                               make_tau_a(5, 2, 3, 2))}
-
-
 def riv_closure() -> SingularDiagram:
     """A 3-strand closure with RIVa and RIVb sites for S = + and T = s and
     for the swapped kinds; a swapped rewrite changes its D5 tau_phi count."""
     word = [(0, "s"), (0, "s"), (1, "s"), (0, "s"), (1, "+"), (1, "+"),
             (1, "+"), (0, "s"), (1, "s")]
-    return braid_closure(word, 3, random.Random("riv sites"))
+    return shuffled_closure(word, 3, random.Random("riv sites"))
 
 
 class TestMoveInvariance:
@@ -134,50 +121,6 @@ class TestSingToPosReplacement:
 # differential tests on random singular braid closures
 # ---------------------------------------------------------------------------
 
-def random_word(rng: random.Random, strands: int, length: int, kinds="+-s"):
-    """Letters (position, kind) acting on strand positions (pos, pos+1);
-    every position occurs, so the closure has no crossing-free strand."""
-    positions = list(range(strands - 1))
-    positions += [rng.randrange(strands - 1) for _ in range(length - strands + 1)]
-    rng.shuffle(positions)
-    return [(pos, rng.choice(kinds)) for pos in positions]
-
-
-def braid_closure(word, strands: int, rng: random.Random) -> SingularDiagram:
-    """Closure of `word` whose edge names sort in a random order.
-
-    A letter at pos consumes the edges at positions pos and pos+1 and puts
-    its out1 at pos and out2 at pos+1, so the strand entering at in1
-    leaves at out2; the bottom edge at each position is the top one."""
-    at = list(range(strands))
-    letters = []
-    fresh = strands
-    for pos, kind in word:
-        letters.append((kind, [at[pos], at[pos + 1], fresh, fresh + 1]))
-        at[pos], at[pos + 1] = fresh, fresh + 1
-        fresh += 2
-    bottom = {e: pos for pos, e in enumerate(at)}
-    ids = sorted({bottom.get(e, e) for _, slots in letters for e in slots})
-    names = dict(zip(ids, (f"e{v}" for v in rng.sample(range(10 * len(ids)), len(ids)))))
-    return SingularDiagram(tuple(
-        Crossing(kind, tuple(names[bottom.get(e, e)] for e in slots))
-        for kind, slots in letters))
-
-
-def fixed_point_count(word, strands: int, p: SingularPair) -> int:
-    """Colorings of the closure = top colors that the composed map of X^k
-    along the word (S, S^-1 or tau per letter) sends to themselves."""
-    S = p.biquandle.table
-    maps = {"+": S, "-": S.inverse(), "s": p.tau}
-    count = 0
-    for top in itertools.product(range(p.n), repeat=strands):
-        state = list(top)
-        for pos, kind in word:
-            state[pos], state[pos + 1] = maps[kind].apply(state[pos], state[pos + 1])
-        count += tuple(state) == top
-    return count
-
-
 def sorted_by_edges(d, cols):
     return sorted(cols, key=lambda col: tuple(col[e] for e in d.edges))
 
@@ -190,7 +133,7 @@ class TestRandomClosures:
             strands = rng.randint(2, 4)
             length = rng.randint(strands - 1, 5)          # at most 10 edges
             word = random_word(rng, strands, length)
-            d = braid_closure(word, strands, rng)
+            d = shuffled_closure(word, strands, rng)
             for p in small:
                 assert enumerate_colorings(d, p) == \
                     sorted_by_edges(d, brute_force_colorings(d, p)), (word, d)
@@ -202,48 +145,9 @@ class TestRandomClosures:
             for _ in range(60):
                 strands = rng.randint(2, 4)
                 word = random_word(rng, strands, rng.randint(strands - 1, 12))
-                d = braid_closure(word, strands, rng)
+                d = shuffled_closure(word, strands, rng)
                 for p in prs:
                     assert count_colorings(d, p) == fixed_point_count(word, strands, p), word
-
-
-COUNT_PRESERVING_MOVES = ("RIII", "RIVa", "RIVb", "RV")
-
-
-def drawn_site(draw, d: SingularDiagram, moves):
-    """One of the sites of `moves` in d, or None when there is none.  The
-    kinks RI_insert could add count as one site, whose edge, sign and shape
-    are drawn next."""
-    sites = [s for m in moves if m != "RI_insert" for s in find_move_sites(d, m)]
-    sites += ["RI_insert"] if "RI_insert" in moves and d.edges else []
-    site = draw(st.sampled_from(sites)) if sites else None
-    if site == "RI_insert":
-        site = MoveSite.make("RI_insert", (), edge=draw(st.sampled_from(d.edges)),
-                             sign=draw(st.sampled_from("+-")),
-                             shape=draw(st.sampled_from("AB")))
-    return site
-
-
-@st.composite
-def moved_closures(draw, moves=COUNT_PRESERVING_MOVES):
-    """A word of at most 10 letters on 2-4 strands, its closure with
-    shuffled names, and the chain of diagrams after up to 4 moves drawn
-    from `moves`."""
-    strands = draw(st.integers(2, 4))
-    extra = draw(st.lists(st.integers(0, strands - 2), max_size=11 - strands))
-    positions = draw(st.permutations(list(range(strands - 1)) + extra))
-    word = [(pos, draw(st.sampled_from("+-s"))) for pos in positions]
-    chain = [braid_closure(word, strands, draw(st.randoms(use_true_random=False)))]
-    for _ in range(draw(st.integers(0, 4))):
-        site = drawn_site(draw, chain[-1], moves)
-        if site is None:
-            break
-        chain.append(apply_move(chain[-1], site))
-    return word, strands, chain
-
-
-MOVE_PAIRS = (SingularPair(dihedral_switch(3), dihedral_switch(3).table.inverse()),
-              FAR_PAIRS["d5-tau-phi"])
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -269,19 +173,10 @@ def time_limit(seconds: float):
         signal.signal(signal.SIGALRM, previous)
 
 
-def ladder(k: int) -> SingularDiagram:
-    """2-strand closure alternating +/s whose level-i crossing eats
-    (l_i, r_i): named so that sorted-name seeding branches on every l_i."""
-    return SingularDiagram(tuple(
-        Crossing("+" if i % 2 == 0 else "s",
-                 (f"l{i}", f"r{i}", f"l{(i + 1) % k}", f"r{(i + 1) % k}"))
-        for i in range(k)))
-
-
 @pytest.mark.parametrize("k", [16, 64])
 def test_ladder_search_does_not_depend_on_names(k):
     with time_limit(10):
-        assert count_colorings(ladder(k), builtin_pair("d3-ss")) == 3
+        assert count_colorings(ladder("+s" * (k // 2)), builtin_pair("d3-ss")) == 3
 
 
 def test_seeds_beyond_the_recursion_limit():
@@ -307,7 +202,7 @@ def test_loops_between_crossings():
     # loops named to sort among the ladder's edges, so that fallback
     # seeds and pair seeds alternate on the stack
     loops = ("a", "m0", "m1", "q", "z")
-    d = SingularDiagram(ladder(16).crossings, loops)
+    d = SingularDiagram(ladder("+s" * 8).crossings, loops)
     p = builtin_pair("d3-ss")
     cols = enumerate_colorings(d, p)
     assert count_colorings(d, p) == len(cols) == 3 * 3 ** len(loops)
@@ -365,11 +260,11 @@ def reference_seeds(d: SingularDiagram) -> list[str]:
 def test_plan_seeds_follow_the_scan_rule():
     rng = random.Random("plan seeds")
     diagrams = [two_crossing_components(3), SingularDiagram((), ("b", "a")),
-                SingularDiagram(ladder(6).crossings, ("a", "m", "z"))]
+                SingularDiagram(ladder("+s" * 3).crossings, ("a", "m", "z"))]
     for _ in range(150):
         strands = rng.randint(2, 4)
         word = random_word(rng, strands, rng.randint(strands - 1, 14))
-        d = braid_closure(word, strands, rng)
+        d = shuffled_closure(word, strands, rng)
         loops = tuple(f"e{rng.randrange(1000)}x" for _ in range(rng.randint(0, 2)))
         diagrams.append(SingularDiagram(d.crossings, tuple(sorted(set(loops)))))
     for d in diagrams:
@@ -385,16 +280,6 @@ def test_many_components_take_linear_time():
     d = two_crossing_components(4000)
     with time_limit(1):
         assert count_colorings(d, builtin_pair("trivial-1")) == 1
-
-
-EDGE_CASES = {
-    "empty": SingularDiagram(()),
-    "loops": SingularDiagram((), ("b", "a", "c")),
-    "kink": SingularDiagram((Crossing("s", ("e0", "l", "e0", "l")),)),
-    "kinks and a loop": SingularDiagram((Crossing("+", ("a", "k", "b", "k")),
-                                         Crossing("-", ("m", "b", "m", "a"))), ("z",)),
-    "no colorings": builtin_diagram("sing_hopf"),
-}
 
 
 @pytest.mark.parametrize("name", sorted(EDGE_CASES))
@@ -416,7 +301,7 @@ def test_row_cap_does_not_change_the_output(rows, monkeypatch, all_diagrams, tes
     for i in range(10):
         strands = rng.randint(2, 4)
         word = random_word(rng, strands, rng.randint(strands - 1, 8))
-        diagrams[f"closure {i}"] = braid_closure(word, strands, rng)
+        diagrams[f"closure {i}"] = shuffled_closure(word, strands, rng)
     prs = dict(test_pairs, **FAR_PAIRS)
     want = {(dn, pn): (count_colorings(d, p), enumerate_colorings(d, p))
             for dn, d in diagrams.items() for pn, p in prs.items()}
@@ -431,7 +316,7 @@ def ring_chain(k: int) -> SingularDiagram:
     """k rings, each linked to the next by a positive and a singular
     crossing: the closure of s1 t1 s2 t2 ... on k strands."""
     word = [(i, kind) for i in range(k - 1) for kind in "+s"]
-    return braid_closure(word, k, random.Random("ring chain"))
+    return shuffled_closure(word, k, random.Random("ring chain"))
 
 
 def test_ring_chain_counts_fast():

@@ -11,7 +11,8 @@ from singlink.diagram import (MOVES, Crossing, MoveSite, SingularDiagram,
 from singlink.errors import (BadBasepointError, DanglingEdgeError,
                              DiagramSyntaxError, PatternMismatchError,
                              SlotReuseError, UnknownNameError)
-from tests.test_coloring import braid_closure, random_word
+from tests.closures import (COUNT_PRESERVING_MOVES, ladder, random_word,
+                            shuffled_closure)
 
 SING_HOPF_LIKE_TEXT = """\
 # a two-component link whose two crossings are both singular
@@ -160,10 +161,7 @@ class TestMoves:
     def test_rii_remove_on_poked_trefoil(self):
         # closure of the 5-crossing braid word +++ + -: the trailing +-
         # pair is a parallel poke, removing it leaves the trefoil
-        cs = tuple(Crossing("+" if i < 4 else "-",
-                            (f"l{i}", f"r{i}", f"l{(i + 1) % 5}", f"r{(i + 1) % 5}"))
-                   for i in range(5))
-        d2 = SingularDiagram(cs)
+        d2 = ladder("++++-")
         sites = find_move_sites(d2, "RII_remove")
         par = [s for s in sites if s.param("pattern") == "par"]
         assert par
@@ -247,7 +245,7 @@ def digest_closures():
         for _ in range(count):
             strands = rng.randint(2, 5)
             word = random_word(rng, strands, rng.randint(strands - 1, 9), kinds)
-            out.append(braid_closure(word, strands, rng))
+            out.append(shuffled_closure(word, strands, rng))
     return out
 
 
@@ -277,6 +275,66 @@ def test_moves_match_recorded_digest(all_diagrams):
         for child in feed(d):
             feed(child)
     assert h.hexdigest() == MOVES_DIGEST
+
+
+def strand_components(word, strands: int, d: SingularDiagram) -> list[frozenset]:
+    """Oracle from the word: crossing j is letter j, and the strand at each
+    position picks up the in- and out-edge it takes there.  The closure
+    continues the strand that ends at position q as the one that starts at
+    q, so each cycle of that permutation is one component."""
+    at = list(range(strands))           # strand at each position
+    edges = [set() for _ in at]
+    for (pos, _), c in zip(word, d.crossings):
+        a, b = at[pos], at[pos + 1]
+        edges[a] |= {c.in1, c.out2}
+        edges[b] |= {c.in2, c.out1}
+        at[pos], at[pos + 1] = b, a
+    ends = {s: q for q, s in enumerate(at)}
+    comps, seen = [], set()
+    for s in range(strands):
+        if s in seen:
+            continue
+        comp = set()
+        while s not in seen:
+            seen.add(s)
+            comp |= edges[s]
+            s = ends[s]
+        comps.append(frozenset(comp))
+    return comps
+
+
+def slot_classes(d: SingularDiagram) -> list[frozenset]:
+    """Oracle by union-find: a crossing joins in1 to out2 and in2 to out1."""
+    parent = {e: e for e in d.edges}
+
+    def root(e):
+        while parent[e] != e:
+            e = parent[e]
+        return e
+    for c in d.crossings:
+        for a, b in ((c.in1, c.out2), (c.in2, c.out1)):
+            parent[root(a)] = root(b)
+    classes = {}
+    for e in d.edges:
+        classes.setdefault(root(e), set()).add(e)
+    return [frozenset(c) for c in classes.values()]
+
+
+def test_components_follow_the_strands():
+    rng = random.Random("strand walk")
+    for _ in range(150):
+        strands = rng.randint(2, 5)
+        word = random_word(rng, strands, rng.randint(strands - 1, 12))
+        d = shuffled_closure(word, strands, rng)
+        want = strand_components(word, strands, d)
+        assert sorted(map(sorted, want)) == sorted(map(list, d.components)), word
+        for _ in range(3):
+            sites = [s for m in COUNT_PRESERVING_MOVES for s in find_move_sites(d, m)]
+            if not sites:
+                break
+            d = apply_move(d, rng.choice(sites))
+            assert len(d.components) == len(want), word
+            assert sorted(map(sorted, slot_classes(d))) == sorted(map(list, d.components))
 
 
 class TestIsomorphism:
@@ -340,7 +398,7 @@ def poked(rng: random.Random, d: SingularDiagram) -> SingularDiagram:
     # cut the strand after crossing 0's out-edge and run it through a poke
     # with a new circle
     e = rng.choice(d.crossings[0].slots[2:])
-    ci, slot = d.consumer(e)
+    ci, slot = d.consumers[e]
     signs = rng.sample("+-", 2)
     u, v, w, x = (f"q{i}" for i in range(4))
     pattern = rng.choice(["par", "anti2", "anti3"])
@@ -373,7 +431,7 @@ def rii_rv_corpus(all_diagrams):
     for _ in range(120):
         strands = rng.randint(2, 4)
         word = random_word(rng, strands, rng.randint(strands - 1, 10))
-        d = braid_closure(word, strands, rng)
+        d = shuffled_closure(word, strands, rng)
         out.append(d)
         moved = d
         for _ in range(3):

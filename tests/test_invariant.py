@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 
 from singlink import invariant
-from singlink.coloring import count_colorings, enumerate_colorings
+from singlink.coloring import (count_colorings, enumerate_colorings,
+                               fixed_point_count)
 from singlink.diagram import (MOVES, Crossing, SingularDiagram, apply_move,
                               builtin_diagram, find_move_sites)
 from singlink.errors import CocycleInvalidError
 from singlink.invariant import (AB, NC, CocyclePair, builtin_cocycle,
                                 check_ab_cocycle, check_nc_cocycle,
-                                compare_cocycle_notions,
                                 derived_cocycle_identities, nc_invariant,
                                 render_laurent, state_sum,
                                 universal_ab_cocycle, universal_nc_cocycle)
@@ -22,9 +22,8 @@ from singlink.pairtable import (dihedral_switch, flip_switch, i2_switch,
 from singlink.presentation import (AbelianizedGroup, FiniteGroup,
                                    GroupRingElement, relation_families,
                                    relation_instances)
-from tests.test_coloring import (EDGE_CASES, FAR_PAIRS, MOVE_PAIRS,
-                                 braid_closure, fixed_point_count,
-                                 moved_closures, random_word)
+from tests.closures import (EDGE_CASES, FAR_PAIRS, MOVE_PAIRS, moved_closures,
+                            random_word, replace_sing_by_pos, shuffled_closure)
 
 
 def elem(group, **exps):
@@ -460,7 +459,6 @@ class TestStateSum:
     def test_sing_to_pos_replacement_with_ff_cocycle(self):
         # on (X, S, S) with the abelian pair (f, f), the singular state sum
         # equals the classical state sum of the Pos-replaced diagram
-        from tests.test_coloring import replace_sing_by_pos
         p = builtin_pair("d3-ss")
         u = universal_ab_cocycle(p)
         ff = CocyclePair(u.target, u.f, u.f, AB)
@@ -507,15 +505,6 @@ class TestReidemeisterInvariance:
 
 
 class TestCompareNotions:
-    def test_flip_flip_report(self):
-        rep = compare_cocycle_notions(builtin_pair("flip-flip"), bound=3)
-        assert rep["checked"] >= 1
-        assert isinstance(rep["counterexamples"], list)
-
-    def test_trivial_pair(self):
-        rep = compare_cocycle_notions(builtin_pair("trivial-1"), bound=3)
-        assert rep["counterexamples"] == []
-
     def test_symmetric_h_satisfies_both(self):
         p = builtin_pair("flip-flip")
         tgt = FiniteGroup.cyclic(6)
@@ -645,7 +634,7 @@ class TestBatchedEvaluation:
         for _ in range(12):
             strands = rng.randint(2, 4)
             word = random_word(rng, strands, rng.randint(strands - 1, 9))
-            d = braid_closure(word, strands, rng)
+            d = shuffled_closure(word, strands, rng)
             for name, p in prs.items():
                 assert_matches_oracles(d, p, *cocycles[name], (word, name))
 
