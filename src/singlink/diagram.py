@@ -260,8 +260,8 @@ def braid_closure(word, strands: int, names) -> SingularDiagram:
                          f"got {len(names)}")
     last = {p: j for j, (pos, _) in enumerate(word) for p in (pos, pos + 1)}
     if set(last) != set(range(strands)):
-        raise ValueError(f"every one of the {strands} strand positions needs a "
-                         f"crossing, and no other, got {sorted(last)}")
+        raise ValueError(f"the letters must cover strand positions "
+                         f"0..{strands - 1} and no others, got {sorted(last)}")
     at = list(names[:strands])
     fresh = iter(names[strands:])
     cs = []

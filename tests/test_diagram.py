@@ -6,8 +6,9 @@ import random
 import pytest
 
 from singlink.diagram import (MOVES, Crossing, MoveSite, SingularDiagram,
-                              apply_move, builtin_diagram, builtin_names,
-                              find_move_sites, isomorphic, parse_diagram)
+                              apply_move, braid_closure, builtin_diagram,
+                              builtin_names, find_move_sites, isomorphic,
+                              parse_diagram)
 from singlink.errors import (BadBasepointError, DanglingEdgeError,
                              DiagramSyntaxError, PatternMismatchError,
                              SlotReuseError, UnknownNameError)
@@ -318,6 +319,16 @@ def slot_classes(d: SingularDiagram) -> list[frozenset]:
     for e in d.edges:
         classes.setdefault(root(e), set()).add(e)
     return [frozenset(c) for c in classes.values()]
+
+
+@pytest.mark.parametrize("word,strands,names", [
+    ([(0, "+")], 3, "ab"),                    # position 2 has no crossing
+    ([(1, "+"), (1, "s")], 2, "abcd"),        # position 2 is off the braid
+    ([(0, "+"), (0, "s")], 2, "abc"),         # 3 names for 4 edges
+])
+def test_braid_closure_rejects_bad_words(word, strands, names):
+    with pytest.raises(ValueError):
+        braid_closure(word, strands, list(names))
 
 
 def test_components_follow_the_strands():
