@@ -398,6 +398,9 @@ def main(argv=None) -> int:
                                    ("--slow", args.slow, "tau-phi")):
             if given and args.which != table:
                 ap.error(f"{flag} is not read by --which {args.which}")
+    if args.cmd == "invariant" and args.target is not None \
+            and args.cocycle == "universal":
+        ap.error("--target is not read by --cocycle universal")
     try:
         return _DISPATCH[args.cmd](args)
     except SinglinkError as exc:

@@ -13,18 +13,21 @@ definition.  check_singular_pair evaluates both words at every point, and
 the diagram layer reads the RIVa and RIVb moves off the same words (and
 RIII off pairtable.YANG_BAXTER): the two sides of an identity are the two
 sides of its move.
-One search serves every switch.  It fills tau1 row by row (left
-invertibility makes each row a permutation), derives tau2 pointwise from
-the first component of (1), and checks every other component of every
-identity as soon as the rows it reads exist; which rows those are comes
-from running the words' S-only prefixes, so the words stay the only
-definition.  Components that hold for every tau are never checked: run on
-the n^2 constant taus when the plan is built, they agree on all of them
-and either read tau at the same cell on both sides or read no tau.  The
-search runs on numpy batches of partial taus (`batch.run`) and returns
-one int8 array, which `enumerate_taus` checks once more as it stands
-(`pair_verdicts` runs the same words over numpy arrays) before it builds
-tables, only for what it returns.  Isomorphism classes are keyed by
+One search serves every switch.  It fills tau1 cell by cell in row-major
+order (left invertibility makes each row a permutation), derives tau2
+pointwise from the first component of (1), and checks every other
+component of every identity as soon as the cells it reads are filled;
+which cells those are comes from running the words' S-only prefixes, so
+the words stay the only definition.  Components that hold for every tau
+are never checked: run on the n^2 constant taus when the plan is built,
+they agree on all of them and either read tau at the same cell on both
+sides or read no tau.  The same images, one row per component and tau
+value, are the table the search reads each component from.  The search
+runs on numpy batches of partial taus (`batch.run`), one level per run of
+cells that ends where something becomes due, and returns one int8 array,
+which `enumerate_taus` checks once more as it stands (`pair_verdicts`
+runs the same words over numpy arrays) before it builds tables, only for
+what it returns.  Isomorphism classes are keyed by
 `canonical_form`, the least relabeled table stack, for a batch of pairs
 at once; under up_to_iso and in the lr table, from the search's array.
 """
@@ -34,7 +37,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from math import factorial, gcd, prod
+from math import factorial, gcd, perm, prod
 
 import numpy as np
 
@@ -52,10 +55,13 @@ from .pairtable import (Biquandle, PairTable, dihedral_switch, first_failure,
 # enough that a batch's arrays and lists stay near 100 kB
 CHECK_BATCH = 128
 CANONICAL_BATCH = 1 << 14
-# the tau search: the `batch.run` row cap, and component equations
-# checked per `word_images` call before failing taus are dropped
+# the tau search: the `batch.run` row cap; component equations checked
+# per gather before failing taus are dropped; and the candidates the first
+# level reaches before it may end, since on fewer rows a level costs more
+# than what a cut could prune
 SEARCH_ROWS = 1 << 12
 SEARCH_CHUNK = 32
+SEARCH_LEAD = 1 << 8
 # automorphism candidates: table cells (candidates x n^2) checked per batch
 AUT_BATCH = 1 << 14
 
@@ -378,38 +384,47 @@ def tau_phi_family(m: int, s: int, t: int) -> list[PairTable]:
 # exhaustive enumeration of companion tau's
 # ---------------------------------------------------------------------------
 
-def _word_reads(word, maps, points, n: int, s1):
-    """`word_images` of word at points, a (k, 1, N) array; per output and
-    point the last tau1 row the image reads, or -1 when it reads no tau;
-    and per point the flat cell a*n + b where the word reads tau, or -1.
+def _word_reads(word, maps, points, n: int, source):
+    """`word_images` of word at points, a (k, 1, N) array, as one int8
+    (k, B, N) array for maps' B taus (equal rows where an output reads no
+    tau); per output and point the last tau1 cell the image reads, or -1
+    when it reads no tau; and per point the flat cell a*n + b where the
+    word reads tau, or -1.
 
+    Cells are flat, a*n + b, so their row-major order is the search's.
     The word reads tau at most once, at the point (a, b) its S-only
-    prefix reaches: tau1(a, b) reads row a, and tau2(a, b), derived from
-    rows a and S1(a, b), the later of the two.  Each letter after tau
-    mixes the two coordinates it acts on.  The prefix runs once, on the
-    (1, N) points, and the rest of the word on maps' taus from its image.
+    prefix reaches: tau1(a, b) reads that cell, and tau2(a, b), derived
+    from tau1 at it and at S(a, b) (flat `source`), the later of the two.
+    Each letter after tau mixes the two coordinates it acts on.  The
+    prefix runs once, on the (1, N) points, and the rest of the word on
+    maps' taus from its image.
     """
     letters = [m for m, _ in word]
     assert letters.count("T") <= 1, word
     t = letters.index("T") if "T" in letters else len(word)
     prefix = word_images(word[:t], maps, points, n)
-    rows = np.full((len(points), points.shape[2]), -1)
+    reads = np.full((len(points), points.shape[2]), -1)
     cell = np.full(points.shape[2], -1)
     if t < len(word):
         i = word[t][1]
-        a, b = prefix[i][0], prefix[i + 1][0]
-        rows[i], rows[i + 1] = a, np.maximum(a, s1[a, b])
-        cell = a * n + b
+        cell = prefix[i][0] * n + prefix[i + 1][0]
+        reads[i], reads[i + 1] = cell, np.maximum(cell, source[cell])
         for _, c in word[t + 1:]:
-            rows[c] = rows[c + 1] = np.maximum(rows[c], rows[c + 1])
-    return word_images(word[t:], maps, prefix, n), rows, cell
+            reads[c] = reads[c + 1] = np.maximum(reads[c], reads[c + 1])
+    images = np.empty((len(points), len(maps["T"][2]), points.shape[2]), np.int8)
+    for c, image in enumerate(word_images(word[t:], maps, prefix, n)):
+        images[c] = image
+    return images, reads, cell
 
 
-def _axiom_outputs(st: PairTable):
-    """Per identity of SINGULAR_PAIR_AXIOMS, (name, lhs, rhs, points, due,
-    holds): `points` is X^k in row-major order as a (k, n^k) array, and
-    for output j of the two words at point i, due[j, i] is the last tau1
-    row they read, and holds[j, i] says that they agree there for every tau.
+def _axiom_reads(st: PairTable):
+    """Per identity of SINGULAR_PAIR_AXIOMS, ((name, lhs, rhs, points, due,
+    holds), sides): `points` is X^k in row-major order as a (k, n^k)
+    array, and for output j of the two words at point i, due[j, i] is the
+    last tau1 cell a*n + b they read, and holds[j, i] says that they agree
+    there for every tau.  `sides` holds, per word, its images at the n^2
+    constant taus, a (k, n^2, n^k) array, and per point the cell where it
+    reads tau, or -1.
 
     Each word reads tau at most once (`_word_reads`), so output j of each
     is a function of tau at one cell, and the n^2 constant taus give it
@@ -420,7 +435,7 @@ def _axiom_outputs(st: PairTable):
     cells are never marked, even where they agree.
     """
     n = st.n
-    s1 = np.array(st.t1)
+    source = (np.array(st.t1) * n + np.array(st.t2)).reshape(-1)
     # the constant taus: tau(x, y) = (c // n, c % n) for c < n^2
     const = np.stack(divmod(np.arange(n * n), n), axis=1)[:, :, None, None]
     maps = {"S": flat_map(np.array([st.t1, st.t2])),
@@ -428,104 +443,191 @@ def _axiom_outputs(st: PairTable):
     for name, lhs, rhs in SINGULAR_PAIR_AXIOMS:
         arity = word_arity(lhs, rhs)
         points = np.indices((n,) * arity).reshape(arity, -1)
-        # images per (constant tau, point), (1, N) where no tau is read
+        # images per (output, constant tau, point)
         (limg, left, lcell), (rimg, right, rcell) = (
-            _word_reads(w, maps, points[:, None], n, s1) for w in (lhs, rhs))
+            _word_reads(w, maps, points[:, None], n, source) for w in (lhs, rhs))
         same = (lcell >= 0) & (lcell == rcell)
-        holds = np.array([((u == v) & (same | (u == u[0]))).all(axis=0)
-                          for u, v in zip(limg, rimg)])
-        yield name, lhs, rhs, points, np.maximum(left, right), holds
+        holds = ((limg == rimg) & (same | (limg == limg[:, :1]))).all(axis=1)
+        yield ((name, lhs, rhs, points, np.maximum(left, right), holds),
+               ((limg, lcell), (rimg, rcell)))
+
+
+def _axiom_outputs(st: PairTable):
+    """The (name, lhs, rhs, points, due, holds) of `_axiom_reads`: which
+    equations the tau plan checks, at which cell, and which it drops."""
+    return (outputs for outputs, _ in _axiom_reads(st))
+
+
+def _run_rows(start: int, stop: int, n: int):
+    """Per tau1 row that the run of cells [start, stop) covers, the run's
+    length there and whether the run starts inside the row and reaches
+    its last cell, which then has one value left."""
+    return tuple((min(stop, r + n) - max(start, r), r < start and stop >= r + n)
+                 for r in range(start - start % n, stop, n))
 
 
 def _tau_plan(st: PairTable):
-    """The tau search as one level per tau1 row k, each a tuple (cells,
-    sources, known, columns, checks) of what row k makes known.
+    """The tau search: `images`, one flat int8 table of the words' images,
+    and the levels, each a run of tau1 cells [start, stop) in row-major
+    order, as a tuple (values, start, stop, cells, sources, known,
+    columns, checks) of what the run makes known.
 
-    tau2(a, b) is derived at the level of the later of rows a and
-    S1(a, b): `cells` are those flat cells a*n + b and `sources` the
-    cells S(a, b) whose tau1 the derivation reads.  `known` are the cells
-    derived by the end of the level and `columns` their b*n, so that
-    tau2 + b*n is distinct over them unless two cells of a column share a
+    Cells are flat, a*n + b.  A level gives each partial tau every row of
+    `values` in the run's cells.  Left invertibility makes each tau1 row a
+    permutation: per row the run covers, the values are the permutations
+    of 0..n-1 of its length there (`_run_rows`), except where the run
+    starts inside a row and reaches its last cell.  There a 0 stands in
+    for that cell, and the search drops the taus that repeat an earlier
+    cell of the row and gives the last cell the one value left.
+    tau2(a, b) is derived at the level of the later of the cells (a, b)
+    and S(a, b): `cells` are those cells and `sources` the cells S(a, b)
+    whose tau1 the derivation reads.  `known` are the cells derived by the
+    end of the level, `cells` last, and `columns` their b*n, so that
+    tau2 + b*n repeats over them only where two cells of a column share a
     tau2 value.  `checks` holds every component equation of
-    SINGULAR_PAIR_AXIOMS whose tau reads all lie in rows 0..k, one of
-    them in row k, as (lhs, rhs, js, points): outputs js of the two words
-    must agree at each point, an (arity, m) array with m <= SEARCH_CHUNK.
-    Two kinds of equation are left out: the first component of rv, which
-    the derivation solves, and every equation that holds for all taus
-    (`_axiom_outputs`: same cell, or no tau read), 192 of 416 for D4 and
-    384 of 416 for the flip at n = 4.
+    SINGULAR_PAIR_AXIOMS whose last tau1 cell read lies in the run, as
+    chunks (due, reads, rows) of at most SEARCH_CHUNK equations: equation
+    e reads tau at the cells reads[e] on its two sides, and with v the
+    value tau1 * n + tau2 at each, it holds when images[rows[e] + v]
+    agree; due[e] is the last tau1 cell it reads.  Each side reads tau at
+    one cell at most (`_axiom_reads`), so its images at the n^2 constant
+    taus are all its values.  Two kinds of equation are left out: the
+    first component of rv, which the derivation solves, and every
+    equation that holds for all taus (`_axiom_outputs`: same cell, or no
+    tau read), 192 of 416 for D4 and 384 of 416 for the flip at n = 4.
+    A run ends only after a cell where a derivation or a check becomes
+    due, or after a row's last cell when one becomes due at the cell
+    before it (the last cell always derives its own tau2), so a row where
+    nothing is due before its end is one level of n! values.  The first
+    level, which starts from a single partial tau, runs on past such cells
+    until it has more than SEARCH_LEAD candidates.
     """
-    n = st.n
-    s1, s2 = np.array(st.t1), np.array(st.t2)
-    a, b = np.indices((n, n)).reshape(2, -1)
-    level = np.maximum(a, s1[a, b])
-    plan = []
-    for k in range(n):
-        cells, known = np.flatnonzero(level == k), np.flatnonzero(level <= k)
-        plan.append((cells, s1[a, b][cells] * n + s2[a, b][cells], known,
-                     (b[known] * n).astype(np.int16), []))
-    for name, lhs, rhs, points, due, holds in _axiom_outputs(st):
-        arity = len(points)
-        assert due.min() >= 0, name     # each equation reads tau on a side
-        due[holds] = -1
+    n, nn = st.n, st.n * st.n
+    source = (np.array(st.t1) * n + np.array(st.t2)).reshape(-1)
+    derive_at = np.maximum(np.arange(nn), source)
+    # per identity, both words' images at the n^2 constant taus as rows of
+    # n^2 values, (side, output, point, tau value); per kept equation, the
+    # cell each side reads tau at and the start of its row in `images`
+    tables, due, reads, rows = [], [], [], []
+    size = 0
+    for (name, _, _, _, at, holds), ((limg, lcell), (rimg, rcell)) in _axiom_reads(st):
+        assert at.min() >= 0, name      # each equation reads tau on a side
+        at[holds] = -1
         if name == "rv":
-            due[0] = -1
-        # per row and point, the outputs js due there as a bit mask
-        due_at = (1 << np.arange(arity)) @ (due == np.arange(n)[:, None, None])
-        keys = np.arange(n)[:, None] << arity | due_at
-        for key in np.unique(keys[due_at > 0]):
-            row, group = divmod(key, 1 << arity)
-            js = tuple(np.flatnonzero(group >> np.arange(arity) & 1))
-            at = points[:, due_at[row] == group]
-            plan[row][-1].extend((lhs, rhs, js, at[:, i:i + SEARCH_CHUNK])
-                                 for i in range(0, at.shape[1], SEARCH_CHUNK))
-    return plan
+            at[0] = -1
+        j, i = np.nonzero(at >= 0)
+        due.append(at[j, i])
+        reads.append(np.stack([lcell[i], rcell[i]], axis=1))
+        tables.append(np.stack([limg, rimg]).transpose(0, 1, 3, 2).reshape(-1))
+        row = size + (j * at.shape[1] + i) * nn
+        rows.append(np.stack([row, row + limg.size], axis=1))
+        size += 2 * limg.size
+    images = np.concatenate(tables)
+    due, reads, rows = map(np.concatenate, (due, reads, rows))
+    cut = np.zeros((n, n), bool)
+    cut.flat[derive_at] = cut.flat[due] = True
+    if n > 1:
+        cut[:, -1] |= cut[:, -2]
+        cut[:, -2] = False
+    stops = np.flatnonzero(cut) + 1
+    # the first level runs on until it has more than SEARCH_LEAD candidates
+    lead = 1
+    for k, (start, stop) in enumerate(zip([0, *stops[:-1].tolist()], stops.tolist())):
+        lead *= prod(perm(n, length - forced) for length, forced in _run_rows(start, stop, n))
+        if lead > SEARCH_LEAD:
+            break
+    stops = stops[k:]
+    level_of = np.searchsorted(stops, np.arange(nn), side="right")
+
+    def grouped(key, *arrays):
+        """arrays sorted by level key, items on axis 0 and in their order
+        within a level, and the bounds of each level's items"""
+        order = np.argsort(key, kind="stable")
+        bounds = np.searchsorted(key[order], np.arange(len(stops) + 1))
+        return [x[order] for x in arrays], bounds.tolist()
+
+    (cells,), cell_at = grouped(level_of[derive_at], np.arange(nn))
+    sources, columns = source[cells], (cells % n * n).astype(np.int16)
+    (due, reads, rows), check_at = grouped(
+        level_of[due], due, np.maximum(reads, 0), rows)
+    values_of = {}
+    plan = []
+    for k, (start, stop) in enumerate(zip([0, *stops[:-1].tolist()], stops.tolist())):
+        spec = _run_rows(start, stop, n)
+        if spec not in values_of:
+            values = np.zeros((1, 0), np.int8)
+            for length, forced in spec:
+                # a 0 where the row's last cell gets the value left
+                part = np.array([p + (0,) * forced for p in itertools.permutations(
+                    range(n), length - forced)], np.int8).reshape(-1, length)
+                values = np.concatenate([np.repeat(values, len(part), axis=0),
+                                         np.tile(part, (len(values), 1))], axis=1)
+            values_of[spec] = values
+        lo, hi = check_at[k], check_at[k + 1]
+        first, last = cell_at[k], cell_at[k + 1]
+        plan.append((values_of[spec], start, stop, cells[first:last],
+                     sources[first:last], cells[:last], columns[:last],
+                     [(due[i:j], reads[i:j], rows[i:j])
+                      for i in range(lo, hi, SEARCH_CHUNK)
+                      for j in [min(hi, i + SEARCH_CHUNK)]]))
+    return images, plan
 
 
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """Whether each row of keys holds no value twice."""
-    keys = np.sort(keys, axis=1)
-    return (keys[:, 1:] != keys[:, :-1]).all(axis=1)
+def _fresh(keys: np.ndarray, d: int) -> np.ndarray:
+    """Whether each of the last d columns of each row of keys differs from
+    every column before it."""
+    k = keys.shape[1] - d
+    ok = (keys[:, :k] != keys[:, k, None]).all(axis=1)
+    for c in range(k + 1, k + d):
+        ok &= (keys[:, :c] != keys[:, c, None]).all(axis=1)
+    return ok
 
 
 def _tau_array(st: PairTable, require_bijective: bool) -> np.ndarray:
     """Every tau for the switch table st that enumerate_taus returns,
     before its guard, in table order, as one int8 (P, 2, n, n) array:
-    `_tau_plan` run by `batch.run`, one level per tau1 row."""
+    `_tau_plan` run by `batch.run`, one level per run of tau1 cells, each
+    with its own values."""
     n = st.n
-    perms = np.array(list(itertools.permutations(range(n))), np.int8)
     s1 = np.array(st.t1, np.int8)
-    S = flat_map(np.array([st.t1, st.t2], np.int8))
     # tau2(a, b) solves S1(tau1(a, b), tau2(a, b)) = tau1(S(a, b)), the
     # first component of rv: linv[u, S1(u, y)] = y
     linv = np.empty((n, n), np.int8)
     linv[np.arange(n)[:, None], s1] = np.arange(n)
-    plan = _tau_plan(st)
+    images, plan = _tau_plan(st)
 
     def step(k, taus, chosen):
-        cells, sources, known, columns, checks = plan[k]
-        taus[:, 0, k] = chosen
-        tau1, tau2 = taus.reshape(len(taus), 2, n * n).transpose(1, 0, 2)
+        _, start, stop, cells, sources, known, columns, checks = plan[k]
+        flat = taus.reshape(len(taus), 2, n * n)
+        flat[:, 0, start:stop] = chosen
+        row = start - start % n
+        if row < start:
+            # left invertibility, in the row the run starts inside
+            end = min(stop, row + n - 1)
+            taus = taus.compress(_fresh(flat[:, 0, row:end], end - start), axis=0)
+            flat = taus.reshape(len(taus), 2, n * n)
+            if stop >= row + n:
+                last = row + n - 1
+                flat[:, 0, last] = n * (n - 1) // 2 - flat[:, 0, row:last].sum(
+                    axis=1, dtype=np.int16)
+        tau1, tau2 = flat[:, 0], flat[:, 1]
         tau2[:, cells] = linv[tau1[:, cells], tau1[:, sources]]
-        # right invertibility, and bijectivity, over the cells known so far
-        ok = _distinct(tau2[:, known] + columns)
-        if require_bijective:
-            ok &= _distinct(tau1[:, known].astype(np.int16) * n + tau2[:, known])
-        taus = taus[ok]
-        for lhs, rhs, js, points in checks:
-            if not len(taus):
-                break
-            maps = {"S": S, "T": flat_map(taus)}
-            left = word_images(lhs, maps, points, n)
-            right = word_images(rhs, maps, points, n)
-            ok = (left[js[0]] == right[js[0]]).all(axis=1)
-            for j in js[1:]:
-                ok &= (left[j] == right[j]).all(axis=1)
-            taus = taus[ok]
+        vals = tau1 * np.int16(n) + tau2
+        if len(cells):
+            # right invertibility, and bijectivity, over the cells known so far
+            ok = _fresh(tau2[:, known] + columns, len(cells))
+            if require_bijective:
+                ok &= _fresh(vals[:, known], len(cells))
+            taus, vals = taus.compress(ok, axis=0), vals.compress(ok, axis=0)
+        for _, reads, rows in checks:
+            both = images.take(vals[:, reads] + rows)
+            ok = (both[..., 0] == both[..., 1]).all(axis=1)
+            taus, vals = taus.compress(ok, axis=0), vals.compress(ok, axis=0)
         return taus
 
     return np.concatenate([np.empty((0, 2, n, n), np.int8), *batch.run(
-        np.zeros((1, 2, n, n), np.int8), n, perms, SEARCH_ROWS, step)])
+        np.zeros((1, 2, n, n), np.int8), len(plan), [p[0] for p in plan],
+        SEARCH_ROWS, step)])
 
 
 def enumerate_taus(S: Biquandle, require_bijective: bool = True,
@@ -538,13 +640,17 @@ def enumerate_taus(S: Biquandle, require_bijective: bool = True,
     population counted in the left/right-invertible table.
 
     The search (`_tau_array`) runs a plan (`_tau_plan`) on int8 batches
-    of partial taus (`batch.run`), at most SEARCH_ROWS at a time: row k
-    extends each by the n! permutations, derives the tau2 cells it
-    completes, and drops a partial tau as soon as two known tau2 cells of
-    a column agree, two known cells share a (tau1, tau2) pair (when
-    bijectivity is required), or an equation of the plan fails.  The cost
-    is n! times the number of partial taus that survive each row; no
-    bound on that number is claimed.
+    of partial taus (`batch.run`), at most SEARCH_ROWS at a time.  Each
+    level fills a run of tau1 cells in row-major order, extending each
+    partial tau by every choice of distinct values for the run's cells in
+    each row, derives the tau2 cells it completes, and drops a partial tau
+    as soon as a tau1 row repeats a value, two known tau2 cells of a
+    column agree, two known cells share a (tau1, tau2) pair (when
+    bijectivity is required), or an equation of the plan fails.  A run
+    ends where a derivation or an equation becomes due, so a tau is
+    dropped at the first cell where it can fail.  The cost is the number
+    of partial taus that survive each level times the next level's
+    choices; no bound on that number is claimed.
 
     The search's int8 (P, 2, n, n) array (`_tau_array`) is checked before
     anything is built from it, as a guard on the search: its dtype, shape

@@ -325,6 +325,8 @@ def i2_switch() -> Biquandle:
 
 def make_bialexander(m: int, s: int, t: int) -> Biquandle:
     """Bialexander switch S(x,y) = (s*y, t*x + (1-s*t)*y) on Z/m."""
+    if m < 1:
+        raise ValueError("carrier must be nonempty")
     s %= m
     t %= m
     if gcd(s, m) != 1:

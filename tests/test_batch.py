@@ -74,3 +74,23 @@ def test_a_level_that_drops_every_row_yields_nothing():
 
     assert list(batch.run(np.zeros((1, 3)), 3, VALUES["colors"], 2, step)) == []
     assert set(levels) == {0, 1}
+
+
+@pytest.mark.parametrize("cap", [1, 2, 5, 1 << 16])
+def test_levels_may_have_their_own_values(cap):
+    values = [np.arange(k, dtype=np.uint8) for k in (3, 1, 4, 2)]
+    sizes = []
+
+    def step(level, rows, chosen):
+        sizes.append((level, len(rows)))
+        rows[:, level] = chosen
+        return rows[_keep(rows[:, :level + 1])]
+
+    start = np.zeros((1, LEVELS), np.uint8)
+    blocks = list(batch.run(start, LEVELS, values, cap, step))
+    want = [r for r in itertools.product(*values)
+            if all(_keep(np.array([r])[:, :k + 1])[0] for k in range(LEVELS))]
+    assert 0 < len(want) < 3 * 4 * 2
+    assert np.array_equal(np.concatenate(blocks), np.array(want, np.uint8))
+    assert all(size <= max(1, cap // len(values[k])) * len(values[k])
+               for k, size in sizes)

@@ -224,6 +224,14 @@ class TestErrorsAndDeterminism:
             main(list(argv))
         assert exc.value.code == 2
 
+    def test_target_goes_only_with_a_cocycle_file(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["invariant", "nc", "@sing_trefoil", "--pair", "builtin:flip-i2",
+                  "--target", "/no/such/file.json"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("error: --target is not read by --cocycle universal\n")
+
     def test_switch_help_lists_the_accepted_forms(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["pairs", "enumerate", "--help"])
@@ -271,12 +279,14 @@ class TestErrorsAndDeterminism:
         ("tables", "--which", "lr-invertible", "--n", "0"),
         ("pairs", "enumerate", "--switch", "flip", "--n", "0"),
         ("pairs", "enumerate", "--switch", "flip", "--max-n", "0"),
+        ("pairs", "enumerate", "--switch", "d0"),
+        ("pairs", "enumerate", "--switch", "bialexander:0,1,1"),
     ], ids=["flip-x", "flip-0", "no-biquandle", "not-biquandle", "bad-json",
             "ragged-cocycle", "cocycle-list", "cocycle-out-of-range",
             "cocycle-short-coordinates",
             "diagram-list", "diagram-three-slots", "diagram-no-kind",
             "diagram-int-slots", "diagram-not-json", "lr-n-negative", "lr-n-zero", "flip-n-zero",
-            "max-n-zero"])
+            "max-n-zero", "d-zero", "bialexander-zero"])
     def test_malformed_input_is_one_line_error(self, tmp_path, capsys, argv):
         flip = json.loads(builtin_pair("flip-i2").biquandle.table.to_json())
         zero = {"n": 2, "t1": [[0, 0], [0, 0]], "t2": [[0, 0], [0, 0]]}

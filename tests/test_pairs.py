@@ -22,10 +22,12 @@ from singlink.pairs import (SingularPair, brute_force_taus,
                             enumerate_left_right_invertible, enumerate_taus,
                             make_tau_a, make_tau_phi, pair_verdicts,
                             tau_phi_family, tau_phi_iso_count)
-from singlink.pairtable import (Biquandle, PairTable, dihedral_quandle,
-                                dihedral_switch, flip_switch, i2_switch,
-                                make_bialexander, make_quandle_switch,
-                                trivial_quandle, word_map)
+from singlink.pairtable import (YANG_BAXTER, Biquandle, PairTable,
+                                check_biquandle, dihedral_quandle,
+                                dihedral_switch, flat_map, flip_switch,
+                                i2_switch, make_bialexander,
+                                make_quandle_switch, trivial_quandle,
+                                word_images, word_map)
 
 
 class TestSingularPairAxioms:
@@ -568,19 +570,37 @@ def test_check_singular_pair_matches_recorded_digest():
 def test_search_checks_run_at_the_earliest_row(name, sizes):
     # a looser derivation would stay correct but check later and prune
     # less; the plan drops exactly the equations `_axiom_outputs` marks as
-    # holding for every tau
+    # holding for every tau, and checks each other one at the level whose
+    # run holds the last cell it reads; the counts per row sum over the
+    # row's levels
     due_sizes, kept_sizes = sizes
     S = {**PIN_SWITCHES, "flip4": flip_switch(4)}[name]
-    plan = pairs_module._tau_plan(S.table)
-    kept = [sum(len(js) * points.shape[1] for *_, js, points in checks)
-            for *_, checks in plan]
-    due_at, dropped = [0] * S.n, [0] * S.n
+    n = S.n
+    images, plan = pairs_module._tau_plan(S.table)
+    source = (np.array(S.table.t1) * n + np.array(S.table.t2)).reshape(-1)
+    planned = []
+    for _, start, stop, *_, checks in plan:
+        for due, reads, rows in checks:
+            assert ((start <= due) & (due < stop)).all()
+            # each side's values over (tau1, tau2) at the cell it reads: the
+            # equation reads that cell, and S of it too where tau2 matters
+            values = images[rows[..., None] + np.arange(n * n)].reshape(*rows.shape, n, n)
+            on_tau = (values != values[..., :1, :1]).any(axis=(-2, -1))
+            on_tau2 = (values != values[..., :1]).any(axis=(-2, -1))
+            last = np.where(on_tau2, np.maximum(reads, source[reads]),
+                            np.where(on_tau, reads, -1))
+            assert (last.max(axis=1) <= due).all()
+            planned += due.tolist()
+    due_at, dropped, kept_due = [0] * n, [0] * n, []
     for axiom, _, _, _, due, holds in pairs_module._axiom_outputs(S.table):
         if axiom == "rv":
             due, holds = due[1:], holds[1:]
-        for row in range(S.n):
-            due_at[row] += int((due == row).sum())
-            dropped[row] += int((holds & (due == row)).sum())
+        for row in range(n):
+            due_at[row] += int((due // n == row).sum())
+            dropped[row] += int((holds & (due // n == row)).sum())
+        kept_due += due[~holds].tolist()
+    assert Counter(planned) == Counter(kept_due)
+    kept = [sum(d // n == row for d in planned) for row in range(n)]
     assert due_at == due_sizes
     assert [k + d for k, d in zip(kept, dropped)] == due_sizes
     assert kept == kept_sizes
@@ -631,6 +651,149 @@ def test_batch_sizes_do_not_change_the_output(monkeypatch, S, bijective):
     for rows in (1, 2, 3):
         monkeypatch.setattr(pairs_module, "SEARCH_ROWS", rows)
         assert enumerate_taus(S, require_bijective=bijective) == whole
+
+
+@pytest.mark.parametrize("S", [flip_switch(3), dihedral_switch(4),
+                               make_bialexander(4, 1, 3)],
+                         ids=["flip3", "D4", "bialexander(4,1,3)"])
+@pytest.mark.parametrize("bijective", [True, False])
+def test_leading_level_size_does_not_change_the_output(monkeypatch, S, bijective):
+    whole = pairs_module._tau_array(S.table, bijective)
+    for lead in (0, 1 << 12):   # a level per cut, and a first level of 12,288 rows at D4
+        monkeypatch.setattr(pairs_module, "SEARCH_LEAD", lead)
+        assert np.array_equal(pairs_module._tau_array(S.table, bijective), whole)
+
+
+def _lr_candidates(n):
+    """Every left/right-invertible (tau1, tau2) pair of tables on n
+    elements, (n!)^2n of them, as an int8 (P, 2, n, n) array."""
+    perms = np.array(list(itertools.permutations(range(n))), np.int8)
+    rows = perms[np.indices((len(perms),) * n).reshape(n, -1).T]
+    out = np.empty((len(rows) ** 2, 2, n, n), np.int8)
+    out[:, 0] = np.repeat(rows, len(rows), axis=0)
+    out[:, 1] = np.tile(rows.transpose(0, 2, 1), (len(rows), 1, 1))
+    return out
+
+
+def _biquandles(n):
+    """The biquandles of order n that `check_biquandle` finds among the
+    bijective left/right-invertible tables, and one per isomorphism class."""
+    tables = _lr_candidates(n)
+    cells = tables[:, 0].astype(np.intp) * n + tables[:, 1]
+    tables = tables[(np.sort(cells.reshape(len(tables), -1), axis=1)
+                     == np.arange(n * n)).all(axis=1)]
+    points = np.indices((n,) * 3).reshape(3, -1)
+    maps = {"S": flat_map(tables)}
+    ok = np.ones(len(tables), bool)
+    for u, v in zip(*(word_images(w, maps, points, n) for w in YANG_BAXTER)):
+        ok &= (u == v).all(axis=-1)
+    found = [PairTable(n, *t.tolist()) for t in tables[ok]]
+    found = [t for t in found if check_biquandle(t) is not None]
+    keys, _ = canonical_form(_tau_stack(found), list(itertools.permutations(range(n))))
+    classes = {}
+    for key, t in zip(keys, found):
+        classes.setdefault(key, Biquandle.from_table(t))
+    return found, list(classes.values())
+
+
+@pytest.mark.parametrize("bijective", [True, pytest.param(False, marks=pytest.mark.slow)])
+def test_search_misses_no_tau_on_small_biquandles(bijective):
+    # the guard shows that what the search returns is a pair; this shows
+    # that it returns every pair, on one biquandle of each class of order 2
+    # and 3, against the filter of all 46,656 candidates at n = 3
+    for n, count, classes in ((2, 2, 2), (3, 36, 15)):
+        found, reps = _biquandles(n)
+        assert (len(found), len(reps)) == (count, classes)
+        candidates = _lr_candidates(n)
+        for S in reps:
+            want = candidates[pair_verdicts(S, candidates, bijective)]
+            want = want[np.lexsort(want.reshape(len(want), -1).T[::-1])]
+            assert np.array_equal(pairs_module._tau_array(S.table, bijective), want)
+
+
+def _counting_run(monkeypatch, inspect):
+    """Route `batch.run` through inspect(level, rows, chosen, step) before
+    each call of the search's level step."""
+    run = pairs_module.batch.run
+
+    def counting(start, levels, values, cap, step):
+        def counted(level, rows, chosen):
+            inspect(level, rows, chosen, step)
+            return step(level, rows, chosen)
+        return run(start, levels, values, cap, counted)
+
+    monkeypatch.setattr(pairs_module.batch, "run", counting)
+
+
+@pytest.mark.parametrize("name,rows", [
+    # the row search examined 82,200, 6,840 and 54,744 rows
+    ("bialexander(5,2,3)", 13_440), ("D5", 1_320), ("flip4", 54_624)])
+def test_search_examines_the_recorded_number_of_rows(monkeypatch, name, rows):
+    # the candidate rows the level step gets: a plan that drops a tau
+    # later shows up here as more rows, not only as a slower search
+    seen = []
+    _counting_run(monkeypatch, lambda level, rows, chosen, step: seen.append(len(rows)))
+    pairs_module._tau_array(DIGEST_SWITCHES[name].table, True)
+    assert sum(seen) == rows
+
+
+FAMILIES = ("right_invertible", "bijective",
+            *(name for name, *_ in pairs_module.SINGULAR_PAIR_AXIOMS))
+
+
+def _steps_without_each_family(monkeypatch, S):
+    """The search's level step for S, bijective, and per check family
+    the step of a search with that family's checks left out: right
+    invertibility through columns that never repeat, bijectivity through
+    require_bijective=False, an identity through its equations."""
+    images, plan = pairs_module._tau_plan(S.table)
+    # each identity's rows of `images`, in SINGULAR_PAIR_AXIOMS order
+    ends = np.cumsum([2 * due.size * S.n ** 2
+                      for _, _, _, _, due, _ in pairs_module._axiom_outputs(S.table)])
+
+    def without(family):
+        levels = []
+        for *level, known, columns, checks in plan:
+            if family == "right_invertible":
+                columns = (np.arange(len(known)) * S.n).astype(np.int16)
+            if family in FAMILIES[2:]:
+                identity = FAMILIES.index(family) - 2
+                checks = [tuple(a[keep] for a in chunk) for chunk in checks
+                          for keep in [np.searchsorted(ends, chunk[2][:, 0],
+                                                       side="right") != identity]]
+            levels.append((*level, known, columns, checks))
+        return images, levels
+
+    steps = {}
+    with monkeypatch.context() as m:
+        for family in (None, *FAMILIES):
+            m.setattr(pairs_module, "_tau_plan", lambda st, f=family:
+                      without(f) if f else (images, plan))
+            m.setattr(pairs_module.batch, "run",
+                      lambda start, levels, values, cap, step, f=family:
+                      iter(steps.setdefault(f, step) and ()))
+            pairs_module._tau_array(S.table, family != "bijective")
+    return steps.pop(None), steps
+
+
+def test_rows_each_check_family_alone_drops(monkeypatch):
+    # summed over the steps of the searches on the 15 classes of order 3:
+    # the candidate rows that a family drops and every other check keeps.
+    # Right invertibility never drops one alone
+    drops = dict.fromkeys(FAMILIES, 0)
+    for S in _biquandles(3)[1]:
+        step, others = _steps_without_each_family(monkeypatch, S)
+
+        def inspect(level, rows, chosen, _):
+            kept = len(step(level, rows.copy(), chosen))
+            for family, other in others.items():
+                drops[family] += len(other(level, rows.copy(), chosen)) - kept
+
+        with monkeypatch.context() as m:
+            _counting_run(m, inspect)
+            pairs_module._tau_array(S.table, True)
+    assert drops == {"right_invertible": 0, "bijective": 203, "rv": 0,
+                     "rivb": 12, "riva": 12}
 
 
 def test_canonical_keys_match_recorded_digest():
@@ -686,34 +849,35 @@ def test_enumerate_taus_matches_recorded_digest(name, bijective, count, digest):
     assert (len(taus), h.hexdigest()) == (count, digest)
 
 
-# sha256 over every array of `_tau_plan` (dtype, shape and bytes) and the
-# words and outputs of each check, level by level, in order
+# sha256 over every array of `_tau_plan` (dtype, shape and bytes): the
+# image table, then level by level its values, its run of cells, its
+# derivations and known cells, and its checks, chunk by chunk
 PLAN_DIGESTS = {
-    "flip1": "8985620b5eeed2acf87f8445baf4068d1e17dd0fdf9b9b91f7de1094d016904e",
-    "flip2": "2344c704a1b26d5a32ed0011c767a6634713aca00d1f9b03b413b06f9e7cb62a",
-    "flip3": "e334ea61af3627d8ae1e8ecd946c5971a3bf4f4c612e60640a999ccd5775a8a2",
-    "flip4": "5239dc29284cde2afa88c9c23abe05bf198a1706bd88da93a2ca0ffd57c2ff5f",
-    "i2": "7c77821e89a63fde87e1c5278f6a090bb713a87aafc5bfd0a75c7e688e98781e",
-    "D3": "1bf422cefd16ae4a3469b64bbb259e522a0b641d11e7746142a81f6e7fa81459",
-    "D4": "b6ca3c22242d8bb723d108e138c67b93a9f543908e21394873cf23e7cb6d4620",
-    "D5": "a6e034d69cbe966b4c6593ab7533cabd9685f2a1090d37f742c04fb61788edb1",
-    "bialexander(5,2,3)": "fba162c3fd5967d6a1cceb42cc10ecadadfa1a13bb47fed30b6cd085578f81f1",
-    "bialexander(4,1,3)": "b6ca3c22242d8bb723d108e138c67b93a9f543908e21394873cf23e7cb6d4620",
-    "D4 quandle": "b6ca3c22242d8bb723d108e138c67b93a9f543908e21394873cf23e7cb6d4620",
+    "flip1": "cc028e16d72987050986634dc589f55f75ff7978bc550fab99a67d405326625c",
+    "flip2": "04939d00a96747f65c2d02bc8ebac6e1fa97257404d5117a54b16e8166c4abac",
+    "flip3": "6ce780cd3dc952eb42a2254f4da48e39e6df93bf9ae7c6abb07f3b08f91f2d9d",
+    "flip4": "4d747a7f96e87e295472605b635dcbb1a70c8b9aae4024d6852a267b251aedf1",
+    "i2": "9b2d8b50b4d418d1f8691afd988c3edb81b4e16632381b7b58acc18558bb77c4",
+    "D3": "e2d6f5506c6d2de11aec59e1cea67a1ed686ac5ec985bd61242eeac3dd23029c",
+    "D4": "7b726fd6d2c5e4a3204865f5d62b5f1991cdf1040335edd2bf17b491e8c69972",
+    "D5": "0b1591066b75cfee030fd53e47ed7403775a04aa751609a732026581bfed87ab",
+    "bialexander(5,2,3)": "b58308380f388db36a7379512ddda4dfc96c68df23df3b7d8b1fb5563bae78cb",
+    "bialexander(4,1,3)": "7b726fd6d2c5e4a3204865f5d62b5f1991cdf1040335edd2bf17b491e8c69972",
+    "D4 quandle": "7b726fd6d2c5e4a3204865f5d62b5f1991cdf1040335edd2bf17b491e8c69972",
 }
 
 
 @pytest.mark.parametrize("name", DIGEST_SWITCHES)
 def test_tau_plan_matches_recorded_digest(name):
+    images, plan = pairs_module._tau_plan(DIGEST_SWITCHES[name].table)
+    arrays = [images]
+    for values, start, stop, *derived, checks in plan:
+        arrays += [values, np.array([start, stop]), *derived,
+                   *itertools.chain.from_iterable(checks)]
     h = hashlib.sha256()
-    for *arrays, checks in pairs_module._tau_plan(DIGEST_SWITCHES[name].table):
-        for a in arrays:
-            h.update(repr((a.dtype.str, a.shape)).encode())
-            h.update(a.tobytes())
-        for lhs, rhs, js, points in checks:
-            h.update(repr((lhs, rhs, [int(j) for j in js], points.dtype.str,
-                           points.shape)).encode())
-            h.update(points.tobytes())
+    for a in arrays:
+        h.update(repr((a.dtype.str, a.shape)).encode())
+        h.update(a.tobytes())
     assert h.hexdigest() == PLAN_DIGESTS[name]
 
 
