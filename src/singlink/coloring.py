@@ -140,7 +140,7 @@ def _blocks(d: SingularDiagram, p: SingularPair):
                     ok = cols[:, dst] == tab.take(k)
                 else:
                     ok &= cols[:, dst] == tab.take(k)
-        return cols if ok is None or ok.all() else cols[ok]
+        return cols if ok is None or ok.all() else cols.compress(ok, axis=0)
 
     return batch.run(np.zeros((1, len(d.edges)), dtype), len(plan),
                      np.arange(n, dtype=dtype), _ROWS, step)

@@ -12,17 +12,22 @@ to a conjugacy class representative; the state sum multiplies the
 weights of all crossings once each, with no order, and sums over
 colorings in the integral group ring.
 
-Both are evaluated on every coloring at once: `coloring_array` gives the
-sorted colorings as one array, and each passage's weight is gathered for
-all of them.  In an abelianized target coordinate rows are added (int64,
-or Python ints where a sum could pass 2^62) and the torsion is reduced
-once; a finite target folds its Cayley table.  Equal values are tallied
-with np.unique, in order of first appearance.
+A cocycle pair's weights on a singular pair are one table, built once
+with the pair's cocycle check and kept with it (`_memo`).  A query makes
+one array of indices into that table over the sorted colorings of
+`coloring_array`: a run of passages per component, or one run of all
+crossings for the state sum, each run padded with the identity to the
+longest.  `_evaluate` gathers it in blocks of colorings and multiplies
+along the runs: in an abelianized target coordinate rows are summed
+(int64, or Python ints where a sum could pass 2^62) and the torsion is
+reduced once; a finite target folds its Cayley table.  One np.unique over
+(run, value) keys tallies every run's values at once, in order of first
+appearance.
 
 The cocycle conditions are not written out here: the checkers evaluate
 both sides of every instance of the relation table in
-`presentation.relation_families` in the target group, each family at all
-of its points at once with the same products.
+`presentation.relation_families` in the target group with the same
+`_evaluate`, each family at all of its points at once.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from typing import Union
 
 import numpy as np
 
-from .coloring import coloring_array, flat_tables
+from .coloring import coloring_array
 from .diagram import NEG, POS, SING, SingularDiagram
 from .errors import CocycleInvalidError, DimensionMismatchError
 from .pairs import SingularPair, builtin_pair
@@ -47,6 +52,9 @@ Target = Union[FiniteGroup, AbelianizedGroup]
 
 NC, AB = "nc", "ab"
 
+# gathered cells (colorings x passages x coordinates) a row block may hold
+_CELLS = 1 << 16
+
 
 @dataclass(frozen=True)
 class CocyclePair:
@@ -55,7 +63,8 @@ class CocyclePair:
     h: tuple
     kind: str                      # "nc" | "ab"
 
-    # CocycleCheck per singular pair, filled by the checkers
+    # per singular pair, its weight table and the check made with it,
+    # built at the pair's first check or query (`_memo`)
     checks: dict = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -91,24 +100,58 @@ class CocycleCheck:
     violations: tuple[tuple[str, tuple], ...]
 
 
-def _memo_check(p: SingularPair, c: CocyclePair) -> CocycleCheck:
-    """_check_cocycle, once per (cocycle pair, singular pair)."""
-    res = c.checks.get(p)
-    if res is None:
-        res = c.checks[p] = _check_cocycle(p, c)
-    return res
+@dataclass(frozen=True)
+class _Weights:
+    """A cocycle pair's weights on one singular pair, as target elements.
+    Row x*n + y of each n*n block of `rows` holds f(x, y), then h(x, y)
+    (so generator g of `f_gen` and `h_gen` is row g), then
+    f(S^-1(x, y))^-1; the last row holds the identity.  An element is an
+    index into the Cayley table `mul` in a finite target, and a row of
+    free then torsion coordinates in an abelianized one: int64, or Python
+    ints if one passes 2^62.  `bound` is the largest |coordinate|."""
+    rows: np.ndarray
+    bound: int = 0
+    mul: Union[np.ndarray, None] = None
 
 
-def _check_cocycle(p: SingularPair, c: CocyclePair) -> CocycleCheck:
+def _weight_table(p: SingularPair, c: CocyclePair) -> _Weights:
+    n, t = p.n, c.target
+    sinv = p.biquandle.table.inverse()
+    at = (np.array(sinv.t1, np.intp) * n + np.array(sinv.t2, np.intp)).ravel()
+    if isinstance(t, FiniteGroup):
+        fh = np.array(c.f + c.h, np.intp).ravel()
+        return _Weights(np.concatenate([fh, np.array(t.inverse)[fh[at]],
+                                        [t.identity()]]), mul=np.array(t.table))
+    coords = [fr + tr for row in c.f + c.h for fr, tr in row]
+    bound = max(map(abs, itertools.chain(*coords)), default=0)
+    fh = np.array(coords, dtype=object if bound >> 62 else np.int64).reshape(
+        len(coords), t.rank + len(t.torsion))
+    return _Weights(np.concatenate([fh, -fh[at], np.zeros_like(fh[:1])]), bound)
+
+
+def _memo(p: SingularPair, c: CocyclePair) -> tuple[CocycleCheck, _Weights]:
+    """c's weight table on p and its check, built once per (cocycle pair,
+    singular pair)."""
+    entry = c.checks.get(p)
+    if entry is None:
+        w = _weight_table(p, c)
+        entry = c.checks[p] = (_check_cocycle(p, c, w), w)
+    return entry
+
+
+def _check_cocycle(p: SingularPair, c: CocyclePair,
+                   w: Union[_Weights, None] = None) -> CocycleCheck:
     """Evaluate both sides of every relation family in the target at all
-    of its points at once (`_product`), and keep the first failing point
-    of each family in row-major order."""
-    words = list(family_words(relation_families(p, c.kind), p.n))
-    W = _weights(c, max(side.shape[1] for _, _, *sides in words for side in sides))
+    of its points at once, as two runs of one index array into c's weight
+    table w (a fresh one by default), and keep the first failing point of
+    each family in row-major order."""
+    w = w if w is not None else _weight_table(p, c)
     viols = []
-    for name, k, lhs, rhs in words:
-        left, right = (_product(c.target, [(W, g) for g in side.T], len(side))
-                       for side in (lhs, rhs))
+    for name, k, lhs, rhs in family_words(relation_families(p, c.kind), p.n):
+        idx = np.full((max(lhs.shape[1], rhs.shape[1], 1), 2, len(lhs)), len(w.rows) - 1)
+        idx[:lhs.shape[1], 0] = lhs.T
+        idx[:rhs.shape[1], 1] = rhs.T
+        left, right = _evaluate(c.target, w, idx)
         ok = (left == right).reshape(len(lhs), -1).all(axis=1)
         if not ok.all():
             point = np.unravel_index(ok.argmin(), (p.n,) * k)
@@ -127,7 +170,7 @@ def check_nc_cocycle(p: SingularPair, c: CocyclePair) -> CocycleCheck:
         raise CocycleInvalidError("cocycle pair is not of noncommutative kind")
     if c.n != p.n:
         raise DimensionMismatchError("cocycle tables do not match the pair")
-    return _memo_check(p, c)
+    return _memo(p, c)[0]
 
 
 def check_ab_cocycle(p: SingularPair, c: CocyclePair) -> CocycleCheck:
@@ -138,7 +181,7 @@ def check_ab_cocycle(p: SingularPair, c: CocyclePair) -> CocycleCheck:
         raise CocycleInvalidError("abelian cocycle pair needs an abelian target")
     if c.n != p.n:
         raise DimensionMismatchError("cocycle tables do not match the pair")
-    return _memo_check(p, c)
+    return _memo(p, c)[0]
 
 
 def derived_cocycle_identities(p: SingularPair, c: CocyclePair) -> dict[str, bool]:
@@ -267,80 +310,88 @@ class NcInvariantValue:
         return sorted(self.multiset().items(), key=lambda kv: repr(kv[0]))
 
 
-def _validate_cocycle(p: SingularPair, c: CocyclePair):
+def _checked_weights(p: SingularPair, c: CocyclePair) -> _Weights:
+    """c's weight table on p, once c passes its checker."""
     checker = check_nc_cocycle if c.kind == NC else check_ab_cocycle
     res = checker(p, c)
     if not res.ok:
         raise CocycleInvalidError(
             f"cocycle pair fails {[v[0] for v in res.violations]}")
+    return c.checks[p][1]
 
 
-def _weights(c: CocyclePair, terms: int) -> np.ndarray:
-    """The target value of every generator, all f(x, y) and then all
-    h(x, y) as `f_gen` and `h_gen` index them: ints in a finite target,
-    and in an abelianized one rows of free then torsion coordinates,
-    int64, or Python ints if `terms` of them could sum past 2^62."""
-    if isinstance(c.target, FiniteGroup):
-        return np.array(c.f + c.h).ravel()
-    rows = [fr + tr for row in c.f + c.h for fr, tr in row]
-    big = max(map(abs, itertools.chain(*rows)), default=0) * (terms + 1) >> 62
-    return np.array(rows, dtype=object if big else np.int64).reshape(len(rows), -1)
+def _evaluate(t: Target, w: _Weights, idx: np.ndarray) -> np.ndarray:
+    """Ordered products of weights: per run r and column j of the
+    (steps, runs, columns) array idx, the product of w.rows[idx[i, r, j]]
+    over the steps i, with at least one step; a shorter run is padded with
+    the identity row.  The result is a (runs, columns) array of elements
+    in a finite target, and a (runs, columns, coordinates) one, torsion
+    reduced, in an abelianized target: Python ints there if a sum could
+    pass 2^62.  At most _CELLS weights are gathered at a time."""
+    steps, runs, m = idx.shape
+    rows = w.rows if w.bound * (steps + 1) >> 62 == 0 else w.rows.astype(object)
+    block = max(1, _CELLS // max(1, steps * runs * math.prod(rows.shape[1:])))
+    out = np.empty((runs, m, *rows.shape[1:]), rows.dtype)
+    for r in range(0, m, block):
+        g = rows.take(idx[..., r:r + block], axis=0)
+        if w.mul is None:
+            out[:, r:r + block] = g.sum(axis=0)
+            continue
+        val = g[0]
+        for step in g[1:]:
+            val = w.mul[val, step]
+        out[:, r:r + block] = val
+    if w.mul is None:
+        out[..., t.rank:] %= np.array(t.torsion, dtype=out.dtype)
+    return out
 
 
-def _passages(d: SingularDiagram, p: SingularPair, c: CocyclePair, passages: int):
-    """The number of colorings of d, and per crossing the weight of its
-    passage at every coloring as (W, k): W[k] is h at a singular crossing,
-    f at a positive one and f(S^-1(x,y))^-1 at a negative one, where k =
-    x*n + y indexes the incoming colors.  W holds target elements as
-    `_weights` does, sized for sums of `passages` of them."""
-    n, t, tables = p.n, c.target, flat_tables(p)
+def _products(d: SingularDiagram, p: SingularPair, t: Target, w: _Weights,
+              runs) -> np.ndarray:
+    """`_evaluate`'s product over each run of crossings in runs at every
+    sorted coloring of d: a crossing met with incoming colors (x, y)
+    weighs row x*n + y of its kind's block of w."""
+    n = p.n
     cols = coloring_array(d, p)
-    s1, s2 = tables[NEG, True]                         # S^-1
-    at = s1 * n + s2
-    A = _weights(c, passages)
-    F = A[:n * n]
-    neg = np.array(t.inverse)[F[at]] if isinstance(t, FiniteGroup) else -F[at]
-    W = {POS: F, SING: A[n * n:], NEG: neg}
-    col = dict(zip(d.edges, cols.T))
-    return len(cols), lambda cr: (W[cr.kind],
-                                  col[cr.in1].astype(np.intp) * n + col[cr.in2])
+    index = {e: i for i, e in enumerate(d.edges)}
+    block = {POS: 0, SING: n * n, NEG: 2 * n * n}
+    steps = max(map(len, runs), default=0) or 1
+    # the last row of colors is 0, so a pad reads row 3n^2: the identity
+    pad = [(len(index), len(index), 3 * n * n)]
+    cells = np.array([[(index[cr.in1], index[cr.in2], block[cr.kind]) for cr in run]
+                      + pad * (steps - len(run)) for run in runs], np.intp)
+    x, y, off = cells.reshape(len(runs), steps, 3).T
+    colors = np.zeros((len(index) + 1, len(cols)), np.intp)
+    colors[:-1] = cols.T
+    return _evaluate(t, w, colors[x] * n + colors[y] + off[..., None])
 
 
-def _product(t: Target, factors, size: int):
-    """Per coloring, the ordered product of W[k] over (W, k) in factors: a
-    Cayley-table fold in a finite target, a sum of coordinate rows reduced
-    once mod the torsion in an abelianized one."""
-    if isinstance(t, FiniteGroup):
-        table, val = np.array(t.table), np.full(size, t.identity())
-        for W, k in factors:
-            val = table[val, W[k]]
-        return val
-    val = np.zeros((size, t.rank + len(t.torsion)), np.int64)
-    for W, k in factors:
-        val = val + W[k]
-    val[:, t.rank:] %= np.array(t.torsion, dtype=val.dtype)
-    return val
-
-
-def _distinct(t: Target, vals):
-    """The distinct values of vals (ints, or rows of coordinates) in order
-    of first appearance as target elements, the class of every value and
-    the size of every class."""
-    keys = vals.reshape(len(vals), math.prod(vals.shape[1:]))
+def _tally(t: Target, vals):
+    """The distinct (run, value) pairs of vals, a (runs, colorings) array
+    of target elements: their values as target elements, in order of first
+    appearance run by run, per run the rank of each coloring's pair, and
+    the count of each pair."""
+    runs, m = vals.shape[:2]
+    flat = vals.reshape(runs * m, *vals.shape[2:])
+    keys = flat.reshape(len(flat), math.prod(vals.shape[2:]))
     if keys.dtype == object:      # exact: rank each column of Python ints
         keys = np.stack([np.unique(col, return_inverse=True)[1] for col in keys.T], 1)
-    # each row as one opaque value; the zero column keeps it from being empty
-    keys = np.concatenate([keys, np.zeros((len(keys), 1), keys.dtype)], axis=1)
+    # each (run, value) as one opaque key
+    run = np.repeat(np.arange(runs, dtype=keys.dtype), m)
+    keys = np.concatenate([run[:, None], keys], axis=1)
+    # in the narrowest integer type that holds them: fewer bytes to sort
+    keys = keys.astype(np.result_type(*map(np.min_scalar_type, (
+        keys.min(initial=0), keys.max(initial=0)))))
     keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
     _, first, which, counts = np.unique(keys, return_index=True,
                                         return_inverse=True, return_counts=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    out = vals[first[order]].tolist()
+    out = flat[first[order]].tolist()
     if isinstance(t, AbelianizedGroup):
         out = [(tuple(v[:t.rank]), tuple(v[t.rank:])) for v in out]
-    return out, rank[which.ravel()].tolist(), counts[order].tolist()
+    return out, rank[which.ravel()].reshape(runs, m).tolist(), counts[order].tolist()
 
 
 def nc_invariant(d: SingularDiagram, p: SingularPair,
@@ -348,13 +399,13 @@ def nc_invariant(d: SingularDiagram, p: SingularPair,
     """Per coloring, each component's ordered weight product from its
     basepoint, as a conjugacy-class representative.  Enumerative: in a
     non-abelian target the classes do not factor over crossings.  Every
-    coloring is evaluated at once, one passage at a time."""
+    coloring and every component is evaluated at once, each component's
+    weighted passages one run of `_products`."""
     if c.kind != NC:
         raise CocycleInvalidError("nc_invariant needs a noncommutative pair")
-    _validate_cocycle(p, c)
+    w = _checked_weights(p, c)
     t = c.target
-    size, factor = _passages(d, p, c, 2 * len(d.crossings))
-    comps = []
+    runs = []
     for base in d.basepoints:
         # the weighted passages from the basepoint; a loop has none
         passed, edge = [], base
@@ -366,12 +417,13 @@ def nc_invariant(d: SingularDiagram, p: SingularPair,
             edge = d.successor(edge)
             if edge == base:
                 break
-        val = _product(t, map(factor, passed), size)
-        if isinstance(t, FiniteGroup):
-            val = np.array([t.conjugacy_class_rep(a) for a in range(t.order)])[val]
-        values, which, _ = _distinct(t, val)
-        comps.append(map(values.__getitem__, which))
-    return NcInvariantValue(tuple(zip(*comps)) if comps else ((),) * size)
+        runs.append(passed)
+    vals = _products(d, p, t, w, runs)
+    if isinstance(t, FiniteGroup):
+        vals = np.array(t.class_reps)[vals]
+    values, which, _ = _tally(t, vals)
+    comps = [map(values.__getitem__, ranks) for ranks in which]
+    return NcInvariantValue(tuple(zip(*comps)) if comps else ((),) * vals.shape[1])
 
 
 def state_sum(d: SingularDiagram, p: SingularPair,
@@ -381,10 +433,8 @@ def state_sum(d: SingularDiagram, p: SingularPair,
     the sorted colorings."""
     if c.kind != AB:
         raise CocycleInvalidError("state_sum needs an abelian pair")
-    _validate_cocycle(p, c)
-    size, factor = _passages(d, p, c, len(d.crossings))
-    values, _, counts = _distinct(
-        c.target, _product(c.target, map(factor, d.crossings), size))
+    w = _checked_weights(p, c)
+    values, _, counts = _tally(c.target, _products(d, p, c.target, w, [d.crossings]))
     return GroupRingElement(dict(zip(values, counts)))
 
 

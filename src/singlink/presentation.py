@@ -460,6 +460,11 @@ class FiniteGroup:
     table: tuple[tuple[int, ...], ...]
     identity_index: int = field(init=False, default=0)
     inverse: tuple[int, ...] = field(init=False, default=())
+    # derived from the table once: whether it commutes, and per element
+    # the least element of its conjugacy class
+    abelian: bool = field(init=False, default=False, repr=False, compare=False)
+    class_reps: tuple[int, ...] = field(init=False, default=(), repr=False,
+                                        compare=False)
 
     def __post_init__(self):
         k = self.order
@@ -486,8 +491,18 @@ class FiniteGroup:
                 for z in range(k):
                     if t[t[x][y]][z] != t[x][t[y][z]]:
                         raise ValueError("multiplication is not associative")
+        reps = [None] * k
+        for a in range(k):
+            if reps[a] is None:
+                orbit = {t[t[g][a]][inv[g]] for g in range(k)}
+                rep = min(orbit)
+                for b in orbit:
+                    reps[b] = rep
         object.__setattr__(self, "identity_index", ident)
         object.__setattr__(self, "inverse", tuple(inv))
+        object.__setattr__(self, "abelian", all(
+            t[a][b] == t[b][a] for a in range(k) for b in range(a)))
+        object.__setattr__(self, "class_reps", tuple(reps))
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -499,8 +514,7 @@ class FiniteGroup:
         return self.identity_index
 
     def is_abelian(self) -> bool:
-        return all(self.table[a][b] == self.table[b][a]
-                   for a in range(self.order) for b in range(self.order))
+        return self.abelian
 
     def conjugacy_class_rep(self, a: int) -> int:
         return min(self.mul(self.mul(g, a), self.inv(g)) for g in range(self.order))

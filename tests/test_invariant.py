@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from singlink import invariant
 from singlink.coloring import (count_colorings, enumerate_colorings,
                                fixed_point_count)
-from singlink.diagram import (MOVES, Crossing, SingularDiagram, apply_move,
-                              builtin_diagram, find_move_sites)
+from singlink.diagram import (MOVES, Crossing, SingularDiagram, _ladder_names,
+                              apply_move, braid_closure, builtin_diagram,
+                              find_move_sites)
 from singlink.errors import CocycleInvalidError
 from singlink.invariant import (AB, NC, CocyclePair, builtin_cocycle,
                                 check_ab_cocycle, check_nc_cocycle,
@@ -381,25 +382,37 @@ class TestNcInvariant:
                          CocyclePair(tgt, f, h, NC))
 
     def test_cocycle_checked_once_per_pair(self, monkeypatch):
-        p = builtin_pair("flip-i2")
-        d = builtin_diagram("sing_trefoil")
+        p, other = builtin_pair("flip-i2"), builtin_pair("flip-flip")
+        ds = [builtin_diagram("sing_trefoil"), builtin_diagram("four_sing_left")]
         # fresh copies of the (already checked) builtins
         nc, ab = (CocyclePair(c.target, c.f, c.h, c.kind) for c in
                   (builtin_cocycle("flip-i2", NC), builtin_cocycle("flip-s2", AB)))
-        calls = []
-        real = invariant._check_cocycle
+        calls, builds = [], []
+        check, table = invariant._check_cocycle, invariant._weight_table
         monkeypatch.setattr(invariant, "_check_cocycle",
-                            lambda p, c: calls.append(c.kind) or real(p, c))
+                            lambda p, c, *w: calls.append(c.kind) or check(p, c, *w))
+        monkeypatch.setattr(invariant, "_weight_table",
+                            lambda p, c: builds.append((c.kind, p)) or table(p, c))
+        assert check_nc_cocycle(p, nc).ok and check_ab_cocycle(p, ab).ok
         for _ in range(5):
-            nc_invariant(d, p, nc)
-            state_sum(d, p, ab)
+            for d in ds:
+                nc_invariant(d, p, nc)
+                state_sum(d, p, ab)
         assert calls == [NC, AB]
+        assert builds == [(NC, p), (AB, p)]
+        # nc is a cocycle of flip-flip too: one more table, for that pair
+        for _ in range(5):
+            for d in ds:
+                nc_invariant(d, other, nc)
+        assert calls == [NC, AB, NC]
+        assert builds == [(NC, p), (AB, p), (NC, other)]
         bad = CocyclePair(FiniteGroup.cyclic(3), ((0, 0), (0, 0)),
                           ((0, 1), (2, 0)), NC)
         for _ in range(3):
             with pytest.raises(CocycleInvalidError):
-                nc_invariant(d, p, bad)
-        assert calls == [NC, AB, NC]
+                nc_invariant(ds[0], p, bad)
+        assert calls == [NC, AB, NC, NC]
+        assert builds[3:] == [(NC, p)]
 
 
 class TestStateSum:
@@ -664,6 +677,32 @@ class TestBatchedEvaluation:
             for elem in state_sum(d, p, ab).terms:
                 biggest = max([biggest, *map(abs, elem[0])])
         assert biggest >= 2 * k
+
+
+    def test_one_table_for_int64_and_python_int_sums(self):
+        # the table of a cocycle with coordinates near 2^57 serves a query
+        # whose sums fit int64 and one whose sums pass 2^63
+        p = builtin_pair("flip-i2")
+        k = 2 ** 57 + 1
+        nc, ab = (scaled(builtin_cocycle("flip-i2", kind), k) for kind in (NC, AB))
+        small = builtin_diagram("four_sing_left")
+        big = braid_closure([(0, "s")] * 140, 2, _ladder_names(140))
+        for d, fits in ((small, True), (big, False)):
+            passages = 2 * len(d.crossings)
+            assert ((passages + 1) * k < 2 ** 62) == fits
+            assert_matches_oracles(d, p, nc, ab, len(d.crossings))
+        biggest = max(abs(v) for elem in state_sum(big, p, ab).terms for v in elem[0])
+        assert biggest >= 2 ** 63
+
+    def test_gathers_in_row_blocks(self):
+        p = builtin_pair("flip-flip")
+        word = [(i, kind) for i in range(0, 12, 2) for kind in "+s"]
+        d = shuffled_closure(word, 12, Random("row blocks"))
+        nc, ab = builtin_cocycle("flip-flip", NC), builtin_cocycle("flip-flip", AB)
+        assert count_colorings(d, p) == 4096 and len(d.basepoints) == 12
+        # at least one weight per coloring, component and coordinate
+        assert 4096 * 12 * nc.target.rank > 2 * invariant._CELLS
+        assert_matches_oracles(d, p, nc, ab)
 
 
 @functools.lru_cache(maxsize=None)

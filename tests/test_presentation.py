@@ -325,6 +325,13 @@ class TestFiniteGroup:
                 conj = g.mul(g.mul(c, a), g.inv(c))
                 assert g.conjugacy_class_rep(conj) == ra
 
+    @pytest.mark.parametrize("k, classes", [(3, 3), (4, 5)])
+    def test_class_reps_and_abelian_flag_built_once(self, k, classes):
+        g = FiniteGroup.symmetric(k)
+        assert g.class_reps == tuple(map(g.conjugacy_class_rep, range(g.order)))
+        assert len(set(g.class_reps)) == classes     # the partitions of k
+        assert not g.abelian and FiniteGroup.cyclic(k).abelian
+
     def test_bad_table_rejected(self):
         with pytest.raises(ValueError):
             FiniteGroup(2, ((0, 1), (1, 1)))
