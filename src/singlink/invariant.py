@@ -52,8 +52,10 @@ Target = Union[FiniteGroup, AbelianizedGroup]
 
 NC, AB = "nc", "ab"
 
-# gathered cells (colorings x passages x coordinates) a row block may hold
-_CELLS = 1 << 16
+# gathered weights (steps x runs x colorings x coordinates) a block may
+# hold, 128 KB of int64: blocks of 2^16 cells measured slower on queries
+# with 625 colorings
+_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
