@@ -570,11 +570,16 @@ def _trace(d: SingularDiagram, word, kinds, first: int):
 
 
 def _word_sites(d: SingularDiagram, move: str):
+    """Trace each form's word from every crossing of the kind its first
+    letter stands for; a trace from any other crossing fails at once."""
     words, kind_maps = _WORD_MOVES[move]
+    by_kind: dict[str, list[int]] = {}
+    for k, c in enumerate(d.crossings):
+        by_kind.setdefault(c.kind, []).append(k)
     sites = []
     for form, word in words.items():
         for kinds in kind_maps:
-            for k in range(len(d.crossings)):
+            for k in by_kind.get(kinds[word[0][0]], ()):
                 hit = _trace(d, word, kinds, k)
                 if hit:
                     sites.append(MoveSite.make(move, hit[0], form=form))

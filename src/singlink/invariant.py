@@ -27,7 +27,8 @@ appearance.
 The cocycle conditions are not written out here: the checkers evaluate
 both sides of every instance of the relation table in
 `presentation.relation_families` in the target group with the same
-`_evaluate`, each family at all of its points at once.
+`_evaluate`, all families at all of their points in one gather of
+`presentation.family_words`' stack, and split the verdict per family.
 """
 
 from __future__ import annotations
@@ -143,22 +144,19 @@ def _memo(p: SingularPair, c: CocyclePair) -> tuple[CocycleCheck, _Weights]:
 
 def _check_cocycle(p: SingularPair, c: CocyclePair,
                    w: Union[_Weights, None] = None) -> CocycleCheck:
-    """Evaluate both sides of every relation family in the target at all
-    of its points at once, as two runs of one index array into c's weight
+    """Evaluate both sides of every instance of every relation family in
+    the target at once, as two runs of one index array into c's weight
     table w (a fresh one by default), and keep the first failing point of
     each family in row-major order."""
     w = w if w is not None else _weight_table(p, c)
-    viols = []
-    for name, k, lhs, rhs in family_words(relation_families(p, c.kind), p.n):
-        idx = np.full((max(lhs.shape[1], rhs.shape[1], 1), 2, len(lhs)), len(w.rows) - 1)
-        idx[:lhs.shape[1], 0] = lhs.T
-        idx[:rhs.shape[1], 1] = rhs.T
-        left, right = _evaluate(c.target, w, idx)
-        ok = (left == right).reshape(len(lhs), -1).all(axis=1)
-        if not ok.all():
-            point = np.unravel_index(ok.argmin(), (p.n,) * k)
-            viols.append((name, tuple(map(int, point))))
-    return CocycleCheck(not viols, tuple(viols))
+    t = family_words(relation_families(p, c.kind), p.n)
+    # a side's pad, -1, reads the last row of w: the identity
+    left, right = _evaluate(c.target, w, np.stack([t.lhs.T, t.rhs.T], axis=1))
+    bad = np.flatnonzero(~(left == right).reshape(len(t.family), -1).all(axis=1))
+    fams, first = np.unique(t.family[bad], return_index=True)
+    viols = tuple((t.names[f], tuple(int(v) for v in np.unravel_index(
+        t.point[i], (p.n,) * t.arity[f]))) for f, i in zip(fams.tolist(), bad[first]))
+    return CocycleCheck(not viols, viols)
 
 
 def check_nc_cocycle(p: SingularPair, c: CocyclePair) -> CocycleCheck:

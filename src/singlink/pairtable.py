@@ -76,16 +76,18 @@ class PairTable:
         return len({self.apply(x, y) for x in range(self.n) for y in range(self.n)}) == self.n**2
 
     def inverse(self) -> "PairTable":
-        if not self.is_bijective():
-            raise ValueError("table is not bijective")
+        """The inverse map, in one pass over the cells: n^2 cells fill
+        n^2 places, so the table is bijective iff no place is hit twice."""
         n = self.n
-        u1 = [[0] * n for _ in range(n)]
-        u2 = [[0] * n for _ in range(n)]
-        for x in range(n):
-            for y in range(n):
-                a, b = self.apply(x, y)
-                u1[a][b], u2[a][b] = x, y
-        return PairTable(n, u1, u2)
+        u1 = [[-1] * n for _ in range(n)]
+        u2 = [[-1] * n for _ in range(n)]
+        for x, (r1, r2) in enumerate(zip(self.t1, self.t2)):
+            for y, a, b in zip(range(n), r1, r2):
+                if u1[a][b] >= 0:
+                    raise ValueError("table is not bijective")
+                u1[a][b] = x
+                u2[a][b] = y
+        return PairTable._unchecked(n, tuple(map(tuple, u1)), tuple(map(tuple, u2)))
 
     def compose(self, other: "PairTable") -> "PairTable":
         """self after other, as maps on X x X."""

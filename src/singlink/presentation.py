@@ -11,11 +11,20 @@ cocycle conditions: a cocycle pair into G is a homomorphism from the
 universal group that sends f(x,y), h(x,y) to their table values, so the
 same families present U_nc^{fh} and Ab^{fh} here and are evaluated in the
 target by the cocycle checkers in `invariant`.
+
+`family_words` stacks every instance of every family into one padded
+array per side, in `relation_instances` order, with a fixed number of
+numpy calls besides the families' own indexing.  A presentation is read
+off that stack in bulk: each relator lhs rhs^-1 is freely reduced by
+stripping the common suffix of its two sides, and the words are cut from
+one tuple of letters.  `abelianize` reads each generator's coordinates
+off the column transform of the Smith normal form by slicing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,19 +47,6 @@ def generator_name(n: int, g: int) -> str:
     kind = "f" if g < n * n else "h"
     g %= n * n
     return f"{kind}({g // n},{g % n})"
-
-
-def _word(*letters) -> Word:
-    """Freely reduce a sequence of (gen, exp) letters."""
-    out: list[list[int]] = []
-    for g, e in letters:
-        if e == 0:
-            continue
-        if out and out[-1][0] == g and out[-1][1] + e == 0:
-            out.pop()
-        else:
-            out.append([g, e])
-    return tuple((g, e) for g, e in out)
 
 
 @dataclass(frozen=True)
@@ -91,7 +87,9 @@ def relation_families(p: SingularPair, kind: str):
     t1, t2 = np.array(p.tau.t1), np.array(p.tau.t2)
     s = np.array(p.biquandle.s_map)
 
-    F, H = f_gen(n, *np.indices((n, n))), h_gen(n, *np.indices((n, n)))
+    # F[x, y] = f_gen(n, x, y), H[x, y] = h_gen(n, x, y)
+    F = np.arange(n * n).reshape(n, n)
+    H = F + n * n
 
     if kind == "nc":
         return (
@@ -145,15 +143,51 @@ def relation_families(p: SingularPair, kind: str):
     )
 
 
-def family_words(families, n: int):
-    """Per relation family, (name, k, lhs, rhs): its arity k and its two
-    sides at every point of X^k in row-major order, as (n^k, letters)
-    arrays of generator indices."""
-    points = {k: np.indices((n,) * k).reshape(k, -1) for k in (1, 2, 3)}
-    for name, rel in families:
-        k = rel.__code__.co_argcount
-        yield name, k, *(np.array(side, np.intp).reshape(len(side), n ** k).T
-                         for side in rel(*points[k]))
+class Relations(NamedTuple):
+    """Every instance of every relation family, one row each, in
+    `relation_instances` order.  lhs and rhs hold the generator indices
+    of the two sides, each right-aligned and padded on the left with -1
+    to the longest side of any family; instance i belongs to family
+    family[i] (names[family[i]], of arity arity[family[i]]) at the point
+    with index point[i] in the row-major order of X^k."""
+    names: tuple[str, ...]
+    arity: tuple[int, ...]
+    family: np.ndarray
+    point: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+
+
+def family_words(families, n: int) -> Relations:
+    """Run every family at every point of X^3 and keep its instances.
+
+    A family of arity k reads the first k coordinates, so of its n^(3-k)
+    equal copies at a point of X^k it keeps the one whose other
+    coordinates are 0.  Kept in the row-major order of (point of X^3,
+    arity, family), that is `relation_instances` order: at (x, 0, 0) the
+    unary families, at (x, y, 0) the binary ones, at every (x, y, z) the
+    ternary ones.  Every family is evaluated before the stacking, so
+    beyond the families' own indexing a call makes a fixed number of
+    numpy calls.
+    """
+    points = np.indices((n, n, n)).reshape(3, -1)
+    names = tuple(name for name, _ in families)
+    arity = tuple(rel.__code__.co_argcount for _, rel in families)
+    # unary, then binary, then ternary families, each in table order
+    order = sorted(range(len(families)), key=arity.__getitem__)
+    sides = [side for f in order for side in families[f][1](*points[:arity[f]])]
+    width = max(map(len, sides))
+    pad = [np.full(n ** 3, -1)]
+    # (point, family, side, letter), each side right-aligned
+    letters = np.concatenate([g for side in sides for g in pad * (width - len(side)) + side])
+    letters = letters.reshape(len(order), 2, width, n ** 3).transpose(3, 0, 1, 2)
+    # the coordinates after the last one read are 0: 2 at (x, 0, 0), 1 at (x, y, 0)
+    zeros = (points[2] == 0) * (1 + (points[1] == 0))
+    at, col = np.nonzero(np.array([arity[f] for f in order]) + zeros[:, None] >= 3)
+    kept = letters[at, col]
+    family = np.array(order)[col]
+    return Relations(names, arity, family, at // (n ** (3 - np.array(arity)))[family],
+                     kept[:, 0], kept[:, 1])
 
 
 def relation_instances(families, n: int):
@@ -163,28 +197,39 @@ def relation_instances(families, n: int):
     x walks the unary families, y the binary ones and z the ternary ones,
     each in table order, so relations come out grouped by point.
     """
-    by_arity = {1: [], 2: [], 3: []}
-    for name, k, lhs, rhs in family_words(families, n):
-        by_arity[k].append((name, lhs.tolist(), rhs.tolist()))
-    for x in range(n):
-        for name, lhs, rhs in by_arity[1]:
-            yield name, (x,), lhs[x], rhs[x]
-        for y in range(n):
-            i = x * n + y
-            for name, lhs, rhs in by_arity[2]:
-                yield name, (x, y), lhs[i], rhs[i]
-            for z in range(n):
-                for name, lhs, rhs in by_arity[3]:
-                    yield name, (x, y, z), lhs[i * n + z], rhs[i * n + z]
+    t = family_words(families, n)
+    for f, i, lhs, rhs in zip(t.family.tolist(), t.point.tolist(),
+                              t.lhs.tolist(), t.rhs.tolist()):
+        k = t.arity[f]
+        yield (t.names[f], tuple(i // n ** (k - 1 - j) % n for j in range(k)),
+               [g for g in lhs if g >= 0], [g for g in rhs if g >= 0])
 
 
 def _build_presentation(p: SingularPair, kind: str) -> Presentation:
-    words = {}                     # insertion-ordered set of nonempty words
-    for _, _, lhs, rhs in relation_instances(relation_families(p, kind), p.n):
-        # the relator lhs rhs^-1, freely reduced
-        w = _word(*((g, 1) for g in lhs), *((g, -1) for g in reversed(rhs)))
-        if w:
-            words.setdefault(w, None)
+    """Each relator lhs rhs^-1, freely reduced, in `relation_instances`
+    order; empty ones dropped, and repeats after their first occurrence.
+
+    A relator is a row of signed codes, +(g+1) for g and -(g+1) for g^-1:
+    lhs right-aligned, then rhs reversed and inverted, with 0 for a pad.
+    Every lhs letter has exponent +1 and every rhs letter -1, so letters
+    cancel only in pairs outwards from where the two halves meet: the
+    common suffix of lhs and rhs.  The words are cut from one tuple of
+    all kept letters, and a dict keeps each word's first occurrence."""
+    t = family_words(relation_families(p, kind), p.n)
+    w = t.lhs.shape[1]
+    codes = np.concatenate([t.lhs, -2 - t.rhs[:, ::-1]], axis=1) + 1
+    # pairs (lhs[-1-j], rhs[-1-j]) that cancel, up to the first that does
+    # not; two pads count as cancelling, and are dropped either way
+    cut = np.logical_and.accumulate(codes[:, w - 1::-1] + codes[:, w:] == 0, axis=1)
+    kept = (codes != 0) & ~np.concatenate([cut[:, ::-1], cut], axis=1)
+    # each code's (generator, exponent) letter, one object shared by the words
+    g = 2 * p.n * p.n
+    alphabet = ([(i, -1) for i in range(g - 1, -1, -1)] + [None]
+                + [(i, 1) for i in range(g)])
+    letters = tuple(map(alphabet.__getitem__, (codes[kept] + g).tolist()))
+    ends = np.cumsum(kept.sum(axis=1)).tolist()
+    words = dict.fromkeys(map(letters.__getitem__, map(slice, [0] + ends, ends)))
+    words.pop((), None)
     return Presentation(p.n, kind, tuple(words))
 
 
@@ -423,6 +468,9 @@ def abelianize(pres: Presentation) -> AbelianizedGroup:
 
     Runs the elimination of `smith_normal_form` with only the column
     transform V carried along; the row transform U is never formed.
+    Generator j's coordinates are row j of V: its free ones the columns
+    past the last pivot, its torsion ones the columns of the invariant
+    factors d_i > 1, reduced mod d_i; both are read as array slices.
     """
     g = pres.num_generators
     rels = pres.relations
@@ -436,18 +484,15 @@ def abelianize(pres: Presentation) -> AbelianizedGroup:
               np.array(exps, dtype=W.dtype))
     W[r + np.arange(g), np.arange(g)] = 1
     W, r0 = _smith_reduce(W, r, g)
-    diag = [int(W[i, i]) for i in range(r0)]
-    V = W[r:].tolist()
-    torsion_idx = [i for i in range(r0) if diag[i] > 1]
-    torsion = tuple(diag[i] for i in torsion_idx)
-    free_idx = list(range(r0, g))
-    # generator e_j has coordinates row j of V in the new basis
-    coord = []
-    for j in range(g):
-        free = tuple(V[j][i] for i in free_idx)
-        tors = tuple(V[j][i] % diag[i] for i in torsion_idx)
-        coord.append((free, tors))
-    return AbelianizedGroup(g - r0, torsion, tuple(coord))
+    # generator e_j has coordinates row j of V = W[r:] in the new basis:
+    # the free ones in columns r0.., the torsion ones where d_i > 1
+    diag = W.diagonal()[:r0]
+    tors = np.flatnonzero(diag > 1)
+    V = W[r:]
+    coord = tuple(zip(map(tuple, V[:, r0:].tolist()),
+                      map(tuple, (V[:, tors] % diag[tors]).tolist())))
+    torsion = tuple(diag[tors].tolist())
+    return AbelianizedGroup(g - r0, torsion, coord)
 
 
 # ---------------------------------------------------------------------------
@@ -545,18 +590,21 @@ class FiniteGroup:
 # ---------------------------------------------------------------------------
 
 class GroupRingElement:
-    """Sum of group elements with integer coefficients; zero coeffs dropped."""
+    """Sum of group elements with integer coefficients; zero coeffs dropped.
+
+    terms is a dict element -> coefficient, or pairs (element,
+    coefficient) in which an element may repeat: its coefficients add up,
+    at the place of its first occurrence."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        self.terms = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for elem, coeff in items:
-            if coeff:
-                self.terms[elem] = self.terms.get(elem, 0) + coeff
-                if not self.terms[elem]:
-                    del self.terms[elem]
+        if not isinstance(terms, dict):
+            merged = {}
+            for elem, coeff in terms:
+                merged[elem] = merged.get(elem, 0) + coeff
+            terms = merged
+        self.terms = {elem: coeff for elem, coeff in terms.items() if coeff}
 
     def __add__(self, other):
         out = dict(self.terms)

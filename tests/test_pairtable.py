@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singlink.errors import NonUnitError
-from singlink.pairs import SINGULAR_PAIR_AXIOMS
+from singlink.pairs import SINGULAR_PAIR_AXIOMS, builtin_pair, enumerate_taus
 from singlink.pairtable import (Biquandle, PairTable, Quandle,
                                 check_biquandle, check_yang_baxter,
                                 first_failure, flat_map, word_images,
@@ -244,3 +244,69 @@ class TestPairTableBasics:
     def test_entries_validated(self):
         with pytest.raises(ValueError):
             PairTable(2, ((0, 1), (2, 0)), ((0, 0), (1, 1)))
+
+
+def inverse_oracle(t: PairTable) -> PairTable:
+    """The inverse built cell by cell after a separate bijectivity check."""
+    if not t.is_bijective():
+        raise ValueError("table is not bijective")
+    n = t.n
+    u1 = [[0] * n for _ in range(n)]
+    u2 = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            a, b = t.apply(x, y)
+            u1[a][b], u2[a][b] = x, y
+    return PairTable(n, u1, u2)
+
+
+def tables_to_invert():
+    """The switches and taus the tests build: every builtin pair's, the
+    flip, i2, dihedral, bialexander and quandle switches, every tau of the
+    flip n = 3, D4, D5 and bialexander(5,2,3) searches and the loose flip
+    n = 2 and 3 taus (some of them not bijective); then seeded random
+    tables, bijective or with one cell's pair repeated."""
+    names = ("flip-flip", "flip-i2", "flip-s2", "flip-flip-3", "d3-ss",
+             "d3-sinv", "i2-ss", "trivial-1")
+    out = [t for name in names
+           for t in (builtin_pair(name).biquandle.table, builtin_pair(name).tau)]
+    out += [flip_switch(n).table for n in range(1, 6)] + [i2_switch().table]
+    out += [dihedral_switch(n).table for n in range(3, 13)]
+    out += [make_bialexander(m, s, t).table for m in range(2, 8)
+            for s in range(1, m) for t in range(1, m)
+            if np.gcd(s, m) == 1 and np.gcd(t, m) == 1]
+    out += [make_quandle_switch(q).table for n in range(2, 6)
+            for q in (dihedral_quandle(n), trivial_quandle(n))]
+    for S in (flip_switch(3), dihedral_switch(4), dihedral_switch(5),
+              make_bialexander(5, 2, 3)):
+        out += enumerate_taus(S)
+    out += enumerate_taus(flip_switch(2), require_bijective=False)
+    out += enumerate_taus(flip_switch(3), require_bijective=False)
+    rng = np.random.default_rng(2024)
+    for n in range(1, 9):
+        for _ in range(40):
+            cells = rng.permutation(n * n)
+            if n > 1 and rng.random() < 0.5:
+                cells[rng.integers(n * n)] = cells[rng.integers(n * n)]
+            out.append(PairTable(n, (cells // n).reshape(n, n).tolist(),
+                                 (cells % n).reshape(n, n).tolist()))
+    return out
+
+
+def test_inverse_matches_the_cell_by_cell_oracle():
+    bijective = refused = 0
+    for t in tables_to_invert():
+        try:
+            want = inverse_oracle(t)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=str(err)):
+                t.inverse()
+            refused += 1
+            continue
+        got = t.inverse()
+        assert got == want, t
+        assert all(type(row) is tuple and all(type(v) is int for v in row)
+                   for row in got.t1 + got.t2)
+        assert got.inverse() == t
+        bijective += 1
+    assert bijective > 400 and refused > 100, (bijective, refused)

@@ -1,6 +1,7 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,8 @@ from singlink.presentation import (AbelianizedGroup, FiniteGroup,
                                    build_ab_presentation,
                                    build_unc_presentation,
                                    equivalence_classes_involutive, f_gen,
-                                   h_gen, smith_normal_form)
+                                   h_gen, relation_families,
+                                   relation_instances, smith_normal_form)
 
 
 def matmul(A, B):
@@ -295,6 +297,18 @@ class TestGroupRing:
     def test_zero_coefficients_dropped(self):
         e1 = GroupRingElement([(("x",), 1), (("x",), -1)])
         assert e1.terms == {}
+
+    def test_dict_and_pair_inputs(self):
+        # a dict's keys are distinct: only its zero coefficients go
+        d = GroupRingElement({("a",): 2, ("b",): 0, ("c",): -1})
+        assert list(d.terms.items()) == [(("a",), 2), (("c",), -1)]
+        # pairs merge repeated elements at their first place, and drop
+        # the ones that cancel or are zero throughout
+        e = GroupRingElement([(("a",), 2), (("b",), 0), (("c",), 1), (("a",), 1),
+                              (("c",), -1), (("d",), 0), (("b",), 4)])
+        assert list(e.terms.items()) == [(("a",), 3), (("b",), 4)]
+        assert GroupRingElement([(("x",), 1), (("x",), -1), (("x",), 0)]).terms == {}
+        assert GroupRingElement({}).terms == GroupRingElement().terms == {}
 
     def test_addition(self):
         a = GroupRingElement([(("a",), 2)])
@@ -680,3 +694,86 @@ def test_smith_normal_form_matches_the_full_scan_oracle():
         big += max(entries) > 1 << 30
         tall += 1 not in entries and len(M) > 2 * presentation._BAND
     assert unit_free and big and tall, (unit_free, big, tall)
+
+
+# ---------------------------------------------------------------------------
+# the stacked relation builder against a per-instance oracle
+# ---------------------------------------------------------------------------
+
+def free_reduce(letters):
+    """Freely reduce (generator, exponent) letters one at a time against
+    a stack."""
+    out = []
+    for g, e in letters:
+        if e == 0:
+            continue
+        if out and out[-1][0] == g and out[-1][1] + e == 0:
+            out.pop()
+        else:
+            out.append((g, e))
+    return tuple(out)
+
+
+def instances_oracle(families, n):
+    """(name, point, lhs, rhs) of every instance, each family run at its
+    own points: x walks the unary families, y the binary ones and z the
+    ternary ones, each in table order."""
+    by_arity = {1: [], 2: [], 3: []}
+    for name, rel in families:
+        k = rel.__code__.co_argcount
+        lhs, rhs = ([[int(g[i]) for g in side] for i in range(n ** k)]
+                    for side in rel(*np.indices((n,) * k).reshape(k, -1)))
+        by_arity[k].append((name, lhs, rhs))
+    for x in range(n):
+        for name, lhs, rhs in by_arity[1]:
+            yield name, (x,), lhs[x], rhs[x]
+        for y in range(n):
+            i = x * n + y
+            for name, lhs, rhs in by_arity[2]:
+                yield name, (x, y), lhs[i], rhs[i]
+            for z in range(n):
+                for name, lhs, rhs in by_arity[3]:
+                    yield name, (x, y, z), lhs[i * n + z], rhs[i * n + z]
+
+
+def presentation_oracle(p, kind):
+    """Each relator lhs rhs^-1 freely reduced letter by letter, empty ones
+    dropped, repeats kept at their first occurrence."""
+    words = {}
+    for _, _, lhs, rhs in instances_oracle(relation_families(p, kind), p.n):
+        w = free_reduce([(g, 1) for g in lhs] + [(g, -1) for g in reversed(rhs)])
+        if w:
+            words.setdefault(w, None)
+    return tuple(words)
+
+
+@pytest.mark.parametrize("switch", ["flip3", "D4", "D5", "bialexander(5,2,3)"])
+def test_stacked_relations_match_the_per_instance_oracle(switch):
+    S = {"flip3": lambda: flip_switch(3), "D4": lambda: dihedral_switch(4),
+         "D5": lambda: dihedral_switch(5),
+         "bialexander(5,2,3)": lambda: make_bialexander(5, 2, 3)}[switch]()
+    classes = enumerate_taus(S, up_to_iso=True)
+    assert classes
+    for cls in classes:
+        p = cls.canonical
+        for kind, build in (("nc", build_unc_presentation),
+                            ("ab", build_ab_presentation)):
+            families = relation_families(p, kind)
+            assert (list(relation_instances(families, p.n))
+                    == list(instances_oracle(families, p.n))), (p, kind)
+            pres = build(p)
+            assert pres.relations == presentation_oracle(p, kind), (p, kind)
+            assert all(type(v) is int for w in pres.relations
+                       for letter in w for v in letter)
+
+
+def test_free_reduction_strips_the_common_suffix():
+    # n = 1, f = f(0,0) is generator 0 and h = h(0,0) generator 1: (c3)
+    # h = f h loses its common suffix h and leaves f^-1; (c4) h = h f has
+    # none, as a common prefix does not cancel; (f1), (f4) and (h1) cancel
+    # entirely and are dropped; (c1) and (c2) give the same word, kept once
+    p = builtin_pair("trivial-1")
+    want = (((0, -1),), ((1, 1), (0, -1), (1, -1)),
+            ((0, 1), (1, 1), (0, -1), (1, -1)))
+    assert build_unc_presentation(p).relations == want
+    assert presentation_oracle(p, "nc") == want
