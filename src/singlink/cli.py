@@ -123,13 +123,12 @@ def _cmd_pairs(args) -> int:
     if args.pairs_cmd == "enumerate":
         _check_at_least_1("--max-n", args.max_n)
         _check_at_least_1("--n", args.n)
-        S = _load_switch(args.switch)
+        # bare flip takes its size from --n; every other form has its own
+        S = (flip_switch(args.n) if args.switch == "flip" and args.n is not None
+             else _load_switch(args.switch))
         if args.n is not None and S.n != args.n:
-            if args.switch.startswith("flip"):
-                S = flip_switch(args.n)
-            else:
-                raise SinglinkError(
-                    f"--n {args.n} disagrees with switch on {S.n} elements")
+            raise SinglinkError(
+                f"--n {args.n} disagrees with switch on {S.n} elements")
         taus = enumerate_taus(S, max_n=args.max_n)
         lines = [f"pairs: {len(taus)}"]
         obj = {"count": len(taus),
@@ -233,23 +232,28 @@ def _cmd_group(args) -> int:
     return 0
 
 
+_COCYCLE_FORMS = "universal or a cocycle JSON file"
+
+
 def _load_cocycle(spec: str, target_spec, p: SingularPair, kind: str):
     if spec == "universal":
         name = None
         for cand in ("flip-i2", "flip-s2", "flip-flip"):
-            try:
-                if builtin_pair(cand).key() == p.key():
-                    name = cand
-                    break
-            except Exception:
-                pass
+            if builtin_pair(cand).key() == p.key():
+                name = cand
+                break
         if name == "flip-i2" and kind == iv.AB:
             name = "flip-s2"
         if name is not None:
             return iv.builtin_cocycle(name, kind)
         return (iv.universal_nc_cocycle(p) if kind == iv.NC
                 else iv.universal_ab_cocycle(p))
-    with open(spec) as fh, _malformed(f"cocycle file {spec!r}"):
+    try:
+        fh = open(spec)
+    except FileNotFoundError:
+        raise SinglinkError(f"unknown cocycle {spec!r}: expected "
+                            f"{_COCYCLE_FORMS}") from None
+    with fh, _malformed(f"cocycle file {spec!r}"):
         data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError("the top level must be a JSON object")
@@ -373,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("invariant_cmd", choices=("nc", "statesum"))
     p_inv.add_argument("diagram")
     p_inv.add_argument("--pair", required=True)
-    p_inv.add_argument("--cocycle", default="universal")
+    p_inv.add_argument("--cocycle", default="universal", help=_COCYCLE_FORMS)
     p_inv.add_argument("--target")
 
     p_tab = sub.add_parser("tables", parents=[common])

@@ -250,6 +250,27 @@ class TestErrorsAndDeterminism:
         for form in ("flip[:n]", "i2", "dN", "bialexander:m,s,t", "JSON file"):
             assert form in err
 
+    @pytest.mark.parametrize("spec", ["flip:3", "flip:2"])
+    def test_flip_with_a_size_keeps_it(self, capsys, spec):
+        # only bare flip takes its size from --n
+        n = 5 - int(spec[-1])
+        code, out, err = run(capsys, "pairs", "enumerate", "--switch", spec,
+                             "--n", str(n))
+        assert (code, out) == (1, "")
+        assert err == f"error: --n {n} disagrees with switch on {spec[-1]} elements\n"
+        assert run(capsys, "pairs", "enumerate", "--switch", spec, "--n",
+                   spec[-1]) == run(capsys, "pairs", "enumerate", "--switch",
+                                    "flip", "--n", spec[-1])
+
+    def test_unknown_cocycle_names_the_accepted_forms(self, tmp_path, monkeypatch,
+                                                      capsys):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "invariant", "nc", "@sing_trefoil", "--pair",
+                             "builtin:flip-flip", "--cocycle", "nonsense")
+        assert (code, out) == (1, "")
+        assert err == ("error: unknown cocycle 'nonsense': expected universal "
+                       "or a cocycle JSON file\n")
+
     def test_n_does_not_lift_the_bound(self, capsys):
         code, _, err = run(capsys, "pairs", "enumerate", "--switch", "flip",
                            "--n", "5")
