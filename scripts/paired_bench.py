@@ -13,8 +13,9 @@ the checkout are not run; commit them first.  Both run the unchanged
 run_seconds, one benchmark at a time, once per seed: the parent first on
 odd seeds, the change first on even ones.  For every end-to-end metric of
 BENCHMARK.json the script prints each side's median and quartiles
-(statistics.quantiles, method='inclusive'), the pairs the change won and
-the ratio of the medians, then the attempted and failed task counts.
+(statistics.quantiles, method='inclusive'), the pairs the change won,
+the ratio of the medians and a verdict (see `verdict`), then the
+attempted and failed task counts.
 --json writes the same figures as the workload's entry in the
 `paired_bench` block of a BENCH_*.json file, creating the file or keeping
 what else it holds.
@@ -55,6 +56,28 @@ def quartiles(values) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def verdict(metric: dict, q: dict, won: int, pairs: int) -> str:
+    """One metric's verdict from each side's quartiles q and the pairs the
+    change won: "gain" when it won at least 9 pairs in 10 and its median
+    is better by more than the parent's IQR; "regression" when its median
+    is worse than the parent's by more than the metric's relative
+    `bound`; otherwise "unresolved" when either side's IQR exceeds the
+    bound times its median, and "level" when neither does.  A metric
+    with no bound is a gain or level."""
+    sign = 1 if metric["better"] == "lower" else -1
+    parent, change = q["parent"], q["change"]
+    gain = sign * (parent["median"] - change["median"])
+    if 10 * won >= 9 * pairs and gain > parent["q3"] - parent["q1"]:
+        return "gain"
+    bound = metric.get("bound")
+    if bound is None:
+        return "level"
+    if -gain > bound * abs(parent["median"]):
+        return "regression"
+    wide = any(s["q3"] - s["q1"] > bound * abs(s["median"]) for s in (parent, change))
+    return "unresolved" if wide else "level"
+
+
 def summarize(seeds, runs, spec) -> dict:
     """The paired_bench entry of one workload; runs[side] holds run.py's
     final JSON per seed, side 'parent' or 'change'."""
@@ -75,18 +98,20 @@ def summarize(seeds, runs, spec) -> dict:
             "change_better_pairs": f"{won}/{len(seeds)}",
             "ratio_of_medians": round(q["change"]["median"] / q["parent"]["median"], 4)
             if q["parent"]["median"] else None,
-            "parent_iqr": round(q["parent"]["q3"] - q["parent"]["q1"], 4)}
+            "parent_iqr": round(q["parent"]["q3"] - q["parent"]["q1"], 4),
+            "verdict": verdict(m, q, won, len(seeds))}
     return entry
 
 
 def report(workload: str, entry: dict) -> str:
     lines = [f"{workload}: seeds {entry['seeds'][0]}-{entry['seeds'][-1]}, "
-             "median (q1-q3) parent -> change, pairs the change won"]
+             "median (q1-q3) parent -> change, pairs the change won, verdict"]
     for name, m in entry["metrics"].items():
         p, c = m["parent"], m["change"]
         lines.append(f"  {name}: {p['median']:.4g} ({p['q1']:.4g}-{p['q3']:.4g}) -> "
                      f"{c['median']:.4g} ({c['q1']:.4g}-{c['q3']:.4g}); "
-                     f"{m['change_better_pairs']}, ratio {m['ratio_of_medians']}")
+                     f"{m['change_better_pairs']}, ratio {m['ratio_of_medians']}: "
+                     f"{m['verdict']}")
     lines.append("  attempted {parent} / {change}".format(**entry["attempted"])
                  + ", failed {parent} / {change}".format(**entry["failed"]))
     return "\n".join(lines)

@@ -46,3 +46,39 @@ def test_block_keeps_the_rest_of_the_file(tmp_path):
     assert data["change"] == "x" and data["paired_bench"]["tables"] == 1
     assert data["paired_bench"]["closures"]["seeds"] == [3]
     assert "--seconds 20" in data["paired_bench"]["command"]
+
+
+BOUNDED = {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25},
+                          {"name": "peak_rss_mb", "better": "higher", "bound": 0.25}]}
+PARENT = [1.0, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.0, 1.01, 0.99]
+
+
+def verdicts_of(change, parent=PARENT):
+    runs = {"parent": [fake_run(w, w) for w in parent],
+            "change": [fake_run(w, w) for w in change]}
+    metrics = paired_bench.summarize(range(len(parent)), runs, BOUNDED)["metrics"]
+    return metrics["wall_s"]["verdict"], metrics["peak_rss_mb"]["verdict"]
+
+
+def test_verdicts():
+    faster = [w * 0.8 for w in PARENT]
+    # lower wall_s is a gain; lower peak_rss_mb, where higher is better,
+    # is within the bound
+    assert verdicts_of(faster) == ("gain", "level")
+    assert verdicts_of([w * 1.3 for w in PARENT]) == ("regression", "gain")
+    # 9 pairs in 10 still make a gain, 8 do not
+    assert verdicts_of(faster[:9] + [1.5])[0] == "gain"
+    assert verdicts_of(faster[:8] + [1.5, 1.5])[0] == "level"
+    # a median gap no larger than the parent's IQR (0.0275) is level
+    assert verdicts_of([w - 0.02 for w in PARENT]) == ("level", "level")
+    # within the bound, but the parent's runs spread over more than it
+    wide = [0.5, 1.5, 0.6, 1.4, 0.7, 1.3, 1.0, 1.0, 0.8, 1.2]
+    assert verdicts_of(list(wide), wide) == ("unresolved", "unresolved")
+    # with no bound a metric is a gain or level
+    runs = {"parent": [fake_run(w, 50) for w in PARENT],
+            "change": [fake_run(w * 2, 50) for w in PARENT]}
+    metrics = paired_bench.summarize(range(10), runs, SPEC)["metrics"]
+    assert metrics["wall_s"]["verdict"] == "level"
+    assert "ratio 2.0: level" in paired_bench.report("invariants", {
+        "seeds": list(range(10)), "metrics": metrics,
+        "attempted": {"parent": 1, "change": 1}, "failed": {"parent": 0, "change": 0}})
