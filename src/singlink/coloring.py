@@ -148,10 +148,17 @@ def _blocks(d: SingularDiagram, p: SingularPair):
 
 def coloring_array(d: SingularDiagram, p: SingularPair) -> np.ndarray:
     """All colorings as a (colorings, edges) array over d.edges, rows in
-    lexicographic order."""
+    lexicographic order.  One stable argsort of a fixed-width byte key per
+    row orders them, in place of a lexsort with one key per edge; colors
+    wider than a byte (n > 256) are laid out big-endian first, so that
+    bytes compare as the colors do."""
     cols = np.concatenate([*_blocks(d, p),
                            np.zeros((0, len(d.edges)), np.uint8)])
-    return cols[np.lexsort(cols.T[::-1])] if cols.shape[1] else cols
+    if not cols.shape[1]:
+        return cols
+    key = np.ascontiguousarray(cols, cols.dtype.newbyteorder(">"))
+    key = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
+    return cols[np.argsort(key, kind="stable")]
 
 
 def enumerate_colorings(d: SingularDiagram, p: SingularPair) -> list[Coloring]:
@@ -172,7 +179,8 @@ def enumerate_colorings(d: SingularDiagram, p: SingularPair) -> list[Coloring]:
 
     `batch.run` runs the plan on arrays of partial colorings, one row per
     branch, at most _ROWS at a time, in the smallest unsigned dtype; a
-    level's gathers and checks act on all rows at once.  An enumeration
+    level's gathers and checks act on all rows at once.  `coloring_array`
+    then sorts the rows once, by one byte key per row.  An enumeration
     holds all colorings, O(colorings * edges) bytes.
     """
     edges = d.edges

@@ -20,9 +20,11 @@ crossings for the state sum, each run padded with the identity to the
 longest.  `_evaluate` gathers it in blocks of colorings and multiplies
 along the runs: in an abelianized target coordinate rows are summed
 (int64, or Python ints where a sum could pass 2^62) and the torsion is
-reduced once; a finite target folds its Cayley table.  One np.unique over
-(run, value) keys tallies every run's values at once, in order of first
-appearance.
+reduced once; a finite target folds its Cayley table.  `_tally` counts
+each run's values in order of first appearance: in a dict, one pass per
+run, up to _DICT_KEYS (run, value) pairs, as in nearly every query; above
+that by one np.unique over (run, value) keys, whose fixed cost of some 35
+numpy calls a large tally repays.
 
 The cocycle conditions are not written out here: the checkers evaluate
 both sides of every instance of the relation table in
@@ -33,6 +35,7 @@ both sides of every instance of the relation table in
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -57,6 +60,11 @@ NC, AB = "nc", "ab"
 # hold, 128 KB of int64: blocks of 2^16 cells measured slower on queries
 # with 625 colorings
 _CELLS = 1 << 14
+
+# (run, value) pairs up to which `_tally` counts in a dict, not by np.unique:
+# on the invariants bench's tallies the dict was faster at nearly all of
+# up to 256 pairs, at about half of 256 to 1,024 and at none above
+_DICT_KEYS = 512
 
 
 @dataclass(frozen=True)
@@ -370,10 +378,51 @@ def _tally(t: Target, vals):
     """The distinct (run, value) pairs of vals, a (runs, colorings) array
     of target elements: their values as target elements, in order of first
     appearance run by run, per run the rank of each coloring's pair, and
-    the count of each pair."""
+    the count of each pair.
+
+    Up to _DICT_KEYS pairs, a Counter per run counts its values, keyed by
+    the element id in a finite target, by the row's bytes in int64 and by
+    the row's tuple of Python ints; insertion order is first appearance,
+    and one map reads the ranks back.  Above it, one np.unique sorts
+    (run, value) keys: some 35 numpy calls whatever the size, but less
+    per pair."""
     runs, m = vals.shape[:2]
     flat = vals.reshape(runs * m, *vals.shape[2:])
     keys = flat.reshape(len(flat), math.prod(vals.shape[2:]))
+    tally = _tally_dict if len(flat) <= _DICT_KEYS else _tally_sort
+    out, which, counts = tally(flat, keys, runs, m)
+    if isinstance(t, AbelianizedGroup):
+        out = [(tuple(v[:t.rank]), tuple(v[t.rank:])) for v in out]
+    return out, which, counts
+
+
+def _tally_dict(flat, keys, runs, m):
+    """`_tally` in one dict pass per run, values still as flat's rows."""
+    width = keys.itemsize * keys.shape[1]
+    as_bytes = flat.ndim > 1 and keys.dtype != object and width > 0
+    if flat.ndim == 1:            # a finite target: the values are the keys
+        items = flat.tolist()
+    elif as_bytes:
+        keys = np.ascontiguousarray(keys)
+        items = keys.view(np.dtype((np.void, width))).ravel().tolist()
+    else:
+        items = list(map(tuple, keys.tolist()))
+    out, which, counts = [], [], []
+    for r in range(runs):
+        run = items[r * m:(r + 1) * m]
+        count = collections.Counter(run)
+        rank = dict(zip(count, itertools.count(len(out))))
+        which.append(list(map(rank.__getitem__, run)))
+        out += count
+        counts += count.values()
+    if as_bytes:
+        out = np.frombuffer(b"".join(out), keys.dtype).reshape(-1, keys.shape[1])
+        out = out.tolist()
+    return out, which, counts
+
+
+def _tally_sort(flat, keys, runs, m):
+    """`_tally` by one np.unique over (run, value) keys."""
     if keys.dtype == object:      # exact: rank each column of Python ints
         keys = np.stack([np.unique(col, return_inverse=True)[1] for col in keys.T], 1)
     # each (run, value) as one opaque key
@@ -388,10 +437,8 @@ def _tally(t: Target, vals):
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    out = flat[first[order]].tolist()
-    if isinstance(t, AbelianizedGroup):
-        out = [(tuple(v[:t.rank]), tuple(v[t.rank:])) for v in out]
-    return out, rank[which.ravel()].reshape(runs, m).tolist(), counts[order].tolist()
+    return (flat[first[order]].tolist(), rank[which.ravel()].reshape(runs, m).tolist(),
+            counts[order].tolist())
 
 
 def nc_invariant(d: SingularDiagram, p: SingularPair,

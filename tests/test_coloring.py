@@ -3,6 +3,7 @@ import random
 import signal
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -10,9 +11,9 @@ from singlink import coloring
 from singlink.coloring import (brute_force_colorings, count_colorings,
                                enumerate_colorings, fixed_point_count)
 from singlink.diagram import (MOVES, Crossing, SingularDiagram, apply_move,
-                              builtin_diagram, find_move_sites)
+                              braid_closure, builtin_diagram, find_move_sites)
 from singlink.pairs import SingularPair, builtin_pair
-from singlink.pairtable import dihedral_switch
+from singlink.pairtable import dihedral_switch, flip_switch
 from tests.closures import (EDGE_CASES, FAR_PAIRS, MOVE_PAIRS, ladder,
                             moved_closures, random_word, replace_sing_by_pos,
                             shuffled_closure)
@@ -324,6 +325,28 @@ def test_ring_chain_counts_fast():
     d = ring_chain(18)
     with time_limit(2):
         assert count_colorings(d, builtin_pair("flip-flip")) == 2 ** 18
+
+
+def one_key_cases():
+    """(label, diagram, pair) whose colorings coloring_array sorts: colors
+    of two bytes, where a little-endian key puts 256 before 1, and the
+    flip-flip ring chain."""
+    flip = flip_switch(300)
+    wide = SingularPair(flip, flip.table)
+    return [("n=300, one crossing", braid_closure([(0, "s")], 2, "ab"), wide),
+            ("n=300, two crossings", braid_closure([(0, "s")] * 2, 2, "dcba"), wide),
+            ("ring chain k=14", ring_chain(14), builtin_pair("flip-flip"))]
+
+
+@pytest.mark.parametrize("label,d,p", one_key_cases(),
+                         ids=[case[0] for case in one_key_cases()])
+def test_rows_sort_as_by_one_key_per_edge(label, d, p):
+    cols = coloring.coloring_array(d, p)
+    assert len(cols) == count_colorings(d, p) and cols.dtype.itemsize == (
+        1 if p.n <= 256 else 2)
+    want = cols[np.random.default_rng(0).permutation(len(cols))]
+    want = want[np.lexsort(want.T[::-1])]
+    assert np.array_equal(cols, want), label
 
 
 def d3_pair() -> SingularPair:

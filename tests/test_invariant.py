@@ -1,7 +1,9 @@
 import functools
 import hashlib
+from collections import Counter
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -497,7 +499,6 @@ def nc_multiset_unordered(value):
     """Multiset over colorings of component values up to component
     permutation: moves rename edges, so component indices (assigned by
     smallest edge token) are a presentation artifact, not invariant data."""
-    from collections import Counter
     return Counter(tuple(sorted(map(repr, t))) for t in value.per_coloring)
 
 
@@ -703,6 +704,55 @@ class TestBatchedEvaluation:
         # at least one weight per coloring, component and coordinate
         assert 4096 * 12 * nc.target.rank > 2 * invariant._CELLS
         assert_matches_oracles(d, p, nc, ab)
+
+
+def tally_oracle(t, vals):
+    """`_tally` by one Counter per run over the values as tuples."""
+    values, which, counts = [], [], []
+    for run in vals.tolist():
+        keys = [v if isinstance(v, int) else tuple(v) for v in run]
+        count = Counter(keys)
+        rank = {v: len(values) + i for i, v in enumerate(count)}
+        which.append([rank[v] for v in keys])
+        values += count
+        counts += count.values()
+    if isinstance(t, AbelianizedGroup):
+        values = [(v[:t.rank], v[t.rank:]) for v in values]
+    return values, which, counts
+
+
+def tally_cases():
+    """(label, target, vals): every kind of value `_tally` is given."""
+    rng = np.random.default_rng(21)
+    z2 = AbelianizedGroup(2, (), ())
+    z1_z4 = AbelianizedGroup(1, (4,), ())
+    big = 2 ** 62
+    ints = np.array([[[-big, 3], [big, -1], [-big, 3], [0, 0]],
+                     [[big, -1], [big, -1], [-1, big], [-big, 3]]], np.int64)
+    wide = np.empty((2, 3, 2), object)
+    wide[...] = [[[2 ** 70, 1], [-2 ** 64, 3], [2 ** 70, 1]],
+                 [[2 ** 70, 1], [2 ** 63, 0], [2 ** 63, 0]]]
+    return [
+        ("int64 near 2^62", AbelianizedGroup(1, (5,), ()), ints),
+        ("Python ints past 2^63", z1_z4, wide),
+        ("finite ids", FiniteGroup.cyclic(6), rng.integers(0, 6, (3, 40))),
+        ("repeated across runs", z2, np.tile(rng.integers(-2, 2, (1, 30, 2)), (4, 1, 1))),
+        ("many pairs", z1_z4, np.stack([rng.integers(-3, 3, (3, 400)),
+                                        rng.integers(0, 4, (3, 400))], -1)),
+        ("no runs", z2, np.zeros((0, 5, 2), np.int64)),
+        ("no colorings", z2, np.zeros((3, 0, 2), np.int64)),
+        ("no coordinates", AbelianizedGroup(0, (), ()), np.zeros((2, 3, 0), np.int64)),
+        ("finite, no colorings", FiniteGroup.cyclic(2), np.zeros((2, 0), np.intp)),
+    ]
+
+
+@pytest.mark.parametrize("path", ["dict", "sort"])
+@pytest.mark.parametrize("label,t,vals", tally_cases(),
+                         ids=[case[0] for case in tally_cases()])
+def test_tally_matches_a_counter_per_run(path, label, t, vals, monkeypatch):
+    monkeypatch.setattr(invariant, "_DICT_KEYS", 1 << 30 if path == "dict" else -1)
+    # repr: Python ints in tuples and lists, as the oracle has them
+    assert repr(invariant._tally(t, vals)) == repr(tally_oracle(t, vals))
 
 
 @functools.lru_cache(maxsize=None)
