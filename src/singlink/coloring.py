@@ -149,9 +149,8 @@ def _blocks(d: SingularDiagram, p: SingularPair):
 def coloring_array(d: SingularDiagram, p: SingularPair) -> np.ndarray:
     """All colorings as a (colorings, edges) array over d.edges, rows in
     lexicographic order.  One stable argsort of a fixed-width byte key per
-    row orders them, in place of a lexsort with one key per edge; colors
-    wider than a byte (n > 256) are laid out big-endian first, so that
-    bytes compare as the colors do."""
+    row orders them; colors wider than a byte (n > 256) are laid out
+    big-endian first, so that the bytes compare as the colors do."""
     cols = np.concatenate([*_blocks(d, p),
                            np.zeros((0, len(d.edges)), np.uint8)])
     if not cols.shape[1]:
