@@ -38,28 +38,43 @@ def _malformed(what: str):
         raise SinglinkError(f"malformed {what}: {exc}") from None
 
 
+def _open(spec: str, what: str, forms: str):
+    """A file argument, opened; a missing file or a directory is an unknown
+    argument, reported with the forms it accepts."""
+    try:
+        return open(spec)
+    except (FileNotFoundError, IsADirectoryError):
+        raise SinglinkError(f"unknown {what} {spec!r}: expected {forms}") from None
+
+
 _SWITCH_FORMS = ("flip[:n], i2, dN (e.g. d4), bialexander:m,s,t, "
                  "or a switch or quandle JSON file")
+_PAIR_FORMS = "builtin:name or a pair JSON file"
+_DIAGRAM_FORMS = "@name for a builtin, or a diagram text or JSON file"
 
 
 def _load_switch(spec: str) -> Biquandle:
+    def ints(text: str, form: str, count: int) -> list[int]:
+        try:
+            values = [int(v) for v in text.split(",")]
+        except ValueError:
+            values = []
+        if len(values) != count:
+            raise SinglinkError(f"malformed switch {spec!r}: expected {form}")
+        return values
+
     with _malformed(f"switch {spec!r}"):
-        if spec == "flip" or spec.startswith("flip:"):
-            n = int(spec.split(":", 1)[1]) if ":" in spec else 2
-            return flip_switch(n)
+        if spec == "flip":
+            return flip_switch(2)
+        if spec.startswith("flip:"):
+            return flip_switch(*ints(spec[5:], "flip[:n]", 1))
         if spec == "i2":
             return i2_switch()
         if spec.startswith("d") and spec[1:].isdigit():
             return dihedral_switch(int(spec[1:]))
         if spec.startswith("bialexander:"):
-            m, s, t = (int(v) for v in spec.split(":", 1)[1].split(","))
-            return make_bialexander(m, s, t)
-        try:
-            fh = open(spec)
-        except FileNotFoundError:
-            raise SinglinkError(f"unknown switch {spec!r}: expected "
-                                f"{_SWITCH_FORMS}") from None
-        with fh:
+            return make_bialexander(*ints(spec[12:], "bialexander:m,s,t", 3))
+        with _open(spec, "switch", _SWITCH_FORMS) as fh:
             data = json.load(fh)
         if "op" in data:
             return make_quandle_switch(Quandle.from_dict(data))
@@ -70,7 +85,7 @@ def _read_pair(spec: str) -> SingularPair:
     """A pair argument as given; only `pairs check` reads it unchecked."""
     if spec.startswith("builtin:"):
         return builtin_pair(spec.split(":", 1)[1])
-    with open(spec) as fh, _malformed(f"pair file {spec!r}"):
+    with _open(spec, "pair", _PAIR_FORMS) as fh, _malformed(f"pair file {spec!r}"):
         data = json.load(fh)
         S = Biquandle.from_table(PairTable.from_dict(data["biquandle"]))
         tau = PairTable.from_dict(data["tau"])
@@ -87,7 +102,7 @@ def _load_pair(spec: str) -> SingularPair:
 def _load_diagram(spec: str) -> dg.SingularDiagram:
     if spec.startswith("@"):
         return dg.builtin_diagram(spec[1:])
-    with open(spec) as fh:
+    with _open(spec, "diagram", _DIAGRAM_FORMS) as fh:
         text = fh.read()
     with _malformed(f"diagram file {spec!r}"):
         if not spec.endswith(".json"):
@@ -248,19 +263,16 @@ def _load_cocycle(spec: str, target_spec, p: SingularPair, kind: str):
             return iv.builtin_cocycle(name, kind)
         return (iv.universal_nc_cocycle(p) if kind == iv.NC
                 else iv.universal_ab_cocycle(p))
-    try:
-        fh = open(spec)
-    except FileNotFoundError:
-        raise SinglinkError(f"unknown cocycle {spec!r}: expected "
-                            f"{_COCYCLE_FORMS}") from None
-    with fh, _malformed(f"cocycle file {spec!r}"):
+    with _open(spec, "cocycle", _COCYCLE_FORMS) as fh, \
+            _malformed(f"cocycle file {spec!r}"):
         data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError("the top level must be a JSON object")
         if data.get("kind", kind) != kind:
             raise SinglinkError(f"cocycle file is of kind {data.get('kind')!r}")
         if target_spec is not None:
-            with open(target_spec) as gh, _malformed(f"group file {target_spec!r}"):
+            with _open(target_spec, "group", "a group JSON file") as gh, \
+                    _malformed(f"group file {target_spec!r}"):
                 target = FiniteGroup.from_dict(json.load(gh))
             f = tuple(tuple(int(v) for v in row) for row in data["f"])
             h = tuple(tuple(int(v) for v in row) for row in data["h"])

@@ -271,6 +271,42 @@ class TestErrorsAndDeterminism:
         assert err == ("error: unknown cocycle 'nonsense': expected universal "
                        "or a cocycle JSON file\n")
 
+    @pytest.mark.parametrize("argv,what,forms", [
+        (("color", "nonsense", "--pair", "builtin:flip-flip"), "diagram",
+         "@name for a builtin, or a diagram text or JSON file"),
+        (("diagram", "show", "folder"), "diagram", "@name for a builtin"),
+        (("color", "@unknot", "--pair", "nonsense"), "pair",
+         "builtin:name or a pair JSON file"),
+        (("color", "@unknot", "--pair", "folder"), "pair", "builtin:name"),
+        (("pairs", "check", "folder"), "pair", "builtin:name"),
+        (("pairs", "enumerate", "--switch", "folder"), "switch",
+         "flip[:n], i2, dN"),
+        (("invariant", "nc", "@sing_trefoil", "--pair", "builtin:flip-flip",
+          "--cocycle", "folder"), "cocycle", "universal or a cocycle JSON file"),
+        (("invariant", "nc", "@sing_trefoil", "--pair", "builtin:flip-flip",
+          "--cocycle", "nc.json", "--target", "folder"), "group",
+         "a group JSON file"),
+    ], ids=["diagram", "diagram-dir", "pair", "pair-dir", "checked-pair-dir",
+            "switch-dir", "cocycle-dir", "target-dir"])
+    def test_unknown_paths_name_the_accepted_forms(self, tmp_path, monkeypatch,
+                                                   capsys, argv, what, forms):
+        # a missing file or a directory, where a file or a name is expected
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "folder").mkdir()
+        (tmp_path / "nc.json").write_text('{"kind": "nc"}')
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: unknown {what} ") and err.count("\n") == 1
+        assert f": expected {forms}" in err
+        assert "Errno" not in err
+
+    @pytest.mark.parametrize("spec,form", [("flip:x", "flip[:n]"),
+                                           ("bialexander:5,2", "bialexander:m,s,t")])
+    def test_bad_switch_spec_names_its_form(self, capsys, spec, form):
+        code, out, err = run(capsys, "pairs", "enumerate", "--switch", spec)
+        assert (code, out) == (1, "")
+        assert err == f"error: malformed switch {spec!r}: expected {form}\n"
+
     def test_n_does_not_lift_the_bound(self, capsys):
         code, _, err = run(capsys, "pairs", "enumerate", "--switch", "flip",
                            "--n", "5")
