@@ -27,9 +27,17 @@ runs on numpy batches of partial taus (`batch.run`), one level per run of
 cells that ends where something becomes due, and returns one int8 array,
 which `enumerate_taus` checks once more as it stands (`pair_verdicts`
 runs the same words over numpy arrays) before it builds tables, only for
-what it returns.  Isomorphism classes are keyed by
-`canonical_form`, the least relabeled table stack, for a batch of pairs
-at once; under up_to_iso and in the lr table, from the search's array.
+what it returns.
+Isomorphism classes are keyed by the least relabeled table stack
+(`canonical_form`).  Under Aut(S), which fixes S, a class is an Aut(S)-
+orbit of taus, and the search's array holds whole orbits: `_orbit_keys`
+relabels each tau once per generator of a small generating set of Aut(S),
+looks the images up among the input and keys each tau by the least member
+of its orbit, P * |generators| relabeled stacks in place of
+P * |Aut(S)|.  That serves up_to_iso, `classify_isomorphism` of more than
+64 pairs sharing a switch, and the lr table's class count.
+`canonical_form` still keys partial orbits, inputs too small for the
+orbits to pay (ORBIT_MIN), and pairs under all n! relabelings.
 """
 
 from __future__ import annotations
@@ -50,11 +58,18 @@ from .pairtable import (Biquandle, PairTable, dihedral_switch, first_failure,
 
 # batch sizes: taus per `pair_verdicts` call in the `enumerate_taus`
 # guard and per `tolist` when the search's tables are built, and relabeled
-# cells (pairs x relabelings x table cells) per `canonical_form` call in
-# `_least_keys`: large enough to amortise numpy's cost per call, small
-# enough that a batch's arrays and lists stay near 100 kB
+# cells (stacks x relabelings x table cells) per `canonical_form` call in
+# `_least_keys` and per generator lookup in `_orbit_keys`: large enough to
+# amortise numpy's cost per call, small enough that a batch's arrays and
+# lists stay near 100 kB
 CHECK_BATCH = 128
 CANONICAL_BATCH = 1 << 14
+# `_orbit_keys` closes its input under generators only where `_least_keys`
+# would relabel more cells than this (stacks x |group| x table cells):
+# below, its fixed cost, a sort of the keys, the generating set and the
+# closure passes, exceeds the relabelings it saves (measured crossover
+# between 25,600 and 36,864 cells)
+ORBIT_MIN = 1 << 15
 # the tau search: the `batch.run` row cap; component equations checked
 # per gather before failing taus are dropped; and the candidates the first
 # level reaches before it may end, since on fewer rows a level costs more
@@ -685,12 +700,22 @@ def enumerate_taus(S: Biquandle, require_bijective: bool = True,
         raise AssertionError("enumeration is not strictly in table order")
     if up_to_iso:
         return _tau_classes(S, taus)
-    rows: dict = {}
-    return [PairTable._unchecked(
-                n, tuple([rows.setdefault(r, r) for r in map(tuple, t1)]),
-                tuple([rows.setdefault(r, r) for r in map(tuple, t2)]))
-            for start in range(0, len(taus), CHECK_BATCH)
-            for t1, t2 in taus[start:start + CHECK_BATCH].tolist()]
+    # one interned tuple per distinct row, told apart by one key per row:
+    # its entries as base-n digits, or its bytes where n^n overflows int64
+    rows = taus.reshape(-1, n)
+    key = (rows @ n ** np.arange(n, dtype=np.int64) if n ** n < 1 << 63
+           else rows.view(f"V{n}")[:, 0])
+    _, first, which = np.unique(key, return_index=True, return_inverse=True)
+    interned = list(map(tuple, rows[first].tolist()))
+    step = 2 * n
+    tables = []
+    for start in range(0, len(rows), step * CHECK_BATCH):
+        refs = list(map(interned.__getitem__,
+                        which[start:start + step * CHECK_BATCH].tolist()))
+        tables += [PairTable._unchecked(n, tuple(refs[i:i + n]),
+                                        tuple(refs[i + n:i + step]))
+                   for i in range(0, len(refs), step)]
+    return tables
 
 
 def brute_force_taus(S: Biquandle, require_bijective: bool = True,
@@ -758,11 +783,13 @@ def enumerate_left_right_invertible(n: int, max_n: int = 4) -> LrCounts:
     total is (n!)^n (tau1 is a free list of n permutations and forces
     tau2); iso is computed by Burnside orbit counting over S_n acting by
     simultaneous relabeling; the bijective population is the tau search's
-    array for S = flip, and its classes are the distinct `canonical_form`
-    keys of that array under Aut(flip) = S_n, with no table or
-    SingularPair built.  The `enumerate_taus` guard does not run here:
-    the tests compare both counts with `enumerate_taus` and
-    `classify_isomorphism`.
+    array for S = flip, and its classes are the distinct keys of that
+    array under Aut(flip) = S_n, with no table or SingularPair built.  The
+    array holds whole orbits, so `_orbit_keys` finds them from n - 1
+    generators (3,360 taus x 3 generators at n = 4, not x 24 relabelings);
+    n = 2 and 3 are below ORBIT_MIN and keyed by `canonical_form`.  The
+    `enumerate_taus` guard does not run here: the tests compare both
+    counts with `enumerate_taus` and `classify_isomorphism`.
     """
     if n > max_n:
         raise SearchBoundExceededError(f"n={n} exceeds bound {max_n}")
@@ -781,7 +808,7 @@ def enumerate_left_right_invertible(n: int, max_n: int = 4) -> LrCounts:
 
     flip = flip_switch(n).table
     taus = _tau_array(flip, require_bijective=True)
-    keys, _ = _least_keys(taus.astype(np.int16), automorphism_group(flip))
+    keys = _orbit_keys(taus.astype(np.int16), automorphism_group(flip))
     return LrCounts(total, iso, len(taus), len(set(keys)))
 
 
@@ -869,18 +896,13 @@ def automorphism_group(t: PairTable) -> list[tuple[int, ...]]:
         out += map(tuple, g[ok.all(axis=(1, 2, 3))].tolist())
 
 
-def canonical_form(tables: np.ndarray,
-                   relabelings) -> tuple[list[bytes], np.ndarray]:
-    """The least keys of P stacks of k tables, a (P, k, n, n) int16 array,
-    over relabelings.
+def _relabeled(tables: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """P stacks of k tables, a (P, k, n, n) int16 array, relabeled by each
+    of m permutations, an (m, n) int16 array, as a (P, m, k*n*n) array.
 
-    Relabeling by g sends every table T to (g x g) o T o (g x g)^-1, whose
-    key is the bytes of the relabeled int16 stack; all stacks and all
-    relabelings are done at once.  Returns the P least keys and, for each,
-    the index of the first relabeling that reaches it: among relabelings
-    giving the same key, the first one listed wins.
+    Relabeling by g sends every table T to (g x g) o T o (g x g)^-1; all
+    stacks and all relabelings are done at once.
     """
-    g = np.asarray(relabelings, dtype=np.int16)
     m, n = g.shape
     P, k = tables.shape[:2]
     ginv = np.argsort(g, axis=1)
@@ -891,7 +913,21 @@ def canonical_form(tables: np.ndarray,
     # g_r(v) is g.flat[r*n + v]; offsets in the narrowest dtype holding
     # m*n keep the sum narrow, which makes the lookup several times faster
     offsets = n * np.arange(m).astype(np.min_scalar_type(m * n))
-    keys = g.take(images + offsets[:, None, None, None]).reshape(P, m, -1)
+    return g.take(images + offsets[:, None, None, None]).reshape(P, m, -1)
+
+
+def canonical_form(tables: np.ndarray,
+                   relabelings) -> tuple[list[bytes], np.ndarray]:
+    """The least keys of P stacks of k tables, a (P, k, n, n) int16 array,
+    over relabelings.
+
+    A relabeled stack's key is the bytes of its int16 tables
+    (`_relabeled`).  Returns the P least keys and, for each, the index of
+    the first relabeling that reaches it: among relabelings giving the
+    same key, the first one listed wins.
+    """
+    keys = _relabeled(tables, np.asarray(relabelings, dtype=np.int16))
+    P = len(keys)
     # equal-width "S" strings order as their bytes do, like the keys
     as_bytes = keys.view(np.uint8).view(f"S{2 * keys.shape[2]}")[..., 0]
     best = as_bytes.argmin(axis=1)
@@ -933,6 +969,96 @@ def _least_keys(tables: np.ndarray, relabelings) -> tuple[list[bytes], list[int]
     return keys, best
 
 
+def _generating_set(group) -> list[tuple[int, ...]]:
+    """A generating set of a permutation group, listed whole, picked
+    greedily in its order: an element joins when the group the earlier
+    ones generate does not hold it.  Each new generator closes the group
+    again, right multiplication by every generator until nothing is new,
+    O(|group| * |generators|^2) compositions in all."""
+    gens: list[tuple[int, ...]] = []
+    reached = {tuple(range(len(group[0])))}
+    for g in group:
+        if g in reached:
+            continue
+        gens.append(g)
+        frontier = list(reached)
+        while frontier:
+            new = []
+            for h in frontier:
+                for s in gens:
+                    hs = tuple([h[x] for x in s])
+                    if hs not in reached:
+                        reached.add(hs)
+                        new.append(hs)
+            frontier = new
+    return gens
+
+
+def _orbit_keys(tables: np.ndarray, group) -> list[bytes]:
+    """`_least_keys(tables, group)[0]` for a (P, k, n, n) int16 stack and a
+    permutation group listed whole, found by closing the input under a
+    generating set of the group instead of relabeling it by every element.
+
+    The distinct stacks are sorted by key, relabeled once per generator
+    (`_generating_set`, `_relabeled`), and each image is looked up among
+    them.  A stack's closure (its images, their images and so on) is its
+    orbit when every generator image of every member is in the input; its
+    least member is then the stack's key.  Only stacks whose closure
+    reaches a missing image, a partial orbit, are keyed by `_least_keys`,
+    so every input is served and `canonical_form` stays the reference.
+    The cost is P * |generators| relabeled stacks and lookups, plus one
+    pass over the lookups per step of the orbits' diameter, against
+    P * |group| relabeled stacks for `_least_keys`, which keys the whole
+    input of the trivial group or of at most ORBIT_MIN relabeled cells.
+    """
+    P = len(tables)
+    cells = prod(tables.shape[1:])
+    if len(group) == 1 or P * len(group) * cells <= ORBIT_MIN:
+        return _least_keys(tables, group)[0]
+    width = 2 * cells
+    # "V" strings sort as their bytes do, like the keys
+    as_key = lambda a: a.view(f"V{width}")[..., 0]
+    sorted_keys, inverse = np.unique(
+        as_key(np.ascontiguousarray(tables).reshape(P, cells)),
+        return_inverse=True)
+    U = len(sorted_keys)
+    distinct = sorted_keys.view(np.int16).reshape(U, *tables.shape[1:])
+    gens = np.array(_generating_set(group), np.int16)
+    # per generator, where each distinct stack's image lies in key order,
+    # or the stack itself where the image is not in the input
+    image_at = np.empty((len(gens), U), np.intp)
+    missing = np.zeros(U, bool)
+    batch = max(1, CANONICAL_BATCH // (len(gens) * cells))
+    for start in range(0, U, batch):
+        images = as_key(_relabeled(distinct[start:start + batch], gens)).T
+        at = np.minimum(np.searchsorted(sorted_keys, images), U - 1)
+        found = sorted_keys[at] == images
+        image_at[:, start:start + batch] = np.where(
+            found, at, np.arange(start, start + images.shape[1]))
+        missing[start:start + batch] = ~found.all(axis=0)
+    # over the closure reached so far: its least member, by place in key
+    # order, and whether a member lacks an image
+    least, unclosed = np.arange(U), missing
+    while True:
+        least2 = np.minimum(least, least[image_at].min(axis=0))
+        unclosed2 = unclosed | unclosed[image_at].any(axis=0)
+        if (least2 == least).all() and (unclosed2 == unclosed).all():
+            break
+        least, unclosed = least2, unclosed2
+    owner = least[inverse]
+    reps = np.unique(owner)
+    rows = distinct[reps].tobytes()
+    key_of = dict(zip(reps.tolist(), [rows[i:i + width]
+                                      for i in range(0, len(rows), width)]))
+    keys = list(map(key_of.__getitem__, owner.tolist()))
+    partial = np.flatnonzero(unclosed[inverse])
+    if len(partial):
+        for i, key in zip(partial.tolist(),
+                          _least_keys(tables[partial], group)[0]):
+            keys[i] = key
+    return keys
+
+
 def _pair_from_key(S: Biquandle, key: bytes, g=None) -> SingularPair:
     """The pair whose int16 stack is key: S and the tau of a (tau1, tau2)
     key, or, for a (S1, S2, tau1, tau2) key, S relabeled by g and tau."""
@@ -943,16 +1069,14 @@ def _pair_from_key(S: Biquandle, key: bytes, g=None) -> SingularPair:
     return SingularPair(S, PairTable(n, t1, t2))
 
 
-def _classes(stacks: np.ndarray, relabelings, switch_at) -> list[IsoClass]:
-    """Classes of a (P, k, n, n) int16 stack of pairs' tables under
-    relabelings, in key order.  Each is represented by the pair read off
-    its key (`_pair_from_key`), with the switch switch_at(i) of its first
-    pair i and the first relabeling reaching the key."""
-    keys, best = _least_keys(stacks, relabelings)
+def _classes(keys: list[bytes], representative) -> list[IsoClass]:
+    """Classes of pairs from their keys, `_least_keys` or `_orbit_keys` of
+    their table stacks, in key order.  Each is represented by
+    representative(i, key) of its first pair i."""
     first: dict[bytes, SingularPair] = {}
-    for i, (key, g) in enumerate(zip(keys, best)):
+    for i, key in enumerate(keys):
         if key not in first:
-            first[key] = _pair_from_key(switch_at(i), key, relabelings[g])
+            first[key] = representative(i, key)
     sizes = Counter(keys)
     return [IsoClass(first[key], sizes[key]) for key in sorted(first)]
 
@@ -962,24 +1086,34 @@ def _tau_classes(S: Biquandle, taus: np.ndarray) -> list[IsoClass]:
     of taus: for more than 64 taus or n > 8, the tau tables keyed under
     Aut(S), which fixes S, so each representative carries S; otherwise the
     full stacks under all n! relabelings, so a representative's switch is
-    in general a relabeling of S.  The partition is the same either way."""
+    in general a relabeling of S.  The partition is the same either way.
+    Under Aut(S) the keys are `_orbit_keys`: the least member of each
+    tau's orbit, closed under a generating set of Aut(S), with
+    `canonical_form` only for taus whose orbit the input holds in part,
+    and for inputs below ORBIT_MIN relabeled cells."""
     n = S.n
     taus = taus.astype(np.int16, copy=False)
     if n > 8 or len(taus) > 64:
-        return _classes(taus, automorphism_group(S.table), lambda i: S)
+        return _classes(_orbit_keys(taus, automorphism_group(S.table)),
+                        lambda i, key: _pair_from_key(S, key))
     switch = np.array([S.table.t1, S.table.t2], np.int16)
     stacks = np.concatenate(
         [np.broadcast_to(switch, (len(taus), 2, n, n)), taus], axis=1)
-    return _classes(stacks, list(itertools.permutations(range(n))),
-                    lambda i: S)
+    relabelings = list(itertools.permutations(range(n)))
+    keys, best = _least_keys(stacks, relabelings)
+    return _classes(keys, lambda i, key: _pair_from_key(
+        S, key, relabelings[best[i]]))
 
 
 def classify_isomorphism(pairs) -> list[IsoClass]:
     """Partition pairs into isomorphism classes (simultaneous relabeling),
     in key order.  Pairs sharing one switch are classified by
-    `_tau_classes`, whose representatives carry that switch only for more
-    than 64 pairs or n > 8; pairs with different switches are keyed under
-    all n! relabelings (n <= 8)."""
+    `_tau_classes`: for more than 64 pairs or n > 8 as Aut(S)-orbits of
+    their taus (`_orbit_keys`, whose cost is P * |generators| relabeled
+    tau stacks), and their representatives then carry that switch; else
+    by `canonical_form` under all n! relabelings.  Pairs with different
+    switches are keyed by `canonical_form` under all n! relabelings
+    (n <= 8)."""
     pairs = list(pairs)
     if not pairs:
         return []
@@ -992,8 +1126,10 @@ def classify_isomorphism(pairs) -> list[IsoClass]:
     if n > 8:
         raise SearchBoundExceededError(
             f"general classification needs n <= 8, got {n}")
-    return _classes(_pair_tables(pairs), list(itertools.permutations(range(n))),
-                    lambda i: pairs[i].biquandle)
+    relabelings = list(itertools.permutations(range(n)))
+    keys, best = _least_keys(_pair_tables(pairs), relabelings)
+    return _classes(keys, lambda i, key: _pair_from_key(
+        pairs[i].biquandle, key, relabelings[best[i]]))
 
 
 def tau_phi_iso_count(n: int) -> int:

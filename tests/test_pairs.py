@@ -1173,3 +1173,115 @@ def test_classes_build_tables_only_for_representatives(monkeypatch):
     assert len(built) == 169
     built.clear()
     assert len(enumerate_taus(S)) == len(built) == 3360
+
+
+# ---------------------------------------------------------------------------
+# orbit keys: `_orbit_keys` against `_least_keys`, its reference
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def orbits_always(monkeypatch):
+    # every input takes the orbit path, even an empty one
+    monkeypatch.setattr(pairs_module, "ORBIT_MIN", -1)
+
+
+def _least(tables, group):
+    return pairs_module._least_keys(tables, group)[0]
+
+
+def _generated(gens, n):
+    """The group generated by gens, by left multiplication."""
+    reached, frontier = {tuple(range(n))}, [tuple(range(n))]
+    while frontier:
+        frontier = [g for h in frontier for s in gens
+                    for g in [tuple(s[v] for v in h)] if g not in reached]
+        reached.update(frontier)
+    return reached
+
+
+@pytest.mark.parametrize("name", DIGEST_SWITCHES)
+def test_generating_set_regenerates_the_automorphism_group(name):
+    aut = automorphism_group(DIGEST_SWITCHES[name].table)
+    n = len(aut[0])
+    gens = pairs_module._generating_set(aut)
+    assert _generated(gens, n) == set(aut)
+    # picked greedily in the group's order: each is outside the group the
+    # earlier ones generate, and it comes first among those outside
+    for k, g in enumerate(gens):
+        earlier = _generated(gens[:k], n)
+        assert g == next(h for h in aut if h not in earlier)
+
+
+def _orbit_cases():
+    for name, bijective, *_ in TAU_DIGESTS:
+        yield name, bijective
+    # 331,776 taus
+    yield pytest.param("flip4", False, marks=pytest.mark.slow)
+
+
+@pytest.mark.parametrize("name,bijective", _orbit_cases())
+def test_orbit_keys_equal_least_keys(orbits_always, name, bijective):
+    # the search's array holds whole orbits; shuffled, with repeats, and
+    # cut to halves or thirds it holds partial ones as well
+    S = DIGEST_SWITCHES[name]
+    aut = automorphism_group(S.table)
+    taus = pairs_module._tau_array(S.table, bijective).astype(np.int16)
+    P = len(taus)
+    expected = _least(taus, aut)
+    rng = np.random.default_rng(P)
+    perm = rng.permutation(P)
+    repeated = np.concatenate([perm, rng.integers(0, P, P // 2 + 1)])
+    for order in (np.arange(P), perm, repeated, perm[:P // 2], perm[P // 2:],
+                  perm[:P // 3], perm[P // 3:2 * P // 3], perm[::3]):
+        keys = pairs_module._orbit_keys(taus[order], aut)
+        assert keys == [expected[i] for i in order.tolist()]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_orbit_keys_on_random_tables(orbits_always, n):
+    # arbitrary tables, not pairs, under each Aut(S) of that size, the
+    # whole S_n and the trivial group: random tables alone, then mixed
+    # with the whole orbits of some of them
+    rng = random.Random(n)
+    groups = [automorphism_group(S.table) for S in DIGEST_SWITCHES.values()
+              if S.n == n]
+    groups += [list(itertools.permutations(range(n))), [tuple(range(n))]]
+    for group in groups:
+        tabs = [PairTable(n, *np.array([rng.randrange(n) for _ in range(2 * n * n)])
+                          .reshape(2, n, n).tolist()) for _ in range(30)]
+        whole = [t.relabel(list(g)) for t in tabs[:10] for g in group]
+        rng.shuffle(whole)
+        for stack in (tabs, whole + tabs[10:]):
+            arr = np.array([[t.t1, t.t2] for t in stack], np.int16)
+            assert pairs_module._orbit_keys(arr, group) == _least(arr, group)
+
+
+def test_orbit_keys_of_no_stack(orbits_always):
+    aut = automorphism_group(flip_switch(3).table)
+    assert pairs_module._orbit_keys(np.empty((0, 2, 3, 3), np.int16), aut) == []
+
+
+def test_only_partial_orbits_fall_back(orbits_always, monkeypatch):
+    S = flip_switch(4)
+    aut = automorphism_group(S.table)
+    taus = pairs_module._tau_array(S.table, True).astype(np.int16)
+    least = pairs_module._least_keys
+    calls = []
+    monkeypatch.setattr(pairs_module, "_least_keys",
+                        lambda t, g: calls.append(len(t)) or least(t, g))
+    assert pairs_module._orbit_keys(taus, aut) == least(taus, aut)[0]
+    assert calls == []
+    half = taus[::2]
+    assert pairs_module._orbit_keys(half, aut) == least(half, aut)[0]
+    assert len(calls) == 1 and 0 < calls[0] < len(half)
+
+
+def test_orbit_rule_leaves_keys_alone(monkeypatch):
+    # below ORBIT_MIN relabeled cells the keys come from `_least_keys`
+    S = flip_switch(3)
+    aut = automorphism_group(S.table)
+    taus = pairs_module._tau_array(S.table, False).astype(np.int16)
+    assert len(taus) * len(aut) * taus[0].size <= pairs_module.ORBIT_MIN
+    keys = pairs_module._orbit_keys(taus, aut)
+    monkeypatch.setattr(pairs_module, "ORBIT_MIN", -1)
+    assert pairs_module._orbit_keys(taus, aut) == keys == _least(taus, aut)
