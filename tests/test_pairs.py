@@ -1276,12 +1276,17 @@ def test_only_partial_orbits_fall_back(orbits_always, monkeypatch):
     assert len(calls) == 1 and 0 < calls[0] < len(half)
 
 
-def test_orbit_rule_leaves_keys_alone(monkeypatch):
-    # below ORBIT_MIN relabeled cells the keys come from `_least_keys`
+def test_small_inputs_are_keyed_by_least_keys(monkeypatch):
+    # at most ORBIT_MIN relabeled cells: no generating set is picked, and
+    # the keys equal the orbit path's
     S = flip_switch(3)
     aut = automorphism_group(S.table)
     taus = pairs_module._tau_array(S.table, False).astype(np.int16)
     assert len(taus) * len(aut) * taus[0].size <= pairs_module.ORBIT_MIN
+    pick = pairs_module._generating_set
+    monkeypatch.setattr(pairs_module, "_generating_set",
+                        lambda group: pytest.fail("orbit path taken"))
     keys = pairs_module._orbit_keys(taus, aut)
+    monkeypatch.setattr(pairs_module, "_generating_set", pick)
     monkeypatch.setattr(pairs_module, "ORBIT_MIN", -1)
     assert pairs_module._orbit_keys(taus, aut) == keys == _least(taus, aut)
