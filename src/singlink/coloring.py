@@ -47,17 +47,25 @@ def flat_tables(p: SingularPair) -> Mapping[tuple[str, bool], tuple[np.ndarray, 
     return MappingProxyType(out)
 
 
+# the (kind, forward) keys of `flat_tables` in the order a plan's ops name
+# them by index, and each kind's forward key: its backward key is the next
+_KEYS = ((POS, True), (POS, False), (NEG, True), (NEG, False), (SING, True), (SING, False))
+_FORWARD_KEY = {POS: 0, NEG: 2, SING: 4}
+
+
 def _plan(d: SingularDiagram):
     """The search as levels (seed edge, ops) over the ids of d.edges.
 
-    An op (a, b, (kind, forward), ((dst, new), (dst, new))) fires a
-    crossing: the colors of slots a, b give the other pair, which sets
-    each new dst and is checked against each other one.  Each crossing
-    fires once, when both slots of its in-pair or its out-pair are coloured.
+    An op (a, b, key, x, x_new, y, y_new) fires a crossing: the colors of
+    slots a, b give the other pair (x, y) through the map
+    _KEYS[key] = (kind, forward); a new x or y is set, an old one checked.
+    Each crossing fires once, when both slots of its in-pair or its
+    out-pair are coloured.  A diagram keeps its plan from its first search
+    on (`SingularDiagram.derived`), as one flat tuple of ints per op.
     """
-    index = {e: i for i, e in enumerate(d.edges)}
-    quads = [[index[e] for e in c.slots] for c in d.crossings]
-    kinds = [c.kind for c in d.crossings]
+    index = dict(zip(d.edges, range(len(d.edges))))
+    quads = [tuple(map(index.__getitem__, c.slots)) for c in d.crossings]
+    forward_keys = [_FORWARD_KEY[c.kind] for c in d.crossings]
     touching: list[list[int]] = [[] for _ in index]
     for ci, q in enumerate(quads):
         for e in q:                # twice for a kink: the flags make it harmless
@@ -83,7 +91,7 @@ def _plan(d: SingularDiagram):
             while low < len(known) and known[low]:
                 low += 1
             if low == len(known):
-                return levels
+                return tuple(levels)
             e = low
         known[e] = True
         for ci in touching[e]:
@@ -98,15 +106,15 @@ def _plan(d: SingularDiagram):
                 continue
             i1, i2, o1, o2 = quads[ci]
             if known[i1] and known[i2]:
-                forward, a, b, x, y = True, i1, i2, o1, o2
+                key, a, b, x, y = forward_keys[ci], i1, i2, o1, o2
             elif known[o1] and known[o2]:
-                forward, a, b, x, y = False, o1, o2, i1, i2
+                key, a, b, x, y = forward_keys[ci] + 1, o1, o2, i1, i2
             else:
                 continue
             fired[ci] = True
-            new = ((x, not known[x]), (y, not known[y]))
-            for z, fresh in new:
-                if fresh:
+            op = (a, b, key, x, not known[x], y, not known[y])
+            for z in (x, y):
+                if not known[z]:
                     known[z] = True
                     for cj in touching[z]:
                         if not fired[cj]:
@@ -114,36 +122,41 @@ def _plan(d: SingularDiagram):
                             if not queued[cj]:
                                 queued[cj] = True
                                 heapq.heappush(touched, cj)
-            ops.append((a, b, (kinds[ci], forward), new))
-        levels.append((e, ops))
+            ops.append(op)
+        levels.append((e, tuple(ops)))
 
 
 def _blocks(d: SingularDiagram, p: SingularPair):
     """The colorings of d as (colorings, edges) arrays from `batch.run`,
-    one level per seed of `_plan`."""
-    n = p.n
-    dtype = np.min_scalar_type(n - 1)
+    one level per seed of d's plan, compiled by `_plan` at d's first
+    search and kept with d."""
+    n = np.intp(p.n)
+    dtype = np.min_scalar_type(p.n - 1)
     tabs = flat_tables(p)
-    plan = _plan(d)
+    tabs = [tabs[key] for key in _KEYS]
+    plan = d.derived(_plan)
 
     def step(level, cols, chosen):
         e, ops = plan[level]
-        cols[:, e] = chosen
-        ok = None
-        for a, b, key, dsts in ops:
-            k = cols[:, a] * np.intp(n)
-            k += cols[:, b]
-            for (dst, new), tab in zip(dsts, tabs[key]):
-                if new:
-                    cols[:, dst] = tab.take(k)
-                elif ok is None:
-                    ok = cols[:, dst] == tab.take(k)
-                else:
-                    ok &= cols[:, dst] == tab.take(k)
-        return cols if ok is None or ok.all() else cols.compress(ok, axis=0)
+        edge = cols.T
+        edge[e] = chosen
+        ok = True
+        for a, b, key, x, x_new, y, y_new in ops:
+            k = edge[a] * n
+            k += edge[b]
+            t1, t2 = tabs[key]
+            if x_new:
+                edge[x] = t1.take(k)
+            else:
+                ok = ok & (edge[x] == t1.take(k))
+            if y_new:
+                edge[y] = t2.take(k)
+            else:
+                ok = ok & (edge[y] == t2.take(k))
+        return cols if ok is True or ok.all() else cols.compress(ok, axis=0)
 
     return batch.run(np.zeros((1, len(d.edges)), dtype), len(plan),
-                     np.arange(n, dtype=dtype), _ROWS, step)
+                     np.arange(p.n, dtype=dtype), _ROWS, step)
 
 
 def coloring_array(d: SingularDiagram, p: SingularPair) -> np.ndarray:
@@ -164,17 +177,19 @@ def enumerate_colorings(d: SingularDiagram, p: SingularPair) -> list[Coloring]:
     """All colorings, deterministically ordered by the value tuple on
     sorted edges.
 
-    The search is compiled into a plan at each call, and a pair's
-    `flat_tables` are built once per pair.  Edges get ids in
-    sorted-name order; each level of the plan seeds one edge and lists the
-    crossings that propagation then fires, forward (ins determine outs) or
-    backward (outs determine ins).  Which edges are coloured after a seed
-    depends only on which were coloured before it, not on their colors,
-    so one plan serves every branch.  The seed rule is unchanged: the
-    missing slot of the first half-known in-pair or out-pair in crossing
-    order (in-pair first), where one choice determines a whole crossing,
-    found from a heap of the crossings with a coloured edge; only when no
-    pair is half-known, the first uncoloured edge in sorted-name order.
+    The search is compiled into a plan (`_plan`) at a diagram's first
+    search, not when it is built or moved, and kept with the diagram for
+    its lifetime (`SingularDiagram.derived`); a pair's `flat_tables` are
+    built once per pair.  Edges get ids in sorted-name order; each level
+    of the plan seeds one edge and lists the crossings that propagation
+    then fires, forward (ins determine outs) or backward (outs determine
+    ins).  Which edges are coloured after a seed depends only on which
+    were coloured before it, not on their colors, so one plan serves
+    every branch and every pair.  The seed rule is unchanged: the missing
+    slot of the first half-known in-pair or out-pair in crossing order
+    (in-pair first), where one choice determines a whole crossing, found
+    from a heap of the crossings with a coloured edge; only when no pair
+    is half-known, the first uncoloured edge in sorted-name order.
 
     `batch.run` runs the plan on arrays of partial colorings, one row per
     branch, at most _ROWS at a time, in the smallest unsigned dtype; a
@@ -187,8 +202,9 @@ def enumerate_colorings(d: SingularDiagram, p: SingularPair) -> list[Coloring]:
 
 
 def count_colorings(d: SingularDiagram, p: SingularPair) -> int:
-    """Number of colorings; the plan of `enumerate_colorings`, run block by
-    block without keeping or sorting them."""
+    """Number of colorings; the plan of `enumerate_colorings`, kept with d
+    from its first search, run block by block without keeping or sorting
+    the colorings."""
     return sum(len(cols) for cols in _blocks(d, p))
 
 

@@ -17,14 +17,17 @@ with the pair's cocycle check and kept with it (`_memo`).  A query makes
 one array of indices into that table over the sorted colorings of
 `coloring_array`: a run of passages per component, or one run of all
 crossings for the state sum, each run padded with the identity to the
-longest.  `_evaluate` gathers it in blocks of colorings and multiplies
-along the runs: in an abelianized target coordinate rows are summed
-(int64, or Python ints where a sum could pass 2^62) and the torsion is
-reduced once; a finite target folds its Cayley table.  `_tally` counts
-each run's values in order of first appearance: in a dict, one pass per
-run, up to _DICT_KEYS (run, value) pairs, as in nearly every query; above
-that by one np.unique over (run, value) keys, whose fixed cost of some 35
-numpy calls a large tally repays.
+longest.  The runs' cells (`_cells`) are the diagram's, compiled at its
+first query and kept with it for its lifetime, as is its coloring plan;
+a query adds only the pair's block offsets.  `_evaluate` gathers the
+array in blocks of colorings and multiplies along the runs: in an
+abelianized target coordinate rows are summed (int64, or Python ints
+where a sum could pass 2^62) and the torsion is reduced once; a finite
+target folds its Cayley table.  `_tally` counts each run's values in
+order of first appearance: in a dict, one pass per run, up to _DICT_KEYS
+(run, value) pairs, as in nearly every query; above that by one
+np.unique over (run, value) keys, whose fixed cost of some 35 numpy
+calls a large tally repays.
 
 The cocycle conditions are not written out here: the checkers evaluate
 both sides of every instance of the relation table in
@@ -354,24 +357,63 @@ def _evaluate(t: Target, w: _Weights, idx: np.ndarray) -> np.ndarray:
     return out
 
 
+# the n*n block of w.rows that each crossing kind weighs in; block 3 is
+# the identity row
+_BLOCK = {POS: 0, SING: 1, NEG: 2}
+
+
+def _cells(d: SingularDiagram, runs) -> np.ndarray:
+    """The (edge, edge, block) cells of runs of crossings of d, as a
+    read-only (3, steps, runs) array: a crossing met with incoming colors
+    (x, y) on edges (in1, in2) weighs row x*n + y of its kind's block of
+    w.  Runs are padded to the longest, at least one step, with the cell
+    (edges, edges, 3), whose colors `_products` sets to 0: the identity."""
+    index = {e: i for i, e in enumerate(d.edges)}
+    steps = max(map(len, runs), default=0) or 1
+    pad = [(len(index), len(index), 3)]
+    cells = np.array([[(index[cr.in1], index[cr.in2], _BLOCK[cr.kind]) for cr in run]
+                      + pad * (steps - len(run)) for run in runs], np.intp)
+    cells = cells.reshape(len(runs), steps, 3).T
+    cells.flags.writeable = False
+    return cells
+
+
+def _nc_cells(d: SingularDiagram) -> np.ndarray:
+    """The cells of each component's weighted passages from its basepoint,
+    in order: every singular crossing, and a classical one met on its
+    under-strand; a loop has none."""
+    runs = []
+    for base in d.basepoints:
+        passed, edge = [], base
+        while edge in d.consumers:
+            ci, slot = d.consumers[edge]
+            cr = d.crossings[ci]
+            if cr.kind == SING or (cr.kind, slot) in ((POS, 0), (NEG, 1)):
+                passed.append(cr)
+            edge = d.successor(edge)
+            if edge == base:
+                break
+        runs.append(passed)
+    return _cells(d, runs)
+
+
+def _sum_cells(d: SingularDiagram) -> np.ndarray:
+    """The cells of one run of all of d's crossings, in order."""
+    return _cells(d, [d.crossings])
+
+
 def _products(d: SingularDiagram, p: SingularPair, t: Target, w: _Weights,
-              runs) -> np.ndarray:
-    """`_evaluate`'s product over each run of crossings in runs at every
-    sorted coloring of d: a crossing met with incoming colors (x, y)
-    weighs row x*n + y of its kind's block of w."""
+              cells: np.ndarray) -> np.ndarray:
+    """`_evaluate`'s product over each run of `_cells` at every sorted
+    coloring of d.  The cells are d's, kept with it from its first query
+    (`SingularDiagram.derived`); only the blocks' offset, n*n a block,
+    depends on the pair."""
     n = p.n
     cols = coloring_array(d, p)
-    index = {e: i for i, e in enumerate(d.edges)}
-    block = {POS: 0, SING: n * n, NEG: 2 * n * n}
-    steps = max(map(len, runs), default=0) or 1
-    # the last row of colors is 0, so a pad reads row 3n^2: the identity
-    pad = [(len(index), len(index), 3 * n * n)]
-    cells = np.array([[(index[cr.in1], index[cr.in2], block[cr.kind]) for cr in run]
-                      + pad * (steps - len(run)) for run in runs], np.intp)
-    x, y, off = cells.reshape(len(runs), steps, 3).T
-    colors = np.zeros((len(index) + 1, len(cols)), np.intp)
+    x, y, block = cells
+    colors = np.zeros((len(d.edges) + 1, len(cols)), np.intp)
     colors[:-1] = cols.T
-    return _evaluate(t, w, colors[x] * n + colors[y] + off[..., None])
+    return _evaluate(t, w, colors[x] * n + colors[y] + (block * (n * n))[..., None])
 
 
 def _tally(t: Target, vals):
@@ -452,20 +494,7 @@ def nc_invariant(d: SingularDiagram, p: SingularPair,
         raise CocycleInvalidError("nc_invariant needs a noncommutative pair")
     w = _checked_weights(p, c)
     t = c.target
-    runs = []
-    for base in d.basepoints:
-        # the weighted passages from the basepoint; a loop has none
-        passed, edge = [], base
-        while edge in d.consumers:
-            ci, slot = d.consumers[edge]
-            cr = d.crossings[ci]
-            if cr.kind == SING or (cr.kind, slot) in ((POS, 0), (NEG, 1)):
-                passed.append(cr)
-            edge = d.successor(edge)
-            if edge == base:
-                break
-        runs.append(passed)
-    vals = _products(d, p, t, w, runs)
+    vals = _products(d, p, t, w, d.derived(_nc_cells))
     if isinstance(t, FiniteGroup):
         vals = np.array(t.class_reps)[vals]
     values, which, _ = _tally(t, vals)
@@ -481,7 +510,8 @@ def state_sum(d: SingularDiagram, p: SingularPair,
     if c.kind != AB:
         raise CocycleInvalidError("state_sum needs an abelian pair")
     w = _checked_weights(p, c)
-    values, _, counts = _tally(c.target, _products(d, p, c.target, w, [d.crossings]))
+    vals = _products(d, p, c.target, w, d.derived(_sum_cells))
+    values, _, counts = _tally(c.target, vals)
     return GroupRingElement(dict(zip(values, counts)))
 
 

@@ -5,9 +5,9 @@ import random
 
 from hypothesis import strategies as st
 
-from singlink.diagram import (Crossing, MoveSite, SingularDiagram, _ladder_names,
-                              apply_move, braid_closure, builtin_diagram,
-                              find_move_sites)
+from singlink.diagram import (MOVES, Crossing, MoveSite, SingularDiagram,
+                              _ladder_names, apply_move, braid_closure,
+                              builtin_diagram, find_move_sites)
 from singlink.pairs import SingularPair, make_tau_a, make_tau_phi
 from singlink.pairtable import dihedral_switch, make_bialexander
 
@@ -91,3 +91,21 @@ def moved_closures(draw, moves=COUNT_PRESERVING_MOVES):
             break
         chain.append(apply_move(chain[-1], site))
     return word, strands, chain
+
+
+def last_edge_bases(d: SingularDiagram) -> SingularDiagram:
+    """d with each basepoint on its component's last edge, not the default
+    first one, so that a move's rebuild has basepoints to carry over."""
+    return SingularDiagram(d.crossings, d.loops, tuple(c[-1] for c in d.components))
+
+
+def move_chain(rng: random.Random, d: SingularDiagram, steps: int) -> list[SingularDiagram]:
+    """d and the diagrams after each of up to `steps` moves: a move drawn
+    among those with a site, then one of its sites."""
+    chain = [d]
+    for _ in range(steps):
+        by_move = [sites for m in MOVES if (sites := find_move_sites(chain[-1], m))]
+        if not by_move:
+            break
+        chain.append(apply_move(chain[-1], rng.choice(rng.choice(by_move))))
+    return chain

@@ -14,9 +14,9 @@ from singlink.diagram import (MOVES, Crossing, SingularDiagram, apply_move,
                               braid_closure, builtin_diagram, find_move_sites)
 from singlink.pairs import SingularPair, builtin_pair
 from singlink.pairtable import dihedral_switch, flip_switch
-from tests.closures import (EDGE_CASES, FAR_PAIRS, MOVE_PAIRS, ladder,
-                            moved_closures, random_word, replace_sing_by_pos,
-                            shuffled_closure)
+from tests.closures import (EDGE_CASES, FAR_PAIRS, MOVE_PAIRS, last_edge_bases,
+                            ladder, move_chain, moved_closures, random_word,
+                            replace_sing_by_pos, shuffled_closure)
 
 
 class TestPaperCounts:
@@ -393,3 +393,66 @@ def test_results_do_not_depend_on_the_table_cache():
     assert coloring.flat_tables.cache_info().misses == 1
     assert results() == first
     assert coloring.flat_tables.cache_info().hits >= 1
+
+
+def fresh_copy(d: SingularDiagram) -> SingularDiagram:
+    return SingularDiagram.from_dict(d.to_dict())
+
+
+def searched_diagrams(all_diagrams):
+    """Every closure the tests share, seeded shuffled closures, and each
+    diagram of seeded move chains from them, basepoints on last edges."""
+    rng = random.Random("stored plans")
+    out = [*EDGE_CASES.values(), *all_diagrams.values()]
+    for _ in range(20):
+        strands = rng.randint(2, 4)
+        out.append(shuffled_closure(random_word(rng, strands, rng.randint(strands, 9)),
+                                    strands, rng))
+    for d in list(out):
+        out += move_chain(rng, last_edge_bases(d), 4)[1:]
+    return out
+
+
+def test_stored_plan_matches_a_fresh_compile(all_diagrams):
+    p = builtin_pair("d3-sinv")
+    for d in searched_diagrams(all_diagrams):
+        count = count_colorings(d, p)
+        assert len(enumerate_colorings(d, p)) == count
+        assert d.derived(coloring._plan) == coloring._plan(fresh_copy(d)), d
+
+
+def test_plan_compiled_once_per_diagram(monkeypatch):
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return plan(d)
+    plan = coloring._plan
+    monkeypatch.setattr(coloring, "_plan", counted)
+    d = builtin_diagram("four_sing_left")
+    for p in (builtin_pair("flip-flip"), builtin_pair("d3-ss"), d3_pair()):
+        count_colorings(d, p)
+        enumerate_colorings(d, p)
+        coloring.coloring_array(d, p)
+    assert calls == [d]
+    # building or moving a diagram compiles nothing; its first search does
+    moved = apply_move(d, find_move_sites(d, "RI_insert")[0])
+    assert calls == [d]
+    assert count_colorings(moved, d3_pair()) == count_colorings(d, d3_pair())
+    assert calls == [d, moved] and calls[1] is moved
+
+
+def test_a_search_leaves_the_diagram_as_it_was(all_diagrams):
+    from singlink.invariant import (AB, NC, builtin_cocycle, nc_invariant,
+                                    state_sum)
+
+    p = builtin_pair("flip-flip")
+    nc, ab = builtin_cocycle("flip-flip", NC), builtin_cocycle("flip-flip", AB)
+    for d in searched_diagrams(all_diagrams)[::3]:
+        copy = fresh_copy(d)
+        before = (hash(d), repr(d), d.to_dict(), d.render())
+        count_colorings(d, p)
+        nc_invariant(d, p, nc)
+        state_sum(d, p, ab)
+        assert (hash(d), repr(d), d.to_dict(), d.render()) == before
+        assert d == copy and hash(d) == hash(copy) and repr(d) == repr(copy)

@@ -25,8 +25,9 @@ from singlink.pairtable import (dihedral_switch, flip_switch, i2_switch,
 from singlink.presentation import (AbelianizedGroup, FiniteGroup,
                                    GroupRingElement, relation_families,
                                    relation_instances)
-from tests.closures import (EDGE_CASES, FAR_PAIRS, MOVE_PAIRS, moved_closures,
-                            random_word, replace_sing_by_pos, shuffled_closure)
+from tests.closures import (EDGE_CASES, FAR_PAIRS, MOVE_PAIRS, last_edge_bases,
+                            move_chain, moved_closures, random_word,
+                            replace_sing_by_pos, shuffled_closure)
 
 
 def elem(group, **exps):
@@ -775,3 +776,21 @@ def test_moves_keep_both_invariants(case):
         assert sum(ncs[0].values()) == sums[0].coefficient_sum() == count, word
         assert ncs == ncs[:1] * len(chain), word
         assert sums == sums[:1] * len(chain), word
+
+
+def test_queries_on_moved_diagrams_match_fresh_copies(all_diagrams):
+    # each diagram is queried under pairs of two sizes, so its stored cells
+    # serve both block offsets; moves rebuild diagrams and set their
+    # basepoints after construction
+    rng = Random("stored cells")
+    queries = list(move_cocycles()) + [(builtin_pair("flip-flip"),
+                                        builtin_cocycle("flip-flip", NC),
+                                        builtin_cocycle("flip-flip", AB))]
+    for start in all_diagrams.values():
+        for d in move_chain(rng, last_edge_bases(start), 3):
+            fresh = SingularDiagram.from_dict(d.to_dict())
+            for p, nc, ab in queries:
+                assert nc_invariant(d, p, nc) == nc_invariant(fresh, p, nc), d
+                assert state_sum(d, p, ab) == state_sum(fresh, p, ab), d
+            for cells in (invariant._nc_cells, invariant._sum_cells):
+                assert np.array_equal(d.derived(cells), cells(fresh)), d
