@@ -1121,7 +1121,9 @@ def classify_isomorphism(pairs) -> list[IsoClass]:
     if any(p.n != n for p in pairs):
         raise DimensionMismatchError("pairs of mixed cardinality")
     S = pairs[0].biquandle
-    if all(p.biquandle.table == S.table for p in pairs):
+    # pairs usually share one switch object: `is` spares the table compare
+    if all(p.biquandle.table is S.table or p.biquandle.table == S.table
+           for p in pairs):
         return _tau_classes(S, _pair_tables(pairs, tau_only=True))
     if n > 8:
         raise SearchBoundExceededError(

@@ -1129,6 +1129,19 @@ def test_partition_is_the_same_on_both_sides_of_the_64_pair_rule():
     assert all(c.canonical.biquandle == S for c in large)
 
 
+@pytest.mark.parametrize("copies", [1, 5])
+def test_equal_switch_objects_classify_as_one_shared_switch(copies):
+    # D4's 16 pairs below and above the 64-pair rule: pairs holding equal
+    # but distinct switches take the same-switch path, as one shared
+    # switch does
+    S = dihedral_switch(4)
+    taus = enumerate_taus(S) * copies
+    shared = [SingularPair(S, t) for t in taus]
+    distinct = [SingularPair(dihedral_switch(4), t) for t in taus]
+    assert distinct[0].biquandle.table is not distinct[1].biquandle.table
+    assert classify_isomorphism(distinct) == classify_isomorphism(shared)
+
+
 def test_representatives_carry_the_s_of_their_switch():
     # s is x -> 3x for bialexander(5,2,3): a relabeled representative must
     # carry the s of its relabeled table, with one switch or several
