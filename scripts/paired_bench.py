@@ -15,7 +15,10 @@ odd seeds, the change first on even ones.  For every end-to-end metric of
 BENCHMARK.json the script prints each side's median and quartiles
 (statistics.quantiles, method='inclusive'), the pairs the change won,
 the ratio of the medians and a verdict (see `verdict`), then the
-attempted and failed task counts.
+attempted and failed task counts.  A seed where either side's run exits
+non-zero is dropped from both sides and listed under "failed_seeds"; the
+pairs of the other seeds are still reported, and the script then exits
+with 1.
 --json writes the same figures as the workload's entry in the
 `paired_bench` block of a BENCH_*.json file, creating the file or keeping
 what else it holds.
@@ -117,14 +120,45 @@ def report(workload: str, entry: dict) -> str:
     return "\n".join(lines)
 
 
+class RunFailed(Exception):
+    """A benchmark run that exited non-zero; the message ends with the
+    tail of its stderr."""
+
+
 def run_bench(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if out.returncode != 0:
-        raise SystemExit(f"error: {' '.join(cmd)} in {tree} exited with "
-                         f"{out.returncode}: {out.stderr.strip()[-500:]}")
+        raise RunFailed(f"{' '.join(cmd)} in {tree} exited with "
+                        f"{out.returncode}: {out.stderr.strip()[-500:]}")
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def run_pairs(trees: dict, workload: str, seeds, seconds: int):
+    """Run both sides once per seed, the parent first on odd seeds.  A
+    seed where either run fails is dropped from both sides, its stderr
+    tail printed; returns the runs per side, the seeds kept and the seeds
+    failed."""
+    runs, kept, failed = {"parent": [], "change": []}, [], []
+    for i, seed in enumerate(seeds):
+        order = ("parent", "change") if seed % 2 else ("change", "parent")
+        pair = {}
+        try:
+            for side in order:
+                pair[side] = run_bench(trees[side], workload, seed, seconds)
+                wall = pair[side]["metrics"]["wall_s"]["value"]
+                print(f"[{i + 1}/{len(seeds)}] seed {seed} {side}: wall_s {wall:.4g}",
+                      file=sys.stderr, flush=True)
+        except RunFailed as e:
+            print(f"[{i + 1}/{len(seeds)}] seed {seed} {side} failed, seed dropped: {e}",
+                  file=sys.stderr, flush=True)
+            failed.append(seed)
+            continue
+        for side in runs:
+            runs[side].append(pair[side])
+        kept.append(seed)
+    return runs, kept, failed
 
 
 def write_block(path: Path, workload: str, entry: dict, seconds: int):
@@ -137,6 +171,23 @@ def write_block(path: Path, workload: str, entry: dict, seconds: int):
         "quartiles": "statistics.quantiles(method='inclusive') over the runs of each side",
         workload: entry})
     path.write_text(json.dumps(data, indent=1) + "\n")
+
+
+def extract_trees(parent: str, tmp: Path) -> tuple[dict, dict]:
+    """The commits of parent and HEAD, and their committed files extracted
+    into tmp/parent and tmp/change."""
+    revs = {side: subprocess.run(
+                ["git", "-C", str(ROOT), "rev-parse", "--verify", rev + "^{commit}"],
+                capture_output=True, check=True, text=True).stdout.strip()
+            for side, rev in (("parent", parent), ("change", "HEAD"))}
+    trees = {side: tmp / side for side in revs}
+    for side, rev in revs.items():
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                                 capture_output=True, check=True).stdout
+        trees[side].mkdir()
+        subprocess.run(["tar", "-x", "-C", str(trees[side])], input=archive,
+                       check=True)
+    return revs, trees
 
 
 def main(argv=None):
@@ -153,25 +204,8 @@ def main(argv=None):
     seconds = spec["run_seconds"]
     tmp = Path(tempfile.mkdtemp(prefix="paired_bench-"))
     try:
-        revs = {side: subprocess.run(
-                    ["git", "-C", str(ROOT), "rev-parse", "--verify", rev + "^{commit}"],
-                    capture_output=True, check=True, text=True).stdout.strip()
-                for side, rev in (("parent", args.parent), ("change", "HEAD"))}
-        trees = {side: tmp / side for side in revs}
-        for side, rev in revs.items():
-            archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
-                                     capture_output=True, check=True).stdout
-            trees[side].mkdir()
-            subprocess.run(["tar", "-x", "-C", str(trees[side])], input=archive,
-                           check=True)
-        runs = {"parent": [], "change": []}
-        for i, seed in enumerate(args.seeds):
-            order = ("parent", "change") if seed % 2 else ("change", "parent")
-            for side in order:
-                runs[side].append(run_bench(trees[side], args.workload, seed, seconds))
-                wall = runs[side][-1]["metrics"]["wall_s"]["value"]
-                print(f"[{i + 1}/{len(args.seeds)}] seed {seed} {side}: wall_s {wall:.4g}",
-                      file=sys.stderr, flush=True)
+        revs, trees = extract_trees(args.parent, tmp)
+        runs, kept, failed = run_pairs(trees, args.workload, args.seeds, seconds)
     except subprocess.CalledProcessError as e:
         detail = e.stderr or b""
         detail = (detail if isinstance(detail, str)
@@ -179,11 +213,15 @@ def main(argv=None):
         raise SystemExit(f"error: {' '.join(e.cmd)} failed: {detail}")
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-    entry = {"revisions": revs, **summarize(args.seeds, runs, spec)}
+    if not kept:
+        raise SystemExit(f"error: the runs of every seed failed: {failed}")
+    entry = {"revisions": revs, **summarize(kept, runs, spec), "failed_seeds": failed}
     print(report(args.workload, entry))
+    if failed:
+        print(f"  failed seeds, dropped from both sides: {failed}")
     if args.json:
         write_block(args.json, args.workload, entry, seconds)
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

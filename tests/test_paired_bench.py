@@ -82,3 +82,31 @@ def test_verdicts():
     assert "ratio 2.0: level" in paired_bench.report("invariants", {
         "seeds": list(range(10)), "metrics": metrics,
         "attempted": {"parent": 1, "change": 1}, "failed": {"parent": 0, "change": 0}})
+
+
+def test_a_failed_run_drops_its_seed_from_both_sides(monkeypatch, tmp_path, capsys):
+    # seed 4 runs the change first, then the parent, which exits non-zero
+    def fake_bench(tree, workload, seed, seconds):
+        if (tree, seed) == ("parent", 4):
+            raise paired_bench.RunFailed("run.py exited with 2: no speed probe near "
+                                         "a timed call")
+        wall = seed / 10 if tree == "parent" else seed / 20
+        return {**fake_run(wall, 50), "metrics": {m: {"value": wall} for m in metrics}}
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = [m["name"] for m in spec["end_to_end"]]
+
+    monkeypatch.setattr(paired_bench, "run_bench", fake_bench)
+    monkeypatch.setattr(paired_bench, "extract_trees", lambda parent, tmp: (
+        {"parent": parent, "change": "HEAD"}, {"parent": "parent", "change": "change"}))
+    path = tmp_path / "BENCH.json"
+    code = paired_bench.main(["--parent", "p0", "--workload", "closures",
+                              "--seeds", "3-5", "--json", str(path)])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert "seed 4 parent failed, seed dropped" in err and "no speed probe" in err
+    assert "failed seeds, dropped from both sides: [4]" in out
+    entry = json.loads(path.read_text())["paired_bench"]["closures"]
+    assert entry["seeds"] == [3, 5] and entry["failed_seeds"] == [4]
+    assert entry["metrics"]["wall_s"]["per_seed"] == {"parent": [0.3, 0.5],
+                                                      "change": [0.15, 0.25]}
