@@ -50,7 +50,7 @@ def flat_tables(p: SingularPair) -> Mapping[tuple[str, bool], tuple[np.ndarray, 
 # the (kind, forward) keys of `flat_tables` in the order a plan's ops name
 # them by index, and each kind's forward key: its backward key is the next
 _KEYS = ((POS, True), (POS, False), (NEG, True), (NEG, False), (SING, True), (SING, False))
-_FORWARD_KEY = {POS: 0, NEG: 2, SING: 4}
+_FORWARD_KEY = {kind: _KEYS.index((kind, True)) for kind in (POS, NEG, SING)}
 
 
 def _plan(d: SingularDiagram):

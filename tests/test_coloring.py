@@ -422,12 +422,11 @@ def test_stored_plan_matches_a_fresh_compile(all_diagrams):
 
 
 def test_plan_compiled_once_per_diagram(monkeypatch):
-    calls = []
+    calls, plan = [], coloring._plan
 
     def counted(d):
         calls.append(d)
         return plan(d)
-    plan = coloring._plan
     monkeypatch.setattr(coloring, "_plan", counted)
     d = builtin_diagram("four_sing_left")
     for p in (builtin_pair("flip-flip"), builtin_pair("d3-ss"), d3_pair()):

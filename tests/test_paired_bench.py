@@ -86,15 +86,15 @@ def test_verdicts():
 
 def test_a_failed_run_drops_its_seed_from_both_sides(monkeypatch, tmp_path, capsys):
     # seed 4 runs the change first, then the parent, which exits non-zero
+    metrics = [m["name"] for m in
+               json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+
     def fake_bench(tree, workload, seed, seconds):
         if (tree, seed) == ("parent", 4):
             raise paired_bench.RunFailed("run.py exited with 2: no speed probe near "
                                          "a timed call")
         wall = seed / 10 if tree == "parent" else seed / 20
         return {**fake_run(wall, 50), "metrics": {m: {"value": wall} for m in metrics}}
-
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    metrics = [m["name"] for m in spec["end_to_end"]]
 
     monkeypatch.setattr(paired_bench, "run_bench", fake_bench)
     monkeypatch.setattr(paired_bench, "extract_trees", lambda parent, tmp: (
