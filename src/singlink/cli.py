@@ -252,15 +252,9 @@ _COCYCLE_FORMS = "universal or a cocycle JSON file"
 
 def _load_cocycle(spec: str, target_spec, p: SingularPair, kind: str):
     if spec == "universal":
-        name = None
-        for cand in ("flip-i2", "flip-s2", "flip-flip"):
-            if builtin_pair(cand).key() == p.key():
-                name = cand
-                break
-        if name == "flip-i2" and kind == iv.AB:
-            name = "flip-s2"
-        if name is not None:
-            return iv.builtin_cocycle(name, kind)
+        for name in ("flip-i2", "flip-flip"):
+            if builtin_pair(name).key() == p.key():
+                return iv.builtin_cocycle(name, kind)
         return (iv.universal_nc_cocycle(p) if kind == iv.NC
                 else iv.universal_ab_cocycle(p))
     with _open(spec, "cocycle", _COCYCLE_FORMS) as fh, \
@@ -419,10 +413,7 @@ def main(argv=None) -> int:
         ap.error("--target is not read by --cocycle universal")
     try:
         return _DISPATCH[args.cmd](args)
-    except SinglinkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SinglinkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

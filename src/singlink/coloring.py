@@ -7,11 +7,8 @@ according to the crossing kind.  Loops are unconstrained.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
-from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
@@ -25,32 +22,27 @@ Coloring = dict[str, int]
 _ROWS = 1 << 16
 
 
-@functools.lru_cache(maxsize=64)
-def flat_tables(p: SingularPair) -> Mapping[tuple[str, bool], tuple[np.ndarray, ...]]:
-    """Per (crossing kind, forward), the tables (M1, M2) of the crossing's
-    map M, or of M^-1 when not forward, indexed x*n + y.  One inverse per
-    map: S^-1's tables are S's read the other way round.  Built once per
-    pair and cached (the last 64 pairs); the mapping and its arrays are
-    read-only, since every caller with an equal pair shares them."""
-    n = p.n
-    out = {}
-    for kind, t in ((POS, p.biquandle.table), (SING, p.tau)):
-        fwd = tuple(np.array(tab, dtype=np.intp).ravel() for tab in (t.t1, t.t2))
-        back = np.full(n * n, -1)
-        back[fwd[0] * n + fwd[1]] = np.arange(n * n)
-        if back.min() < 0:
-            raise ValueError("table is not bijective")
-        out[kind, True], out[kind, False] = fwd, (back // n, back % n)
-    for tab in (tab for pair in out.values() for tab in pair):
-        tab.flags.writeable = False
-    out[NEG, True], out[NEG, False] = out[POS, False], out[POS, True]
-    return MappingProxyType(out)
-
-
 # the (kind, forward) keys of `flat_tables` in the order a plan's ops name
 # them by index, and each kind's forward key: its backward key is the next
 _KEYS = ((POS, True), (POS, False), (NEG, True), (NEG, False), (SING, True), (SING, False))
 _FORWARD_KEY = {kind: _KEYS.index((kind, True)) for kind in (POS, NEG, SING)}
+
+
+def flat_tables(p: SingularPair) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per (crossing kind, forward) of _KEYS, the read-only tables
+    (M1, M2) of the crossing's map M, or of M^-1 when not forward,
+    indexed x*n + y.  One inverse per map (`PairTable.inverse`, which
+    refuses a map that is not bijective): S^-1's tables are S's read the
+    other way round.  A pair builds them at its first search and keeps
+    them (`p.derived(flat_tables)`)."""
+    out = {}
+    for kind, t in ((POS, p.biquandle.table), (SING, p.tau)):
+        for forward, m in ((True, t), (False, t.inverse())):
+            tabs = np.array([m.t1, m.t2], dtype=np.intp).reshape(2, -1)
+            tabs.flags.writeable = False
+            out[kind, forward] = tuple(tabs)
+    out[NEG, True], out[NEG, False] = out[POS, False], out[POS, True]
+    return tuple(map(out.__getitem__, _KEYS))
 
 
 def _plan(d: SingularDiagram):
@@ -129,11 +121,11 @@ def _plan(d: SingularDiagram):
 def _blocks(d: SingularDiagram, p: SingularPair):
     """The colorings of d as (colorings, edges) arrays from `batch.run`,
     one level per seed of d's plan, compiled by `_plan` at d's first
-    search and kept with d."""
+    search and kept with d, through p's `flat_tables`, built at p's first
+    search and kept with p."""
     n = np.intp(p.n)
     dtype = np.min_scalar_type(p.n - 1)
-    tabs = flat_tables(p)
-    tabs = [tabs[key] for key in _KEYS]
+    tabs = p.derived(flat_tables)
     plan = d.derived(_plan)
 
     def step(level, cols, chosen):
@@ -179,13 +171,15 @@ def enumerate_colorings(d: SingularDiagram, p: SingularPair) -> list[Coloring]:
 
     The search is compiled into a plan (`_plan`) at a diagram's first
     search, not when it is built or moved, and kept with the diagram for
-    its lifetime (`SingularDiagram.derived`); a pair's `flat_tables` are
-    built once per pair.  Edges get ids in sorted-name order; each level
-    of the plan seeds one edge and lists the crossings that propagation
-    then fires, forward (ins determine outs) or backward (outs determine
-    ins).  Which edges are coloured after a seed depends only on which
-    were coloured before it, not on their colors, so one plan serves
-    every branch and every pair.  The seed rule is unchanged: the missing
+    its lifetime (its `derived` store); a pair's `flat_tables` are built
+    at its first search and kept with it the same way.  Edges get ids in
+    sorted-name order; each level of the plan seeds one edge and lists
+    the crossings that propagation then fires, forward (ins determine
+    outs) or backward (outs determine ins).  Which edges are coloured
+    after a seed depends only on which were coloured before it, not on
+    their colors, so one plan serves every branch and every pair.  A pair
+    whose switch or tau is not bijective is refused with ValueError.  The
+    seed rule is unchanged: the missing
     slot of the first half-known in-pair or out-pair in crossing order
     (in-pair first), where one choice determines a whole crossing, found
     from a heap of the crossings with a coloured edge; only when no pair
@@ -193,7 +187,7 @@ def enumerate_colorings(d: SingularDiagram, p: SingularPair) -> list[Coloring]:
 
     `batch.run` runs the plan on arrays of partial colorings, one row per
     branch, at most _ROWS at a time, in the smallest unsigned dtype; a
-    level's gathers and checks act on all rows at once.  `coloring_array`
+    level's gathers and comparisons act on all rows at once.  `coloring_array`
     then sorts the rows once, by one byte key per row.  An enumeration
     holds all colorings, O(colorings * edges) bytes.
     """

@@ -37,7 +37,7 @@ from .errors import (BadBasepointError, DanglingEdgeError, DiagramError,
                      DiagramSyntaxError, PatternMismatchError, SlotReuseError,
                      UnknownNameError)
 from .pairs import SINGULAR_PAIR_AXIOMS
-from .pairtable import YANG_BAXTER
+from .pairtable import YANG_BAXTER, Derived
 
 POS, NEG, SING = "+", "-", "s"
 KINDS = (POS, NEG, SING)
@@ -66,7 +66,12 @@ class Crossing:
 
 
 @dataclass(frozen=True)
-class SingularDiagram:
+class SingularDiagram(Derived):
+    """A diagram; its `derived` store keeps what the searches compile from
+    it (`coloring._plan`, `invariant._nc_cells`, `invariant._sum_cells`)
+    from its first search on: nothing is compiled when a diagram is built
+    or moved, and nothing again when it is searched again."""
+
     crossings: tuple[Crossing, ...]
     loops: tuple[str, ...] = ()
     basepoints: tuple[str, ...] = ()     # one edge per component, aligned
@@ -80,20 +85,6 @@ class SingularDiagram:
 
     def __post_init__(self):
         _validate(self)
-        object.__setattr__(self, "_derived", {})
-
-    def derived(self, build):
-        """build(self), computed at the first call with that build and kept
-        with the diagram for its lifetime.  The searches keep what they
-        compile from a diagram here (`coloring._plan`, the cells of
-        `invariant._nc_cells` and `invariant._sum_cells`): nothing is
-        compiled when a diagram is built or moved, and nothing again when
-        it is searched again.  The store is not a field, so ==, hash, repr
-        and to_dict do not see it."""
-        memo = self._derived
-        if build not in memo:
-            memo[build] = build(self)
-        return memo[build]
 
     # -- lookups -------------------------------------------------------
     def successor(self, edge: str) -> str:

@@ -12,8 +12,9 @@ to a conjugacy class representative; the state sum multiplies the
 weights of all crossings once each, with no order, and sums over
 colorings in the integral group ring.
 
-A cocycle pair's weights on a singular pair are one table, built once
-with the pair's cocycle check and kept with it (`_memo`).  A query makes
+A cocycle pair's weights on a singular pair are one table, built with
+the cocycle check at the pair's first check or query and kept in the
+cocycle pair's `derived` store (`_checked`).  A query makes
 one array of indices into that table over the sorted colorings of
 `coloring_array`: a run of passages per component, or one run of all
 crossings for the state sum, each run padded with the identity to the
@@ -41,7 +42,7 @@ from __future__ import annotations
 import collections
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -50,6 +51,7 @@ from .coloring import coloring_array
 from .diagram import NEG, POS, SING, SingularDiagram
 from .errors import CocycleInvalidError, DimensionMismatchError
 from .pairs import SingularPair, builtin_pair
+from .pairtable import Derived
 from .presentation import (AbelianizedGroup, FiniteGroup, GroupRingElement,
                            abelianize, build_ab_presentation,
                            build_unc_presentation, f_gen, family_words,
@@ -71,18 +73,17 @@ _DICT_KEYS = 512
 
 
 @dataclass(frozen=True)
-class CocyclePair:
+class CocyclePair(Derived):
+    """Weights f and h in a target; its `derived` store keeps, per
+    singular pair, the weight table and the check made with it
+    (`_checked`)."""
+
     target: Target
     f: tuple
     h: tuple
     kind: str                      # "nc" | "ab"
 
-    # per singular pair, its weight table and the check made with it,
-    # built at the pair's first check or query (`_memo`)
-    checks: dict = field(default=None, init=False, compare=False, repr=False)
-
     def __post_init__(self):
-        object.__setattr__(self, "checks", {})
         object.__setattr__(self, "f", tuple(tuple(r) for r in self.f))
         object.__setattr__(self, "h", tuple(tuple(r) for r in self.h))
         if self.kind not in (NC, AB):
@@ -143,14 +144,21 @@ def _weight_table(p: SingularPair, c: CocyclePair) -> _Weights:
     return _Weights(np.concatenate([fh, -fh[at], np.zeros_like(fh[:1])]), bound)
 
 
-def _memo(p: SingularPair, c: CocyclePair) -> tuple[CocycleCheck, _Weights]:
-    """c's weight table on p and its check, built once per (cocycle pair,
-    singular pair)."""
-    entry = c.checks.get(p)
-    if entry is None:
-        w = _weight_table(p, c)
-        entry = c.checks[p] = (_check_cocycle(p, c, w), w)
-    return entry
+def _checked(c: CocyclePair, p: SingularPair) -> tuple[CocycleCheck, _Weights]:
+    """c's check on p and the weight table it was made with; kept in c's
+    store, `c.derived(_checked, p)`."""
+    w = _weight_table(p, c)
+    return _check_cocycle(p, c, w), w
+
+
+def _stored(p: SingularPair, c: CocyclePair) -> tuple[CocycleCheck, _Weights]:
+    """`_checked` from c's store, once c suits p: an abelian kind needs an
+    abelian target, and the tables must be on p's carrier."""
+    if c.kind == AB and not _target_abelian(c.target):
+        raise CocycleInvalidError("abelian cocycle pair needs an abelian target")
+    if c.n != p.n:
+        raise DimensionMismatchError("cocycle tables do not match the pair")
+    return c.derived(_checked, p)
 
 
 def _check_cocycle(p: SingularPair, c: CocyclePair,
@@ -179,20 +187,14 @@ def check_nc_cocycle(p: SingularPair, c: CocyclePair) -> CocycleCheck:
     """
     if c.kind != NC:
         raise CocycleInvalidError("cocycle pair is not of noncommutative kind")
-    if c.n != p.n:
-        raise DimensionMismatchError("cocycle tables do not match the pair")
-    return _memo(p, c)[0]
+    return _stored(p, c)[0]
 
 
 def check_ab_cocycle(p: SingularPair, c: CocyclePair) -> CocycleCheck:
     """The five abelian conditions (f1'), (f2'), (c1'), (c2'), (c3')."""
     if c.kind != AB:
         raise CocycleInvalidError("cocycle pair is not of abelian kind")
-    if not _target_abelian(c.target):
-        raise CocycleInvalidError("abelian cocycle pair needs an abelian target")
-    if c.n != p.n:
-        raise DimensionMismatchError("cocycle tables do not match the pair")
-    return _memo(p, c)[0]
+    return _stored(p, c)[0]
 
 
 def derived_cocycle_identities(p: SingularPair, c: CocyclePair) -> dict[str, bool]:
@@ -314,21 +316,19 @@ class NcInvariantValue:
     per_coloring: tuple[tuple, ...]
 
     def multiset(self):
-        from collections import Counter
-        return Counter(self.per_coloring)
+        return collections.Counter(self.per_coloring)
 
     def sorted_items(self):
         return sorted(self.multiset().items(), key=lambda kv: repr(kv[0]))
 
 
 def _checked_weights(p: SingularPair, c: CocyclePair) -> _Weights:
-    """c's weight table on p, once c passes its checker."""
-    checker = check_nc_cocycle if c.kind == NC else check_ab_cocycle
-    res = checker(p, c)
+    """c's weight table on p, once c passes its check."""
+    res, w = _stored(p, c)
     if not res.ok:
         raise CocycleInvalidError(
             f"cocycle pair fails {[v[0] for v in res.violations]}")
-    return c.checks[p][1]
+    return w
 
 
 def _evaluate(t: Target, w: _Weights, idx: np.ndarray) -> np.ndarray:

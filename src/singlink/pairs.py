@@ -52,8 +52,8 @@ import numpy as np
 from . import batch
 from .errors import (DimensionMismatchError, HomogeneityViolationError,
                      NonUnitError, SearchBoundExceededError, UnknownNameError)
-from .pairtable import (Biquandle, PairTable, dihedral_switch, first_failure,
-                        flat_map, flip_switch, i2_switch, word_arity,
+from .pairtable import (Biquandle, Derived, PairTable, dihedral_switch,
+                        first_failure, flat_map, flip_switch, i2_switch, word_arity,
                         word_images)
 
 # batch sizes: taus per `pair_verdicts` call in the `enumerate_taus`
@@ -90,7 +90,11 @@ SINGULAR_PAIR_AXIOMS = (
 
 
 @dataclass(frozen=True, slots=True)
-class SingularPair:
+class SingularPair(Derived):
+    """A switch and tau on one carrier; its `derived` store keeps the
+    coloring search's tables (`coloring.flat_tables`) from its first
+    search on."""
+
     biquandle: Biquandle
     tau: PairTable
 
@@ -467,12 +471,6 @@ def _axiom_reads(st: PairTable):
                ((limg, lcell), (rimg, rcell)))
 
 
-def _axiom_outputs(st: PairTable):
-    """The (name, lhs, rhs, points, due, holds) of `_axiom_reads`: which
-    equations the tau plan checks, at which cell, and which it drops."""
-    return (outputs for outputs, _ in _axiom_reads(st))
-
-
 def _run_rows(start: int, stop: int, n: int):
     """Per tau1 row that the run of cells [start, stop) covers, the run's
     length there and whether the run starts inside the row and reaches
@@ -508,8 +506,9 @@ def _tau_plan(st: PairTable):
     one cell at most (`_axiom_reads`), so its images at the n^2 constant
     taus are all its values.  Two kinds of equation are left out: the
     first component of rv, which the derivation solves, and every
-    equation that holds for all taus (`_axiom_outputs`: same cell, or no
-    tau read), 192 of 416 for D4 and 384 of 416 for the flip at n = 4.
+    equation that holds for all taus (`_axiom_reads`' holds: same cell,
+    or no tau read), 192 of 416 for D4 and 384 of 416 for the flip at
+    n = 4.
     A run ends only after a cell where a derivation or a check becomes
     due, or after a row's last cell when one becomes due at the cell
     before it (the last cell always derives its own tau2), so a row where

@@ -21,6 +21,31 @@ Row = tuple[int, ...]
 Table = tuple[Row, ...]
 
 
+class Derived:
+    """What is computed from an immutable object, kept with it: `derived`
+    returns build(self, *args), built at the first call with that build
+    and args.  The store is one slot, not a field, so ==, hash and repr
+    do not see it, and a copy or pickle leaves it behind."""
+
+    __slots__ = ("_derived",)
+
+    def derived(self, build, *args):
+        try:
+            store = self._derived
+        except AttributeError:
+            store = {}
+            object.__setattr__(self, "_derived", store)
+        key = (build, *args)
+        try:
+            return store[key]
+        except KeyError:
+            value = store[key] = build(self, *args)
+            return value
+
+    def __getstate__(self):
+        return vars(self)
+
+
 def _freeze(rows) -> Table:
     """Rows as tuples of ints; a row that already is one is kept, so
     tables built from shared rows share them."""

@@ -59,14 +59,18 @@ class Presentation:
     def num_generators(self) -> int:
         return 2 * self.n * self.n
 
-    def exponent_matrix(self) -> list[list[int]]:
-        rows = []
-        for w in self.relations:
-            row = [0] * self.num_generators
-            for g, e in w:
-                row[g] += e
-            rows.append(row)
-        return rows
+    def exponent_matrix(self) -> np.ndarray:
+        """The (relations, generators) matrix of exponent sums, added up
+        letter by letter: int64, or Python ints (object dtype) when the
+        exponents' absolute sum passes 2^30."""
+        rels = self.relations
+        exps = [e for w in rels for _, e in w]
+        M = np.zeros((len(rels), self.num_generators),
+                     dtype=object if sum(map(abs, exps)) > _INT64_SAFE else np.int64)
+        np.add.at(M, (np.repeat(np.arange(len(rels)), [len(w) for w in rels]),
+                      np.array([g for w in rels for g, _ in w], dtype=np.intp)),
+                  np.array(exps, dtype=M.dtype))
+        return M
 
 
 # ---------------------------------------------------------------------------
@@ -473,16 +477,9 @@ def abelianize(pres: Presentation) -> AbelianizedGroup:
     factors d_i > 1, reduced mod d_i; both are read as array slices.
     """
     g = pres.num_generators
-    rels = pres.relations
-    r = len(rels)
-    # W[:r] is the exponent matrix, added up letter by letter; W[r:] = I
-    exps = [e for w in rels for _, e in w]
-    big = sum(map(abs, exps)) > _INT64_SAFE
-    W = np.zeros((r + g, g), dtype=object if big else np.int64)
-    np.add.at(W, (np.repeat(np.arange(r), [len(w) for w in rels]),
-                  np.array([gen for w in rels for gen, _ in w], dtype=np.intp)),
-              np.array(exps, dtype=W.dtype))
-    W[r + np.arange(g), np.arange(g)] = 1
+    M = pres.exponent_matrix()
+    r = len(M)
+    W = np.concatenate([M, np.identity(g, M.dtype)])    # W[:r] = M, W[r:] = I
     W, r0 = _smith_reduce(W, r, g)
     # generator e_j has coordinates row j of V = W[r:] in the new basis:
     # the free ones in columns r0.., the torsion ones where d_i > 1

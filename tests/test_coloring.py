@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import random
 import signal
 from contextlib import contextmanager
@@ -13,7 +15,7 @@ from singlink.coloring import (brute_force_colorings, count_colorings,
 from singlink.diagram import (MOVES, Crossing, SingularDiagram, apply_move,
                               braid_closure, builtin_diagram, find_move_sites)
 from singlink.pairs import SingularPair, builtin_pair
-from singlink.pairtable import dihedral_switch, flip_switch
+from singlink.pairtable import PairTable, dihedral_switch, flip_switch
 from tests.closures import (EDGE_CASES, FAR_PAIRS, MOVE_PAIRS, last_edge_bases,
                             ladder, move_chain, moved_closures, random_word,
                             replace_sing_by_pos, shuffled_closure)
@@ -356,43 +358,92 @@ def d3_pair() -> SingularPair:
     return SingularPair(D3, D3.table.inverse())
 
 
-def test_flat_tables_are_read_only():
-    tabs = coloring.flat_tables(d3_pair())
-    for pair in tabs.values():
-        for tab in pair:
-            assert not tab.flags.writeable
-            with pytest.raises(ValueError):
-                tab[0] = 1
-    with pytest.raises(TypeError):
-        tabs[coloring.SING, True] = tabs[coloring.POS, True]
-    with pytest.raises(AttributeError):
-        tabs.pop((coloring.NEG, True))
+def test_flat_tables_are_read_only_and_in_key_order():
+    for p in (d3_pair(), builtin_pair("flip-i2"), builtin_pair("d3-ss")):
+        S, tau = p.biquandle.table, p.tau
+        maps = {coloring.POS: S, coloring.NEG: S.inverse(), coloring.SING: tau}
+        tabs = p.derived(coloring.flat_tables)
+        assert len(tabs) == len(coloring._KEYS)
+        for (kind, forward), pair in zip(coloring._KEYS, tabs):
+            m = maps[kind] if forward else maps[kind].inverse()
+            assert np.array_equal(pair, np.reshape([m.t1, m.t2], (2, -1)))
+            for tab in pair:
+                assert not tab.flags.writeable
+                with pytest.raises(ValueError):
+                    tab[0] = 1
+        with pytest.raises(TypeError):
+            tabs[0] = tabs[1]
 
 
-def test_equal_pairs_share_their_tables():
+def test_each_pair_builds_its_tables_once(monkeypatch):
+    calls, flat = [], coloring.flat_tables
+
+    def counted(p):
+        calls.append(p)
+        return flat(p)
+    monkeypatch.setattr(coloring, "flat_tables", counted)
+    ds = [builtin_diagram("four_sing_left"), builtin_diagram("sing_trefoil")]
     p, q = d3_pair(), d3_pair()
-    assert p == q and p is not q
-    assert coloring.flat_tables(p) is coloring.flat_tables(q)
+    assert p == q and p is not q and calls == []
+    for pair in (p, q, p, q):
+        for d in ds:
+            count_colorings(d, pair)
+            enumerate_colorings(d, pair)
+            coloring.coloring_array(d, pair)
+    # one build per pair object, at its first search: equal pairs share none
+    assert len(calls) == 2 and calls[0] is p and calls[1] is q
 
 
-def test_results_do_not_depend_on_the_table_cache():
+def test_results_do_not_depend_on_the_stored_tables():
     from singlink.invariant import (nc_invariant, state_sum, universal_ab_cocycle,
                                     universal_nc_cocycle)
 
     d = builtin_diagram("sing_trefoil_mirror")
-    coloring.flat_tables.cache_clear()
 
-    def results():
-        p = d3_pair()
+    def results(p):
         return (count_colorings(d, p), enumerate_colorings(d, p),
                 nc_invariant(d, p, universal_nc_cocycle(p)),
                 state_sum(d, p, universal_ab_cocycle(p)))
 
-    first = results()
+    first = results(d3_pair())
     assert first[0] == len(first[1]) == 9
-    assert coloring.flat_tables.cache_info().misses == 1
-    assert results() == first
-    assert coloring.flat_tables.cache_info().hits >= 1
+    p = d3_pair()
+    assert results(p) == first and results(p) == first
+
+
+def test_a_tau_that_is_not_bijective_is_refused():
+    S = flip_switch(2)
+    # a singular pair but for bijectivity: tau(0, 1) = tau(1, 0) = (1, 1)
+    p = SingularPair(S, PairTable(2, ((0, 1), (1, 0)), ((0, 1), (1, 0))))
+    for d in (builtin_diagram("sing_trefoil"), builtin_diagram("unknot")):
+        for search in (count_colorings, enumerate_colorings):
+            with pytest.raises(ValueError, match="not bijective"):
+                search(d, p)
+
+
+def test_a_search_or_query_leaves_the_pairs_as_they_were():
+    from singlink.invariant import (AB, NC, CocyclePair, builtin_cocycle,
+                                    nc_invariant, state_sum)
+
+    def fresh():
+        nc, ab = builtin_cocycle("flip-flip", NC), builtin_cocycle("flip-flip", AB)
+        return (builtin_pair("flip-flip"), CocyclePair(nc.target, nc.f, nc.h, NC),
+                CocyclePair(ab.target, ab.f, ab.h, AB))
+
+    d = builtin_diagram("four_sing_left")
+    p, nc, ab = objs = fresh()
+    before = [(hash(o), repr(o)) for o in objs]
+    values = (count_colorings(d, p), nc_invariant(d, p, nc), state_sum(d, p, ab))
+    assert [(hash(o), repr(o)) for o in objs] == before
+    assert objs == fresh()
+    assert [(hash(o), repr(o)) for o in fresh()] == before
+    # a copy or a pickle leaves the stores behind and queries as the original
+    for copied in (copy.deepcopy((d, *objs)), pickle.loads(pickle.dumps((d, *objs)))):
+        assert copied == (d, *objs)
+        assert not any(hasattr(o, "_derived") for o in copied)
+        d2, p2, nc2, ab2 = copied
+        assert (count_colorings(d2, p2), nc_invariant(d2, p2, nc2),
+                state_sum(d2, p2, ab2)) == values
 
 
 def fresh_copy(d: SingularDiagram) -> SingularDiagram:

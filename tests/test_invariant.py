@@ -49,6 +49,18 @@ class TestCheckers:
             assert check_nc_cocycle(p, universal_nc_cocycle(p)).ok, name
             assert check_ab_cocycle(p, universal_ab_cocycle(p)).ok, name
 
+    def test_taus_that_are_not_bijective_are_checked(self):
+        # the checks invert S only; the coloring search, which inverts tau
+        # too, refuses these pairs
+        S = flip_switch(2)
+        taus = [t for t in enumerate_taus(S, require_bijective=False)
+                if not t.is_bijective()]
+        assert len(taus) == 2
+        for tau in taus:
+            p = SingularPair(S, tau)
+            assert check_nc_cocycle(p, universal_nc_cocycle(p)).ok
+            assert check_ab_cocycle(p, universal_ab_cocycle(p)).ok
+
     def test_trivial_pair_passes(self):
         p = builtin_pair("d3-ss")
         tgt = FiniteGroup.cyclic(1)

@@ -569,7 +569,7 @@ def test_check_singular_pair_matches_recorded_digest():
 ])
 def test_search_checks_run_at_the_earliest_row(name, sizes):
     # a looser derivation would stay correct but check later and prune
-    # less; the plan drops exactly the equations `_axiom_outputs` marks as
+    # less; the plan drops exactly the equations `_axiom_reads` marks as
     # holding for every tau, and checks each other one at the level whose
     # run holds the last cell it reads; the counts per row sum over the
     # row's levels
@@ -592,7 +592,7 @@ def test_search_checks_run_at_the_earliest_row(name, sizes):
             assert (last.max(axis=1) <= due).all()
             planned += due.tolist()
     due_at, dropped, kept_due = [0] * n, [0] * n, []
-    for axiom, _, _, _, due, holds in pairs_module._axiom_outputs(S.table):
+    for (axiom, _, _, _, due, holds), _ in pairs_module._axiom_reads(S.table):
         if axiom == "rv":
             due, holds = due[1:], holds[1:]
         for row in range(n):
@@ -632,7 +632,7 @@ def test_dropped_equations_are_tautologies(name):
     st = TAUTOLOGY_TABLES[name]
     rng = random.Random(f"tautologies {name}")
     taus = [_random_table(rng, st.n) for _ in range(12)] + [st]
-    for axiom, lhs, rhs, points, _, holds in pairs_module._axiom_outputs(st):
+    for (axiom, lhs, rhs, points, _, holds), _ in pairs_module._axiom_reads(st):
         runs = [(word_map(lhs, maps), word_map(rhs, maps))
                 for maps in ({"S": st, "T": tau} for tau in taus)]
         for j, i in zip(*np.nonzero(holds)):
@@ -749,7 +749,7 @@ def _steps_without_each_family(monkeypatch, S):
     images, plan = pairs_module._tau_plan(S.table)
     # each identity's rows of `images`, in SINGULAR_PAIR_AXIOMS order
     ends = np.cumsum([2 * due.size * S.n ** 2
-                      for _, _, _, _, due, _ in pairs_module._axiom_outputs(S.table)])
+                      for (_, _, _, _, due, _), _ in pairs_module._axiom_reads(S.table)])
 
     def without(family):
         levels = []
