@@ -358,7 +358,7 @@ def d3_pair() -> SingularPair:
     return SingularPair(D3, D3.table.inverse())
 
 
-def test_flat_tables_are_read_only_and_in_key_order():
+def test_stored_tables_are_read_only_and_in_key_order():
     for p in (d3_pair(), builtin_pair("flip-i2"), builtin_pair("d3-ss")):
         S, tau = p.biquandle.table, p.tau
         maps = {coloring.POS: S, coloring.NEG: S.inverse(), coloring.SING: tau}
