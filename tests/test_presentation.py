@@ -435,8 +435,9 @@ def test_relations_match_recorded_digests():
 
 
 # SHA-256 of repr((rank, torsion, coord_map)) of `abelianize`, recorded from
-# the list-based Smith normal form that the numpy one replaced: the
-# coordinates are in the SNF basis, so these pin its pivot sequence
+# the list-based Smith normal form that the numpy one replaced (D7 and D8
+# from the numpy one before it had a unit step): the coordinates are in
+# the SNF basis, so these pin its pivot sequence
 ABELIANIZE_DIGESTS = {
     "nc flip-flip":
         "4159fdf30789e68a1b564884105e1be0a480031bc649a8aca83262479a91b34b",
@@ -510,6 +511,14 @@ ABELIANIZE_DIGESTS = {
         "7cd71a192f7c739f7885130b59b87b9f7f5c53277ae27571f05cf4e2cf2f4d4d",
     "ab flip5 tau=S":
         "ab5ccf0f3d0a060a7dd65ebcaa56314968b9a6c44221049e0c4ba1c3e2acbd64",
+    "nc D7 tau=S":
+        "3cc9664432c6dddaa7e245d3b4a8665a32d07cc3a912bd1ec789d644c76fd718",
+    "ab D7 tau=S":
+        "0a4026f96e6ef64ee511bb6c01fe5ffaf5c233f04feb53991db634f61ea911c0",
+    "nc D8 tau=S":
+        "27e90d760ef21121683102f44d155ee2219a7b59db37502fbff0d07fa2a8a0c6",
+    "ab D8 tau=S":
+        "11ea59452eeea8516e6e3897f5d364f29a5e56bb9e888dab006024c37d7ec838",
 }
 
 
@@ -523,6 +532,9 @@ def _abelianize_pairs():
     S = dihedral_switch(6)
     out["D6 tau=S"] = SingularPair(S, S.table)
     out["D6 tau=S^-1"] = SingularPair(S, S.table.inverse())
+    for n in (7, 8):
+        S = dihedral_switch(n)
+        out[f"D{n} tau=S"] = SingularPair(S, S.table)
     for n in (4, 5):
         F = flip_switch(n)
         out[f"flip{n} tau=S"] = SingularPair(F, F.table)
