@@ -93,7 +93,8 @@ SINGULAR_PAIR_AXIOMS = (
 class SingularPair(Derived):
     """A switch and tau on one carrier; its `derived` store keeps the
     coloring search's tables (`coloring.flat_tables`) from its first
-    search on."""
+    search on, and its hash from the first one taken: a cocycle pair's
+    store is keyed by the pair, so every query takes it."""
 
     biquandle: Biquandle
     tau: PairTable
@@ -101,6 +102,9 @@ class SingularPair(Derived):
     def __post_init__(self):
         if self.biquandle.n != self.tau.n:
             raise DimensionMismatchError("switch and tau live on different sets")
+
+    def __hash__(self):
+        return self.derived(_field_hash)
 
     @property
     def n(self) -> int:
@@ -121,6 +125,11 @@ class SingularPair(Derived):
             v = res.violations[0]
             raise ValueError(f"not a singular pair: violated {v.axiom} at {v.witness}")
         return cls(biquandle, tau)
+
+
+def _field_hash(p: SingularPair) -> int:
+    """The hash a frozen dataclass gives: of the tuple of its fields."""
+    return hash((p.biquandle, p.tau))
 
 
 def _conjugate(s, g):

@@ -18,11 +18,14 @@ numpy calls besides the families' own indexing.  A presentation is read
 off that stack in bulk: each relator lhs rhs^-1 is freely reduced by
 stripping the common suffix of its two sides, and the words are cut from
 one tuple of letters.  `abelianize` reads each generator's coordinates
-off the column transform of the Smith normal form by slicing.
+off the column transform of the Smith normal form by slicing.  Nearly
+every pivot of a relation matrix is +-1; those are found from one flag per
+row, and each clears its row and column by one column update.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -281,16 +284,31 @@ def _smith_reduce(W, r: int, c: int):
 
     Row operations act on whole rows of W[:r] and column operations on
     whole columns of W[:, :c]; pivot searches see W[:r, :c] only.  With
-    identities in W[:r, c:] and W[r:, :c] these record U and V.  W comes
-    back as an object array of Python ints when it is one, or when an
-    updated row or column has an entry beyond 2^30; int64 is exact until
-    then.
+    identities in W[:r, c:] and W[r:, :c] these record U and V.
+
+    Each pivot is the first nonzero entry of least absolute value in
+    W[k:r, k:c], in row-major order.  While the block holds a +-1 that is
+    its first one, read off per-row flags, and the step is a unit step:
+    the update of the columns that row k meets also does the row sweep's
+    work on W[:r, :c], so the row sweep runs on U alone and column k keeps
+    entries below the pivot that nothing reads.  When the units run out
+    those entries are zeroed, and the general loop (banded search, both
+    sweeps, re-pivot until row and column are clear) takes the rest.  W
+    comes back as an object array of Python ints when it is one, or when
+    an updated block has an entry beyond 2^30; int64 is exact until then.
     """
 
     def widen(block):
         nonlocal W
         if W.dtype != object and _exceeds(block):
             W = W.astype(object)
+
+    def swap(k, i, j):
+        """Move entry (i, j) to (k, k) by swapping whole rows and columns."""
+        if i != k:
+            W[k], W[i] = W[i], W[k].copy()
+        if j != k:
+            W[:, k], W[:, j] = W[:, j], W[:, k].copy()
 
     def pivot(k, R, C):
         """First nonzero entry of least absolute value in W[k:R, k:C], in
@@ -316,11 +334,7 @@ def _smith_reduce(W, r: int, c: int):
         if piv is None:
             return False
         while True:
-            i, j = piv
-            if i != k:
-                W[[k, i]] = W[[i, k]]
-            if j != k:
-                W[:, [k, j]] = W[:, [j, k]]
+            swap(k, *piv)
             # row k and column k stay fixed while the other rows (columns)
             # are reduced by them, so each sweep is one rank-1 update
             rows = k + 1 + np.flatnonzero(W[k + 1:R, k])
@@ -337,11 +351,48 @@ def _smith_reduce(W, r: int, c: int):
                 return True
             piv = pivot(k, R, C)
 
+    # unit steps: while W[k:r, k:c] holds a +-1, the pivot is the first
+    # one in row-major order, the entry `pivot` would pick.  unit[i] says
+    # whether W[i, k:c] holds one; a step changes only the rows with a
+    # nonzero in column k, so only their flags are recomputed.
+    unit = (abs(W[:r, :c]) == 1).any(axis=1)
     k = 0
+    while k < min(r, c):
+        i = k + unit[k:].argmax()
+        if not unit[i]:
+            break
+        swap(k, i, k + (abs(W[i, k:c]) == 1).argmax())
+        unit[i] = unit[k]
+        u = W[k, k]
+        # rows above k are zero in column k, so nz starts with k
+        nz = np.flatnonzero(W[:, k])
+        rows = nz[1:nz.searchsorted(r)]
+        if rows.size and W.shape[1] > c:
+            # the row sweep on U only: on W[:r, :c] the column update does
+            # its work, since both subtract W[i, k] * u * W[k, j] there
+            W[rows, c:] = new = W[rows, c:] - np.outer(W[rows, k] * u, W[k, c:])
+            widen(new)
+        cols = k + 1 + np.flatnonzero(W[k, k + 1:c])
+        if cols.size:
+            at = nz[:, None], cols
+            W[at] = new = W[at] - np.outer(W[nz, k], W[k, cols] * u)
+            widen(new)
+        # column k keeps its entries below the pivot; nothing reads them
+        unit[rows] = (abs(W[rows, k + 1:c]) == 1).any(axis=1)
+        if u < 0:
+            W[k] = -W[k]
+        k += 1
+    units = k
+    W[:r, :k][np.tri(r, k, -1, dtype=bool)] = 0
+
     while k < min(r, c) and reduce_at(k, r, c):
         if W[k, k] < 0:
             W[k] = -W[k]
         k += 1
+    logging.getLogger(__name__).debug(
+        "smith normal form: %d unit pivots, then %d general pivots on the "
+        "%d x %d block left",
+        units, k - units, r - units, c - units)
 
     # enforce the divisibility chain d1 | d2 | ...
     changed = True
@@ -367,7 +418,9 @@ def smith_normal_form(M):
     Pivoting always picks the nonzero entry of least absolute value in the
     remaining submatrix (the first one in row-major order), which keeps
     coefficients small on the relation matrices this package produces.
-    Each pivot clears its column and row by one rank-1 numpy update each.
+    A +-1 pivot clears its row and column by one rank-1 update of the
+    columns it meets, and of U's rows; any other pivot by one update of
+    the rows and one of the columns, repeated until both are clear.
     The arithmetic is int64 while every entry of M, U and V stays within
     2^30, where it is exact; the first entry beyond that moves the rest of
     the run to Python integers, so the result is exact for any input.
@@ -471,7 +524,8 @@ def abelianize(pres: Presentation) -> AbelianizedGroup:
     """Quotient Z^{2n^2} by the rows of the relation exponent matrix.
 
     Runs the elimination of `smith_normal_form` with only the column
-    transform V carried along; the row transform U is never formed.
+    transform V carried along; the row transform U is never formed, so a
+    unit pivot's step is one column update.
     Generator j's coordinates are row j of V: its free ones the columns
     past the last pivot, its torsion ones the columns of the invariant
     factors d_i > 1, reduced mod d_i; both are read as array slices.

@@ -20,7 +20,7 @@ from singlink.invariant import (AB, NC, CocyclePair, builtin_cocycle,
                                 render_laurent, state_sum,
                                 universal_ab_cocycle, universal_nc_cocycle)
 from singlink.pairs import SingularPair, builtin_pair, enumerate_taus
-from singlink.pairtable import (dihedral_switch, flip_switch, i2_switch,
+from singlink.pairtable import (PairTable, dihedral_switch, flip_switch, i2_switch,
                                 make_quandle_switch, dihedral_quandle)
 from singlink.presentation import (AbelianizedGroup, FiniteGroup,
                                    GroupRingElement, relation_families,
@@ -428,6 +428,24 @@ class TestNcInvariant:
                 nc_invariant(ds[0], p, bad)
         assert calls == [NC, AB, NC, NC]
         assert builds[3:] == [(NC, p)]
+
+    def test_each_pair_hashes_its_tables_once(self, monkeypatch):
+        hashed, table_hash = [], PairTable.__hash__
+        monkeypatch.setattr(PairTable, "__hash__",
+                            lambda t: hashed.append(t) or table_hash(t))
+        p, q = builtin_pair("flip-i2"), builtin_pair("flip-i2")
+        nc, ab = builtin_cocycle("flip-i2", NC), builtin_cocycle("flip-s2", AB)
+        ds = [builtin_diagram("sing_trefoil"), builtin_diagram("four_sing_left")]
+        hashed.clear()
+        for _ in range(5):
+            for pair in (p, q):
+                for d in ds:
+                    nc_invariant(d, pair, nc)
+                    state_sum(d, pair, ab)
+        # the switch's table and tau, once per pair object at its first query
+        assert hashed == [p.biquandle.table, p.tau, q.biquandle.table, q.tau]
+        assert hash(p) == hash(q) == hash((p.biquandle, p.tau))
+        assert p == q and repr(p) == repr(q)
 
 
 class TestStateSum:

@@ -1,5 +1,7 @@
 import hashlib
+import logging
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -617,10 +619,12 @@ def test_smith_normal_form_is_exact_beyond_int64(case):
     assert hashlib.sha256(repr((U, D, V)).encode()).hexdigest() == digest
 
 
-def smith_by_full_scan(M):
+def smith_by_full_scan(M, steps=None):
     """Oracle: the elimination of `smith_normal_form` on lists of Python
     ints, each pivot found by scanning the whole remaining block for the
-    first nonzero entry of least absolute value in row-major order."""
+    first nonzero entry of least absolute value in row-major order.  A
+    list passed as steps gets, per pivot of the main loop, the absolute
+    value of the first entry it picked and the largest |entry| after it."""
     r, c = len(M), len(M[0])
     W = [[*row, *(int(i == k) for k in range(r))] for i, row in enumerate(M)]
     W += [[int(i == j) for j in range(c)] + [0] * r for i in range(c)]
@@ -657,8 +661,12 @@ def smith_by_full_scan(M):
             W[j] = [-a for a in W[j]]
 
     k = 0
-    while k < min(r, c) and reduce_at(k, r, c):
+    while k < min(r, c) and (piv := pivot(k, r, c)) is not None:
+        first = abs(W[piv[0]][piv[1]])
+        reduce_at(k, r, c)
         make_positive(k)
+        if steps is not None:
+            steps.append((first, max(abs(x) for row in W for x in row)))
         k += 1
     changed = True
     while changed:
@@ -706,6 +714,99 @@ def test_smith_normal_form_matches_the_full_scan_oracle():
         big += max(entries) > 1 << 30
         tall += 1 not in entries and len(M) > 2 * presentation._BAND
     assert unit_free and big and tall, (unit_free, big, tall)
+
+
+def unit_step_matrices():
+    """Relation-shaped matrices for the unit steps: tall, 8 or 18 columns
+    (the 2n^2 generators at n = 2, 3), 2 to 4 nonzeros a row, mostly +-1
+    of either sign, with zero rows and repeated or negated rows.  In some,
+    the last columns hold no unit but +-2, 3, 4 or 6, so the units can run
+    out before the block does and come back after a larger pivot; in
+    others some rows have all entries but one of about +-2^29, which the
+    unit steps push past 2^30 and then past 2^63."""
+    rng = random.Random("snf unit steps")
+    out = []
+    for t in range(48):
+        c, kind = rng.choice((8, 18)), t % 3
+        r = rng.randint(70, 120) if t % 4 == 0 else rng.randint(2 * c, 40)
+        split = rng.randint(2, c - 3) if kind == 1 else c
+        M = []
+        for _ in range(r):
+            if M and rng.random() < 0.08:
+                M.append([rng.choice((1, -1)) * x for x in rng.choice(M)])
+                continue
+            row = [0] * c
+            if rng.random() > 0.05:
+                for j in rng.sample(range(c), rng.randint(2, 4)):
+                    row[j] = rng.choice((1, -1)) * (
+                        rng.choice((2, 3, 4, 6)) if j >= split
+                        else rng.choice((1, 1, 1, 2, 3)))
+            if kind == 2 and rng.random() < 0.3:
+                # a unit pivot row with a big entry multiplies it into others
+                keep = rng.choice([j for j, x in enumerate(row) if x] or [0])
+                row = [rng.choice((1, -1)) * ((1 << 29) + rng.randint(0, 3))
+                       if x and j != keep else x for j, x in enumerate(row)]
+            M.append(row)
+        out.append(M)
+    # a chain of unit pivots carrying entries 2^27: small enough for an
+    # int64 exponent matrix, but the unit steps make 2^54, then 2^81
+    a = 1 << 27
+    out.append([[1, a, 0, 0, 0, 0, 0, 0], [0, -1, a, 0, 0, 0, 0, 0],
+                [0, 0, 1, a, 0, 0, 0, 0], [a, 0, 0, -1, 0, 1, 0, 0],
+                [0, 0, 0, 0, 2, 0, 0, 3]])
+    # units on the diagonal, -2^20 below it: the block keeps its entries,
+    # while the row sweeps on U make them up to 2^140
+    out.append([[-(1 << 20) if j == i - 1 else int(i == j) for j in range(8)]
+                for i in range(8)])
+    return out
+
+
+def group_from_oracle(M):
+    """(rank, torsion, coord_map) read off the oracle's D and V as
+    `abelianize` reads them: the free coordinates are the columns past the
+    last pivot, the torsion ones the columns with d_i > 1, mod d_i."""
+    _, D, V = smith_by_full_scan(M)
+    diag = [D[i][i] for i in range(min(len(D), len(M[0])))]
+    r0 = sum(map(bool, diag))
+    tors = [i for i in range(r0) if diag[i] > 1]
+    return (len(M[0]) - r0, tuple(diag[i] for i in tors),
+            tuple((tuple(row[r0:]), tuple(row[i] % diag[i] for i in tors))
+                  for row in V))
+
+
+def test_unit_steps_match_the_full_scan_oracle():
+    seen = Counter()
+    for M in unit_step_matrices():
+        steps = []
+        assert smith_normal_form(M) == smith_by_full_scan(M, steps), M
+        words = tuple(tuple((g, e) for g, e in enumerate(row) if e) for row in M)
+        g = abelianize(Presentation(round((len(M[0]) / 2) ** 0.5), "ab", words))
+        assert (g.rank, g.torsion, g.coord_map) == group_from_oracle(M)
+        units = [p == 1 for p, _ in steps]
+        first_big = next((t for t, (_, m) in enumerate(steps) if m > 1 << 30), None)
+        seen.update({
+            "tall": len(M) > 2 * presentation._BAND,
+            "zero row": [0] * len(M[0]) in M,
+            "repeated row": len(set(map(tuple, M))) < len(M),
+            "units run out": True in units and False in units[units.index(True):],
+            "units come back": False in units and True in units[units.index(False):],
+            "widened by unit steps": (first_big is not None and all(units[:first_big + 1])
+                                      and max(abs(x) for row in M for x in row) <= 1 << 30),
+        })
+    assert all(seen[case] for case in ("tall", "zero row", "repeated row", "units run out",
+                                       "units come back", "widened by unit steps")), seen
+
+
+def test_smith_reduce_reports_its_pivots(caplog, capsys):
+    # one unit pivot, then the 2 x 2 block [[0, 2], [2, 0]] has none
+    M = [[1, 2, 0], [0, 0, 2], [0, 2, 0]]
+    with caplog.at_level(logging.DEBUG, logger="singlink.presentation"):
+        assert smith_normal_form(M)[1] == [[1, 0, 0], [0, 2, 0], [0, 0, 2]]
+        abelianize(Presentation(1, "ab", ()))
+    assert caplog.messages == [
+        "smith normal form: 1 unit pivots, then 2 general pivots on the 2 x 2 block left",
+        "smith normal form: 0 unit pivots, then 0 general pivots on the 0 x 2 block left"]
+    assert capsys.readouterr().out == ""
 
 
 # ---------------------------------------------------------------------------
