@@ -25,7 +25,6 @@ row, and each clears its row and column by one column update.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -287,8 +286,8 @@ def _smith_reduce(W, r: int, c: int):
     identities in W[:r, c:] and W[r:, :c] these record U and V.
 
     Each pivot is the first nonzero entry of least absolute value in
-    W[k:r, k:c], in row-major order.  While the block holds a +-1 that is
-    its first one, read off per-row flags, and the step is a unit step:
+    W[k:r, k:c], in row-major order.  While the block holds a +-1, that is
+    its first +-1, read off per-row flags, and the step is a unit step:
     the update of the columns that row k meets also does the row sweep's
     work on W[:r, :c], so the row sweep runs on U alone and column k keeps
     entries below the pivot that nothing reads.  When the units run out
@@ -351,10 +350,9 @@ def _smith_reduce(W, r: int, c: int):
                 return True
             piv = pivot(k, R, C)
 
-    # unit steps: while W[k:r, k:c] holds a +-1, the pivot is the first
-    # one in row-major order, the entry `pivot` would pick.  unit[i] says
-    # whether W[i, k:c] holds one; a step changes only the rows with a
-    # nonzero in column k, so only their flags are recomputed.
+    # unit steps.  unit[i] says whether W[i, k:c] holds a +-1; a step
+    # changes only the rows with a nonzero in column k, so only their
+    # flags are recomputed.
     unit = (abs(W[:r, :c]) == 1).any(axis=1)
     k = 0
     while k < min(r, c):
@@ -389,6 +387,7 @@ def _smith_reduce(W, r: int, c: int):
         if W[k, k] < 0:
             W[k] = -W[k]
         k += 1
+    import logging    # on first use, so importing this module does not load it
     logging.getLogger(__name__).debug(
         "smith normal form: %d unit pivots, then %d general pivots on the "
         "%d x %d block left",
