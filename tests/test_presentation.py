@@ -780,7 +780,7 @@ def test_unit_steps_match_the_full_scan_oracle():
         steps = []
         assert smith_normal_form(M) == smith_by_full_scan(M, steps), M
         words = tuple(tuple((g, e) for g, e in enumerate(row) if e) for row in M)
-        g = abelianize(Presentation(round((len(M[0]) / 2) ** 0.5), "ab", words))
+        g = abelianize(Presentation({8: 2, 18: 3}[len(M[0])], "ab", words))
         assert (g.rank, g.torsion, g.coord_map) == group_from_oracle(M)
         units = [p == 1 for p, _ in steps]
         first_big = next((t for t, (_, m) in enumerate(steps) if m > 1 << 30), None)
@@ -793,8 +793,7 @@ def test_unit_steps_match_the_full_scan_oracle():
             "widened by unit steps": (first_big is not None and all(units[:first_big + 1])
                                       and max(abs(x) for row in M for x in row) <= 1 << 30),
         })
-    assert all(seen[case] for case in ("tall", "zero row", "repeated row", "units run out",
-                                       "units come back", "widened by unit steps")), seen
+    assert all(seen.values()), seen
 
 
 def test_smith_reduce_reports_its_pivots(caplog, capsys):
