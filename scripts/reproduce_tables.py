@@ -47,11 +47,15 @@ def main():
     print("I_n " + "  ".join(f"{tau_phi_iso_count(n)}" for n in range(3, top + 1)))
 
     banner("worked invariants for (Z/2, flip, i2)")
+    # one object per diagram: a diagram keeps its colorings per pair, so
+    # the nc invariant and the state sum under flip-i2 share one search
+    d = {name: builtin_diagram(name)
+         for name in ("sing_trefoil", "four_sing_right", "four_sing_left")}
     p = builtin_pair("flip-i2")
     cnc = builtin_cocycle("flip-i2", NC)
     g = cnc.target
-    for name in ("sing_trefoil", "four_sing_right", "four_sing_left"):
-        v = nc_invariant(builtin_diagram(name), p, cnc)
+    for name in d:
+        v = nc_invariant(d[name], p, cnc)
         shown = ["{" + ", ".join(g.render_element(e) for e in tup) + "}"
                  + (f" x{cnt}" if cnt > 1 else "")
                  for tup, cnt in v.sorted_items()]
@@ -60,12 +64,12 @@ def main():
     banner("state sums for the four-singular-crossing links")
     cab = builtin_cocycle("flip-s2", AB)
     for name in ("four_sing_right", "four_sing_left"):
-        v = state_sum(builtin_diagram(name), p, cab)
+        v = state_sum(d[name], p, cab)
         print(f"{name:18s} {render_laurent(cab.target, v)}")
     pff = builtin_pair("flip-flip")
     cff = builtin_cocycle("flip-flip", AB)
-    same = state_sum(builtin_diagram("four_sing_left"), pff, cff) == \
-        state_sum(builtin_diagram("four_sing_right"), pff, cff)
+    same = state_sum(d["four_sing_left"], pff, cff) == \
+        state_sum(d["four_sing_right"], pff, cff)
     print(f"(flip, flip) distinguishes the two links: {not same}")
 
     print(f"\ntotal time: {time.time() - t0:.1f}s")

@@ -151,18 +151,33 @@ def _blocks(d: SingularDiagram, p: SingularPair):
                      np.arange(p.n, dtype=dtype), _ROWS, step)
 
 
-def coloring_array(d: SingularDiagram, p: SingularPair) -> np.ndarray:
-    """All colorings as a (colorings, edges) array over d.edges, rows in
-    lexicographic order.  One stable argsort of a fixed-width byte key per
-    row orders them; colors wider than a byte (n > 256) are laid out
-    big-endian first, so that the bytes compare as the colors do."""
+def _sorted_colorings(d: SingularDiagram, p: SingularPair) -> np.ndarray:
+    """`coloring_array`'s build: every block of `_blocks`, rows sorted by
+    one stable argsort of a fixed-width byte key per row; colors wider
+    than a byte (n > 256) are laid out big-endian first, so that the
+    bytes compare as the colors do."""
     cols = np.concatenate([*_blocks(d, p),
                            np.zeros((0, len(d.edges)), np.uint8)])
-    if not cols.shape[1]:
-        return cols
-    key = np.ascontiguousarray(cols, cols.dtype.newbyteorder(">"))
-    key = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
-    return cols[np.argsort(key, kind="stable")]
+    if cols.shape[1]:
+        key = np.ascontiguousarray(cols, cols.dtype.newbyteorder(">"))
+        key = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
+        cols = cols[np.argsort(key, kind="stable")]
+    cols.flags.writeable = False
+    return cols
+
+
+def coloring_array(d: SingularDiagram, p: SingularPair) -> np.ndarray:
+    """All colorings as a read-only (colorings, edges) array over d.edges,
+    rows in lexicographic order.
+
+    The array is searched and sorted at the first call for (d, p) and
+    kept in d's `derived` store, keyed by p, for d's lifetime, as d's plan
+    is: `nc_invariant`, `state_sum` and `enumerate_colorings` on the same
+    (d, p) share it.  Equal pairs have equal colorings, so an equal but
+    distinct pair object finds the same array.  It costs one byte per
+    edge per coloring (two for n > 256); a moved diagram or a copy has
+    its own store and searches anew."""
+    return d.derived(_sorted_colorings, p)
 
 
 def enumerate_colorings(d: SingularDiagram, p: SingularPair) -> list[Coloring]:
@@ -188,8 +203,10 @@ def enumerate_colorings(d: SingularDiagram, p: SingularPair) -> list[Coloring]:
     `batch.run` runs the plan on arrays of partial colorings, one row per
     branch, at most _ROWS at a time, in the smallest unsigned dtype; a
     level's gathers and comparisons act on all rows at once.  `coloring_array`
-    then sorts the rows once, by one byte key per row.  An enumeration
-    holds all colorings, O(colorings * edges) bytes.
+    then sorts the rows once, by one byte key per row, and d keeps the
+    sorted array for its lifetime, one byte per edge per coloring, keyed
+    by p: the invariants on (d, p) read the same array.  The dicts
+    returned hold all colorings again, O(colorings * edges) objects.
     """
     edges = d.edges
     return [dict(zip(edges, row)) for row in coloring_array(d, p).tolist()]
@@ -198,7 +215,7 @@ def enumerate_colorings(d: SingularDiagram, p: SingularPair) -> list[Coloring]:
 def count_colorings(d: SingularDiagram, p: SingularPair) -> int:
     """Number of colorings; the plan of `enumerate_colorings`, kept with d
     from its first search, run block by block without keeping or sorting
-    the colorings."""
+    the colorings: it neither reads nor fills `coloring_array`'s store."""
     return sum(len(cols) for cols in _blocks(d, p))
 
 

@@ -506,3 +506,81 @@ def test_a_search_leaves_the_diagram_as_it_was(all_diagrams):
         state_sum(d, p, ab)
         assert (hash(d), repr(d), d.to_dict(), d.render()) == before
         assert d == copy and hash(d) == hash(copy) and repr(d) == repr(copy)
+
+
+def test_colorings_searched_once_per_diagram_and_pair(monkeypatch):
+    from singlink.invariant import AB, NC, builtin_cocycle, nc_invariant, state_sum
+
+    calls, blocks = [], coloring._blocks
+
+    def counted(d, p):
+        calls.append((d, p))
+        return blocks(d, p)
+    monkeypatch.setattr(coloring, "_blocks", counted)
+    p = builtin_pair("flip-flip")
+    nc, ab = builtin_cocycle("flip-flip", NC), builtin_cocycle("flip-flip", AB)
+    ds = [builtin_diagram("four_sing_left"), builtin_diagram("sing_trefoil")]
+    # a count searches every time and stores nothing
+    for d in ds:
+        assert count_colorings(d, p) == count_colorings(d, p) > 0
+    assert [(c[0], c[1] is p) for c in calls] == [(d, True) for d in ds for _ in (0, 1)]
+    calls.clear()
+    for _ in range(3):
+        for d in ds:
+            nc_invariant(d, p, nc)
+            state_sum(d, p, ab)
+            enumerate_colorings(d, p)
+            coloring.coloring_array(d, p)
+    assert len(calls) == 2 and all(c[0] is d for c, d in zip(calls, ds))
+    # nor does a count read the store
+    count_colorings(ds[0], p)
+    assert len(calls) == 3
+    # an equal but distinct pair finds the same array
+    q = builtin_pair("flip-flip")
+    assert q == p and q is not p
+    cols = coloring.coloring_array(ds[0], p)
+    assert coloring.coloring_array(ds[0], q) is cols
+    assert nc_invariant(ds[0], q, nc) == nc_invariant(ds[0], p, nc)
+    assert len(calls) == 3
+    # a moved diagram and a copy each have their own store
+    d = ds[0]
+    for other in (apply_move(d, find_move_sites(d, "RI_insert")[0]), fresh_copy(d)):
+        nc_invariant(other, p, nc)
+        state_sum(other, p, ab)
+        coloring.coloring_array(other, p)
+        assert calls[-1][0] is other
+    assert len(calls) == 5
+    assert not cols.flags.writeable
+    with pytest.raises(ValueError):
+        cols[0, 0] = 1 - cols[0, 0]
+
+
+def test_stored_colorings_match_a_fresh_search(all_diagrams):
+    from singlink.invariant import (nc_invariant, state_sum, universal_ab_cocycle,
+                                    universal_nc_cocycle)
+
+    D5 = dihedral_switch(5)
+    pairs = (builtin_pair("d3-sinv"), builtin_pair("flip-flip"),
+             SingularPair(D5, D5.table))
+    diagrams = searched_diagrams(all_diagrams)
+    for p in pairs:
+        nc, ab = universal_nc_cocycle(p), universal_ab_cocycle(p)
+        for d in diagrams:
+            first = nc_invariant(d, p, nc), state_sum(d, p, ab)
+            fresh = fresh_copy(d)
+            stored, searched = coloring.coloring_array(d, p), coloring.coloring_array(fresh, p)
+            assert stored.dtype == searched.dtype and np.array_equal(stored, searched), d
+            assert (nc_invariant(d, p, nc), state_sum(d, p, ab)) == first, d
+            assert (nc_invariant(fresh, p, nc), state_sum(fresh, p, ab)) == first, d
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_row_cap_does_not_change_a_fresh_array(rows, monkeypatch, all_diagrams, test_pairs):
+    # the arrays kept with the shared diagrams were searched in full
+    # blocks; a copy searched in blocks of a few rows sorts the same
+    diagrams = [*all_diagrams.values(), *EDGE_CASES.values()]
+    kept = [(d, p, coloring.coloring_array(d, p))
+            for d in diagrams for p in test_pairs.values()]
+    monkeypatch.setattr(coloring, "_ROWS", rows)
+    for d, p, cols in kept:
+        assert np.array_equal(coloring.coloring_array(fresh_copy(d), p), cols), d
