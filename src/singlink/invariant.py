@@ -24,11 +24,10 @@ a query adds only the pair's block offsets.  The sorted colorings are
 the diagram's too, kept per pair from the first search of (diagram,
 pair) for the diagram's lifetime, one byte per edge per coloring: the
 nc invariant and the state sum of one (diagram, pair) share one search
-and sort.  `_evaluate` gathers the
-array in blocks of colorings and multiplies along the runs: in an
-abelianized target coordinate rows are summed (int64, or Python ints
-where a sum could pass 2^62) and the torsion is reduced once; a finite
-target folds its Cayley table.  `_tally` counts each run's values in
+and sort.  `_evaluate` gathers the array in blocks of colorings and
+multiplies along the runs: in an abelianized target coordinate rows are
+summed (int64, or Python ints where a sum could pass 2^62) and the
+torsion is reduced once; a finite target folds its Cayley table.  `_tally` counts each run's values in
 order of first appearance: in a dict, one pass per run, up to _DICT_KEYS
 (run, value) pairs, as in nearly every query; above that by one
 np.unique over (run, value) keys, whose fixed cost of some 35 numpy
