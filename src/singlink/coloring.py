@@ -166,18 +166,29 @@ def _sorted_colorings(d: SingularDiagram, p: SingularPair) -> np.ndarray:
     return cols
 
 
+def _last_colorings(d: SingularDiagram) -> dict:
+    """`coloring_array`'s slot in d's `derived` store: {pair: array} for
+    the last pair d was asked for, or empty."""
+    return {}
+
+
 def coloring_array(d: SingularDiagram, p: SingularPair) -> np.ndarray:
     """All colorings as a read-only (colorings, edges) array over d.edges,
     rows in lexicographic order.
 
-    The array is searched and sorted at the first call for (d, p) and
-    kept in d's `derived` store, keyed by p, for d's lifetime, as d's plan
-    is: `nc_invariant`, `state_sum` and `enumerate_colorings` on the same
-    (d, p) share it.  Equal pairs have equal colorings, so an equal but
-    distinct pair object finds the same array.  It costs one byte per
-    edge per coloring (two for n > 256); a moved diagram or a copy has
-    its own store and searches anew."""
-    return d.derived(_sorted_colorings, p)
+    d keeps the array of the last pair it was asked for in its `derived`
+    store, for its lifetime, at one byte per edge per coloring (two for
+    n > 256): `nc_invariant`, `state_sum` and `enumerate_colorings` on
+    the same (d, p) in a row share one search and sort.  Asking for
+    another pair drops it, so d never holds more than one array, however
+    many pairs query it.  Equal pairs have equal colorings, so an equal
+    but distinct pair object finds the same array; a moved diagram or a
+    copy has its own store and searches anew."""
+    last = d.derived(_last_colorings)
+    if p not in last:
+        last.clear()
+        last[p] = _sorted_colorings(d, p)
+    return last[p]
 
 
 def enumerate_colorings(d: SingularDiagram, p: SingularPair) -> list[Coloring]:
@@ -203,10 +214,9 @@ def enumerate_colorings(d: SingularDiagram, p: SingularPair) -> list[Coloring]:
     `batch.run` runs the plan on arrays of partial colorings, one row per
     branch, at most _ROWS at a time, in the smallest unsigned dtype; a
     level's gathers and comparisons act on all rows at once.  `coloring_array`
-    then sorts the rows once, by one byte key per row, and d keeps the
-    sorted array for its lifetime, one byte per edge per coloring, keyed
-    by p: the invariants on (d, p) read the same array.  The dicts
-    returned hold all colorings again, O(colorings * edges) objects.
+    then sorts the rows once, by one byte key per row, and keeps them
+    with d (see there).  The dicts returned hold all colorings again,
+    O(colorings * edges) objects.
     """
     edges = d.edges
     return [dict(zip(edges, row)) for row in coloring_array(d, p).tolist()]

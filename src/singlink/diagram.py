@@ -68,10 +68,10 @@ class Crossing:
 @dataclass(frozen=True)
 class SingularDiagram(Derived):
     """A diagram; its `derived` store keeps what the searches compile from
-    it (`coloring._plan`, `invariant._nc_cells`, `invariant._sum_cells`,
-    and per pair the sorted colorings of `coloring.coloring_array`) from
-    its first search on: nothing is compiled when a diagram is built or
-    moved, and nothing again when it is searched again."""
+    it (`coloring._plan`, `invariant._nc_cells`, `invariant._sum_cells`)
+    from its first search on: nothing is compiled when a diagram is built
+    or moved, and nothing again when it is searched again.  It also keeps
+    the sorted colorings of the last pair `coloring_array` was asked for."""
 
     crossings: tuple[Crossing, ...]
     loops: tuple[str, ...] = ()

@@ -20,18 +20,17 @@ one array of indices into that table over the sorted colorings of
 crossings for the state sum, each run padded with the identity to the
 longest.  The runs' cells (`_cells`) are the diagram's, compiled at its
 first query and kept with it for its lifetime, as is its coloring plan;
-a query adds only the pair's block offsets.  The sorted colorings are
-the diagram's too, kept per pair from the first search of (diagram,
-pair) for the diagram's lifetime, one byte per edge per coloring: the
-nc invariant and the state sum of one (diagram, pair) share one search
-and sort.  `_evaluate` gathers the array in blocks of colorings and
-multiplies along the runs: in an abelianized target coordinate rows are
-summed (int64, or Python ints where a sum could pass 2^62) and the
-torsion is reduced once; a finite target folds its Cayley table.  `_tally` counts each run's values in
+a query adds only the pair's block offsets.  `_evaluate` gathers the
+array in blocks of colorings and multiplies along the runs: in an
+abelianized target coordinate rows are summed (int64, or Python ints
+where a sum could pass 2^62) and the torsion is reduced once; a finite
+target folds its Cayley table.  `_tally` counts each run's values in
 order of first appearance: in a dict, one pass per run, up to _DICT_KEYS
 (run, value) pairs, as in nearly every query; above that by one
 np.unique over (run, value) keys, whose fixed cost of some 35 numpy
-calls a large tally repays.
+calls a large tally repays.  The sorted colorings are kept with the
+diagram too, for its last pair (`coloring_array`), so the nc invariant
+and the state sum of one (diagram, pair) share one search.
 
 The cocycle conditions are not written out here: the checkers evaluate
 both sides of every instance of the relation table in
@@ -410,9 +409,9 @@ def _products(d: SingularDiagram, p: SingularPair, t: Target, w: _Weights,
     """`_evaluate`'s product over each run of `_cells` at every sorted
     coloring of d.  The cells are d's, kept with it from its first query
     (`SingularDiagram.derived`); only the blocks' offset, n*n a block,
-    depends on the pair.  The colorings are `coloring_array`'s, kept in
-    d's store per pair for d's lifetime (a byte per edge per coloring);
-    each query copies them into a padded intp array, eight times that."""
+    depends on the pair.  The colorings are those `coloring_array` keeps
+    with d; each query copies them into a padded intp array, eight bytes
+    per edge per coloring."""
     n = p.n
     cols = coloring_array(d, p)
     x, y, block = cells

@@ -542,6 +542,13 @@ def test_colorings_searched_once_per_diagram_and_pair(monkeypatch):
     assert coloring.coloring_array(ds[0], q) is cols
     assert nc_invariant(ds[0], q, nc) == nc_invariant(ds[0], p, nc)
     assert len(calls) == 3
+    # a second pair drops the first pair's array: d holds one array at most
+    r = d3_pair()
+    assert coloring.coloring_array(ds[0], r).shape[1] == cols.shape[1]
+    assert calls[-1][1] is r and len(calls) == 4
+    assert coloring.coloring_array(ds[0], p) is not cols
+    assert np.array_equal(coloring.coloring_array(ds[0], p), cols)
+    assert len(calls) == 5
     # a moved diagram and a copy each have their own store
     d = ds[0]
     for other in (apply_move(d, find_move_sites(d, "RI_insert")[0]), fresh_copy(d)):
@@ -549,7 +556,7 @@ def test_colorings_searched_once_per_diagram_and_pair(monkeypatch):
         state_sum(other, p, ab)
         coloring.coloring_array(other, p)
         assert calls[-1][0] is other
-    assert len(calls) == 5
+    assert len(calls) == 7
     assert not cols.flags.writeable
     with pytest.raises(ValueError):
         cols[0, 0] = 1 - cols[0, 0]
@@ -574,13 +581,43 @@ def test_stored_colorings_match_a_fresh_search(all_diagrams):
             assert (nc_invariant(fresh, p, nc), state_sum(fresh, p, ab)) == first, d
 
 
-@pytest.mark.parametrize("rows", [1, 3])
+def test_an_equal_pair_searches_a_fresh_copy_with_its_own_tables(monkeypatch):
+    # on one diagram an equal pair finds the colorings the first pair kept,
+    # so each query runs on a fresh copy, where only the second pair searches
+    from singlink.invariant import (nc_invariant, state_sum, universal_ab_cocycle,
+                                    universal_nc_cocycle)
+
+    queries = (count_colorings, enumerate_colorings,
+               lambda d, p: nc_invariant(d, p, universal_nc_cocycle(p)),
+               lambda d, p: state_sum(d, p, universal_ab_cocycle(p)))
+    d, first, p = builtin_diagram("sing_trefoil_mirror"), d3_pair(), d3_pair()
+    want = [query(fresh_copy(d), first) for query in queries]
+    searched, blocks = [], coloring._blocks
+
+    def counted(d, p):
+        searched.append(p)
+        return blocks(d, p)
+    monkeypatch.setattr(coloring, "_blocks", counted)
+    for query, value in zip(queries, want):
+        searched.clear()
+        assert query(fresh_copy(d), p) == value
+        assert len(searched) == 1 and searched[0] is p
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
 def test_row_cap_does_not_change_a_fresh_array(rows, monkeypatch, all_diagrams, test_pairs):
-    # the arrays kept with the shared diagrams were searched in full
-    # blocks; a copy searched in blocks of a few rows sorts the same
-    diagrams = [*all_diagrams.values(), *EDGE_CASES.values()]
-    kept = [(d, p, coloring.coloring_array(d, p))
-            for d in diagrams for p in test_pairs.values()]
+    # the inputs of test_row_cap_does_not_change_the_output, each array
+    # searched on a fresh copy, so that none is read from a diagram's store
+    rng = random.Random("row cap")
+    diagrams = dict(all_diagrams, **EDGE_CASES)
+    for i in range(10):
+        strands = rng.randint(2, 4)
+        word = random_word(rng, strands, rng.randint(strands - 1, 8))
+        diagrams[f"closure {i}"] = shuffled_closure(word, strands, rng)
+    prs = dict(test_pairs, **FAR_PAIRS)
+    want = {(dn, pn): coloring.coloring_array(fresh_copy(d), p)
+            for dn, d in diagrams.items() for pn, p in prs.items()}
     monkeypatch.setattr(coloring, "_ROWS", rows)
-    for d, p, cols in kept:
-        assert np.array_equal(coloring.coloring_array(fresh_copy(d), p), cols), d
+    for (dn, pn), cols in want.items():
+        fresh = coloring.coloring_array(fresh_copy(diagrams[dn]), prs[pn])
+        assert fresh.dtype == cols.dtype and np.array_equal(fresh, cols), (dn, pn)
