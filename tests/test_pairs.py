@@ -1155,6 +1155,49 @@ def test_representatives_carry_the_s_of_their_switch():
     assert any(b.s_map != S.s_map for b in reps)
 
 
+# sha256 over repr((size, canonical.key(), canonical.biquandle.s_map)) of
+# each class, in order: `classify_isomorphism` of the pairs of every tau
+# `enumerate_taus` returns and `enumerate_taus(up_to_iso=True)`, which
+# must agree, then the mixed-switch input above.  Both sides of the
+# 64-pair rule: D4 has 16 pairs, bialexander(5,2,3) 128, flip4 3,360
+CLASS_DIGESTS = {
+    "flip1": "bf3af413b010ccacaf6738f2575a943feb477ce7a96f67ce928a5a5c6a9e86a9",
+    "flip2": "c1b75ecd4f3f7dcb76aeb93904ff3a1a4ee60c71dfb02740cc39688988b918a4",
+    "flip3": "78b56a443971c34472592d331d23958600c0516165b804ba39da3bc8152d4118",
+    "flip4": "787203f45a635fc0184c7363df6aca0c908c38e0c5e7365f0c8c3f7a10dba3ee",
+    "i2": "0627de51bf71b0e9b7abb49b9ef354af8208a763cf32eb3cfa83c29d0b1c00a4",
+    "D3": "774cc4a5d30c5436df02accd2dd3799b4d62bb7763da2523ba66e5124f350299",
+    "D4": "840b9aa3e4e736554d97503532e97bea29c5c993c96f7344a129d275df6ea054",
+    "D5": "b0c9bff1697bcc82f21cdf2bee3467ef7e31c5cfc9b779bd3ad5e4029901f1e2",
+    "bialexander(5,2,3)": "94efba9ceec91b88277a7363613f8b0483dc15c0ed4fc6ad2744a16b3f135df6",
+    "bialexander(4,1,3)": "840b9aa3e4e736554d97503532e97bea29c5c993c96f7344a129d275df6ea054",
+    "D4 quandle": "840b9aa3e4e736554d97503532e97bea29c5c993c96f7344a129d275df6ea054",
+    "mixed": "40ba0de0b4d52b4abeff42ccd26774cb10ce4b682f4f976bd1f36d631a19ded8",
+}
+
+
+def _class_digest(classes):
+    h = hashlib.sha256()
+    for c in classes:
+        h.update(repr((c.size, c.canonical.key(),
+                       c.canonical.biquandle.s_map)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", CLASS_DIGESTS)
+def test_classes_match_recorded_digest(name):
+    if name == "mixed":
+        S, D5 = make_bialexander(5, 2, 3), dihedral_switch(5)
+        pairs = [SingularPair(S, t) for t in enumerate_taus(S)[:20]]
+        pairs += [SingularPair(D5, t) for t in enumerate_taus(D5)]
+        assert _class_digest(classify_isomorphism(pairs)) == CLASS_DIGESTS[name]
+        return
+    S = DIGEST_SWITCHES[name]
+    pairs = [SingularPair(S, t) for t in enumerate_taus(S)]
+    assert _class_digest(classify_isomorphism(pairs)) == \
+        _class_digest(enumerate_taus(S, up_to_iso=True)) == CLASS_DIGESTS[name]
+
+
 def _array_class_cases():
     for name, bijective, *_ in TAU_DIGESTS:
         yield name, bijective
