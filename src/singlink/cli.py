@@ -20,7 +20,7 @@ from .pairs import (SingularPair, builtin_pair, check_singular_pair,
                     classify_isomorphism, enumerate_left_right_invertible,
                     enumerate_taus, tau_phi_iso_count)
 from .pairtable import (Biquandle, PairTable, Quandle, dihedral_switch,
-                        flip_switch, i2_switch, make_bialexander,
+                        flip_switch, i2_switch, json_list, make_bialexander,
                         make_quandle_switch)
 from .presentation import (AbelianizedGroup, FiniteGroup, abelianize,
                            build_ab_presentation, build_unc_presentation,
@@ -268,8 +268,8 @@ def _load_cocycle(spec: str, target_spec, p: SingularPair, kind: str):
             with _open(target_spec, "group", "a group JSON file") as gh, \
                     _malformed(f"group file {target_spec!r}"):
                 target = FiniteGroup.from_dict(json.load(gh))
-            f = tuple(tuple(int(v) for v in row) for row in data["f"])
-            h = tuple(tuple(int(v) for v in row) for row in data["h"])
+            f = tuple(map(tuple, json_list(data["f"], int, "f", 2)))
+            h = tuple(map(tuple, json_list(data["h"], int, "h", 2)))
         elif "target" in data:
             target = AbelianizedGroup.from_dict(data["target"])
             mk = lambda e: (tuple(e[0]), tuple(e[1]))

@@ -37,7 +37,7 @@ from .errors import (BadBasepointError, DanglingEdgeError, DiagramError,
                      DiagramSyntaxError, PatternMismatchError, SlotReuseError,
                      UnknownNameError)
 from .pairs import SINGULAR_PAIR_AXIOMS
-from .pairtable import YANG_BAXTER, Derived
+from .pairtable import YANG_BAXTER, Derived, json_list
 
 POS, NEG, SING = "+", "-", "s"
 KINDS = (POS, NEG, SING)
@@ -78,8 +78,8 @@ class SingularDiagram(Derived):
     basepoints: tuple[str, ...] = ()     # one edge per component, aligned
 
     # derived structure, built during validation
-    components: tuple[tuple[str, ...], ...] = field(default=(), compare=False)
-    edges: tuple[str, ...] = field(default=(), compare=False)    # sorted
+    components: tuple[tuple[str, ...], ...] = field(init=False, compare=False)
+    edges: tuple[str, ...] = field(init=False, compare=False)    # sorted
     # edge -> (crossing index, 0 for in1 / 1 for in2) eating it
     consumers: dict[str, tuple[int, int]] = field(init=False, compare=False,
                                                   repr=False)
@@ -123,10 +123,11 @@ class SingularDiagram(Derived):
 
     @classmethod
     def from_dict(cls, d) -> "SingularDiagram":
-        crossings = tuple(Crossing(c["kind"], tuple(c["slots"]))
-                          for c in d.get("crossings", ()))
-        return cls(crossings, tuple(d.get("loops", ())),
-                   tuple(d.get("base", ())))
+        crossings = tuple(
+            Crossing(c["kind"], tuple(json_list(c["slots"], str, f"crossing {i} slots")))
+            for i, c in enumerate(json_list(d.get("crossings", []), dict, "crossings")))
+        return cls(crossings, tuple(json_list(d.get("loops", []), str, "loops")),
+                   tuple(json_list(d.get("base", []), str, "base")))
 
 
 def _validate(d: SingularDiagram):
@@ -368,9 +369,6 @@ def builtin_names() -> tuple[str, ...]:
 # Reidemeister rewrites
 # ---------------------------------------------------------------------------
 
-MOVES = ("RI_insert", "RI_remove", "RII_remove", "RIII", "RIVa", "RIVb", "RV")
-
-
 @dataclass(frozen=True)
 class MoveSite:
     move: str
@@ -450,7 +448,13 @@ def _remove_and_splice(d: SingularDiagram, dead: set[int]) -> SingularDiagram:
 
 # -- RI ---------------------------------------------------------------------
 
-def _ri_insert(d: SingularDiagram, edge: str, sign: str, shape: str) -> SingularDiagram:
+def _ri_insert_sites(d: SingularDiagram, move: str) -> list[MoveSite]:
+    return [MoveSite.make(move, (), edge=e, sign=POS, shape="A") for e in d.edges]
+
+
+def _ri_insert(d: SingularDiagram, site: MoveSite) -> SingularDiagram:
+    edge, sign, shape = (site.param("edge"), site.param("sign", POS),
+                         site.param("shape", "A"))
     if sign not in (POS, NEG):
         raise PatternMismatchError("RI kinks are classical (+ or -)")
     if shape not in ("A", "B"):
@@ -489,10 +493,13 @@ def _is_kink(c: Crossing) -> str | None:
     return None
 
 
-def _ri_remove(d: SingularDiagram, idx: int) -> SingularDiagram:
-    c = d.crossings[idx]
-    shape = _is_kink(c)
-    if shape is None:
+def _ri_remove_sites(d: SingularDiagram, move: str) -> list[MoveSite]:
+    return [MoveSite.make(move, (i,)) for i, c in enumerate(d.crossings) if _is_kink(c)]
+
+
+def _ri_remove(d: SingularDiagram, site: MoveSite) -> SingularDiagram:
+    idx = site.crossings[0]
+    if _is_kink(d.crossings[idx]) is None:
         raise PatternMismatchError("crossing is not a removable kink")
     return _remove_and_splice(d, {idx})
 
@@ -525,6 +532,12 @@ def _rii_pokes(d: SingularDiagram, i: int):
     if slot1 == 0 and i < j1 and b1.kind == other and b1.out1 == a.in1:
         pokes.append((j1, "anti3"))
     return pokes
+
+
+def _rii_sites(d: SingularDiagram, move: str) -> list[MoveSite]:
+    return sorted((MoveSite.make(move, (i, j), pattern=pat)
+                   for i in range(len(d.crossings)) for j, pat in _rii_pokes(d, i)),
+                  key=lambda s: (s.crossings, s.params))
 
 
 def _rii_remove(d: SingularDiagram, site: MoveSite) -> SingularDiagram:
@@ -575,7 +588,7 @@ def _trace(d: SingularDiagram, word, kinds, first: int):
     return tuple(used), top, at
 
 
-def _word_sites(d: SingularDiagram, move: str):
+def _word_sites(d: SingularDiagram, move: str) -> list[MoveSite]:
     """Trace each form's word from every crossing of the kind its first
     letter stands for; a trace from any other crossing fails at once."""
     words, kind_maps = _WORD_MOVES[move]
@@ -589,7 +602,7 @@ def _word_sites(d: SingularDiagram, move: str):
                 hit = _trace(d, word, kinds, k)
                 if hit:
                     sites.append(MoveSite.make(move, hit[0], form=form))
-    return sites
+    return sorted(sites, key=lambda s: (s.crossings, s.params))
 
 
 def _word_apply(d: SingularDiagram, site: MoveSite) -> SingularDiagram:
@@ -636,6 +649,11 @@ def _rv_partner(d: SingularDiagram, i: int):
     return None
 
 
+def _rv_sites(d: SingularDiagram, move: str) -> list[MoveSite]:
+    return [MoveSite.make(move, (i, j)) for i in range(len(d.crossings))
+            if (j := _rv_partner(d, i)) is not None]
+
+
 def _rv_apply(d: SingularDiagram, site: MoveSite) -> SingularDiagram:
     i, j = site.crossings
     if not (0 <= i < len(d.crossings) and _rv_partner(d, i) == j):
@@ -649,43 +667,35 @@ def _rv_apply(d: SingularDiagram, site: MoveSite) -> SingularDiagram:
 
 # -- public API ----------------------------------------------------------------
 
+# move -> (its site finder, its rewrite)
+_MOVES = {
+    "RI_insert": (_ri_insert_sites, _ri_insert),
+    "RI_remove": (_ri_remove_sites, _ri_remove),
+    "RII_remove": (_rii_sites, _rii_remove),
+    **{move: (_word_sites, _word_apply) for move in _WORD_MOVES},
+    "RV": (_rv_sites, _rv_apply),
+}
+MOVES = tuple(_MOVES)
+
+
+def _move(name: str):
+    try:
+        return _MOVES[name]
+    except KeyError:
+        raise UnknownNameError(f"unknown move {name!r}") from None
+
+
 def find_move_sites(d: SingularDiagram, move: str) -> list[MoveSite]:
     """Every site of `move` in d, sorted by (crossings, params).  RIII,
     RIVa and RIVb trace each form's word from every crossing, so their cost
     is linear in the number of crossings per word and form; RII and RV
     read each crossing's partner off `SingularDiagram.consumers`, so
     theirs is linear too."""
-    if move == "RI_insert":
-        return [MoveSite.make("RI_insert", (), edge=e, sign=POS, shape="A")
-                for e in d.edges]
-    if move == "RI_remove":
-        return [MoveSite.make("RI_remove", (i,))
-                for i, c in enumerate(d.crossings) if _is_kink(c)]
-    if move == "RII_remove":
-        return sorted((MoveSite.make("RII_remove", (i, j), pattern=pat)
-                       for i in range(len(d.crossings)) for j, pat in _rii_pokes(d, i)),
-                      key=lambda s: (s.crossings, s.params))
-    if move in _WORD_MOVES:
-        return sorted(_word_sites(d, move), key=lambda s: (s.crossings, s.params))
-    if move == "RV":
-        return [MoveSite.make("RV", (i, j)) for i in range(len(d.crossings))
-                if (j := _rv_partner(d, i)) is not None]
-    raise UnknownNameError(f"unknown move {move!r}")
+    return _move(move)[0](d, move)
 
 
 def apply_move(d: SingularDiagram, site: MoveSite) -> SingularDiagram:
-    if site.move == "RI_insert":
-        return _ri_insert(d, site.param("edge"), site.param("sign", POS),
-                          site.param("shape", "A"))
-    if site.move == "RI_remove":
-        return _ri_remove(d, site.crossings[0])
-    if site.move == "RII_remove":
-        return _rii_remove(d, site)
-    if site.move in _WORD_MOVES:
-        return _word_apply(d, site)
-    if site.move == "RV":
-        return _rv_apply(d, site)
-    raise UnknownNameError(f"unknown move {site.move!r}")
+    return _move(site.move)[1](d, site)
 
 
 # ---------------------------------------------------------------------------

@@ -58,17 +58,17 @@ from .pairtable import (Biquandle, Derived, PairTable, dihedral_switch,
 
 # batch sizes: taus per `pair_verdicts` call in the `enumerate_taus`
 # guard and per `tolist` when the search's tables are built, and relabeled
-# cells (stacks x relabelings x table cells) per `canonical_form` call in
-# `_least_keys` and per generator lookup in `_orbit_keys`: large enough to
-# amortise numpy's cost per call, small enough that a batch's arrays and
-# lists stay near 100 kB
+# cells (stacks x relabelings x table cells) per batch of `canonical_form`
+# and per generator lookup in `_orbit_keys`: large enough to amortise
+# numpy's cost per call, small enough that a batch's arrays and lists stay
+# near 100 kB
 CHECK_BATCH = 128
 CANONICAL_BATCH = 1 << 14
-# `_orbit_keys` closes its input under generators only where `_least_keys`
-# would relabel more cells than this (stacks x |group| x table cells):
-# below, its fixed cost, a sort of the keys, the generating set and the
-# closure passes, exceeds the relabelings it saves (measured crossover
-# between 25,600 and 36,864 cells)
+# `_orbit_keys` closes its input under generators only where
+# `canonical_form` would relabel more cells than this (stacks x |group| x
+# table cells): below, its fixed cost, a sort of the keys, the generating
+# set and the closure passes, exceeds the relabelings it saves (measured
+# crossover between 25,600 and 36,864 cells)
 ORBIT_MIN = 1 << 15
 # the tau search: the `batch.run` row cap; component equations checked
 # per gather before failing taus are dropped; and the candidates the first
@@ -114,8 +114,7 @@ class SingularPair(Derived):
         return self.biquandle.table.key() + self.tau.key()
 
     def relabel(self, g) -> "SingularPair":
-        return SingularPair(Biquandle(self.biquandle.table.relabel(g),
-                                      _conjugate(self.biquandle.s_map, g)),
+        return SingularPair(Biquandle(self.biquandle.table.relabel(g)),
                             self.tau.relabel(g))
 
     @classmethod
@@ -130,14 +129,6 @@ class SingularPair(Derived):
 def _field_hash(p: SingularPair) -> int:
     """The hash a frozen dataclass gives: of the tuple of its fields."""
     return hash((p.biquandle, p.tau))
-
-
-def _conjugate(s, g):
-    """g o s o g^-1, for permutations s and g of 0..n-1."""
-    out = [0] * len(g)
-    for x, v in enumerate(s):
-        out[g[x]] = g[v]
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -924,22 +915,23 @@ def _relabeled(tables: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g.take(images + offsets[:, None, None, None]).reshape(P, m, -1)
 
 
-def canonical_form(tables: np.ndarray,
-                   relabelings) -> tuple[list[bytes], np.ndarray]:
+def canonical_form(tables: np.ndarray, relabelings) -> list[bytes]:
     """The least keys of P stacks of k tables, a (P, k, n, n) int16 array,
-    over relabelings.
+    over relabelings, CANONICAL_BATCH relabeled cells at a time.
 
     A relabeled stack's key is the bytes of its int16 tables
-    (`_relabeled`).  Returns the P least keys and, for each, the index of
-    the first relabeling that reaches it: among relabelings giving the
-    same key, the first one listed wins.
+    (`_relabeled`).
     """
-    keys = _relabeled(tables, np.asarray(relabelings, dtype=np.int16))
-    P = len(keys)
-    # equal-width "S" strings order as their bytes do, like the keys
-    as_bytes = keys.view(np.uint8).view(f"S{2 * keys.shape[2]}")[..., 0]
-    best = as_bytes.argmin(axis=1)
-    return [row.tobytes() for row in keys[np.arange(P), best]], best
+    rel = np.asarray(relabelings, dtype=np.int16)
+    batch = max(1, CANONICAL_BATCH // (len(rel) * prod(tables.shape[1:])))
+    keys = []
+    for start in range(0, len(tables), batch):
+        images = _relabeled(tables[start:start + batch], rel)
+        # equal-width "S" strings order as their bytes do, like the keys
+        as_bytes = images.view(np.uint8).view(f"S{2 * images.shape[2]}")[..., 0]
+        best = as_bytes.argmin(axis=1)
+        keys += [row.tobytes() for row in images[np.arange(len(images)), best]]
+    return keys
 
 
 def _pair_tables(pairs, tau_only: bool = False) -> np.ndarray:
@@ -953,28 +945,14 @@ def _pair_tables(pairs, tau_only: bool = False) -> np.ndarray:
     return cells.reshape(len(groups), -1, pairs[0].n, pairs[0].n)
 
 
-def canonical_key(pair: SingularPair, relabelings=None) -> bytes:
-    """Minimal serialized form over the given relabelings (default: all n!)."""
+def canonical_key(pair: SingularPair) -> bytes:
+    """Minimal serialized form over all n! relabelings."""
     n = pair.n
-    if relabelings is None:
-        if n > 8:
-            raise SearchBoundExceededError(
-                f"canonical form over all {n}! relabelings refused for n={n}")
-        relabelings = itertools.permutations(range(n))
-    return canonical_form(_pair_tables([pair]), list(relabelings))[0][0]
-
-
-def _least_keys(tables: np.ndarray, relabelings) -> tuple[list[bytes], list[int]]:
-    """`canonical_form` of a (P, k, n, n) stack, CANONICAL_BATCH relabeled
-    cells at a time."""
-    rel = np.asarray(relabelings, dtype=np.int16)
-    batch = max(1, CANONICAL_BATCH // (len(rel) * prod(tables.shape[1:])))
-    keys, best = [], []
-    for start in range(0, len(tables), batch):
-        part_keys, part_best = canonical_form(tables[start:start + batch], rel)
-        keys += part_keys
-        best += part_best.tolist()
-    return keys, best
+    if n > 8:
+        raise SearchBoundExceededError(
+            f"canonical form over all {n}! relabelings refused for n={n}")
+    return canonical_form(_pair_tables([pair]),
+                          list(itertools.permutations(range(n))))[0]
 
 
 def _generating_set(group) -> list[tuple[int, ...]]:
@@ -1003,7 +981,7 @@ def _generating_set(group) -> list[tuple[int, ...]]:
 
 
 def _orbit_keys(tables: np.ndarray, group) -> list[bytes]:
-    """`_least_keys(tables, group)[0]` for a (P, k, n, n) int16 stack and a
+    """`canonical_form(tables, group)` for a (P, k, n, n) int16 stack and a
     permutation group listed whole, found by closing the input under a
     generating set of the group instead of relabeling it by every element.
 
@@ -1012,17 +990,17 @@ def _orbit_keys(tables: np.ndarray, group) -> list[bytes]:
     them.  A stack's closure (its images, their images and so on) is its
     orbit when every generator image of every member is in the input; its
     least member is then the stack's key.  Only stacks whose closure
-    reaches a missing image, a partial orbit, are keyed by `_least_keys`,
-    so every input is served and `canonical_form` stays the reference.
+    reaches a missing image, a partial orbit, are keyed by
+    `canonical_form`, so every input is served and it stays the reference.
     The cost is P * |generators| relabeled stacks and lookups, plus one
     pass over the lookups per step of the orbits' diameter, against
-    P * |group| relabeled stacks for `_least_keys`, which keys the whole
+    P * |group| relabeled stacks for `canonical_form`, which keys the whole
     input of the trivial group or of at most ORBIT_MIN relabeled cells.
     """
     P = len(tables)
     cells = prod(tables.shape[1:])
     if len(group) == 1 or P * len(group) * cells <= ORBIT_MIN:
-        return _least_keys(tables, group)[0]
+        return canonical_form(tables, group)
     width = 2 * cells
     # "V" strings sort as their bytes do, like the keys
     as_key = lambda a: a.view(f"V{width}")[..., 0]
@@ -1062,31 +1040,27 @@ def _orbit_keys(tables: np.ndarray, group) -> list[bytes]:
     partial = np.flatnonzero(unclosed[inverse])
     if len(partial):
         for i, key in zip(partial.tolist(),
-                          _least_keys(tables[partial], group)[0]):
+                          canonical_form(tables[partial], group)):
             keys[i] = key
     return keys
 
 
-def _pair_from_key(S: Biquandle, key: bytes, g=None) -> SingularPair:
+def _pair_from_key(S: Biquandle, key: bytes) -> SingularPair:
     """The pair whose int16 stack is key: S and the tau of a (tau1, tau2)
-    key, or, for a (S1, S2, tau1, tau2) key, S relabeled by g and tau."""
+    key, or the switch and tau of a (S1, S2, tau1, tau2) key."""
     n = S.n
     *switch, t1, t2 = np.frombuffer(key, np.int16).reshape(-1, n, n).tolist()
     if switch:
-        S = Biquandle(PairTable(n, *switch), _conjugate(S.s_map, g))
+        S = Biquandle(PairTable(n, *switch))
     return SingularPair(S, PairTable(n, t1, t2))
 
 
-def _classes(keys: list[bytes], representative) -> list[IsoClass]:
-    """Classes of pairs from their keys, `_least_keys` or `_orbit_keys` of
-    their table stacks, in key order.  Each is represented by
-    representative(i, key) of its first pair i."""
-    first: dict[bytes, SingularPair] = {}
-    for i, key in enumerate(keys):
-        if key not in first:
-            first[key] = representative(i, key)
-    sizes = Counter(keys)
-    return [IsoClass(first[key], sizes[key]) for key in sorted(first)]
+def _classes(S: Biquandle, keys: list[bytes]) -> list[IsoClass]:
+    """Classes of pairs from their keys, `canonical_form` or `_orbit_keys`
+    of their table stacks, in key order, each represented by the pair its
+    key decodes to (`_pair_from_key`)."""
+    return [IsoClass(_pair_from_key(S, key), size)
+            for key, size in sorted(Counter(keys).items())]
 
 
 def _tau_classes(S: Biquandle, taus: np.ndarray) -> list[IsoClass]:
@@ -1102,15 +1076,11 @@ def _tau_classes(S: Biquandle, taus: np.ndarray) -> list[IsoClass]:
     n = S.n
     taus = taus.astype(np.int16, copy=False)
     if n > 8 or len(taus) > 64:
-        return _classes(_orbit_keys(taus, automorphism_group(S.table)),
-                        lambda i, key: _pair_from_key(S, key))
+        return _classes(S, _orbit_keys(taus, automorphism_group(S.table)))
     switch = np.array([S.table.t1, S.table.t2], np.int16)
     stacks = np.concatenate(
         [np.broadcast_to(switch, (len(taus), 2, n, n)), taus], axis=1)
-    relabelings = list(itertools.permutations(range(n)))
-    keys, best = _least_keys(stacks, relabelings)
-    return _classes(keys, lambda i, key: _pair_from_key(
-        S, key, relabelings[best[i]]))
+    return _classes(S, canonical_form(stacks, list(itertools.permutations(range(n)))))
 
 
 def classify_isomorphism(pairs) -> list[IsoClass]:
@@ -1136,10 +1106,8 @@ def classify_isomorphism(pairs) -> list[IsoClass]:
     if n > 8:
         raise SearchBoundExceededError(
             f"general classification needs n <= 8, got {n}")
-    relabelings = list(itertools.permutations(range(n)))
-    keys, best = _least_keys(_pair_tables(pairs), relabelings)
-    return _classes(keys, lambda i, key: _pair_from_key(
-        pairs[i].biquandle, key, relabelings[best[i]]))
+    stacks = _pair_tables(pairs)
+    return _classes(S, canonical_form(stacks, list(itertools.permutations(range(n)))))
 
 
 def tau_phi_iso_count(n: int) -> int:

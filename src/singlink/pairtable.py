@@ -53,6 +53,24 @@ def _freeze(rows) -> Table:
                  else tuple(int(v) for v in row) for row in rows)
 
 
+def json_checked(value, kind: type, what: str):
+    """value as read from JSON, if it is of type kind, else TypeError:
+    int() and tuple() would take a bool, a float or a numeric string for
+    an int, and a string for the list of its letters."""
+    if type(value) is not kind:
+        raise TypeError(f"{what} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
+def json_list(value, kind: type, what: str, depth: int = 1) -> list:
+    """A JSON list of items of type kind (`json_checked`), or at depth 2 a
+    list of such lists, as a table is."""
+    items = json_checked(value, list, what)
+    if depth > 1:
+        return [json_list(v, kind, f"a row of {what}", depth - 1) for v in items]
+    return [json_checked(v, kind, f"an item of {what}") for v in items]
+
+
 @dataclass(frozen=True, slots=True)
 class PairTable:
     """A map X x X -> X x X on X = {0..n-1}; backbone of S and tau."""
@@ -173,7 +191,8 @@ class PairTable:
 
     @classmethod
     def from_dict(cls, d) -> "PairTable":
-        return cls(int(d["n"]), d["t1"], d["t2"])
+        return cls(json_checked(d["n"], int, "n"), json_list(d["t1"], int, "t1", 2),
+                   json_list(d["t2"], int, "t2", 2))
 
     @classmethod
     def from_json(cls, text: str) -> "PairTable":
@@ -274,36 +293,42 @@ def check_biquandle(t: PairTable):
         return None
     if not check_yang_baxter(t):
         return None
-    n = t.n
-    s = [None] * n
-    count = 0
-    for x in range(n):
-        for y in range(n):
-            if t.apply(x, y) == (x, y):
-                if s[x] is not None:
-                    return None
-                s[x] = y
-                count += 1
-    if count != n or any(v is None for v in s) or len(set(s)) != n:
+    return Biquandle(t).s_map
+
+
+def _fixed_point_map(b: "Biquandle"):
+    """s when the fixed points of b's table are exactly the graph of a
+    bijection s: X -> X, else None."""
+    t, n = b.table, b.n
+    fixed = [(x, y) for x in range(n) for y in range(n) if t.apply(x, y) == (x, y)]
+    s = tuple(y for _, y in fixed)
+    if [x for x, _ in fixed] != list(range(n)) or sorted(s) != list(range(n)):
         return None
-    return tuple(s)
+    return s
 
 
-@dataclass(frozen=True)
-class Biquandle:
+@dataclass(frozen=True, slots=True)
+class Biquandle(Derived):
+    """A switch (X, S), given by its table alone."""
+
     table: PairTable
-    s_map: tuple[int, ...]
 
     @property
     def n(self) -> int:
         return self.table.n
 
+    @property
+    def s_map(self) -> tuple[int, ...] | None:
+        """s with S(x, s(x)) = (x, s(x)), read off the fixed points once
+        and kept in the `derived` store; None when they are not the graph
+        of a bijection, so that the table is no biquandle."""
+        return self.derived(_fixed_point_map)
+
     @classmethod
     def from_table(cls, t: PairTable) -> "Biquandle":
-        s = check_biquandle(t)
-        if s is None:
+        if check_biquandle(t) is None:
             raise ValueError("table is not a biquandle")
-        return cls(t, s)
+        return cls(t)
 
 
 @dataclass(frozen=True)
@@ -336,12 +361,13 @@ class Quandle:
 
     @classmethod
     def from_dict(cls, d) -> "Quandle":
-        return cls(int(d["n"]), d["op"])
+        return cls(json_checked(d["n"], int, "n"),
+                   json_list(d["op"], int, "op", 2))
 
 
 def flip_switch(n: int) -> Biquandle:
     t = PairTable.from_function(n, lambda x, y: (y, x))
-    return Biquandle(t, tuple(range(n)))
+    return Biquandle(t)
 
 
 def i2_switch() -> Biquandle:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import NotInvolutiveError
 from .pairs import SingularPair
-from .pairtable import PairTable
+from .pairtable import PairTable, json_checked, json_list
 
 Word = tuple[tuple[int, int], ...]
 
@@ -257,8 +257,6 @@ def build_ab_presentation(p: SingularPair) -> Presentation:
 # A row or column update replaces a by a - q*b; with |a|, |b|, |q| at most
 # this the result stays below 2^61, so int64 arithmetic is exact.
 _INT64_SAFE = 1 << 30
-# rows per step of the pivot search, which stops at the first unit
-_BAND = 32
 
 
 def _exceeds(block) -> bool:
@@ -291,7 +289,7 @@ def _smith_reduce(W, r: int, c: int):
     the update of the columns that row k meets also does the row sweep's
     work on W[:r, :c], so the row sweep runs on U alone and column k keeps
     entries below the pivot that nothing reads.  When the units run out
-    those entries are zeroed, and the general loop (banded search, both
+    those entries are zeroed, and the general loop (one masked argmin, both
     sweeps, re-pivot until row and column are clear) takes the rest.  W
     comes back as an object array of Python ints when it is one, or when
     an updated block has an entry beyond 2^30; int64 is exact until then.
@@ -311,20 +309,13 @@ def _smith_reduce(W, r: int, c: int):
 
     def pivot(k, R, C):
         """First nonzero entry of least absolute value in W[k:R, k:C], in
-        row-major order, or None when the block is zero.  The block is read
-        _BAND rows at a time; a unit is the least possible, so the first
-        one ends the search."""
-        best = None
-        for top in range(k, R, _BAND):
-            B = np.abs(W[top:min(top + _BAND, R), k:C]).ravel()
-            nz = np.flatnonzero(B)
-            if nz.size:
-                at = nz[B[nz].argmin()]
-                if best is None or B[at] < best[0]:
-                    best = B[at], top + at // (C - k), k + at % (C - k)
-                    if best[0] == 1:
-                        break
-        return None if best is None else best[1:]
+        row-major order, or None when the block is zero: one argmin, with
+        the zeros masked by a value above every entry."""
+        B = abs(W[k:R, k:C])
+        if not B.any():
+            return None
+        at = np.where(B == 0, B.max() + 1, B).argmin()
+        return k + at // (C - k), k + at % (C - k)
 
     def reduce_at(k, R, C):
         """Pivot at (k, k) and clear the rest of row k and column k inside
@@ -632,7 +623,8 @@ class FiniteGroup:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(int(d["order"]), d["mul"])
+        return cls(json_checked(d["order"], int, "order"),
+                   json_list(d["mul"], int, "mul", 2))
 
 
 # ---------------------------------------------------------------------------

@@ -266,9 +266,8 @@ def _small_biquandles():
         for cols in itertools.product(perms2, repeat=2):
             t2 = tuple(tuple(cols[y][x] for y in range(2)) for x in range(2))
             t = PairTable(2, rows, t2)
-            s = check_biquandle(t)
-            if s is not None:
-                out.append(Biquandle(t, s))
+            if check_biquandle(t) is not None:
+                out.append(Biquandle(t))
     out.extend([flip_switch(1), flip_switch(3), dihedral_switch(3),
                 make_bialexander(3, 2, 2)])
     return out

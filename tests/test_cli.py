@@ -338,12 +338,23 @@ class TestErrorsAndDeterminism:
         ("pairs", "enumerate", "--switch", "flip", "--max-n", "0"),
         ("pairs", "enumerate", "--switch", "d0"),
         ("pairs", "enumerate", "--switch", "bialexander:0,1,1"),
+        # values that int() and tuple() would coerce
+        ("diagram", "show", "{string_slots}"),
+        ("diagram", "show", "{string_loops}"),
+        ("pairs", "enumerate", "--switch", "{string_row}"),
+        ("pairs", "enumerate", "--switch", "{float_entry}"),
+        ("invariant", "statesum", "@unknot", "--pair", "builtin:flip-i2",
+         "--cocycle", "{string_cocycle_row}", "--target", "{z2}"),
+        ("invariant", "statesum", "@unknot", "--pair", "builtin:flip-i2",
+         "--cocycle", "{z2_cocycle}", "--target", "{float_group}"),
     ], ids=["flip-x", "flip-0", "no-biquandle", "not-biquandle", "bad-json",
             "ragged-cocycle", "cocycle-list", "cocycle-out-of-range",
             "cocycle-short-coordinates",
             "diagram-list", "diagram-three-slots", "diagram-no-kind",
             "diagram-int-slots", "diagram-not-json", "lr-n-negative", "lr-n-zero", "flip-n-zero",
-            "max-n-zero", "d-zero", "bialexander-zero"])
+            "max-n-zero", "d-zero", "bialexander-zero", "string-slots",
+            "string-loops", "string-row", "float-entry", "cocycle-string-row",
+            "group-float-entry"])
     def test_malformed_input_is_one_line_error(self, tmp_path, capsys, argv):
         flip = json.loads(builtin_pair("flip-i2").biquandle.table.to_json())
         zero = {"n": 2, "t1": [[0, 0], [0, 0]], "t2": [[0, 0], [0, 0]]}
@@ -365,7 +376,17 @@ class TestErrorsAndDeterminism:
                  "three_slots": {"crossings": [{"kind": "+",
                                                 "slots": ["a", "b", "a"]}]},
                  "no_kind": {"crossings": [{"slots": ["a", "b", "b", "a"]}]},
-                 "int_slots": {"crossings": [{"kind": "+", "slots": [1, 2, 2, 1]}]}}
+                 "int_slots": {"crossings": [{"kind": "+", "slots": [1, 2, 2, 1]}]},
+                 # each read as a valid input before the types were checked
+                 "string_slots": {"crossings": [{"kind": "+", "slots": "abba"}]},
+                 "string_loops": {"loops": "xy"},
+                 "string_row": {**flip, "t1": ["01", [0, 1]]},
+                 "float_entry": {**flip, "t1": [[0, 1.9], [0, 1]]},
+                 "string_cocycle_row": {"kind": "ab", "f": ["00", [0, 0]],
+                                        "h": [[0, 1], [1, 0]]},
+                 "z2_cocycle": {"kind": "ab", "f": [[0, 0], [0, 0]],
+                                "h": [[0, 1], [1, 0]]},
+                 "float_group": {"order": 2, "mul": [[0, 1], [1, 0.0]]}}
         paths = {}
         for name, obj in files.items():
             paths[name] = tmp_path / f"{name}.json"

@@ -265,9 +265,8 @@ class TestDerivedIdentities:
             for cols in itertools.product(perms, repeat=2):
                 t2 = tuple(tuple(cols[y][x] for y in range(2)) for x in range(2))
                 t = PairTable(2, rows, t2)
-                s = check_biquandle(t)
-                if s is not None:
-                    biquandles.append(Biquandle(t, s))
+                if check_biquandle(t) is not None:
+                    biquandles.append(Biquandle(t))
         assert len(biquandles) >= 2
         count = 0
         for bi in biquandles:

@@ -239,7 +239,7 @@ class TestTauPhi:
     def test_In_matches_table_level_oracle(self, n):
         # every tau_phi table, classified under Aut(D_n)
         aut = np.array(automorphism_group(dihedral_switch(n).table), dtype=np.int16)
-        classes = {canonical_form(np.array([(t.t1, t.t2)], dtype=np.int16), aut)[0][0]
+        classes = {canonical_form(np.array([(t.t1, t.t2)], dtype=np.int16), aut)[0]
                    for t in tau_phi_family(n, 1, n - 1)}
         assert tau_phi_iso_count(n) == len(classes)
 
@@ -689,7 +689,7 @@ def _biquandles(n):
         ok &= (u == v).all(axis=-1)
     found = [PairTable(n, *t.tolist()) for t in tables[ok]]
     found = [t for t in found if check_biquandle(t) is not None]
-    keys, _ = canonical_form(_tau_stack(found), list(itertools.permutations(range(n))))
+    keys = canonical_form(_tau_stack(found), list(itertools.permutations(range(n))))
     classes = {}
     for key, t in zip(keys, found):
         classes.setdefault(key, Biquandle.from_table(t))
@@ -882,9 +882,8 @@ def test_tau_plan_matches_recorded_digest(name):
 
 
 def _canonical_form_one(tables, relabelings):
-    """canonical_form of a single (k, n, n) stack, as (key, index)."""
-    keys, best = canonical_form(tables[None], relabelings)
-    return keys[0], int(best[0])
+    """canonical_form of a single (k, n, n) stack."""
+    return canonical_form(tables[None], relabelings)[0]
 
 
 def _canonical_form_loop(tables, relabelings):
@@ -898,22 +897,16 @@ def _canonical_form_loop(tables, relabelings):
     return best
 
 
-def test_canonical_form_matches_loop_and_first_minimal_wins():
+def test_canonical_form_matches_the_loop():
     rng = random.Random(5)
     S = dihedral_switch(4)
     for tau in enumerate_taus(S):
         tables = np.array([S.table.t1, S.table.t2, tau.t1, tau.t2],
                           dtype=np.int16)
-        # a shuffled set with repeats: equal keys must resolve to the first
+        # a shuffled set with repeats
         rel = [tuple(rng.sample(range(4), 4)) for _ in range(30)]
         rel += automorphism_group(S.table)
-        assert _canonical_form_one(tables, rel) == _canonical_form_loop(tables, rel)
-    # flip-flip is fixed by both relabelings: the one listed first wins
-    p = builtin_pair("flip-flip")
-    tables = np.array([p.biquandle.table.t1, p.biquandle.table.t2,
-                       p.tau.t1, p.tau.t2], dtype=np.int16)
-    for rel in ([(0, 1), (1, 0)], [(1, 0), (0, 1)]):
-        assert _canonical_form_one(tables, rel) == (tables.tobytes(), 0)
+        assert _canonical_form_one(tables, rel) == _canonical_form_loop(tables, rel)[0]
 
 
 def test_canonical_form_batch_matches_one_at_a_time():
@@ -925,11 +918,10 @@ def test_canonical_form_batch_matches_one_at_a_time():
     tables = np.array(stacks, dtype=np.int16)
     rel = [tuple(rng.sample(range(4), 4)) for _ in range(30)]
     rel += automorphism_group(S.table) + rel[:5]
-    keys, best = canonical_form(tables, rel)
-    assert len(keys) == len(best) == len(stacks)
-    for t, key, g in zip(tables, keys, best):
-        assert (key, int(g)) == _canonical_form_one(t, rel) \
-            == _canonical_form_loop(t, rel)
+    keys = canonical_form(tables, rel)
+    assert len(keys) == len(stacks)
+    for t, key in zip(tables, keys):
+        assert key == _canonical_form_one(t, rel) == _canonical_form_loop(t, rel)[0]
 
 
 def test_classification_does_not_depend_on_the_batch_size(monkeypatch):
@@ -1088,14 +1080,17 @@ def test_key_representatives_equal_relabeled_pairs(name):
     S = DIGEST_SWITCHES[name]
     pairs = [SingularPair(S, t) for t in enumerate_taus(S)]
     aut = automorphism_group(S.table)
-    keys, best = canonical_form(pairs_module._pair_tables(pairs, True), aut)
-    for p, key, g in zip(pairs, keys, best):
-        assert pairs_module._pair_from_key(S, key) == p.relabel(list(aut[g]))
+    stacks = pairs_module._pair_tables(pairs, True)
+    keys = canonical_form(stacks, aut)
+    # each pair relabeled by its first least relabeling, found one by one
+    least = [p.relabel(list(aut[_canonical_form_loop(t, aut)[1]]))
+             for p, t in zip(pairs, stacks)]
+    for q, key in zip(least, keys):
+        assert pairs_module._pair_from_key(S, key) == q
     # the classes themselves, represented as before by relabeled pairs
     first, sizes = {}, Counter(keys)
-    for p, key, g in zip(pairs, keys, best):
-        if key not in first:
-            first[key] = p.relabel(list(aut[g]))
+    for q, key in zip(least, keys):
+        first.setdefault(key, q)
     if len(pairs) > 64:     # classify_isomorphism keys these under Aut(S)
         assert classify_isomorphism(pairs) == \
             [pairs_module.IsoClass(first[k], sizes[k]) for k in sorted(first)]
@@ -1232,7 +1227,7 @@ def test_classes_build_tables_only_for_representatives(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# orbit keys: `_orbit_keys` against `_least_keys`, its reference
+# orbit keys: `_orbit_keys` against `canonical_form`, its reference
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
@@ -1242,7 +1237,7 @@ def orbits_always(monkeypatch):
 
 
 def _least(tables, group):
-    return pairs_module._least_keys(tables, group)[0]
+    return pairs_module.canonical_form(tables, group)
 
 
 def _generated(gens, n):
@@ -1321,14 +1316,14 @@ def test_only_partial_orbits_fall_back(orbits_always, monkeypatch):
     S = flip_switch(4)
     aut = automorphism_group(S.table)
     taus = pairs_module._tau_array(S.table, True).astype(np.int16)
-    least = pairs_module._least_keys
+    least = pairs_module.canonical_form
     calls = []
-    monkeypatch.setattr(pairs_module, "_least_keys",
+    monkeypatch.setattr(pairs_module, "canonical_form",
                         lambda t, g: calls.append(len(t)) or least(t, g))
-    assert pairs_module._orbit_keys(taus, aut) == least(taus, aut)[0]
+    assert pairs_module._orbit_keys(taus, aut) == least(taus, aut)
     assert calls == []
     half = taus[::2]
-    assert pairs_module._orbit_keys(half, aut) == least(half, aut)[0]
+    assert pairs_module._orbit_keys(half, aut) == least(half, aut)
     assert len(calls) == 1 and 0 < calls[0] < len(half)
 
 

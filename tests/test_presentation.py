@@ -684,9 +684,9 @@ def smith_by_full_scan(M, steps=None):
 
 
 def snf_differential_matrices():
-    """Random matrices, some taller than a band of the pivot search: with
-    units, unit-free (every entry even, or each row a multiple of its own
-    2 to 6, so that bands differ in their least entry), sparse, and with
+    """Random matrices, some taller than 64 rows: with units, unit-free
+    (every entry even, or each row a multiple of its own 2 to 6, so that
+    rows differ in their least entry), sparse, and with
     entries from 2^29 to past 2^30, where the elimination moves to Python
     ints."""
     rng = random.Random("snf full scan")
@@ -712,7 +712,7 @@ def test_smith_normal_form_matches_the_full_scan_oracle():
         entries = [abs(x) for row in M for x in row]
         unit_free += 1 not in entries
         big += max(entries) > 1 << 30
-        tall += 1 not in entries and len(M) > 2 * presentation._BAND
+        tall += 1 not in entries and len(M) > 64
     assert unit_free and big and tall, (unit_free, big, tall)
 
 
@@ -785,7 +785,7 @@ def test_unit_steps_match_the_full_scan_oracle():
         units = [p == 1 for p, _ in steps]
         first_big = next((t for t, (_, m) in enumerate(steps) if m > 1 << 30), None)
         seen.update({
-            "tall": len(M) > 2 * presentation._BAND,
+            "tall": len(M) > 64,
             "zero row": [0] * len(M[0]) in M,
             "repeated row": len(set(map(tuple, M))) < len(M),
             "units run out": True in units and False in units[units.index(True):],
