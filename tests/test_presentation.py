@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singlink import presentation
 from singlink.errors import NotInvolutiveError
 from singlink.pairs import SingularPair, builtin_pair, enumerate_taus
 from singlink.pairtable import (dihedral_switch, flip_switch, i2_switch,
