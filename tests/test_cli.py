@@ -4,6 +4,7 @@ import pytest
 
 from singlink.cli import main
 from singlink.diagram import builtin_diagram
+from singlink.invariant import AB, builtin_cocycle
 from singlink.pairs import builtin_pair
 
 
@@ -347,6 +348,10 @@ class TestErrorsAndDeterminism:
          "--cocycle", "{string_cocycle_row}", "--target", "{z2}"),
         ("invariant", "statesum", "@unknot", "--pair", "builtin:flip-i2",
          "--cocycle", "{z2_cocycle}", "--target", "{float_group}"),
+        *(("invariant", "statesum", "@four_sing_right", "--pair",
+           "builtin:flip-s2", "--cocycle", "{%s}" % name)
+          for name in ("float_torsion", "string_rank", "string_labels",
+                       "bool_coordinate", "string_coordinate")),
     ], ids=["flip-x", "flip-0", "no-biquandle", "not-biquandle", "bad-json",
             "ragged-cocycle", "cocycle-list", "cocycle-out-of-range",
             "cocycle-short-coordinates",
@@ -354,9 +359,22 @@ class TestErrorsAndDeterminism:
             "diagram-int-slots", "diagram-not-json", "lr-n-negative", "lr-n-zero", "flip-n-zero",
             "max-n-zero", "d-zero", "bialexander-zero", "string-slots",
             "string-loops", "string-row", "float-entry", "cocycle-string-row",
-            "group-float-entry"])
+            "group-float-entry", "float-torsion", "string-rank",
+            "string-labels", "bool-coordinate", "string-coordinate"])
     def test_malformed_input_is_one_line_error(self, tmp_path, capsys, argv):
         flip = json.loads(builtin_pair("flip-i2").biquandle.table.to_json())
+        c = builtin_cocycle("flip-s2", AB)
+
+        def embedded(field, coordinate=None, **target):
+            # the flip-s2 ab cocycle with its target embedded, one field
+            # replaced: a target key, or coordinate 1 of f(0, 0) or h(0, 0)
+            obj = {"kind": "ab", "target": {**c.target.to_dict(), **target},
+                   "f": [[[list(v[0]), list(v[1])] for v in row] for row in c.f],
+                   "h": [[[list(v[0]), list(v[1])] for v in row] for row in c.h]}
+            if coordinate is not None:
+                obj[field][0][0][0][0] = coordinate
+            return obj
+
         zero = {"n": 2, "t1": [[0, 0], [0, 0]], "t2": [[0, 0], [0, 0]]}
         files = {"no_biquandle": {"tau": flip},
                  "not_biquandle": {"biquandle": zero, "tau": flip},
@@ -386,7 +404,13 @@ class TestErrorsAndDeterminism:
                                         "h": [[0, 1], [1, 0]]},
                  "z2_cocycle": {"kind": "ab", "f": [[0, 0], [0, 0]],
                                 "h": [[0, 1], [1, 0]]},
-                 "float_group": {"order": 2, "mul": [[0, 1], [1, 0.0]]}}
+                 "float_group": {"order": 2, "mul": [[0, 1], [1, 0.0]]},
+                 # defects in an embedded target and its coordinates
+                 "float_torsion": embedded("target", torsion=[2.0, 2]),
+                 "string_rank": embedded("target", rank="3"),
+                 "string_labels": embedded("target", free_labels="abc"),
+                 "bool_coordinate": embedded("h", coordinate=True),
+                 "string_coordinate": embedded("f", coordinate="0")}
         paths = {}
         for name, obj in files.items():
             paths[name] = tmp_path / f"{name}.json"
