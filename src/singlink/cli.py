@@ -20,7 +20,7 @@ from .pairs import (SingularPair, builtin_pair, check_singular_pair,
                     classify_isomorphism, enumerate_left_right_invertible,
                     enumerate_taus, tau_phi_iso_count)
 from .pairtable import (Biquandle, PairTable, Quandle, dihedral_switch,
-                        flip_switch, i2_switch, json_list, make_bialexander,
+                        flip_switch, i2_switch, make_bialexander,
                         make_quandle_switch)
 from .presentation import (AbelianizedGroup, FiniteGroup, abelianize,
                            build_ab_presentation, build_unc_presentation,
@@ -45,6 +45,16 @@ def _open(spec: str, what: str, forms: str):
         return open(spec)
     except (FileNotFoundError, IsADirectoryError):
         raise SinglinkError(f"unknown {what} {spec!r}: expected {forms}") from None
+
+
+def _read_file(spec: str, what: str, forms: str, read, *args):
+    """read(the JSON object in file spec, *args): every file format is an
+    object, and its object's reader validates it."""
+    with _open(spec, what, forms) as fh, _malformed(f"{what} file {spec!r}"):
+        data = json.load(fh)
+        if type(data) is not dict:
+            raise ValueError("the top level must be a JSON object")
+        return read(data, *args)
 
 
 _SWITCH_FORMS = ("flip[:n], i2, dN (e.g. d4), bialexander:m,s,t, "
@@ -85,11 +95,7 @@ def _read_pair(spec: str) -> SingularPair:
     """A pair argument as given; only `pairs check` reads it unchecked."""
     if spec.startswith("builtin:"):
         return builtin_pair(spec.split(":", 1)[1])
-    with _open(spec, "pair", _PAIR_FORMS) as fh, _malformed(f"pair file {spec!r}"):
-        data = json.load(fh)
-        S = Biquandle.from_table(PairTable.from_dict(data["biquandle"]))
-        tau = PairTable.from_dict(data["tau"])
-    return SingularPair(S, tau)
+    return _read_file(spec, "pair", _PAIR_FORMS, SingularPair.from_dict)
 
 
 def _load_pair(spec: str) -> SingularPair:
@@ -102,26 +108,18 @@ def _load_pair(spec: str) -> SingularPair:
 def _load_diagram(spec: str) -> dg.SingularDiagram:
     if spec.startswith("@"):
         return dg.builtin_diagram(spec[1:])
-    with _open(spec, "diagram", _DIAGRAM_FORMS) as fh:
-        text = fh.read()
-    with _malformed(f"diagram file {spec!r}"):
-        if not spec.endswith(".json"):
-            return dg.parse_diagram(text)
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValueError("the top level must be a JSON object")
-        return dg.SingularDiagram.from_dict(data)
+    if spec.endswith(".json"):
+        return _read_file(spec, "diagram", _DIAGRAM_FORMS,
+                          dg.SingularDiagram.from_dict)
+    with _open(spec, "diagram", _DIAGRAM_FORMS) as fh, \
+            _malformed(f"diagram file {spec!r}"):
+        return dg.parse_diagram(fh.read())
 
 
 def _check_at_least_1(flag: str, value):
     """Refuse an optional integer flag below 1."""
     if value is not None and value < 1:
         raise SinglinkError(f"{flag} must be at least 1, got {value}")
-
-
-def _pair_dict(p: SingularPair):
-    return {"biquandle": json.loads(p.biquandle.table.to_json()),
-            "tau": json.loads(p.tau.to_json())}
 
 
 def _emit(as_json: bool, text_lines, json_obj):
@@ -147,12 +145,12 @@ def _cmd_pairs(args) -> int:
         taus = enumerate_taus(S, max_n=args.max_n)
         lines = [f"pairs: {len(taus)}"]
         obj = {"count": len(taus),
-               "taus": [json.loads(t.to_json()) for t in taus]}
+               "taus": [t.to_dict() for t in taus]}
         if args.iso:
             classes = classify_isomorphism([SingularPair(S, t) for t in taus])
             lines.append(f"isoclasses: {len(classes)}")
             obj["isoclasses"] = len(classes)
-            obj["canonical"] = [_pair_dict(c.canonical) for c in classes]
+            obj["canonical"] = [c.canonical.to_dict() for c in classes]
         _emit(args.json, lines, obj)
         return 0
     if args.pairs_cmd == "check":
@@ -214,16 +212,15 @@ def _cmd_color(args) -> int:
     return 0
 
 
-def _render_group(g: AbelianizedGroup, coord_map: bool, n: int):
+def _render_group(g: AbelianizedGroup, coord_map: bool, n: int) -> list[str]:
     factors = ["Z"] * g.rank + [f"Z/{d}" for d in g.torsion]
     desc = " x ".join(factors) if factors else "1"
     lines = [f"rank {g.rank}, invariant factors {list(g.torsion)}  ({desc})"]
-    obj = g.to_dict()
     if coord_map:
         for i in range(2 * n * n):
             lines.append(f"  {generator_name(n, i)} -> "
                          f"{g.render_element(g.generator(i))}")
-    return lines, obj
+    return lines
 
 
 def _cmd_group(args) -> int:
@@ -232,18 +229,15 @@ def _cmd_group(args) -> int:
         gn = abelianize(build_unc_presentation(p))
         ga = abelianize(build_ab_presentation(p))
         same = (gn.rank, gn.torsion) == (ga.rank, ga.torsion)
-        lines = []
-        for tag, g in (("U_nc abelianized", gn), ("Ab", ga)):
-            sub, _ = _render_group(g, args.coord_map, p.n)
-            lines.append(f"{tag}: {sub[0]}")
+        lines = [f"{tag}: {_render_group(g, False, p.n)[0]}"
+                 for tag, g in (("U_nc abelianized", gn), ("Ab", ga))]
         lines.append(f"same invariant factors: {same}")
         _emit(args.json, lines, {"nc": gn.to_dict(), "ab": ga.to_dict(),
                                  "same_invariant_factors": same})
         return 0
     pres = build_unc_presentation(p) if args.kind == "nc" else build_ab_presentation(p)
     g = abelianize(pres)
-    lines, obj = _render_group(g, args.coord_map, p.n)
-    _emit(args.json, lines, obj)
+    _emit(args.json, _render_group(g, args.coord_map, p.n), g.to_dict())
     return 0
 
 
@@ -257,27 +251,10 @@ def _load_cocycle(spec: str, target_spec, p: SingularPair, kind: str):
                 return iv.builtin_cocycle(name, kind)
         return (iv.universal_nc_cocycle(p) if kind == iv.NC
                 else iv.universal_ab_cocycle(p))
-    with _open(spec, "cocycle", _COCYCLE_FORMS) as fh, \
-            _malformed(f"cocycle file {spec!r}"):
-        data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValueError("the top level must be a JSON object")
-        if data.get("kind", kind) != kind:
-            raise SinglinkError(f"cocycle file is of kind {data.get('kind')!r}")
-        if target_spec is not None:
-            with _open(target_spec, "group", "a group JSON file") as gh, \
-                    _malformed(f"group file {target_spec!r}"):
-                target = FiniteGroup.from_dict(json.load(gh))
-            f = tuple(map(tuple, json_list(data["f"], int, "f", 2)))
-            h = tuple(map(tuple, json_list(data["h"], int, "h", 2)))
-        elif "target" in data:
-            target = AbelianizedGroup.from_dict(data["target"])
-            mk = lambda e: (tuple(e[0]), tuple(e[1]))
-            f = tuple(tuple(mk(v) for v in row) for row in data["f"])
-            h = tuple(tuple(mk(v) for v in row) for row in data["h"])
-        else:
-            raise SinglinkError("cocycle file needs --target or an embedded target")
-        return iv.CocyclePair(target, f, h, kind)
+    target = None if target_spec is None else _read_file(
+        target_spec, "group", "a group JSON file", FiniteGroup.from_dict)
+    return _read_file(spec, "cocycle", _COCYCLE_FORMS, iv.CocyclePair.from_dict,
+                      kind, target)
 
 
 def _cmd_invariant(args) -> int:

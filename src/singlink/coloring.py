@@ -242,8 +242,8 @@ def brute_force_colorings(d: SingularDiagram, p: SingularPair) -> list[Coloring]
 
 def fixed_point_count(word, strands: int, p: SingularPair) -> int:
     """Oracle: colorings of the closure of a braid word (see
-    `diagram.braid_closure`) = top colors that the composed map of X^k
-    along the word (S, S^-1 or tau per letter) sends to themselves."""
+    `diagram.braid_closure`) = top colors fixed by the map of X^k that
+    applies the word's letters in turn (S, S^-1 or tau per letter)."""
     S = p.biquandle.table
     maps = {POS: S, NEG: S.inverse(), SING: p.tau}
     count = 0

@@ -29,7 +29,6 @@ other side's word on the same top edges.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -117,9 +116,6 @@ class SingularDiagram(Derived):
                               for c in self.crossings],
                 "loops": list(self.loops),
                 "base": list(self.basepoints)}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
     @classmethod
     def from_dict(cls, d) -> "SingularDiagram":

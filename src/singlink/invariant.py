@@ -51,9 +51,9 @@ import numpy as np
 
 from .coloring import coloring_array
 from .diagram import NEG, POS, SING, SingularDiagram
-from .errors import CocycleInvalidError, DimensionMismatchError
+from .errors import CocycleInvalidError, DimensionMismatchError, SinglinkError
 from .pairs import SingularPair, builtin_pair
-from .pairtable import Derived
+from .pairtable import Derived, json_list
 from .presentation import (AbelianizedGroup, FiniteGroup, GroupRingElement,
                            abelianize, build_ab_presentation,
                            build_unc_presentation, f_gen, family_words,
@@ -97,14 +97,30 @@ class CocyclePair(Derived):
                 0 <= v < self.target.order for r in self.f + self.h for v in r):
             raise ValueError(f"values must lie in 0..{self.target.order - 1}")
         if isinstance(self.target, AbelianizedGroup):
-            shape = self.target.rank, len(self.target.torsion)
-            if not all(tuple(map(len, v)) == shape for r in self.f + self.h for v in r):
-                raise ValueError(f"values must have {shape[0]} free and "
-                                 f"{shape[1]} torsion coordinates")
+            self.target.check_elements(
+                (v for r in self.f + self.h for v in r), "values")
 
     @property
     def n(self) -> int:
         return len(self.f)
+
+    @classmethod
+    def from_dict(cls, d, kind: str, target: FiniteGroup | None = None):
+        """A cocycle file of the given kind: f and h tables of the indices
+        of elements of a finite target, or without one, of [free, torsion]
+        elements of the abelianized "target" the file embeds."""
+        if d.get("kind", kind) != kind:
+            raise SinglinkError(f"cocycle file is of kind {d.get('kind')!r}")
+        if target is not None:
+            return cls(target, json_list(d["f"], int, "f", 2),
+                       json_list(d["h"], int, "h", 2), kind)
+        if "target" not in d:
+            raise SinglinkError("cocycle file needs --target or an embedded target")
+        read = AbelianizedGroup.read_element
+        f, h = ([[read(v, f"{name}({x}, {y})") for y, v in enumerate(row)]
+                 for x, row in enumerate(json_list(d[name], list, name, 2))]
+                for name in "fh")
+        return cls(AbelianizedGroup.from_dict(d["target"]), f, h, kind)
 
 
 def _target_abelian(target: Target) -> bool:

@@ -117,6 +117,16 @@ class SingularPair(Derived):
         return SingularPair(Biquandle(self.biquandle.table.relabel(g)),
                             self.tau.relabel(g))
 
+    def to_dict(self):
+        return {"biquandle": self.biquandle.table.to_dict(),
+                "tau": self.tau.to_dict()}
+
+    @classmethod
+    def from_dict(cls, d) -> "SingularPair":
+        """A pair file; its switch must be a biquandle, tau may fail the axioms."""
+        return cls(Biquandle.from_table(PairTable.from_dict(d["biquandle"])),
+                   PairTable.from_dict(d["tau"]))
+
     @classmethod
     def checked(cls, biquandle: Biquandle, tau: PairTable) -> "SingularPair":
         res = check_singular_pair(biquandle, tau)

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonUnitError
+from .errors import NonUnitError
 
 Row = tuple[int, ...]
 Table = tuple[Row, ...]
@@ -132,19 +131,6 @@ class PairTable:
                 u2[a][b] = y
         return PairTable._unchecked(n, tuple(map(tuple, u1)), tuple(map(tuple, u2)))
 
-    def compose(self, other: "PairTable") -> "PairTable":
-        """self after other, as maps on X x X."""
-        if self.n != other.n:
-            raise DimensionMismatchError("carrier sizes differ")
-        n = self.n
-        u1 = [[0] * n for _ in range(n)]
-        u2 = [[0] * n for _ in range(n)]
-        for x in range(n):
-            for y in range(n):
-                a, b = other.apply(x, y)
-                u1[x][y], u2[x][y] = self.apply(a, b)
-        return PairTable(n, u1, u2)
-
     def is_involutive(self) -> bool:
         return all(self.apply(*self.apply(x, y)) == (x, y)
                    for x in range(self.n) for y in range(self.n))
@@ -185,18 +171,14 @@ class PairTable:
     def key(self):
         return (self.t1, self.t2)
 
-    def to_json(self) -> str:
-        return json.dumps({"n": self.n, "t1": [list(r) for r in self.t1],
-                           "t2": [list(r) for r in self.t2]})
+    def to_dict(self):
+        return {"n": self.n, "t1": [list(r) for r in self.t1],
+                "t2": [list(r) for r in self.t2]}
 
     @classmethod
     def from_dict(cls, d) -> "PairTable":
         return cls(json_checked(d["n"], int, "n"), json_list(d["t1"], int, "t1", 2),
                    json_list(d["t2"], int, "t2", 2))
-
-    @classmethod
-    def from_json(cls, text: str) -> "PairTable":
-        return cls.from_dict(json.loads(text))
 
     @classmethod
     def from_function(cls, n: int, fn) -> "PairTable":
@@ -284,16 +266,12 @@ def check_yang_baxter(t: PairTable) -> bool:
 
 
 def check_biquandle(t: PairTable):
-    """Return the diagonal fix-point permutation s if t is a biquandle, else None.
-
-    Biquandle = bijective + left/right invertible Yang-Baxter solution whose
-    fixed points are exactly the graph of a bijection s: X -> X.
-    """
-    if not (t.is_left_invertible() and t.is_right_invertible() and t.is_bijective()):
+    """The diagonal fix-point permutation s if t is a biquandle, else None
+    (`Biquandle.from_table`)."""
+    try:
+        return Biquandle.from_table(t).s_map
+    except ValueError:
         return None
-    if not check_yang_baxter(t):
-        return None
-    return Biquandle(t).s_map
 
 
 def _fixed_point_map(b: "Biquandle"):
@@ -326,9 +304,14 @@ class Biquandle(Derived):
 
     @classmethod
     def from_table(cls, t: PairTable) -> "Biquandle":
-        if check_biquandle(t) is None:
+        """(X, t) if t is a bijective, left and right invertible Yang-Baxter
+        solution whose fixed points are the graph of a bijection s."""
+        b = cls(t)
+        if not (t.is_left_invertible() and t.is_right_invertible()
+                and t.is_bijective() and check_yang_baxter(t)
+                and b.s_map is not None):
             raise ValueError("table is not a biquandle")
-        return cls(t)
+        return b
 
 
 @dataclass(frozen=True)
@@ -355,9 +338,6 @@ class Quandle:
                 for z in range(n):
                     if self.op[self.op[x][y]][z] != self.op[self.op[x][z]][self.op[y][z]]:
                         raise ValueError("self-distributivity fails")
-
-    def to_json(self) -> str:
-        return json.dumps({"n": self.n, "op": [list(r) for r in self.op]})
 
     @classmethod
     def from_dict(cls, d) -> "Quandle":

@@ -446,12 +446,25 @@ class AbelianizedGroup:
     torsion_labels: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if self.rank < 0 or any(d < 2 for d in self.torsion):
+            raise ValueError(f"bad rank {self.rank} or torsion {list(self.torsion)}")
         if not self.free_labels:
             object.__setattr__(self, "free_labels",
                                tuple(f"z{i+1}" for i in range(self.rank)))
         if not self.torsion_labels:
             object.__setattr__(self, "torsion_labels",
                                tuple(f"u{i+1}" for i in range(len(self.torsion))))
+        if (len(self.free_labels), len(self.torsion_labels)) != \
+                (self.rank, len(self.torsion)):
+            raise ValueError("free_labels and torsion_labels need one label per factor")
+        self.check_elements(self.coord_map, "coord_map values")
+
+    def check_elements(self, elements, what: str):
+        """ValueError unless each element has this group's coordinates."""
+        shape = self.rank, len(self.torsion)
+        if not all(tuple(map(len, a)) == shape for a in elements):
+            raise ValueError(f"{what} must have {shape[0]} free and "
+                             f"{shape[1]} torsion coordinates")
 
     # group operations on elements -----------------------------------
     def identity(self) -> Element:
@@ -502,12 +515,26 @@ class AbelianizedGroup:
                 "free_labels": list(self.free_labels),
                 "torsion_labels": list(self.torsion_labels)}
 
+    @staticmethod
+    def read_element(value, what: str) -> Element:
+        """An element as JSON writes it, [free, torsion]: two lists of
+        integers, whose lengths `check_elements` checks."""
+        parts = json_checked(value, list, what)
+        if len(parts) != 2:
+            raise ValueError(f"{what} must be a [free, torsion] pair, got {value!r}")
+        return tuple(tuple(json_list(v, int, f"the {part} part of {what}"))
+                     for v, part in zip(parts, ("free", "torsion")))
+
     @classmethod
     def from_dict(cls, d):
-        cm = tuple((tuple(a[0]), tuple(a[1])) for a in d["coord_map"])
-        return cls(int(d["rank"]), tuple(d["torsion"]), cm,
-                   tuple(d.get("free_labels", ())),
-                   tuple(d.get("torsion_labels", ())))
+        return cls(json_checked(d["rank"], int, "rank"),
+                   tuple(json_list(d["torsion"], int, "torsion")),
+                   tuple(cls.read_element(a, f"coord_map[{g}]")
+                         for g, a in enumerate(json_checked(d["coord_map"], list,
+                                                            "coord_map"))),
+                   tuple(json_list(d.get("free_labels", []), str, "free_labels")),
+                   tuple(json_list(d.get("torsion_labels", []), str,
+                                   "torsion_labels")))
 
 
 def abelianize(pres: Presentation) -> AbelianizedGroup:
@@ -618,9 +645,6 @@ class FiniteGroup:
                  for p in perms]
         return cls(len(perms), table)
 
-    def to_dict(self):
-        return {"order": self.order, "mul": [list(r) for r in self.table]}
-
     @classmethod
     def from_dict(cls, d):
         return cls(json_checked(d["order"], int, "order"),
@@ -665,11 +689,6 @@ class GroupRingElement:
 
     def coefficient_sum(self) -> int:
         return sum(self.terms.values())
-
-    def to_dict(self):
-        return {"terms": [{"elem": [list(e[0]), list(e[1])]
-                           if isinstance(e, tuple) else e, "coeff": c}
-                          for e, c in sorted(self.terms.items())]}
 
 
 def equivalence_classes_involutive(S: PairTable) -> list[tuple[tuple[int, int], ...]]:

@@ -66,18 +66,28 @@ class TestPairsCommands:
         p = builtin_pair("flip-i2")
         f = tmp_path / "pair.json"
         f.write_text(json.dumps({
-            "biquandle": json.loads(p.biquandle.table.to_json()),
-            "tau": json.loads(p.tau.to_json())}))
+            "biquandle": p.biquandle.table.to_dict(),
+            "tau": p.tau.to_dict()}))
         code, out, _ = run(capsys, "pairs", "check", str(f))
         assert code == 0
         assert "singular pair" in out
+
+    def test_enumerated_canonical_pairs_check(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "pairs", "enumerate", "--switch", "flip",
+                           "--n", "3", "--iso", "--json")
+        canonical = json.loads(out)["canonical"]
+        assert code == 0 and len(canonical) == 7
+        f = tmp_path / "pair.json"
+        for pair in canonical:
+            f.write_text(json.dumps(pair))
+            assert run(capsys, "pairs", "check", str(f)) == (0, "singular pair\n", "")
 
     def test_check_invalid_pair(self, tmp_path, capsys):
         from singlink.pairtable import dihedral_switch, flip_switch
         f = tmp_path / "pair.json"
         f.write_text(json.dumps({
-            "biquandle": json.loads(dihedral_switch(3).table.to_json()),
-            "tau": json.loads(flip_switch(3).table.to_json())}))
+            "biquandle": dihedral_switch(3).table.to_dict(),
+            "tau": flip_switch(3).table.to_dict()}))
         code, out, _ = run(capsys, "pairs", "check", str(f))
         assert code == 1
         assert "NOT a singular pair" in out
@@ -92,8 +102,8 @@ class TestPairsCommands:
         from singlink.pairtable import dihedral_switch, flip_switch
         f = tmp_path / "pair.json"
         f.write_text(json.dumps({
-            "biquandle": json.loads(dihedral_switch(3).table.to_json()),
-            "tau": json.loads(flip_switch(3).table.to_json())}))
+            "biquandle": dihedral_switch(3).table.to_dict(),
+            "tau": flip_switch(3).table.to_dict()}))
         code, out, err = run(capsys, *argv, "--pair", str(f))
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -351,7 +361,8 @@ class TestErrorsAndDeterminism:
         *(("invariant", "statesum", "@four_sing_right", "--pair",
            "builtin:flip-s2", "--cocycle", "{%s}" % name)
           for name in ("float_torsion", "string_rank", "string_labels",
-                       "bool_coordinate", "string_coordinate")),
+                       "bool_coordinate", "string_coordinate", "zero_torsion",
+                       "short_labels", "short_coord_map")),
     ], ids=["flip-x", "flip-0", "no-biquandle", "not-biquandle", "bad-json",
             "ragged-cocycle", "cocycle-list", "cocycle-out-of-range",
             "cocycle-short-coordinates",
@@ -360,9 +371,10 @@ class TestErrorsAndDeterminism:
             "max-n-zero", "d-zero", "bialexander-zero", "string-slots",
             "string-loops", "string-row", "float-entry", "cocycle-string-row",
             "group-float-entry", "float-torsion", "string-rank",
-            "string-labels", "bool-coordinate", "string-coordinate"])
+            "string-labels", "bool-coordinate", "string-coordinate",
+            "zero-torsion", "short-labels", "short-coord-map"])
     def test_malformed_input_is_one_line_error(self, tmp_path, capsys, argv):
-        flip = json.loads(builtin_pair("flip-i2").biquandle.table.to_json())
+        flip = builtin_pair("flip-i2").biquandle.table.to_dict()
         c = builtin_cocycle("flip-s2", AB)
 
         def embedded(field, coordinate=None, **target):
@@ -410,7 +422,12 @@ class TestErrorsAndDeterminism:
                  "string_rank": embedded("target", rank="3"),
                  "string_labels": embedded("target", free_labels="abc"),
                  "bool_coordinate": embedded("h", coordinate=True),
-                 "string_coordinate": embedded("f", coordinate="0")}
+                 "string_coordinate": embedded("f", coordinate="0"),
+                 # a traceback, a value without its b and c, and a group
+                 # whose generators have too few coordinates
+                 "zero_torsion": embedded("target", torsion=[0, 2]),
+                 "short_labels": embedded("target", free_labels=["a"]),
+                 "short_coord_map": embedded("target", coord_map=[[[1], []]])}
         paths = {}
         for name, obj in files.items():
             paths[name] = tmp_path / f"{name}.json"

@@ -1,14 +1,15 @@
-"""Every `singlink` command in README.md that uses only builtins prints
-exactly what it printed when its digest was recorded.
+"""Every `singlink` command in README.md prints exactly what it printed
+when its digest was recorded.
 
 Commands are read from the README's CLI block; an optional `[--flag]` is
-run both without and with the flag.  Commands that name a file are not
-run.  The `--slow` row (I_10..I_12) is counted in milliseconds and runs
-in the default suite.
+run both without and with the flag.  A command that names a file runs in
+a directory where README_FILES has written it.  The `--slow` row
+(I_10..I_12) is counted in milliseconds and runs in the default suite.
 """
 
 import hashlib
 import itertools
+import json
 import re
 import shlex
 from pathlib import Path
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from singlink.cli import main
+from singlink.pairs import builtin_pair
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -47,7 +49,13 @@ STDOUT_DIGESTS = {
         "abb7f920bcff662f463b48cbac44fe68b46b9e8cafd109735ed007c4a12a7127",
     "invariant statesum @four_sing_right --pair builtin:flip-s2":
         "6a41673b488354e7994924481d2986681dbc1587888f465401dda1f461d06690",
+    # "singular pair\n"
+    "pairs check pair.json":
+        "056054a9d6d06b7278348c01437c7280656a5a76ef3f28248773b9e6f89fba60",
 }
+
+# the files README commands name, as the objects that write them
+README_FILES = {"pair.json": lambda: builtin_pair("flip-i2").to_dict()}
 
 
 def readme_commands() -> list[str]:
@@ -64,8 +72,7 @@ def readme_commands() -> list[str]:
             words = fixed[0]
             for flag, kept, tail in zip(optional, keep, fixed[1:]):
                 words += (" " + flag if kept else "") + tail
-            if not any(w.endswith(".json") for w in words.split()):
-                out.append(words.strip())
+            out.append(words.strip())
     return out
 
 
@@ -73,8 +80,17 @@ def test_every_builtin_readme_command_has_a_digest():
     assert sorted(readme_commands()) == sorted(STDOUT_DIGESTS)
 
 
+def test_every_file_a_readme_command_names_is_written():
+    named = {w for c in readme_commands() for w in c.split() if w.endswith(".json")}
+    assert named == set(README_FILES)
+
+
 @pytest.mark.parametrize("command", readme_commands())
-def test_readme_command_output_is_unchanged(command, capsys):
+def test_readme_command_output_is_unchanged(command, capsys, tmp_path,
+                                            monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, write in README_FILES.items():
+        (tmp_path / name).write_text(json.dumps(write()))
     code = main(shlex.split(command))
     out = capsys.readouterr().out
     assert code == 0
