@@ -2,7 +2,7 @@ import hashlib
 import itertools
 import random
 from collections import Counter
-from math import gcd
+from math import factorial, gcd
 
 import numpy as np
 import pytest
@@ -221,6 +221,61 @@ class TestTauPhi:
             S = dihedral_switch(n)
             for tab in tau_phi_family(n, 1, n - 1):
                 assert check_singular_pair(S, tab).ok
+
+    # (m, s, t) -> (phis that are homogeneous, bijective tau_phi, sha256 over
+    # repr(tau.key()) of the family in order), recorded with the backtracking
+    # search: bialexander switches off s = 1, t = -1, then D_3..D_8
+    FAMILY = {
+        (5, 2, 3): (4, 3, "1028cb6dc134b094f815ed0530f8a943ea74c7009e09438e5711fafa5ff28a9f"),
+        (7, 2, 2): (6, 5, "baf80600a0e8a7a722cb913bdaf91a478eb0d3b859fc287da14a188a1ccbd187"),
+        (7, 3, 5): (6, 5, "be2c4c6710d1f58b756b970c4fce2a9a014d2acb12cab2fd2e550d725c06ca30"),
+        (8, 3, 5): (16, 16, "45acfce323c24c8eda54bcecdefcbad98d5b1a78cf9e4d9715066597f11131c8"),
+        (3, 1, 2): (2, 2, "458e016bb97171c16f24e843d5968dac87b23e58a190a2b254c13018aaa79857"),
+        (4, 1, 3): (4, 4, "218945147468b625118e2d29d23f551da433c30151aca482ceec337c684265dd"),
+        (5, 1, 4): (8, 8, "8be11dff6f4ac98d3a2f6880e462231872411b5fba418b13dd3851e9acead07d"),
+        (6, 1, 5): (16, 16, "926f2bbed10a54489bac449687091432278fd88e7b6eaacf25ac635035cd1aec"),
+        (7, 1, 6): (48, 48, "ddef8aa351523d4cdfecf1cd1e6981160805ab0621edabbf65ee2c0897e5bc2e"),
+        (8, 1, 7): (96, 96, "7e1daaed84e334687f7e3609a0393413b2f7f6d9fcc95db69fdd5409346084b6"),
+    }
+
+    @pytest.mark.parametrize("mst", FAMILY)
+    def test_family_matches_recorded_digest(self, mst):
+        h = hashlib.sha256()
+        family = tau_phi_family(*mst)
+        for tab in family:
+            h.update(repr(tab.key()).encode())
+        assert (len(family), h.hexdigest()) == self.FAMILY[mst][1:]
+
+    @pytest.mark.parametrize("mst", FAMILY)
+    def test_family_matches_every_permutation(self, mst):
+        # every permutation of Z/m through make_tau_phi, which refuses the
+        # inhomogeneous ones and returns None for a non-bijective tau_phi
+        m, s, t = mst
+        homogeneous, tables = 0, []
+        for phi in itertools.permutations(range(m)):
+            try:
+                tab = make_tau_phi(m, s, t, phi)
+            except HomogeneityViolationError:
+                continue
+            homogeneous += 1
+            if tab is not None:
+                tables.append(tab)
+        assert (homogeneous, len(tables)) == self.FAMILY[mst][:2]
+        assert tau_phi_family(m, s, t) == sorted(tables, key=PairTable.key)
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_dihedral_family_is_the_identity_term(self, n):
+        # Fix(1): permutations of Z/n commuting with -1, which fixes 0 (and
+        # n/2 for even n) and swaps the other points in pairs
+        fixed = 2 - n % 2
+        swapped = (n - fixed) // 2
+        fix_1 = factorial(fixed) * factorial(swapped) * 2 ** swapped
+        assert len(tau_phi_family(n, 1, n - 1)) == fix_1
+
+    @pytest.mark.parametrize("mst", [(6, 2, 5), (6, 1, 3), (9, 3, 2)])
+    def test_family_refuses_non_units(self, mst):
+        with pytest.raises(NonUnitError):
+            tau_phi_family(*mst)
 
     @pytest.mark.parametrize("n,expected", [(3, 2), (4, 4), (5, 6), (6, 16),
                                             (7, 20), (8, 56), (9, 136)])
