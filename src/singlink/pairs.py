@@ -252,6 +252,14 @@ def check_flip_s_condition(S: PairTable) -> bool:
 # bialexander families
 # ---------------------------------------------------------------------------
 
+def _tau_phi_table(m: int, s: int, t: int, phi) -> PairTable:
+    """tau_phi(x,y) = (x + phi(s*y - x), y - t*phi(s*y - x)) on Z/m, for
+    s, t and phi already reduced mod m."""
+    return PairTable.from_function(
+        m, lambda x, y: ((x + phi[(s * y - x) % m]) % m,
+                         (y - t * phi[(s * y - x) % m]) % m))
+
+
 def make_tau_phi(m: int, s: int, t: int, phi) -> PairTable | None:
     """tau_phi(x,y) = (x + phi(s*y - x), y - t*phi(s*y - x)) on Z/m.
 
@@ -271,9 +279,7 @@ def make_tau_phi(m: int, s: int, t: int, phi) -> PairTable | None:
             if phi[(lam * x) % m] != (lam * phi[x]) % m:
                 raise HomogeneityViolationError(
                     f"phi({lam}*{x}) != {lam}*phi({x}) mod {m}")
-    tab = PairTable.from_function(
-        m, lambda x, y: ((x + phi[(s * y - x) % m]) % m,
-                         (y - t * phi[(s * y - x) % m]) % m))
+    tab = _tau_phi_table(m, s, t, phi)
     return tab if tab.is_bijective() else None
 
 
@@ -348,65 +354,58 @@ def check_bialexander_characterization(m: int, s: int, t: int,
     return True
 
 
+def _unit_orbits(m: int, units) -> tuple[list[int], list[tuple[dict, frozenset]]]:
+    """The group H that the units mod m generate, sorted, and the orbits of
+    Z/m under multiplication by H, by least point.  Each orbit is a dict
+    taking each of its points x to an h in H with h * (least point) = x,
+    least point first, and the orbit's stabilizer, a subset of H."""
+    H, frontier = {1 % m}, [1 % m]
+    while frontier:
+        h = frontier.pop()
+        for v in {h * u % m for u in units} - H:
+            H.add(v)
+            frontier.append(v)
+    H = sorted(H)
+    orbits, seen = [], set()
+    for x in range(m):
+        if x not in seen:
+            points = {}
+            for h in H:
+                points.setdefault(h * x % m, h)
+            seen.update(points)
+            orbits.append((points, frozenset(h for h in H if h * x % m == x)))
+    return H, orbits
+
+
 def tau_phi_family(m: int, s: int, t: int) -> list[PairTable]:
-    """All bijective tau_phi for S_{s,t} on Z/m, sorted."""
+    """All bijective tau_phi for S_{s,t} on Z/m, sorted.
+
+    phi ranges over the bijections of Z/m equivariant under H = <s, t, -1>.
+    Such a phi maps each H-orbit onto an orbit with the same stabilizer
+    and is fixed there by the image of the orbit's least point, so the phis
+    are a product over stabilizers of a permutation of the orbits with that
+    stabilizer and a target point in each image orbit.
+    """
     s %= m
     t %= m
-    lams = sorted({s, t, m - 1} - {1 % m})
-    # orbits of Z/m under multiplication by the lambdas
-    orbit_of = list(range(m))
-    for x in range(m):
-        if orbit_of[x] != x:
-            continue
-        stack = [x]
-        while stack:
-            u = stack.pop()
-            for lam in lams:
-                v = (lam * u) % m
-                if orbit_of[v] != orbit_of[x]:
-                    orbit_of[v] = orbit_of[x]
-                    stack.append(v)
-    reps = sorted({orbit_of[x] for x in range(m)})
-    # phi is determined by its values on orbit representatives; the value on
-    # rep r must sit in an orbit with compatible stabilizer, which we test
-    # directly by propagating and checking consistency.
-    results = []
-
-    def build(i, phi, used):
-        if i == len(reps):
-            if all(v is not None for v in phi):
-                tab = make_tau_phi(m, s, t, phi)
-                if tab is not None:
-                    results.append(tab)
-            return
-        r = reps[i]
-        for target in range(m):
-            if target in used:
-                continue
-            # propagate phi over the orbit of r and check consistency
-            trial = dict()
-            ok = True
-            stack = [(r, target)]
-            while stack and ok:
-                u, v = stack.pop()
-                if u in trial:
-                    ok = trial[u] == v
-                    continue
-                trial[u] = v
-                for lam in lams:
-                    stack.append(((lam * u) % m, (lam * v) % m))
-            if not ok:
-                continue
-            vals = set(trial.values())
-            if len(vals) != len(trial) or vals & used:
-                continue
-            phi2 = list(phi)
-            for u, v in trial.items():
-                phi2[u] = v
-            build(i + 1, phi2, used | vals)
-
-    build(0, [None] * m, set())
-    return sorted(set(results), key=lambda t_: t_.key())
+    if gcd(s, m) != 1 or gcd(t, m) != 1:
+        raise NonUnitError("s and t must be units")
+    by_stabilizer = {}
+    for points, stabilizer in _unit_orbits(m, (s, t, m - 1))[1]:
+        by_stabilizer.setdefault(stabilizer, []).append(points)
+    per_class = [[list(zip(same, ys)) for image in itertools.permutations(same)
+                  for ys in itertools.product(*image)]
+                 for same in by_stabilizer.values()]
+    tables = []
+    for choice in itertools.product(*per_class):
+        phi = [0] * m
+        for points, y in itertools.chain.from_iterable(choice):
+            for x, h in points.items():
+                phi[x] = h * y % m
+        tab = _tau_phi_table(m, s, t, phi)
+        if tab.is_bijective():
+            tables.append(tab)
+    return sorted(tables, key=PairTable.key)
 
 
 # ---------------------------------------------------------------------------
@@ -1160,14 +1159,10 @@ def tau_phi_iso_count(n: int) -> int:
                            "the Burnside count does not apply")
     total = 0
     for a in units:
-        H = {(sign * pow(a, k, n)) % n for k in range(n) for sign in (1, -1)}
-        # points per stabilizer; each orbit with stabilizer K has [H:K] points
-        points = Counter(frozenset(h for h in H if (h * x - x) % n == 0)
-                         for x in range(n))
+        H, orbits = _unit_orbits(n, (a, n - 1))
         fix = 1
-        for K, count in points.items():
-            index = len(H) // len(K)
-            fix *= factorial(count // index) * index ** (count // index)
+        for K, count in Counter(K for _, K in orbits).items():
+            fix *= factorial(count) * (len(H) // len(K)) ** count
         total += fix
     if total % len(units):
         raise RuntimeError(f"Burnside sum {total} for n={n} is not "

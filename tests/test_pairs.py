@@ -272,10 +272,32 @@ class TestTauPhi:
         fix_1 = factorial(fixed) * factorial(swapped) * 2 ** swapped
         assert len(tau_phi_family(n, 1, n - 1)) == fix_1
 
-    @pytest.mark.parametrize("mst", [(6, 2, 5), (6, 1, 3), (9, 3, 2)])
+    # at (8, 1, 2) no phi is homogeneous, and the backtracking search
+    # returned [] without refusing t
+    @pytest.mark.parametrize("mst", [(6, 2, 5), (6, 1, 3), (9, 3, 2), (8, 1, 2)])
     def test_family_refuses_non_units(self, mst):
         with pytest.raises(NonUnitError):
             tau_phi_family(*mst)
+
+    def test_family_does_not_revalidate_phi(self, monkeypatch):
+        monkeypatch.setattr(pairs_module, "make_tau_phi", None)
+        assert len(tau_phi_family(7, 3, 5)) == 5
+
+    def test_unit_orbits_group_by_stabilizer(self):
+        # {2, 10} and {3, 9} have the same size but different stabilizers,
+        # so they are not isomorphic <5, -1>-sets
+        H, orbits = pairs_module._unit_orbits(12, (5, 11))
+        assert H == [1, 5, 7, 11]
+        assert {frozenset(points): stabilizer for points, stabilizer in orbits} == {
+            frozenset({0}): frozenset(H), frozenset({6}): frozenset(H),
+            frozenset({1, 5, 7, 11}): frozenset({1}),
+            frozenset({2, 10}): frozenset({1, 7}), frozenset({3, 9}): frozenset({1, 5}),
+            frozenset({4, 8}): frozenset({1, 7}),
+        }
+        for points, _ in orbits:
+            least = min(points)
+            assert next(iter(points)) == least
+            assert all(h * least % 12 == x for x, h in points.items())
 
     @pytest.mark.parametrize("n,expected", [(3, 2), (4, 4), (5, 6), (6, 16),
                                             (7, 20), (8, 56), (9, 136)])
