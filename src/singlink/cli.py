@@ -388,6 +388,8 @@ def main(argv=None) -> int:
     if args.cmd == "invariant" and args.target is not None \
             and args.cocycle == "universal":
         ap.error("--target is not read by --cocycle universal")
+    if args.cmd == "group" and args.coord_map and args.kind == "both":
+        ap.error("--coord-map is not read by --kind both")
     try:
         return _DISPATCH[args.cmd](args)
     except (SinglinkError, OSError) as exc:

@@ -229,6 +229,7 @@ class TestErrorsAndDeterminism:
         ("tables", "--which", "tau-phi", "--n", "5"),
         ("tables", "--which", "flip-counts", "--slow"),
         ("tables", "--which", "lr-invertible", "--n", "3", "--slow"),
+        ("group", "--pair", "builtin:flip-s2", "--kind", "both", "--coord-map"),
     ])
     def test_flags_exist_only_where_read(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
