@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import (BadBasepointError, DanglingEdgeError, DiagramError,
                      DiagramSyntaxError, PatternMismatchError, SlotReuseError,
@@ -280,51 +281,13 @@ def braid_closure(word, strands: int, names) -> SingularDiagram:
 # invariant values it must reproduce)
 # ---------------------------------------------------------------------------
 
-def _ladder_names(k: int) -> list[str]:
-    """l0 r0 l1 r1 ...: a 2-strand closure of k letters whose level-i
-    crossing eats (l_i, r_i)."""
-    return [f"{side}{i}" for i in range(k) for side in "lr"]
+def ladder(kinds) -> SingularDiagram:
+    """2-strand closure of one letter per kind whose level-i crossing eats
+    (l_i, r_i): named so that sorted-name seeding branches on every l_i."""
+    names = [f"{side}{i}" for i in range(len(kinds)) for side in "lr"]
+    return braid_closure([(0, kind) for kind in kinds], 2, names)
 
 
-_BUILTINS = {}
-
-
-def _register(name):
-    def deco(fn):
-        _BUILTINS[name] = fn
-        return fn
-    return deco
-
-
-@_register("unknot")
-def _unknot():
-    return SingularDiagram((), ("a",))
-
-
-@_register("trefoil")
-def _trefoil():
-    return braid_closure([(0, POS)] * 3, 2, _ladder_names(3))
-
-
-@_register("sing_trefoil")
-def _sing_trefoil():
-    # trefoil with positive classical crossings, one crossing made singular
-    return braid_closure([(0, SING), (0, POS), (0, POS)], 2, _ladder_names(3))
-
-
-@_register("sing_trefoil_mirror")
-def _sing_trefoil_mirror():
-    return braid_closure([(0, SING), (0, NEG), (0, NEG)], 2, _ladder_names(3))
-
-
-@_register("sing_trefoil_fig8")
-def _sing_trefoil_fig8():
-    # the singular trefoil knot used for the {b^2} computation; the
-    # transcription is pinned by that value, not by the picture
-    return braid_closure([(0, POS), (0, SING), (0, POS)], 2, _ladder_names(3))
-
-
-@_register("sing_hopf")
 def _sing_hopf():
     # Hopf link with one classical and one singular crossing; with
     # ({0,1}, flip, i2) its coloring set is empty
@@ -333,13 +296,6 @@ def _sing_hopf():
     return SingularDiagram((c0, c1))
 
 
-@_register("four_sing_left")
-def _four_sing_left():
-    # the (2,4)-torus pattern with all four crossings singular
-    return braid_closure([(0, SING)] * 4, 2, _ladder_names(4))
-
-
-@_register("four_sing_right")
 def _four_sing_right():
     # two components crossing singularly four times; the second component
     # meets the crossings in the order C0, C1, C3, C2, and the components
@@ -349,6 +305,24 @@ def _four_sing_right():
           Crossing(SING, ("a2", "b3", "b0", "a3")),
           Crossing(SING, ("b2", "a3", "a0", "b3")))
     return SingularDiagram(cs)
+
+
+_BUILTINS = {
+    "unknot": lambda: SingularDiagram((), ("a",)),
+    "sing_hopf": _sing_hopf,
+    "four_sing_right": _four_sing_right,
+    **{name: partial(ladder, kinds) for name, kinds in {
+        "trefoil": "+++",
+        # trefoil with positive classical crossings, one crossing made singular
+        "sing_trefoil": "s++",
+        "sing_trefoil_mirror": "s--",
+        # the singular trefoil knot used for the {b^2} computation; the
+        # transcription is pinned by that value, not by the picture
+        "sing_trefoil_fig8": "+s+",
+        # the (2,4)-torus pattern with all four crossings singular
+        "four_sing_left": "ssss",
+    }.items()},
+}
 
 
 def builtin_diagram(name: str) -> SingularDiagram:

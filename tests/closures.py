@@ -6,8 +6,8 @@ import random
 from hypothesis import strategies as st
 
 from singlink.diagram import (MOVES, Crossing, MoveSite, SingularDiagram,
-                              _ladder_names, apply_move, braid_closure,
-                              builtin_diagram, find_move_sites)
+                              apply_move, braid_closure, builtin_diagram,
+                              find_move_sites, ladder)
 from singlink.pairs import SingularPair, make_tau_a, make_tau_phi
 from singlink.pairtable import dihedral_switch, make_bialexander
 
@@ -31,12 +31,6 @@ def shuffled_closure(word, strands: int, rng: random.Random) -> SingularDiagram:
     """Closure of `word` whose edge names sort in a random order."""
     m = 2 * len(word)
     return braid_closure(word, strands, [f"e{v}" for v in rng.sample(range(10 * m), m)])
-
-
-def ladder(kinds) -> SingularDiagram:
-    """2-strand closure of one letter per kind whose level-i crossing eats
-    (l_i, r_i): named so that sorted-name seeding branches on every l_i."""
-    return braid_closure([(0, kind) for kind in kinds], 2, _ladder_names(len(kinds)))
 
 
 # pairs whose tau is far from S: a rewrite that mixes up the S and T

@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from singlink import invariant
 from singlink.coloring import (count_colorings, enumerate_colorings,
                                fixed_point_count)
-from singlink.diagram import (MOVES, Crossing, SingularDiagram, _ladder_names,
-                              apply_move, braid_closure, builtin_diagram,
-                              find_move_sites)
+from singlink.diagram import (MOVES, Crossing, SingularDiagram, apply_move,
+                              builtin_diagram, find_move_sites, ladder)
 from singlink.errors import CocycleInvalidError
 from singlink.invariant import (AB, NC, CocyclePair, builtin_cocycle,
                                 check_ab_cocycle, check_nc_cocycle,
@@ -717,7 +716,7 @@ class TestBatchedEvaluation:
         k = 2 ** 57 + 1
         nc, ab = (scaled(builtin_cocycle("flip-i2", kind), k) for kind in (NC, AB))
         small = builtin_diagram("four_sing_left")
-        big = braid_closure([(0, "s")] * 140, 2, _ladder_names(140))
+        big = ladder("s" * 140)
         for d, fits in ((small, True), (big, False)):
             passages = 2 * len(d.crossings)
             assert ((passages + 1) * k < 2 ** 62) == fits
