@@ -1136,7 +1136,9 @@ def tau_phi_iso_count(n: int) -> int:
     the bijections of Z/n equivariant under H = <a, -1>.  H is abelian,
     so orbits with equal stabilizer K are isomorphic H-sets and
     Fix(a) = prod over K of m_K! * [H:K]^m_K, m_K being the number of
-    orbits with stabilizer K.
+    orbits with stabilizer K (`_unit_orbits`).  Equal size is not enough:
+    for n = 12, a = 5 the orbits {2, 10} and {3, 9} have stabilizers
+    {1, 7} and {1, 5}.
 
     Guard: the reduction holds only if Aut(D_n) is exactly the affine
     maps x -> ax + b with gcd(a, n) = 1, so `automorphism_group` is run
