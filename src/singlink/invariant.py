@@ -14,29 +14,32 @@ colorings in the integral group ring.
 
 A cocycle pair's weights on a singular pair are one table, built with
 the cocycle check at the pair's first check or query and kept in the
-cocycle pair's `derived` store (`_checked`).  A query makes
-one array of indices into that table over the sorted colorings of
-`coloring_array`: a run of passages per component, or one run of all
-crossings for the state sum, each run padded with the identity to the
-longest.  The runs' cells (`_cells`) are the diagram's, compiled at its
-first query and kept with it for its lifetime, as is its coloring plan;
-a query adds only the pair's block offsets.  `_evaluate` gathers the
-array in blocks of colorings and multiplies along the runs: in an
-abelianized target coordinate rows are summed (int64, or Python ints
-where a sum could pass 2^62) and the torsion is reduced once; a finite
-target folds its Cayley table.  `_tally` counts each run's values in
-order of first appearance: in a dict, one pass per run, up to _DICT_KEYS
-(run, value) pairs, as in nearly every query; above that by one
-np.unique over (run, value) keys, whose fixed cost of some 35 numpy
-calls a large tally repays.  The sorted colorings are kept with the
-diagram too, for its last pair (`coloring_array`), so the nc invariant
-and the state sum of one (diagram, pair) share one search.
+cocycle pair's `derived` store (`_checked`).  A query reads indices into
+that table off the sorted colorings of `coloring_array`: a run of
+passages per component, or one run of all crossings for the state sum,
+each run padded with the identity to the longest.  The runs' cells
+(`_cells`) are the diagram's, compiled at its first query and kept with
+it for its lifetime, as is its coloring plan; a query adds only the
+pair's block offsets.  `_evaluate` builds the indices and gathers their
+weights a block of colorings at a time, at most _CELLS weights, so that
+a query holds little beyond its colorings and its values, and multiplies
+along the runs: in an abelianized target coordinate rows are summed
+(int64, or Python ints where a sum could pass 2^62) and the torsion is
+reduced once; a finite target folds its Cayley table.  `_tally` counts
+each run's values in order of first appearance: in a dict, one pass per
+run, up to _DICT_KEYS (run, value) pairs, as in nearly every query;
+above that by one np.unique over (run, value) keys, whose fixed cost of
+some 35 numpy calls a large tally repays.  The sorted colorings are kept
+with the diagram too, for its last pair (`coloring_array`), so the nc
+invariant and the state sum of one (diagram, pair) share one search.
 
 The cocycle conditions are not written out here: the checkers evaluate
 both sides of every instance of the relation table in
 `presentation.relation_families` in the target group with the same
 `_evaluate`, all families at all of their points in one gather of
 `presentation.family_words`' stack, and split the verdict per family.
+The stack is the one the pair's presentations read, built once per pair
+and kind and kept in the pair's store (`presentation.relation_words`).
 """
 
 from __future__ import annotations
@@ -56,8 +59,8 @@ from .pairs import SingularPair, builtin_pair
 from .pairtable import Derived, json_list
 from .presentation import (AbelianizedGroup, FiniteGroup, GroupRingElement,
                            abelianize, build_ab_presentation,
-                           build_unc_presentation, f_gen, family_words,
-                           h_gen, relation_families)
+                           build_unc_presentation, f_gen, h_gen,
+                           relation_words)
 
 Target = Union[FiniteGroup, AbelianizedGroup]
 
@@ -184,11 +187,13 @@ def _check_cocycle(p: SingularPair, c: CocyclePair,
     """Evaluate both sides of every instance of every relation family in
     the target at once, as two runs of one index array into c's weight
     table w (a fresh one by default), and keep the first failing point of
-    each family in row-major order."""
+    each family in row-major order.  The instances are p's, kept in its
+    store (`presentation.relation_words`)."""
     w = w if w is not None else _weight_table(p, c)
-    t = family_words(relation_families(p, c.kind), p.n)
+    t = p.derived(relation_words, c.kind)
     # a side's pad, -1, reads the last row of w: the identity
-    left, right = _evaluate(c.target, w, np.stack([t.lhs.T, t.rhs.T], axis=1))
+    idx = np.stack([t.lhs.T, t.rhs.T], axis=1)
+    left, right = _evaluate(c.target, w, idx.shape, lambda lo, hi: idx[..., lo:hi])
     bad = np.flatnonzero(~(left == right).reshape(len(t.family), -1).all(axis=1))
     fams, first = np.unique(t.family[bad], return_index=True)
     viols = tuple((t.names[f], tuple(int(v) for v in np.unravel_index(
@@ -349,20 +354,22 @@ def _checked_weights(p: SingularPair, c: CocyclePair) -> _Weights:
     return w
 
 
-def _evaluate(t: Target, w: _Weights, idx: np.ndarray) -> np.ndarray:
-    """Ordered products of weights: per run r and column j of the
-    (steps, runs, columns) array idx, the product of w.rows[idx[i, r, j]]
-    over the steps i, with at least one step; a shorter run is padded with
-    the identity row.  The result is a (runs, columns) array of elements
-    in a finite target, and a (runs, columns, coordinates) one, torsion
-    reduced, in an abelianized target: Python ints there if a sum could
-    pass 2^62.  At most _CELLS weights are gathered at a time."""
-    steps, runs, m = idx.shape
+def _evaluate(t: Target, w: _Weights, shape, index) -> np.ndarray:
+    """Ordered products of weights: per run r and column j of a (steps,
+    runs, columns) array idx of the given shape, the product of
+    w.rows[idx[i, r, j]] over the steps i, with at least one step; a
+    shorter run is padded with the identity row.  index(lo, hi) builds
+    idx[..., lo:hi], one block of columns at a time, each block of at most
+    _CELLS weights, so no more of idx exists at once.  The result is a
+    (runs, columns) array of elements in a finite target, and a (runs,
+    columns, coordinates) one, torsion reduced, in an abelianized target:
+    Python ints there if a sum could pass 2^62."""
+    steps, runs, m = shape
     rows = w.rows if w.bound * (steps + 1) >> 62 == 0 else w.rows.astype(object)
     block = max(1, _CELLS // max(1, steps * runs * math.prod(rows.shape[1:])))
     out = np.empty((runs, m, *rows.shape[1:]), rows.dtype)
     for r in range(0, m, block):
-        g = rows.take(idx[..., r:r + block], axis=0)
+        g = rows.take(index(r, r + block), axis=0)
         if w.mul is None:
             out[:, r:r + block] = g.sum(axis=0)
             continue
@@ -426,14 +433,19 @@ def _products(d: SingularDiagram, p: SingularPair, t: Target, w: _Weights,
     coloring of d.  The cells are d's, kept with it from its first query
     (`SingularDiagram.derived`); only the blocks' offset, n*n a block,
     depends on the pair.  The colorings are those `coloring_array` keeps
-    with d; each query copies them into a padded intp array, eight bytes
-    per edge per coloring."""
-    n = p.n
+    with d; each block of them is copied into a padded intp array, whose
+    last row, the pad cells' edge, is 0, and read off at the cells."""
+    n, edges = p.n, len(d.edges)
     cols = coloring_array(d, p)
     x, y, block = cells
-    colors = np.zeros((len(d.edges) + 1, len(cols)), np.intp)
-    colors[:-1] = cols.T
-    return _evaluate(t, w, colors[x] * n + colors[y] + (block * (n * n))[..., None])
+    offset = (block * (n * n))[..., None]
+
+    def index(lo, hi):
+        part = cols[lo:hi]
+        colors = np.zeros((edges + 1, len(part)), np.intp)
+        colors[:-1] = part.T
+        return colors[x] * n + colors[y] + offset
+    return _evaluate(t, w, (*x.shape, len(cols)), index)
 
 
 def _tally(t: Target, vals):

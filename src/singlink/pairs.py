@@ -93,8 +93,10 @@ SINGULAR_PAIR_AXIOMS = (
 class SingularPair(Derived):
     """A switch and tau on one carrier; its `derived` store keeps the
     coloring search's tables (`coloring.flat_tables`) from its first
-    search on, and its hash from the first one taken: a cocycle pair's
-    store is keyed by the pair, so every query takes it."""
+    search on, the relation instances of each kind that its presentations
+    and cocycle checks read (`presentation.relation_words`) from the
+    first that needs them, and its hash from the first one taken: a
+    cocycle pair's store is keyed by the pair, so every query takes it."""
 
     biquandle: Biquandle
     tau: PairTable

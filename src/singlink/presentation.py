@@ -14,10 +14,15 @@ target by the cocycle checkers in `invariant`.
 
 `family_words` stacks every instance of every family into one padded
 array per side, in `relation_instances` order, with a fixed number of
-numpy calls besides the families' own indexing.  A presentation is read
-off that stack in bulk: each relator lhs rhs^-1 is freely reduced by
-stripping the common suffix of its two sides, and the words are cut from
-one tuple of letters.  `abelianize` reads each generator's coordinates
+numpy calls besides the families' own indexing.  A pair builds that
+stack once per kind, at its first presentation or cocycle check of the
+kind, and keeps it read-only in its `derived` store (`relation_words`),
+where the presentations here and the checkers in `invariant` read it.  A
+presentation is read off that stack in bulk: each relator lhs rhs^-1 is
+freely reduced by stripping the common suffix of its two sides, and the
+words are cut from one tuple of letters.  It keeps the same letters as
+arrays of (word index, generator, exponent), so its exponent matrix is
+one scatter-add.  `abelianize` reads each generator's coordinates
 off the column transform of the Smith normal form by slicing.  Nearly
 every pivot of a relation matrix is +-1; those are found from one flag per
 row, and each clears its row and column by one column update.
@@ -56,23 +61,41 @@ class Presentation:
     n: int
     kind: str                      # "nc" | "ab"
     relations: tuple[Word, ...]
+    # every letter of the relations as three arrays, (word index,
+    # generator, exponent), in word order: the builder's own, or read off
+    # the words once when a presentation is built by hand
+    letters: tuple[np.ndarray, np.ndarray, np.ndarray] = field(
+        default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.letters is None:
+            object.__setattr__(self, "letters", _letter_arrays(self.relations))
 
     @property
     def num_generators(self) -> int:
         return 2 * self.n * self.n
 
     def exponent_matrix(self) -> np.ndarray:
-        """The (relations, generators) matrix of exponent sums, added up
-        letter by letter: int64, or Python ints (object dtype) when the
-        exponents' absolute sum passes 2^30."""
-        rels = self.relations
-        exps = [e for w in rels for _, e in w]
-        M = np.zeros((len(rels), self.num_generators),
-                     dtype=object if sum(map(abs, exps)) > _INT64_SAFE else np.int64)
-        np.add.at(M, (np.repeat(np.arange(len(rels)), [len(w) for w in rels]),
-                      np.array([g for w in rels for g, _ in w], dtype=np.intp)),
-                  np.array(exps, dtype=M.dtype))
+        """The (relations, generators) matrix of exponent sums, one
+        scatter-add of `letters`: int64, or Python ints (object dtype)
+        when the exponents' absolute sum passes 2^30."""
+        word, gen, exp = self.letters
+        big = exp.dtype == object or abs(exp).sum() > _INT64_SAFE
+        M = np.zeros((len(self.relations), self.num_generators),
+                     dtype=object if big else np.int64)
+        np.add.at(M, (word, gen), exp.astype(M.dtype))
         return M
+
+
+def _letter_arrays(words):
+    """`Presentation.letters` of words of (generator, exponent) letters:
+    intp word indices and generators, and the exponents as int64 while
+    each is at most 2^30 in absolute value, else as Python ints."""
+    exps = [e for w in words for _, e in w]
+    return (np.repeat(np.arange(len(words)), [len(w) for w in words]),
+            np.array([g for w in words for g, _ in w], dtype=np.intp),
+            np.array(exps, dtype=object if max(map(abs, exps), default=0) > _INT64_SAFE
+                     else np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +234,17 @@ def relation_instances(families, n: int):
                [g for g in lhs if g >= 0], [g for g in rhs if g >= 0])
 
 
+def relation_words(p: SingularPair, kind: str) -> Relations:
+    """`family_words` of p's relation families of the kind ("nc" or
+    "ab"), as read-only arrays.  Presentations and cocycle checks read
+    them from p's `derived` store, `p.derived(relation_words, kind)`, so a
+    pair object builds them once per kind."""
+    t = family_words(relation_families(p, kind), p.n)
+    for a in (t.family, t.point, t.lhs, t.rhs):
+        a.flags.writeable = False
+    return t
+
+
 def _build_presentation(p: SingularPair, kind: str) -> Presentation:
     """Each relator lhs rhs^-1, freely reduced, in `relation_instances`
     order; empty ones dropped, and repeats after their first occurrence.
@@ -220,8 +254,9 @@ def _build_presentation(p: SingularPair, kind: str) -> Presentation:
     Every lhs letter has exponent +1 and every rhs letter -1, so letters
     cancel only in pairs outwards from where the two halves meet: the
     common suffix of lhs and rhs.  The words are cut from one tuple of
-    all kept letters, and a dict keeps each word's first occurrence."""
-    t = family_words(relation_families(p, kind), p.n)
+    all kept letters, a dict finds each word's first row, and the
+    presentation's letter arrays are the codes of those rows."""
+    t = p.derived(relation_words, kind)
     w = t.lhs.shape[1]
     codes = np.concatenate([t.lhs, -2 - t.rhs[:, ::-1]], axis=1) + 1
     # pairs (lhs[-1-j], rhs[-1-j]) that cancel, up to the first that does
@@ -232,11 +267,24 @@ def _build_presentation(p: SingularPair, kind: str) -> Presentation:
     g = 2 * p.n * p.n
     alphabet = ([(i, -1) for i in range(g - 1, -1, -1)] + [None]
                 + [(i, 1) for i in range(g)])
-    letters = tuple(map(alphabet.__getitem__, (codes[kept] + g).tolist()))
-    ends = np.cumsum(kept.sum(axis=1)).tolist()
-    words = dict.fromkeys(map(letters.__getitem__, map(slice, [0] + ends, ends)))
-    words.pop((), None)
-    return Presentation(p.n, kind, tuple(words))
+    flat, lens = codes[kept], kept.sum(axis=1)
+    letters = tuple(map(alphabet.__getitem__, (flat + g).tolist()))
+    ends = np.cumsum(lens).tolist()
+    rows = list(map(letters.__getitem__, map(slice, [0] + ends, ends)))
+    # fed the rows last to first, a dict keeps each word at its first row
+    first = dict(zip(reversed(rows), range(len(rows) - 1, -1, -1)))
+    first.pop((), None)
+    firsts = sorted(first.values())
+    words = tuple(map(rows.__getitem__, firsts))
+    chosen = np.zeros(len(rows), bool)
+    chosen[firsts] = True
+    code = flat[np.repeat(chosen, lens)]
+    import logging    # on first use, so importing this module does not load it
+    logging.getLogger(__name__).debug(
+        "%s presentation: %d relation instances, %d words kept, %d letters",
+        kind, len(rows), len(words), len(code))
+    return Presentation(p.n, kind, words, (
+        np.repeat(np.arange(len(firsts)), lens[firsts]), abs(code) - 1, np.sign(code)))
 
 
 def build_unc_presentation(p: SingularPair) -> Presentation:

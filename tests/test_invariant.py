@@ -734,6 +734,48 @@ class TestBatchedEvaluation:
         assert 4096 * 12 * nc.target.rank > 2 * invariant._CELLS
         assert_matches_oracles(d, p, nc, ab)
 
+    @pytest.mark.parametrize("cells", [1, 40, 700])
+    def test_results_do_not_depend_on_the_block_size(self, cells, monkeypatch):
+        # blocks of one coloring (cells = 1) up to a few: every query and
+        # check below takes several blocks, and must give what one takes
+        def results():
+            out = []
+            for d, p, nc, ab in block_size_queries():
+                assert count_colorings(d, p) >= 2
+                out.append((repr(nc_invariant(d, p, nc).per_coloring),
+                            repr(list(state_sum(d, p, ab).terms.items())),
+                            invariant._check_cocycle(p, nc),
+                            invariant._check_cocycle(p, ab)))
+            return out
+        want = results()
+        monkeypatch.setattr(invariant, "_CELLS", cells)
+        assert results() == want
+
+
+def block_size_queries():
+    """(diagram, pair, nc cocycle, ab cocycle), each cocycle pair fresh, so
+    that its check runs again: universal ones, one scaled past int64, and
+    finite targets, on builtins and closures with 2 to 32 colorings."""
+    rng = Random("block size")
+    words = {3: "0s 1+ 0s 1+ 1s 0- 1s", 4: "0s 0s 1+ 2s 1+ 2s 0+",
+             6: "0+ 0+ 1s 1s 2+ 3s 3s 4+ 4-"}
+    closures = [shuffled_closure([(int(a), b) for a, b in w.split()], k, rng)
+                for k, w in words.items()]
+    ff, fi = builtin_pair("flip-flip"), builtin_pair("flip-i2")
+    s3, _, z6 = flip_flip_finite_cocycles()
+
+    def fresh(c):
+        return CocyclePair(c.target, c.f, c.h, c.kind)
+    out = []
+    for d in [builtin_diagram("four_sing_left"), *closures]:
+        out += [(d, ff, universal_nc_cocycle(ff), universal_ab_cocycle(ff)),
+                (d, ff, fresh(s3), fresh(z6)),
+                (d, fi, *(scaled(builtin_cocycle(name, kind), 2 ** 70 + 1)
+                          for name, kind in (("flip-i2", NC), ("flip-s2", AB))))]
+    d3 = builtin_pair("d3-ss")
+    return out + [(builtin_diagram("sing_trefoil"), d3, universal_nc_cocycle(d3),
+                   universal_ab_cocycle(d3))]
+
 
 def tally_oracle(t, vals):
     """`_tally` by one Counter per run over the values as tuples."""

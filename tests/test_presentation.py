@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from singlink import presentation
 from singlink.errors import NotInvolutiveError
+from singlink.invariant import (CocyclePair, builtin_cocycle, check_ab_cocycle,
+                                check_nc_cocycle)
 from singlink.pairs import SingularPair, builtin_pair, enumerate_taus
 from singlink.pairtable import (dihedral_switch, flip_switch, i2_switch,
                                 make_bialexander)
@@ -18,7 +21,8 @@ from singlink.presentation import (AbelianizedGroup, FiniteGroup,
                                    build_unc_presentation,
                                    equivalence_classes_involutive, f_gen,
                                    h_gen, relation_families,
-                                   relation_instances, smith_normal_form)
+                                   relation_instances, relation_words,
+                                   smith_normal_form)
 
 
 def matmul(A, B):
@@ -888,3 +892,89 @@ def test_free_reduction_strips_the_common_suffix():
             ((0, 1), (1, 1), (0, -1), (1, -1)))
     assert build_unc_presentation(p).relations == want
     assert presentation_oracle(p, "nc") == want
+
+
+# ---------------------------------------------------------------------------
+# the exponent matrix against a letter-by-letter oracle, and the relation
+# instances a pair keeps
+# ---------------------------------------------------------------------------
+
+def exponent_matrix_oracle(pres):
+    """Each word's exponent sums, added up letter by letter in Python ints."""
+    M = [[0] * pres.num_generators for _ in pres.relations]
+    for row, word in zip(M, pres.relations):
+        for g, e in word:
+            row[g] += e
+    return M
+
+
+def test_exponent_matrix_matches_the_letter_by_letter_oracle():
+    pairs = _digest_pairs()
+    S = dihedral_switch(6)
+    pairs["D6 tau=S"] = SingularPair(S, S.table)
+    pairs["D6 tau=S^-1"] = SingularPair(S, S.table.inverse())
+    for name, p in pairs.items():
+        for build in (build_unc_presentation, build_ab_presentation):
+            pres = build(p)
+            M = pres.exponent_matrix()
+            assert M.dtype == np.int64, name
+            assert M.tolist() == exponent_matrix_oracle(pres), (name, pres.kind)
+            # the builder's letter arrays are the ones its words give
+            by_hand = Presentation(pres.n, pres.kind, pres.relations)
+            assert all(np.array_equal(a, b) for a, b in zip(pres.letters, by_hand.letters))
+            assert by_hand == pres and hash(by_hand) == hash(pres)
+            assert repr(by_hand) == repr(pres) and "letters" not in repr(pres)
+
+
+@pytest.mark.parametrize("words, big", [
+    ((), False),
+    # a repeated generator, a letter that cancels one before it, an empty word
+    ((((0, 1), (1, -1), (0, 2)), (), ((7, -3), (7, 3), (2, 1))), False),
+    # every exponent within 2^30, their absolute sum past it
+    ((((0, 1 << 29), (3, -(1 << 29))), ((0, 1),)), True),
+    # exponents past 2^30, and past int64, that cancel to small sums
+    ((((5, 1 << 31),), ((3, 1 << 70), (3, 1 - (1 << 70)), (4, -(1 << 40)))), True),
+])
+def test_hand_built_exponent_matrix(words, big):
+    pres = Presentation(2, "ab", words)
+    M = pres.exponent_matrix()
+    assert M.dtype == (object if big else np.int64)
+    assert M.tolist() == exponent_matrix_oracle(pres)
+    assert all(type(v) is int for row in M.tolist() for v in row)
+
+
+def test_each_pair_builds_its_relation_instances_once(monkeypatch):
+    nc, ab = (builtin_cocycle(name, kind) for name, kind in
+              (("flip-i2", "nc"), ("flip-s2", "ab")))
+    calls, words = [], presentation.family_words
+
+    def counted(families, n):
+        calls.append("nc" if families[0][0] == "f1" else "ab")
+        return words(families, n)
+    monkeypatch.setattr(presentation, "family_words", counted)
+    p, q = builtin_pair("flip-i2"), builtin_pair("flip-i2")
+    assert p == q and p is not q and calls == []
+    for pair in (p, q, p, q):
+        build_unc_presentation(pair)
+        build_ab_presentation(pair)
+        # fresh cocycle pairs, whose stores hold no check yet
+        assert check_nc_cocycle(pair, CocyclePair(nc.target, nc.f, nc.h, "nc")).ok
+        assert check_ab_cocycle(pair, CocyclePair(ab.target, ab.f, ab.h, "ab")).ok
+    # one build per pair object and kind: equal pairs share none
+    assert calls == ["nc", "ab", "nc", "ab"]
+    for kind in ("nc", "ab"):
+        t = p.derived(relation_words, kind)
+        assert t is p.derived(relation_words, kind)
+        assert t is not q.derived(relation_words, kind)
+        for a in (t.family, t.point, t.lhs, t.rhs):
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+
+def test_build_presentation_reports_its_sizes(caplog):
+    # trivial-1's seven instances keep three words of 1, 3 and 4 letters
+    # (test_free_reduction_strips_the_common_suffix)
+    with caplog.at_level(logging.DEBUG, logger="singlink.presentation"):
+        build_unc_presentation(builtin_pair("trivial-1"))
+    assert caplog.messages == [
+        "nc presentation: 7 relation instances, 3 words kept, 8 letters"]
