@@ -254,8 +254,8 @@ def _build_presentation(p: SingularPair, kind: str) -> Presentation:
     Every lhs letter has exponent +1 and every rhs letter -1, so letters
     cancel only in pairs outwards from where the two halves meet: the
     common suffix of lhs and rhs.  The words are cut from one tuple of
-    all kept letters, a dict finds each word's first row, and the
-    presentation's letter arrays are the codes of those rows."""
+    all kept letters, a dict keeps each word's first occurrence, and the
+    presentation's letter arrays are the codes of one row per word."""
     t = p.derived(relation_words, kind)
     w = t.lhs.shape[1]
     codes = np.concatenate([t.lhs, -2 - t.rhs[:, ::-1]], axis=1) + 1
@@ -267,24 +267,22 @@ def _build_presentation(p: SingularPair, kind: str) -> Presentation:
     g = 2 * p.n * p.n
     alphabet = ([(i, -1) for i in range(g - 1, -1, -1)] + [None]
                 + [(i, 1) for i in range(g)])
-    flat, lens = codes[kept], kept.sum(axis=1)
-    letters = tuple(map(alphabet.__getitem__, (flat + g).tolist()))
+    lens = kept.sum(axis=1)
+    letters = tuple(map(alphabet.__getitem__, (codes[kept] + g).tolist()))
     ends = np.cumsum(lens).tolist()
     rows = list(map(letters.__getitem__, map(slice, [0] + ends, ends)))
-    # fed the rows last to first, a dict keeps each word at its first row
-    first = dict(zip(reversed(rows), range(len(rows) - 1, -1, -1)))
-    first.pop((), None)
-    firsts = sorted(first.values())
-    words = tuple(map(rows.__getitem__, firsts))
-    chosen = np.zeros(len(rows), bool)
-    chosen[firsts] = True
-    code = flat[np.repeat(chosen, lens)]
+    # a dict keeps each word where it first occurs, with the last row that
+    # holds it: equal words have equal letters
+    at = dict(zip(rows, range(len(rows))))
+    at.pop((), None)
+    words, chosen = tuple(at), list(at.values())
+    code = codes[chosen][kept[chosen]]
     import logging    # on first use, so importing this module does not load it
     logging.getLogger(__name__).debug(
         "%s presentation: %d relation instances, %d words kept, %d letters",
         kind, len(rows), len(words), len(code))
     return Presentation(p.n, kind, words, (
-        np.repeat(np.arange(len(firsts)), lens[firsts]), abs(code) - 1, np.sign(code)))
+        np.repeat(np.arange(len(words)), lens[chosen]), abs(code) - 1, np.sign(code)))
 
 
 def build_unc_presentation(p: SingularPair) -> Presentation:
