@@ -62,8 +62,8 @@ class Presentation:
     kind: str                      # "nc" | "ab"
     relations: tuple[Word, ...]
     # every letter of the relations as three arrays, (word index,
-    # generator, exponent), in word order: the builder's own, or read off
-    # the words once when a presentation is built by hand
+    # generator, exponent), in word order: `_build_presentation`'s own,
+    # or read off the words once when a presentation is made by hand
     letters: tuple[np.ndarray, np.ndarray, np.ndarray] = field(
         default=None, compare=False, repr=False)
 

@@ -919,7 +919,7 @@ def test_exponent_matrix_matches_the_letter_by_letter_oracle():
             M = pres.exponent_matrix()
             assert M.dtype == np.int64, name
             assert M.tolist() == exponent_matrix_oracle(pres), (name, pres.kind)
-            # the builder's letter arrays are the ones its words give
+            # _build_presentation's letter arrays are the ones its words give
             by_hand = Presentation(pres.n, pres.kind, pres.relations)
             assert all(np.array_equal(a, b) for a, b in zip(pres.letters, by_hand.letters))
             assert by_hand == pres and hash(by_hand) == hash(pres)
