@@ -204,12 +204,12 @@ def enumerate_colorings(d: SingularDiagram, p: SingularPair) -> list[Coloring]:
     outs) or backward (outs determine ins).  Which edges are coloured
     after a seed depends only on which were coloured before it, not on
     their colors, so one plan serves every branch and every pair.  A pair
-    whose switch or tau is not bijective is refused with ValueError.  The
-    seed rule is unchanged: the missing
-    slot of the first half-known in-pair or out-pair in crossing order
-    (in-pair first), where one choice determines a whole crossing, found
-    from a heap of the crossings with a coloured edge; only when no pair
-    is half-known, the first uncoloured edge in sorted-name order.
+    whose switch or tau is not bijective is refused with ValueError.  A
+    level seeds the missing slot of the first half-known in-pair or
+    out-pair in crossing order (in-pair first), where one choice
+    determines a whole crossing, found from a heap of the crossings with
+    a coloured edge; only when no pair is half-known does it seed the
+    first uncoloured edge in sorted-name order.
 
     `batch.run` runs the plan on arrays of partial colorings, one row per
     branch, at most _ROWS at a time, in the smallest unsigned dtype; a

@@ -79,9 +79,9 @@ _DICT_KEYS = 512
 
 @dataclass(frozen=True)
 class CocyclePair(Derived):
-    """Weights f and h in a target; its `derived` store keeps, per
-    singular pair, the weight table and the check made with it
-    (`_checked`)."""
+    """Weights f and h in a target; an abelian kind needs an abelian
+    target, refused here.  Its `derived` store keeps, per singular pair,
+    the weight table and the check made with it (`_checked`)."""
 
     target: Target
     f: tuple
@@ -102,6 +102,8 @@ class CocyclePair(Derived):
         if isinstance(self.target, AbelianizedGroup):
             self.target.check_elements(
                 (v for r in self.f + self.h for v in r), "values")
+        if self.kind == AB and not _target_abelian(self.target):
+            raise CocycleInvalidError("abelian cocycle pair needs an abelian target")
 
     @property
     def n(self) -> int:
@@ -167,29 +169,12 @@ def _weight_table(p: SingularPair, c: CocyclePair) -> _Weights:
 
 def _checked(c: CocyclePair, p: SingularPair) -> tuple[CocycleCheck, _Weights]:
     """c's check on p and the weight table it was made with; kept in c's
-    store, `c.derived(_checked, p)`."""
+    store (`_stored`).  Both sides of every instance of every relation
+    family are evaluated in the target at once, as two runs of one index
+    array into the table, and the first failing point of each family in
+    row-major order is kept.  The instances are p's, kept in its store
+    (`presentation.relation_words`)."""
     w = _weight_table(p, c)
-    return _check_cocycle(p, c, w), w
-
-
-def _stored(p: SingularPair, c: CocyclePair) -> tuple[CocycleCheck, _Weights]:
-    """`_checked` from c's store, once c suits p: an abelian kind needs an
-    abelian target, and the tables must be on p's carrier."""
-    if c.kind == AB and not _target_abelian(c.target):
-        raise CocycleInvalidError("abelian cocycle pair needs an abelian target")
-    if c.n != p.n:
-        raise DimensionMismatchError("cocycle tables do not match the pair")
-    return c.derived(_checked, p)
-
-
-def _check_cocycle(p: SingularPair, c: CocyclePair,
-                   w: Union[_Weights, None] = None) -> CocycleCheck:
-    """Evaluate both sides of every instance of every relation family in
-    the target at once, as two runs of one index array into c's weight
-    table w (a fresh one by default), and keep the first failing point of
-    each family in row-major order.  The instances are p's, kept in its
-    store (`presentation.relation_words`)."""
-    w = w if w is not None else _weight_table(p, c)
     t = p.derived(relation_words, c.kind)
     # a side's pad, -1, reads the last row of w: the identity
     idx = np.stack([t.lhs.T, t.rhs.T], axis=1)
@@ -198,7 +183,19 @@ def _check_cocycle(p: SingularPair, c: CocyclePair,
     fams, first = np.unique(t.family[bad], return_index=True)
     viols = tuple((t.names[f], tuple(int(v) for v in np.unravel_index(
         t.point[i], (p.n,) * t.arity[f]))) for f, i in zip(fams.tolist(), bad[first]))
-    return CocycleCheck(not viols, viols)
+    return CocycleCheck(not viols, viols), w
+
+
+def _stored(p: SingularPair, c: CocyclePair, kind: str,
+            message: str) -> tuple[CocycleCheck, _Weights]:
+    """`_checked` from c's store, once c suits p: a c of another kind is
+    refused with the caller's message, and c's tables must be on p's
+    carrier."""
+    if c.kind != kind:
+        raise CocycleInvalidError(message)
+    if c.n != p.n:
+        raise DimensionMismatchError("cocycle tables do not match the pair")
+    return c.derived(_checked, p)
 
 
 def check_nc_cocycle(p: SingularPair, c: CocyclePair) -> CocycleCheck:
@@ -208,16 +205,12 @@ def check_nc_cocycle(p: SingularPair, c: CocyclePair) -> CocycleCheck:
     of S, (f2) follows from (c3), (h1) and Yang-Baxter); they are checked
     in derived_cocycle_identities.
     """
-    if c.kind != NC:
-        raise CocycleInvalidError("cocycle pair is not of noncommutative kind")
-    return _stored(p, c)[0]
+    return _stored(p, c, NC, "cocycle pair is not of noncommutative kind")[0]
 
 
 def check_ab_cocycle(p: SingularPair, c: CocyclePair) -> CocycleCheck:
     """The five abelian conditions (f1'), (f2'), (c1'), (c2'), (c3')."""
-    if c.kind != AB:
-        raise CocycleInvalidError("cocycle pair is not of abelian kind")
-    return _stored(p, c)[0]
+    return _stored(p, c, AB, "cocycle pair is not of abelian kind")[0]
 
 
 def derived_cocycle_identities(p: SingularPair, c: CocyclePair) -> dict[str, bool]:
@@ -259,11 +252,8 @@ def derived_cocycle_identities(p: SingularPair, c: CocyclePair) -> dict[str, boo
 # ---------------------------------------------------------------------------
 
 def _tables_from_group(n: int, group: AbelianizedGroup):
-    f = tuple(tuple(group.generator(f_gen(n, x, y)) for y in range(n))
-              for x in range(n))
-    h = tuple(tuple(group.generator(h_gen(n, x, y)) for y in range(n))
-              for x in range(n))
-    return f, h
+    return tuple(tuple(tuple(group.generator(gen(n, x, y)) for y in range(n))
+                       for x in range(n)) for gen in (f_gen, h_gen))
 
 
 def universal_nc_cocycle(p: SingularPair) -> CocyclePair:
@@ -274,14 +264,12 @@ def universal_nc_cocycle(p: SingularPair) -> CocyclePair:
     abelianization (or in a user-supplied finite group).
     """
     group = abelianize(build_unc_presentation(p))
-    f, h = _tables_from_group(p.n, group)
-    return CocyclePair(group, f, h, NC)
+    return CocyclePair(group, *_tables_from_group(p.n, group), NC)
 
 
 def universal_ab_cocycle(p: SingularPair) -> CocyclePair:
     group = abelianize(build_ab_presentation(p))
-    f, h = _tables_from_group(p.n, group)
-    return CocyclePair(group, f, h, AB)
+    return CocyclePair(group, *_tables_from_group(p.n, group), AB)
 
 
 # The worked n = 2 examples in their customary bases: free labels, torsion,
@@ -321,9 +309,9 @@ def builtin_cocycle(pair_name: str, kind: str) -> CocyclePair:
         c = CocyclePair(group, *_tables_from_group(2, group), kind)
     else:
         c = universal_nc_cocycle(p) if kind == NC else universal_ab_cocycle(p)
-    checker = check_nc_cocycle if kind == NC else check_ab_cocycle
-    if not checker(p, c).ok:
-        raise CocycleInvalidError(f"builtin cocycle {pair_name}/{kind} is broken")
+    broken = f"builtin cocycle {pair_name}/{kind} is broken"
+    if not _stored(p, c, kind, broken)[0].ok:
+        raise CocycleInvalidError(broken)
     return c
 
 
@@ -343,15 +331,6 @@ class NcInvariantValue:
 
     def sorted_items(self):
         return sorted(self.multiset().items(), key=lambda kv: repr(kv[0]))
-
-
-def _checked_weights(p: SingularPair, c: CocyclePair) -> _Weights:
-    """c's weight table on p, once c passes its check."""
-    res, w = _stored(p, c)
-    if not res.ok:
-        raise CocycleInvalidError(
-            f"cocycle pair fails {[v[0] for v in res.violations]}")
-    return w
 
 
 def _evaluate(t: Target, w: _Weights, shape, index) -> np.ndarray:
@@ -499,13 +478,15 @@ def _tally_sort(flat, keys, runs, m):
     """`_tally` by one np.unique over (run, value) keys."""
     if keys.dtype == object:      # exact: rank each column of Python ints
         keys = np.stack([np.unique(col, return_inverse=True)[1] for col in keys.T], 1)
-    # each (run, value) as one opaque key
-    run = np.repeat(np.arange(runs, dtype=keys.dtype), m)
-    keys = np.concatenate([run[:, None], keys], axis=1)
-    # in the narrowest integer type that holds them: fewer bytes to sort
-    keys = keys.astype(np.result_type(*map(np.min_scalar_type, (
-        keys.min(initial=0), keys.max(initial=0)))))
-    keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+    # each (run, value) as one opaque key, filled straight into the
+    # narrowest integer type that holds the runs and the values: fewer
+    # bytes to copy and to sort
+    width = 1 + keys.shape[1]
+    both = np.empty((runs, m, width), np.result_type(*map(np.min_scalar_type, (
+        keys.min(initial=0), max(keys.max(initial=0), runs - 1)))))
+    both[..., 0] = np.arange(runs)[:, None]
+    both[..., 1:] = keys.reshape(runs, m, width - 1)
+    keys = both.view(np.dtype((np.void, both.itemsize * width))).ravel()
     _, first, which, counts = np.unique(keys, return_index=True,
                                         return_inverse=True, return_counts=True)
     order = np.argsort(first)
@@ -522,9 +503,10 @@ def nc_invariant(d: SingularDiagram, p: SingularPair,
     non-abelian target the classes do not factor over crossings.  Every
     coloring and every component is evaluated at once, each component's
     weighted passages one run of `_products`."""
-    if c.kind != NC:
-        raise CocycleInvalidError("nc_invariant needs a noncommutative pair")
-    w = _checked_weights(p, c)
+    check, w = _stored(p, c, NC, "nc_invariant needs a noncommutative pair")
+    if not check.ok:
+        raise CocycleInvalidError(
+            f"cocycle pair fails {[v[0] for v in check.violations]}")
     t = c.target
     vals = _products(d, p, t, w, d.derived(_nc_cells))
     if isinstance(t, FiniteGroup):
@@ -539,9 +521,10 @@ def state_sum(d: SingularDiagram, p: SingularPair,
     """Phi_{f,h}(L) = sum over colorings of the unordered product of all
     Boltzmann weights, in Z[H]; terms in order of first appearance over
     the sorted colorings."""
-    if c.kind != AB:
-        raise CocycleInvalidError("state_sum needs an abelian pair")
-    w = _checked_weights(p, c)
+    check, w = _stored(p, c, AB, "state_sum needs an abelian pair")
+    if not check.ok:
+        raise CocycleInvalidError(
+            f"cocycle pair fails {[v[0] for v in check.violations]}")
     vals = _products(d, p, c.target, w, d.derived(_sum_cells))
     values, _, counts = _tally(c.target, vals)
     return GroupRingElement(dict(zip(values, counts)))

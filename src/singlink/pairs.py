@@ -787,7 +787,7 @@ def _power_cycle_type(cycle_type, e):
     return sorted(out, reverse=True)
 
 
-def enumerate_left_right_invertible(n: int, max_n: int = 4) -> LrCounts:
+def enumerate_left_right_invertible(n: int) -> LrCounts:
     """The four counts of the flip-compatible left/right-invertible table.
 
     total is (n!)^n (tau1 is a free list of n permutations and forces
@@ -799,10 +799,11 @@ def enumerate_left_right_invertible(n: int, max_n: int = 4) -> LrCounts:
     generators (3,360 taus x 3 generators at n = 4, not x 24 relabelings);
     n = 2 and 3 are below ORBIT_MIN and keyed by `canonical_form`.  The
     `enumerate_taus` guard does not run here: the tests compare both
-    counts with `enumerate_taus` and `classify_isomorphism`.
+    counts with `enumerate_taus` and `classify_isomorphism`.  n is at
+    most 4.
     """
-    if n > max_n:
-        raise SearchBoundExceededError(f"n={n} exceeds bound {max_n}")
+    if n > 4:
+        raise SearchBoundExceededError(f"n={n} exceeds bound 4")
     total = factorial(n) ** n
     # Burnside: a relabeling g fixes the tau determined by rows (p_x) iff
     # p_{g(x)} = g p_x g^-1; choices are one centralizer element of g^ell

@@ -6,6 +6,7 @@ from singlink.cli import main
 from singlink.diagram import builtin_diagram
 from singlink.invariant import AB, builtin_cocycle
 from singlink.pairs import builtin_pair
+from singlink.presentation import FiniteGroup
 
 
 def run(capsys, *argv):
@@ -465,6 +466,20 @@ class TestCocycleFiles:
                            "--cocycle", str(coc), "--target", str(group))
         assert code == 0
         assert "(0, 2)" in out       # 2 colorings, both weight the identity
+
+    def test_abelian_cocycle_file_refuses_a_nonabelian_target(self, tmp_path,
+                                                             capsys):
+        s3 = FiniteGroup.symmetric(3)
+        group = tmp_path / "s3.json"
+        group.write_text(json.dumps({"order": s3.order,
+                                     "mul": [list(row) for row in s3.table]}))
+        coc = tmp_path / "cocycle.json"
+        coc.write_text(json.dumps({"kind": "ab", "f": [[0, 0], [0, 0]],
+                                   "h": [[0, 1], [1, 0]]}))
+        assert run(capsys, "invariant", "statesum", "@sing_trefoil",
+                   "--pair", "builtin:flip-i2", "--cocycle", str(coc),
+                   "--target", str(group)) == \
+            (1, "", "error: abelian cocycle pair needs an abelian target\n")
 
     def test_file_cocycle_embedded_target(self, tmp_path, capsys):
         from singlink.invariant import AB, builtin_cocycle

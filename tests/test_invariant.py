@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import tracemalloc
 from collections import Counter
 from random import Random
 
@@ -178,7 +179,7 @@ class TestBatchedChecker:
     def test_random_finite_cocycles_match_oracle(self):
         valid = 0
         for p, c in random_cocycles(Random("batched checker"), 1000):
-            res = invariant._check_cocycle(p, c)
+            res = invariant._checked(c, p)[0]
             assert res == check_cocycle_oracle(p, c), (p, c)
             valid += res.ok
         assert 100 < valid < 900
@@ -199,7 +200,7 @@ class TestBatchedChecker:
                     rng.choice(tabs)[x][y] = rng.choice(rng.choice(tabs)[x])
                     cases.append(CocyclePair(c.target, *tabs, c.kind))
                 for case in cases:
-                    res = invariant._check_cocycle(p, case)
+                    res = invariant._checked(case, p)[0]
                     assert res == check_cocycle_oracle(p, case)
                     seen.add(res.ok)
         assert seen == {True, False}
@@ -394,6 +395,14 @@ class TestNcInvariant:
             nc_invariant(builtin_diagram("unknot"), p,
                          CocyclePair(tgt, f, h, NC))
 
+    def test_abelian_kind_refuses_a_nonabelian_target_when_built(self):
+        s3, f, h = FiniteGroup.symmetric(3), ((0, 0), (0, 0)), ((0, 1), (1, 0))
+        with pytest.raises(CocycleInvalidError,
+                           match="^abelian cocycle pair needs an abelian target$"):
+            CocyclePair(s3, f, h, AB)
+        assert CocyclePair(s3, f, h, NC).target is s3
+        assert CocyclePair(FiniteGroup.cyclic(2), f, h, AB).kind == AB
+
     def test_cocycle_checked_once_per_pair(self, monkeypatch):
         p, other = builtin_pair("flip-i2"), builtin_pair("flip-flip")
         ds = [builtin_diagram("sing_trefoil"), builtin_diagram("four_sing_left")]
@@ -401,9 +410,9 @@ class TestNcInvariant:
         nc, ab = (CocyclePair(c.target, c.f, c.h, c.kind) for c in
                   (builtin_cocycle("flip-i2", NC), builtin_cocycle("flip-s2", AB)))
         calls, builds = [], []
-        check, table = invariant._check_cocycle, invariant._weight_table
-        monkeypatch.setattr(invariant, "_check_cocycle",
-                            lambda p, c, *w: calls.append(c.kind) or check(p, c, *w))
+        check, table = invariant._checked, invariant._weight_table
+        monkeypatch.setattr(invariant, "_checked",
+                            lambda c, p: calls.append(c.kind) or check(c, p))
         monkeypatch.setattr(invariant, "_weight_table",
                             lambda p, c: builds.append((c.kind, p)) or table(p, c))
         assert check_nc_cocycle(p, nc).ok and check_ab_cocycle(p, ab).ok
@@ -744,8 +753,8 @@ class TestBatchedEvaluation:
                 assert count_colorings(d, p) >= 2
                 out.append((repr(nc_invariant(d, p, nc).per_coloring),
                             repr(list(state_sum(d, p, ab).terms.items())),
-                            invariant._check_cocycle(p, nc),
-                            invariant._check_cocycle(p, ab)))
+                            invariant._checked(nc, p)[0],
+                            invariant._checked(ab, p)[0]))
             return out
         want = results()
         monkeypatch.setattr(invariant, "_CELLS", cells)
@@ -824,6 +833,25 @@ def test_tally_matches_a_counter_per_run(path, label, t, vals, monkeypatch):
     monkeypatch.setattr(invariant, "_DICT_KEYS", 1 << 30 if path == "dict" else -1)
     # repr: Python ints in tuples and lists, as the oracle has them
     assert repr(invariant._tally(t, vals)) == repr(tally_oracle(t, vals))
+
+
+def test_tally_sort_never_copies_int64_keys_at_their_width():
+    # a multi-run int64 tally of few distinct values, so that the keys, not
+    # the tally's lists, set the peak: narrowed before any copy, int64 keys
+    # cost what the same values as int8 keys cost, and give the same tally
+    rng = np.random.default_rng(30)
+    runs, m, width = 8, 4096, 12
+    vals = rng.integers(-3, 4, (8, width))[rng.integers(0, 8, runs * m)]
+    outs, peaks = [], []
+    for flat in (vals, vals.astype(np.int8)):
+        tracemalloc.start()
+        try:
+            outs.append(invariant._tally_sort(flat, flat, runs, m))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert repr(outs[0]) == repr(outs[1])
+    assert peaks[0] < peaks[1] + vals.nbytes // 8
 
 
 @functools.lru_cache(maxsize=None)
