@@ -299,6 +299,8 @@ def builtin_cocycle(pair_name: str, kind: str) -> CocyclePair:
     invariant factors agree with the machine-computed universal group, so
     these are the universal pairs up to relabeling the basis.
     """
+    if kind not in (NC, AB):
+        raise ValueError(f"kind must be nc or ab, got {kind!r}")
     p = builtin_pair(pair_name)
     spec = _NAMED.get(("flip-i2" if pair_name == "flip-s2" else pair_name, kind))
     if spec:

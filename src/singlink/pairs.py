@@ -53,8 +53,8 @@ from . import batch
 from .errors import (DimensionMismatchError, HomogeneityViolationError,
                      NonUnitError, SearchBoundExceededError, UnknownNameError)
 from .pairtable import (Biquandle, Derived, PairTable, dihedral_switch,
-                        first_failure, flat_map, flip_switch, i2_switch, word_arity,
-                        word_images)
+                        first_failure, flat_map, flip_switch, i2_switch, units_mod,
+                        word_arity, word_images)
 
 # batch sizes: taus per `pair_verdicts` call in the `enumerate_taus`
 # guard and per `tolist` when the search's tables are built, and relabeled
@@ -164,23 +164,19 @@ def check_singular_pair(S: Biquandle, tau: PairTable) -> PairCheck:
     n = S.n
     bad: list[Violation] = []
 
-    if not tau.is_left_invertible():
-        x = next(x for x in range(n) if len(set(tau.t1[x])) != n)
-        bad.append(Violation("left_invertible", (x,)))
-    if not tau.is_right_invertible():
-        y = next(y for y in range(n)
-                 if len({tau.t2[x][y] for x in range(n)}) != n)
-        bad.append(Violation("right_invertible", (y,)))
-    if not tau.is_bijective():
-        seen = {}
-        wit = None
-        for x in range(n):
-            for y in range(n):
-                img = tau.apply(x, y)
-                if img in seen and wit is None:
-                    wit = (seen[img], (x, y))
-                seen[img] = (x, y)
-        bad.append(Violation("bijective", wit))
+    # each witness in one pass: the first tau1 row and the first tau2
+    # column that are not permutations, and the first repeated image
+    for axiom, lines in (("left_invertible", tau.t1),
+                         ("right_invertible", zip(*tau.t2))):
+        i = next((i for i, line in enumerate(lines) if len(set(line)) != n), None)
+        if i is not None:
+            bad.append(Violation(axiom, (i,)))
+    seen = {}
+    for xy in itertools.product(range(n), repeat=2):
+        first = seen.setdefault(tau.apply(*xy), xy)
+        if first != xy:
+            bad.append(Violation("bijective", (first, xy)))
+            break
 
     maps = {"S": S.table, "T": tau}
     for name, lhs, rhs in SINGULAR_PAIR_AXIOMS:
@@ -269,10 +265,7 @@ def make_tau_phi(m: int, s: int, t: int, phi) -> PairTable | None:
     and -1; the result is returned only when the assembled map is
     bijective (left/right invertibility is automatic).
     """
-    s %= m
-    t %= m
-    if gcd(s, m) != 1 or gcd(t, m) != 1:
-        raise NonUnitError("s and t must be units")
+    s, t = units_mod(m, s=s, t=t)
     phi = [p % m for p in phi]
     if sorted(phi) != list(range(m)):
         raise ValueError("phi must be a permutation of Z/m")
@@ -299,12 +292,7 @@ def make_tau_a(p: int, s: int, t: int, a: int) -> PairTable | None:
     """
     if not _is_prime(p):
         raise NonUnitError(f"{p} is not prime")
-    s %= p
-    t %= p
-    a %= p
-    for name, v in (("s", s), ("t", t), ("a", a)):
-        if v == 0:
-            raise NonUnitError(f"{name} must be a unit mod {p}")
+    s, t, a = units_mod(p, s=s, t=t, a=a)
     if ((s * t + 1) * a - s) % p == 0:
         return None
     sinv = pow(s, -1, p)
@@ -323,12 +311,7 @@ def check_bialexander_characterization(m: int, s: int, t: int,
     pin tau down to tau(0,-); and t*tau1(0,x) = s*tau2(x,0).  Bijectivity
     of tau is part of being a singular pair and is checked as well.
     """
-    s %= m
-    t %= m
-    if gcd(s, m) != 1 or gcd(t, m) != 1:
-        raise NonUnitError("s and t must be units")
-    if gcd((1 - s * t) % m, m) != 1:
-        raise NonUnitError("(1 - s*t) must be a unit")
+    s, t, _ = units_mod(m, s=s, t=t, **{"1-s*t": 1 - s * t})
     if tau.n != m:
         raise DimensionMismatchError("tau is not on Z/m")
     if not (tau.is_left_invertible() and tau.is_right_invertible()
@@ -388,10 +371,7 @@ def tau_phi_family(m: int, s: int, t: int) -> list[PairTable]:
     are a product over stabilizers of a permutation of the orbits with that
     stabilizer and a target point in each image orbit.
     """
-    s %= m
-    t %= m
-    if gcd(s, m) != 1 or gcd(t, m) != 1:
-        raise NonUnitError("s and t must be units")
+    s, t = units_mod(m, s=s, t=t)
     by_stabilizer = {}
     for points, stabilizer in _unit_orbits(m, (s, t, m - 1))[1]:
         by_stabilizer.setdefault(stabilizer, []).append(points)
@@ -728,12 +708,12 @@ def enumerate_taus(S: Biquandle, require_bijective: bool = True,
     return tables
 
 
-def brute_force_taus(S: Biquandle, require_bijective: bool = True,
-                     max_n: int = 3) -> list[PairTable]:
-    """Oracle: scan all ((n!)^n)^2 left/right-invertible maps directly."""
+def brute_force_taus(S: Biquandle, require_bijective: bool = True) -> list[PairTable]:
+    """Oracle: scan all ((n!)^n)^2 left/right-invertible maps directly;
+    n is at most 3."""
     n = S.n
-    if n > max_n:
-        raise SearchBoundExceededError(f"n={n} exceeds brute-force bound {max_n}")
+    if n > 3:
+        raise SearchBoundExceededError(f"n={n} exceeds brute-force bound 3")
     perms = list(itertools.permutations(range(n)))
     out = []
     for rows in itertools.product(perms, repeat=n):
@@ -771,7 +751,7 @@ def _partitions(n):
                 yield [first] + rest
 
 
-def _centralizer_order(cycle_type, n):
+def _centralizer_order(cycle_type):
     out = 1
     for ell in set(cycle_type):
         m = cycle_type.count(ell)
@@ -810,10 +790,10 @@ def enumerate_left_right_invertible(n: int) -> LrCounts:
     # per cycle of length ell.
     iso_sum = 0
     for ct in _partitions(n):
-        class_size = factorial(n) // _centralizer_order(ct, n)
+        class_size = factorial(n) // _centralizer_order(ct)
         fixed = 1
         for ell in ct:
-            fixed *= _centralizer_order(_power_cycle_type(ct, ell), n)
+            fixed *= _centralizer_order(_power_cycle_type(ct, ell))
         iso_sum += class_size * fixed
     iso = iso_sum // factorial(n)
 

@@ -307,16 +307,23 @@ class Biquandle(Derived):
         """(X, t) if t is a bijective, left and right invertible Yang-Baxter
         solution whose fixed points are the graph of a bijection s."""
         b = cls(t)
-        if not (t.is_left_invertible() and t.is_right_invertible()
-                and t.is_bijective() and check_yang_baxter(t)
-                and b.s_map is not None):
-            raise ValueError("table is not a biquandle")
+        for what, holds in (("left invertibility", t.is_left_invertible),
+                            ("right invertibility", t.is_right_invertible),
+                            ("bijectivity", t.is_bijective),
+                            ("Yang-Baxter", lambda: check_yang_baxter(t)),
+                            ("the diagonal fixed-point axiom",
+                             lambda: b.s_map is not None)):
+            if not holds():
+                raise ValueError(f"table is not a biquandle: {what} fails")
         return b
 
 
 @dataclass(frozen=True)
 class Quandle:
-    """Self-distributive idempotent operation given by op[x][y] = x <| y."""
+    """Self-distributive idempotent operation given by op[x][y] = x <| y,
+    checked as the biquandle its switch is: its right invertibility and
+    bijectivity say each - <| y is a bijection, Yang-Baxter says <| is
+    self-distributive, and its diagonal fixed points say x <| x = x."""
 
     n: int
     op: Table
@@ -326,23 +333,24 @@ class Quandle:
         n = self.n
         if len(self.op) != n or any(len(r) != n for r in self.op):
             raise ValueError(f"op must be {n}x{n}")
-        full = set(range(n))
-        for y in range(n):
-            if {self.op[x][y] for x in range(n)} != full:
-                raise ValueError("- <| y must be a bijection for every y")
-        for x in range(n):
-            if self.op[x][x] != x:
-                raise ValueError("quandle needs x <| x = x")
-        for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    if self.op[self.op[x][y]][z] != self.op[self.op[x][z]][self.op[y][z]]:
-                        raise ValueError("self-distributivity fails")
+        Biquandle.from_table(make_quandle_switch(self).table)
 
     @classmethod
     def from_dict(cls, d) -> "Quandle":
         return cls(json_checked(d["n"], int, "n"),
                    json_list(d["op"], int, "op", 2))
+
+
+def units_mod(m: int, **values: int) -> tuple[int, ...]:
+    """The values, reduced mod m, in the order given; NonUnitError names
+    the first that is not a unit mod m (over F_p, one that is 0)."""
+    if m < 1:
+        raise ValueError("carrier must be nonempty")
+    out = tuple(v % m for v in values.values())
+    for name, v in zip(values, out):
+        if gcd(v, m) != 1:
+            raise NonUnitError(f"{name}={v} is not a unit mod {m}")
+    return out
 
 
 def flip_switch(n: int) -> Biquandle:
@@ -358,14 +366,7 @@ def i2_switch() -> Biquandle:
 
 def make_bialexander(m: int, s: int, t: int) -> Biquandle:
     """Bialexander switch S(x,y) = (s*y, t*x + (1-s*t)*y) on Z/m."""
-    if m < 1:
-        raise ValueError("carrier must be nonempty")
-    s %= m
-    t %= m
-    if gcd(s, m) != 1:
-        raise NonUnitError(f"s={s} is not a unit mod {m}")
-    if gcd(t, m) != 1:
-        raise NonUnitError(f"t={t} is not a unit mod {m}")
+    s, t = units_mod(m, s=s, t=t)
     table = PairTable.from_function(
         m, lambda x, y: ((s * y) % m, (t * x + (1 - s * t) * y) % m))
     return Biquandle.from_table(table)
@@ -377,9 +378,9 @@ def dihedral_switch(n: int) -> Biquandle:
 
 
 def make_quandle_switch(q: Quandle) -> Biquandle:
-    """The switch S(x,y) = (y, x <| y) induced by a quandle."""
-    t = PairTable.from_function(q.n, lambda x, y: (y, q.op[x][y]))
-    return Biquandle.from_table(t)
+    """The switch S(x,y) = (y, x <| y) induced by a quandle, unchecked:
+    `Quandle` checked it when q was built."""
+    return Biquandle(PairTable.from_function(q.n, lambda x, y: (y, q.op[x][y])))
 
 
 def dihedral_quandle(n: int) -> Quandle:

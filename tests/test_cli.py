@@ -62,6 +62,16 @@ class TestPairsCommands:
         assert code == 0
         assert "pairs: 24" in out and "isoclasses: 7" in out
 
+    def test_quandle_file_is_its_switch(self, tmp_path, capsys):
+        from singlink.pairtable import dihedral_quandle
+        q = dihedral_quandle(3)
+        f = tmp_path / "quandle.json"
+        f.write_text(json.dumps({"n": q.n, "op": [list(r) for r in q.op]}))
+        outputs = [run(capsys, "pairs", "enumerate", "--switch", spec, "--iso",
+                       "--json") for spec in (str(f), "d3")]
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0 and json.loads(outputs[0][1])["canonical"]
+
     def test_check_valid_pair(self, tmp_path, capsys):
         from singlink.pairs import builtin_pair
         p = builtin_pair("flip-i2")
@@ -356,6 +366,10 @@ class TestErrorsAndDeterminism:
         ("diagram", "show", "{string_loops}"),
         ("pairs", "enumerate", "--switch", "{string_row}"),
         ("pairs", "enumerate", "--switch", "{float_entry}"),
+        # quandle files, each checked as its switch
+        ("pairs", "enumerate", "--switch", "{ragged_op}"),
+        ("pairs", "enumerate", "--switch", "{not_distributive_op}"),
+        ("pairs", "enumerate", "--switch", "{not_idempotent_op}"),
         ("invariant", "statesum", "@unknot", "--pair", "builtin:flip-i2",
          "--cocycle", "{string_cocycle_row}", "--target", "{z2}"),
         ("invariant", "statesum", "@unknot", "--pair", "builtin:flip-i2",
@@ -371,7 +385,8 @@ class TestErrorsAndDeterminism:
             "diagram-list", "diagram-three-slots", "diagram-no-kind",
             "diagram-int-slots", "diagram-not-json", "lr-n-negative", "lr-n-zero", "flip-n-zero",
             "max-n-zero", "d-zero", "bialexander-zero", "string-slots",
-            "string-loops", "string-row", "float-entry", "cocycle-string-row",
+            "string-loops", "string-row", "float-entry", "ragged-op",
+            "not-distributive-op", "not-idempotent-op", "cocycle-string-row",
             "group-float-entry", "float-torsion", "string-rank",
             "string-labels", "bool-coordinate", "string-coordinate",
             "zero-torsion", "short-labels", "short-coord-map"])
@@ -414,6 +429,12 @@ class TestErrorsAndDeterminism:
                  "string_loops": {"loops": "xy"},
                  "string_row": {**flip, "t1": ["01", [0, 1]]},
                  "float_entry": {**flip, "t1": [[0, 1.9], [0, 1]]},
+                 "ragged_op": {"n": 3, "op": [[0, 0, 0], [1, 1], [2, 2, 2]]},
+                 # - <| 0 and - <| 1 swap the other two elements
+                 "not_distributive_op": {"n": 3, "op": [[0, 2, 0], [2, 1, 1],
+                                                        [1, 0, 2]]},
+                 # the cyclic rack x <| y = x + 1
+                 "not_idempotent_op": {"n": 3, "op": [[1] * 3, [2] * 3, [0] * 3]},
                  "string_cocycle_row": {"kind": "ab", "f": ["00", [0, 0]],
                                         "h": [[0, 1], [1, 0]]},
                  "z2_cocycle": {"kind": "ab", "f": [[0, 0], [0, 0]],
@@ -480,6 +501,30 @@ class TestCocycleFiles:
                    "--pair", "builtin:flip-i2", "--cocycle", str(coc),
                    "--target", str(group)) == \
             (1, "", "error: abelian cocycle pair needs an abelian target\n")
+
+    @pytest.mark.parametrize("cocycle,message", [
+        ({"kind": "nc", "f": [[0, 0], [0, 0]], "h": [[0, 1], [1, 0]]},
+         "cocycle file is of kind 'nc'"),
+        ({"kind": "ab", "f": [[0, 0], [0, 0]], "h": [[0, 1], [1, 0]]},
+         "cocycle file needs --target or an embedded target"),
+    ], ids=["other-kind", "no-target"])
+    def test_cocycle_file_refused_as_read(self, tmp_path, capsys, cocycle,
+                                          message):
+        coc = tmp_path / "cocycle.json"
+        coc.write_text(json.dumps(cocycle))
+        assert run(capsys, "invariant", "statesum", "@sing_trefoil",
+                   "--pair", "builtin:flip-i2", "--cocycle", str(coc)) == \
+            (1, "", f"error: {message}\n")
+
+    def test_universal_cocycle_of_a_pair_file(self, tmp_path, capsys):
+        p = builtin_pair("d3-ss")
+        pair = tmp_path / "pair.json"
+        pair.write_text(json.dumps(p.to_dict()))
+        outputs = [run(capsys, "invariant", "nc", "@sing_trefoil", "--pair",
+                       spec, "--cocycle", "universal")
+                   for spec in (str(pair), "builtin:d3-ss")]
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0 and outputs[0][1]
 
     def test_file_cocycle_embedded_target(self, tmp_path, capsys):
         from singlink.invariant import AB, builtin_cocycle

@@ -175,6 +175,46 @@ def random_cocycles(rng, count):
         yield p, CocyclePair(G, f, h, kind)
 
 
+class TestGuards:
+    """Each entry refuses a cocycle pair it cannot use, with its own message."""
+
+    @pytest.mark.parametrize("entry,kind,message", [
+        (check_nc_cocycle, AB, "cocycle pair is not of noncommutative kind"),
+        (check_ab_cocycle, NC, "cocycle pair is not of abelian kind"),
+        (functools.partial(nc_invariant, builtin_diagram("unknot")), AB,
+         "nc_invariant needs a noncommutative pair"),
+        (functools.partial(state_sum, builtin_diagram("unknot")), NC,
+         "state_sum needs an abelian pair"),
+    ], ids=["check_nc_cocycle", "check_ab_cocycle", "nc_invariant", "state_sum"])
+    def test_a_pair_of_the_other_kind_is_refused(self, entry, kind, message):
+        z = ((0, 0), (0, 0))
+        c = CocyclePair(FiniteGroup.cyclic(2), z, z, kind)
+        with pytest.raises(CocycleInvalidError, match=f"^{message}$"):
+            entry(builtin_pair("flip-i2"), c)
+
+    def test_failing_cocycles_are_refused(self):
+        # h is not symmetric, as (c3) and (c3') require on flip-i2
+        p = builtin_pair("flip-i2")
+        f, h = ((0, 0), (0, 0)), ((0, 1), (2, 0))
+        ab = CocyclePair(FiniteGroup.cyclic(3), f, h, AB)
+        with pytest.raises(CocycleInvalidError,
+                           match=r"""^cocycle pair fails \["c3'"\]$"""):
+            state_sum(builtin_diagram("unknot"), p, ab)
+        nc = CocyclePair(FiniteGroup.cyclic(3), f, h, NC)
+        with pytest.raises(CocycleInvalidError,
+                           match="^pair fails the noncommutative conditions$"):
+            derived_cocycle_identities(p, nc)
+
+    def test_builtin_cocycle_refuses_an_unknown_kind_before_building(
+            self, monkeypatch):
+        def build(p):
+            raise AssertionError("a cocycle was built")
+        monkeypatch.setattr(invariant, "universal_nc_cocycle", build)
+        monkeypatch.setattr(invariant, "universal_ab_cocycle", build)
+        with pytest.raises(ValueError, match="^kind must be nc or ab, got 'xx'$"):
+            builtin_cocycle("flip-i2", "xx")
+
+
 class TestBatchedChecker:
     def test_random_finite_cocycles_match_oracle(self):
         valid = 0

@@ -394,6 +394,52 @@ class TestTauA:
         assert sorted(t.key() for t in taus) == sorted(t.key() for t in family)
 
 
+def table_witnesses(tau: PairTable) -> list:
+    """The invertibility and bijectivity violations, found cell by cell:
+    the first tau1 row and tau2 column that miss a value, and the first
+    cell whose image an earlier cell had."""
+    n = tau.n
+    out = [("left_invertible", (x,)) for x in range(n)
+           if sorted(tau.t1[x]) != list(range(n))][:1]
+    out += [("right_invertible", (y,)) for y in range(n)
+            if sorted(tau.t2[x][y] for x in range(n)) != list(range(n))][:1]
+    cells = [(x, y) for x in range(n) for y in range(n)]
+    images = [tau.apply(x, y) for x, y in cells]
+    out += [("bijective", (cells[images.index(img)], cells[i]))
+            for i, img in enumerate(images) if images.index(img) < i][:1]
+    return out
+
+
+def test_table_witnesses_match_the_cell_by_cell_scan():
+    rng = random.Random(32)
+    S = {n: flip_switch(n) for n in range(1, 5)}
+    seen = Counter()
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        rows = [rng.sample(range(n), n) if rng.random() < 0.5 else
+                [rng.randrange(n) for _ in range(n)] for _ in range(2 * n)]
+        tau = PairTable(n, rows[:n], rows[n:])
+        got = [(v.axiom, v.witness) for v in check_singular_pair(S[n], tau).violations
+               if v.axiom in ("left_invertible", "right_invertible", "bijective")]
+        assert got == table_witnesses(tau), tau
+        seen.update(axiom for axiom, _ in got)
+    assert min(seen[a] for a in ("left_invertible", "right_invertible",
+                                  "bijective")) > 20
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: make_bialexander(6, 1, 3), "t=3 is not a unit mod 6"),
+    (lambda: make_tau_phi(6, 2, 1, range(6)), "s=2 is not a unit mod 6"),
+    (lambda: tau_phi_family(8, 1, 2), "t=2 is not a unit mod 8"),
+    (lambda: check_bialexander_characterization(5, 2, 3, flip_switch(5).table),
+     "1-s\\*t=0 is not a unit mod 5"),
+    (lambda: make_tau_a(5, 2, 3, 10), "a=0 is not a unit mod 5"),
+], ids=["bialexander", "tau_phi", "tau_phi_family", "characterization", "tau_a"])
+def test_non_units_are_named(call, message):
+    with pytest.raises(NonUnitError, match=f"^{message}$"):
+        call()
+
+
 class TestCharacterization:
     def test_tau_S(self):
         assert check_bialexander_characterization(3, 1, 2, dihedral_switch(3).table)

@@ -151,6 +151,21 @@ class TestBiquandle:
         t = PairTable(2, ((0, 0), (1, 1)), ((0, 1), (0, 1)))
         assert check_biquandle(t) is None
 
+    @pytest.mark.parametrize("t1,t2,what", [
+        (((0, 0), (1, 1)), ((0, 1), (0, 1)), "left invertibility"),
+        (((0, 1), (0, 1)), ((0, 0), (0, 0)), "right invertibility"),
+        (((0, 1), (1, 0)), ((0, 1), (1, 0)), "bijectivity"),
+        # the switch of x <| y with - <| 0 and - <| 1 swapping the others
+        (((0, 1, 2),) * 3, ((0, 2, 0), (2, 1, 1), (1, 0, 2)), "Yang-Baxter"),
+        # the switch of the cyclic rack x <| y = x + 1
+        (((0, 1, 2),) * 3, ((1,) * 3, (2,) * 3, (0,) * 3),
+         "the diagonal fixed-point axiom"),
+    ], ids=["left", "right", "bijective", "yang-baxter", "fixed-points"])
+    def test_refusal_names_the_first_failing_property(self, t1, t2, what):
+        with pytest.raises(ValueError,
+                           match=f"^table is not a biquandle: {what} fails$"):
+            Biquandle.from_table(PairTable(len(t1), t1, t2))
+
     def test_builtin_families_are_biquandles(self):
         for bi in [flip_switch(n) for n in range(1, 7)] + \
                   [i2_switch(), dihedral_switch(5), dihedral_switch(6),
@@ -212,6 +227,32 @@ class TestQuandle:
     def test_non_quandle_rejected(self):
         with pytest.raises(ValueError):
             Quandle(2, ((1, 0), (0, 1)))     # x <| x != x
+
+    def test_shape_is_checked_before_the_switch(self):
+        with pytest.raises(ValueError, match="^op must be 3x3$"):
+            Quandle(3, ((0, 0, 0), (1, 1), (2, 2, 2)))
+
+    def test_accepts_exactly_the_quandle_axioms(self):
+        # every op table of order <= 3, against the axioms written out
+        def axioms_hold(n, op):
+            return (all({op[x][y] for x in range(n)} == set(range(n))
+                        for y in range(n))
+                    and all(op[x][x] == x for x in range(n))
+                    and all(op[op[x][y]][z] == op[op[x][z]][op[y][z]]
+                            for x in range(n) for y in range(n)
+                            for z in range(n)))
+
+        for n, quandles in ((1, 1), (2, 1), (3, 5)):
+            accepted = []
+            for cells in itertools.product(range(n), repeat=n * n):
+                op = tuple(cells[i:i + n] for i in range(0, n * n, n))
+                try:
+                    Quandle(n, op)
+                    accepted.append(op)
+                except ValueError:
+                    pass
+                assert (op in accepted) == axioms_hold(n, op), op
+            assert len(accepted) == quandles
 
     def test_rack_not_quandle_is_not_biquandle(self):
         # cyclic rack x <| y = x + 1: a birack without diagonal fixed points
